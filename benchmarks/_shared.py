@@ -13,10 +13,10 @@ variables (the paper's campaign ran ~24 h on a 48-core server):
 - ``REPRO_BENCH_JOBS``       campaign worker processes     (default 1)
 - ``REPRO_BENCH_CACHE``      persistent verdict-cache dir  (default off)
 
-With ``REPRO_BENCH_JOBS > 1`` campaigns shard over a process pool (each
-worker rebuilds its session from a picklable spec); with ``REPRO_BENCH_CACHE``
-set, GroupACE verdicts persist across bench invocations, so re-runs
-warm-start.  Both paths produce records identical to the serial engine.
+With ``REPRO_BENCH_JOBS > 1`` campaigns shard over forked local workers
+(each rebuilds its session from the wire form of a spec); with
+``REPRO_BENCH_CACHE`` set, GroupACE verdicts persist across bench
+invocations, so re-runs warm-start.  Both paths produce records identical to the serial engine.
 """
 
 from __future__ import annotations

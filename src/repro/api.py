@@ -19,10 +19,11 @@ workload keyed by its *content signature*, so two programs sharing a name
 but differing in image never alias each other's engine — and repeated
 :func:`analyze` calls against the same workload share the golden run, the
 warm waveform/GroupACE caches, and (when ``config.jobs > 1``) the live
-worker pool, exactly like the CLI's engine does within one invocation.
-Call :func:`shutdown` to release pools and flush verdict caches explicitly;
-an ``atexit`` hook drains whatever is still cached at interpreter exit, so
-worker pools are not leaked even when callers forget.
+local workers, exactly like the CLI's engine does within one invocation.
+Call :func:`shutdown` to release workers and flush verdict caches
+explicitly; an ``atexit`` hook drains whatever is still cached at
+interpreter exit, so worker processes are not leaked even when callers
+forget.
 
 The facade is a thin veneer: results are byte-identical to driving
 :class:`repro.core.campaign.DelayAVFEngine` directly with the same
@@ -50,7 +51,7 @@ from repro.core.coverage import (
     select_workloads,
     union_coverage,
 )
-from repro.core.executor import SessionSpec
+from repro.core.executor import SessionSpec, shutdown_shared_executors
 from repro.core.metrics import heartbeat_path, write_metrics
 from repro.core.progress import Heartbeat, ProgressReporter
 from repro.core.results import SAVFResult, StructureCampaignResult
@@ -263,10 +264,10 @@ def analyze(
     :class:`CampaignConfig` field — passing them here merely overrides the
     config for this call.
 
-    *workers_from* dispatches shards to remote ``repro worker`` processes
+    *workers_from* dispatches shards to joining ``repro worker`` processes
     instead of running them locally: a ``HOST:PORT`` listen address (socket
     transport) or ``queue:DIR`` (shared-filesystem queue) — see
-    :class:`repro.distrib.coordinator.RemoteExecutor`.
+    :class:`repro.core.executor.ParallelExecutor`.
     """
     run_config = _observed_config(
         config or CampaignConfig(), trace, progress, metrics_out, lanes,
@@ -486,10 +487,10 @@ def fsck(cache_dir, quarantine: bool = False) -> Dict[str, list]:
 
 
 def shutdown() -> None:
-    """Close every cached engine: worker pools stop, verdict caches flush.
+    """Close every cached engine: worker fleets stop, verdict caches flush.
 
     Idempotent, and also registered as an ``atexit`` hook so the parallel
-    path's worker pools are reclaimed even when callers never shut down
+    path's worker processes are reclaimed even when callers never shut down
     explicitly.
     """
     with _REGISTRY_LOCK:
@@ -498,13 +499,11 @@ def shutdown() -> None:
         _ENGINE_LOCKS.clear()
     for engine in engines:
         engine.close()
-    # Shared remote fleets are engine-independent (one per listen address);
-    # engine.close() intentionally leaves them up, so release them here.
-    from repro.distrib.coordinator import shutdown_shared_executors
-
+    # Shared workers_from fleets are engine-independent (one per listen
+    # address); engine.close() intentionally leaves them up, so release them.
     shutdown_shared_executors()
 
 
 # Drain cached engines at interpreter exit: without this, a caller that used
-# config.jobs > 1 and never called shutdown() leaked its worker pools.
+# config.jobs > 1 and never called shutdown() leaked its worker processes.
 atexit.register(shutdown)

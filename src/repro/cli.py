@@ -143,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes (>1 shards the campaign over a process pool)",
+        help="local worker processes (>1 forks that many workers and shards "
+             "the campaign over them)",
     )
     p.add_argument(
         "--cache-dir", default=None,
@@ -157,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--shard-timeout", type=float, default=None, dest="shard_timeout",
         metavar="SECONDS",
-        help="per-shard timeout before a hung worker is recycled "
-             "(parallel campaigns; default: no timeout)",
+        help="per-shard timeout before a hung worker is evicted "
+             "(--jobs / --workers-from campaigns; default: no timeout)",
     )
     p.add_argument(
         "--max-retries", type=int, default=None, dest="max_retries",

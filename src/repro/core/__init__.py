@@ -15,7 +15,7 @@ Implements Section V's two-step methodology (Eq. 4):
 - :mod:`repro.core.campaign` — the statistical fault-injection campaign
   engine tying everything together with the paper's §V-C optimizations,
 - :mod:`repro.core.plan` / :mod:`repro.core.executor` — campaign planning
-  into per-cycle work shards and pluggable serial/process-pool execution,
+  into per-cycle work shards and pluggable serial/worker-fleet execution,
 - :mod:`repro.core.cache` — the persistent content-addressed verdict cache,
 - :mod:`repro.core.telemetry` — campaign counters and phase timers.
 """

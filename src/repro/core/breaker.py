@@ -1,10 +1,10 @@
 """A minimal three-state circuit breaker for flapping dependencies.
 
-The distributed coordinator (:mod:`repro.distrib.coordinator`) wraps each
-remote fleet in one of these: repeated worker deaths or shard timeouts trip
-the breaker, after which campaigns short-circuit straight to the in-process
-serial path instead of paying dispatch-timeout-evict cycles against a fleet
-that keeps failing.  After a cool-down the breaker lets exactly one
+The shard coordinator (:class:`repro.core.executor.ParallelExecutor`)
+wraps each worker fleet in one of these: repeated worker deaths or shard
+timeouts trip the breaker, after which campaigns short-circuit straight to
+the in-process serial path instead of paying dispatch-timeout-evict cycles
+against a fleet that keeps failing.  After a cool-down the breaker lets exactly one
 *half-open probe* through; a clean run closes it again, another failure
 re-opens it for a fresh cool-down.
 

@@ -14,7 +14,7 @@ shared across structures and delay sweeps:
 :class:`DelayAVFEngine` runs structure campaigns on top of a session in three
 explicit layers: *planning* (:mod:`repro.core.plan` expands the campaign into
 per-cycle work shards), *execution* (:mod:`repro.core.executor` runs shards
-serially or on a process pool), and *merging* (deterministic assembly into a
+serially or on worker processes), and *merging* (deterministic assembly into a
 :class:`repro.core.results.StructureCampaignResult`).
 """
 
@@ -49,6 +49,7 @@ from repro.core.executor import (
     open_configured_cache,
     plan_queries,
     prepare_plan_shards,
+    shared_remote_executor,
 )
 from repro.core.group_ace import GroupAceAnalyzer, prefetch_spanning_multi
 from repro.core.guards import apply_guards, ensure_preflight, preflight_campaign
@@ -104,24 +105,21 @@ class CampaignConfig:
     #: REMOVED alias of ``lanes`` (the deprecation cycle is finished): any
     #: non-None value raises ``ValueError`` pointing at ``lanes``
     batch_lanes: Optional[int] = None
-    #: worker processes per structure campaign (>1 selects ParallelExecutor;
-    #: requires the engine to be built from a picklable SessionSpec)
+    #: local worker processes per structure campaign (>1 selects
+    #: ParallelExecutor; requires the engine to be built from a SessionSpec)
     jobs: int = 1
     #: directory for the persistent verdict cache ('' / None disables it)
     cache_dir: Optional[str] = None
     #: collect-and-report campaign telemetry (CLI ``--stats``)
     stats: bool = False
-    #: seconds a parallel shard may run before it is presumed hung and the
-    #: pool recycled (None disables the timeout); budget for a cold worker's
+    #: seconds a dispatched shard may run before its worker is presumed hung
+    #: and evicted (None disables the timeout); budget for a cold worker's
     #: golden run plus the slowest shard
     shard_timeout: Optional[float] = None
     #: additional attempts granted to a shard whose worker raised
     max_retries: int = 2
     #: base of the exponential retry backoff, in seconds
     retry_backoff: float = 0.05
-    #: worker-pool rebuilds tolerated per campaign before the remaining
-    #: shards degrade to in-process serial execution
-    max_pool_rebuilds: int = 1
     #: completed shards between incremental verdict-cache flushes (1 flushes
     #: after every shard)
     flush_every_shards: int = 8
@@ -156,8 +154,8 @@ class CampaignConfig:
     #: processes join — ``HOST:PORT`` (socket transport) or ``queue:DIR``
     #: (shared-filesystem queue); None keeps every shard on this host
     workers_from: Optional[str] = None
-    #: seconds the remote coordinator waits for (more) workers once the
-    #: fleet is empty before the remaining shards fall back to serial
+    #: seconds a ``workers_from`` coordinator waits for (more) workers once
+    #: the fleet is empty before the remaining shards fall back to serial
     worker_wait_seconds: float = 30.0
     #: consecutive worker evictions (deaths, timeouts, corrupt frames) that
     #: trip the fleet circuit breaker into serial fallback
@@ -203,8 +201,6 @@ class CampaignConfig:
             raise ValueError("max_retries must be >= 0")
         if self.retry_backoff < 0:
             raise ValueError("retry_backoff must be >= 0")
-        if self.max_pool_rebuilds < 0:
-            raise ValueError("max_pool_rebuilds must be >= 0")
         if self.flush_every_shards < 1:
             raise ValueError("flush_every_shards must be >= 1")
         if self.flush_max_seconds < 0:
@@ -645,10 +641,10 @@ class DelayAVFEngine:
     """Runs DelayAVF campaigns for one workload on one system.
 
     The engine owns the session and orchestrates plan → execute → merge.  To
-    run campaigns on a process pool (``config.jobs > 1`` or an explicit
-    :class:`ParallelExecutor`), construct the engine from a picklable
-    :class:`SessionSpec` via :meth:`from_spec` so workers can rebuild the
-    session.
+    run campaigns on worker processes (``config.jobs > 1``,
+    ``config.workers_from``, or an explicit :class:`ParallelExecutor`),
+    construct the engine from a :class:`SessionSpec` via :meth:`from_spec`
+    so workers can rebuild the session.
     """
 
     def __init__(
@@ -685,7 +681,7 @@ class DelayAVFEngine:
 
     @classmethod
     def from_spec(cls, spec: SessionSpec) -> "DelayAVFEngine":
-        """Build the engine (and its system) from a picklable spec."""
+        """Build the engine (and its system) from a session spec."""
         return cls(spec.build_system(), spec.program, spec.config, spec=spec)
 
     @property
@@ -700,38 +696,33 @@ class DelayAVFEngine:
     def default_executor(self) -> Executor:
         """The executor selected by the config (kept across campaigns).
 
-        ``workers_from`` wins over ``jobs``: a distributed fleet subsumes a
-        local pool.  The remote executor is the process-wide shared instance
-        for its address (one listener per address, however many engines), so
-        ``close()`` on this engine leaves the fleet up for its siblings.
+        ``workers_from`` wins over ``jobs``: a fleet of joining workers
+        subsumes local ones.  Its coordinator is the process-wide shared
+        instance for its address (one listener per address, however many
+        engines), so ``close()`` on this engine leaves the fleet up for its
+        siblings.
         """
         if self._executor is None:
+            knobs = dict(
+                shard_timeout=self.config.shard_timeout,
+                max_retries=self.config.max_retries,
+                retry_backoff=self.config.retry_backoff,
+                worker_wait_seconds=self.config.worker_wait_seconds,
+                breaker_threshold=self.config.breaker_threshold,
+                breaker_reset_seconds=self.config.breaker_reset_seconds,
+            )
             if self.config.workers_from:
-                from repro.distrib.coordinator import shared_remote_executor
-
                 self._executor = shared_remote_executor(
-                    self.config.workers_from,
-                    shard_timeout=self.config.shard_timeout,
-                    max_retries=self.config.max_retries,
-                    retry_backoff=self.config.retry_backoff,
-                    worker_wait_seconds=self.config.worker_wait_seconds,
-                    breaker_threshold=self.config.breaker_threshold,
-                    breaker_reset_seconds=self.config.breaker_reset_seconds,
+                    self.config.workers_from, **knobs
                 )
             elif self.config.jobs > 1:
-                self._executor = ParallelExecutor(
-                    self.config.jobs,
-                    shard_timeout=self.config.shard_timeout,
-                    max_retries=self.config.max_retries,
-                    retry_backoff=self.config.retry_backoff,
-                    max_pool_rebuilds=self.config.max_pool_rebuilds,
-                )
+                self._executor = ParallelExecutor(self.config.jobs, **knobs)
             else:
                 self._executor = SerialExecutor()
         return self._executor
 
     def close(self) -> None:
-        """Shut down any worker pool and flush the verdict cache."""
+        """Shut down any worker fleet and flush the verdict cache."""
         if self._executor is not None:
             self._executor.close()
             self._executor = None
@@ -753,17 +744,17 @@ class DelayAVFEngine:
 
         The plan orders shards cycle-outermost so the fault-free waveforms
         and GroupACE caches are reused maximally (the paper's §V-C caching);
-        the executor (serial by default, process-pool when ``config.jobs >
-        1`` or passed explicitly) decides where shards run.  Results merge
-        deterministically by (cycle, wire, delay), so every executor yields
-        identical records.
+        the executor (serial by default, worker processes when
+        ``config.jobs > 1``, ``config.workers_from`` or passed explicitly)
+        decides where shards run.  Results merge deterministically by
+        (cycle, wire, delay), so every executor yields identical records.
 
         With *resume* (default ``config.resume``; needs a persistent verdict
         cache) shards the cache marks complete are reassembled from the
         record table instead of executed, so an interrupted campaign picks
         up from its last incrementally-flushed shard.  The result's
         ``degraded`` flag reports whether fault-tolerant execution had to
-        recycle the worker pool or fall back to serial shards on the way.
+        evict workers, time shards out, or fall back to serial on the way.
         """
         resume = self.config.resume if resume is None else bool(resume)
         before = self.telemetry.snapshot()
@@ -810,8 +801,8 @@ class DelayAVFEngine:
         :meth:`run_structure` calls — only the packing changes.
 
         Falls back to sequential :meth:`run_structure` calls when lane
-        packing is off (``lanes=1``) or shards run on a worker pool
-        (``jobs > 1``; workers pack per-shard instead).  Because the
+        packing is off (``lanes=1``) or shards run on worker processes
+        (``jobs > 1`` or ``workers_from``; workers pack per-shard instead).  Because the
         prefetch is shared, the per-campaign ``campaign`` wall-clock slices
         overlap: the shared prefetch seconds are reported once, not split
         per structure.
@@ -1261,9 +1252,8 @@ class DelayAVFEngine:
             result.telemetry.count(counter)
             for counter in (
                 "shard_timeouts",
-                "pool_rebuilds",
                 "serial_fallbacks",
-                "remote_workers_evicted",
+                "workers_evicted",
             )
         )
         if self.config.metrics_out:
@@ -1378,8 +1368,8 @@ def run_structures_spanning(
     byte-identical to sequential :meth:`DelayAVFEngine.run_structure` calls
     per engine.
 
-    Engines that cannot join a packed group (lane packing off, or a worker
-    pool configured) fall back to their own :meth:`run_structures` path;
+    Engines that cannot join a packed group (lane packing off, or worker
+    processes configured) fall back to their own :meth:`run_structures` path;
     engines whose netlists differ (e.g. ECC variants) still batch — the
     packer partitions lanes by netlist internally.  Returns one
     ``{structure: result}`` dict per input engine, in order.

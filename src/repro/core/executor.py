@@ -7,20 +7,20 @@ The campaign engine plans a structure campaign into per-cycle
 - :class:`SerialExecutor` runs every shard in-process against the engine's
   live :class:`repro.core.campaign.CampaignSession` (the historical
   behaviour, and the default).
-- :class:`ParallelExecutor` fans shards out to a ``ProcessPoolExecutor``.
-  Each worker rebuilds the session once from a picklable
-  :class:`SessionSpec` (system factory + program + config) and then serves
-  shards from its warm caches; the pool is kept alive across
-  ``run_structure`` calls so consecutive structure campaigns reuse worker
-  sessions exactly like the serial engine reuses its one session.
+- :class:`ParallelExecutor` is the one shard coordinator.  It dispatches
+  shards to worker processes running the :mod:`repro.distrib.worker` loop —
+  forked locally (``jobs=N``) or joining over a socket or file queue
+  (``workers_from=ADDR``).  Each worker rebuilds the session once from a
+  wire-serializable :class:`SessionSpec` (system factory + program +
+  config) and serves shards from its warm caches; the fleet is kept alive
+  across ``run_structure`` calls so consecutive structure campaigns reuse
+  worker sessions exactly like the serial engine reuses its one session.
 
-The parallel executor is fault tolerant: shards are submitted as individual
-futures with a per-shard timeout and a bounded retry-with-backoff budget; a
-worker crash (``BrokenProcessPool``) or a hung shard recycles the pool and
-re-submits only the unfinished shards; once the pool-rebuild budget is
-exhausted the remaining shards finish in-process on the serial path.  Every
-recovery action is counted in campaign telemetry (``shard_retries``,
-``shard_timeouts``, ``pool_rebuilds``, ``serial_fallbacks``) so operators
+The coordinator is fault tolerant: raised shards are retried with backoff,
+hung or dead workers are evicted and their shards requeued, and when no
+worker is left the remaining shards finish in-process on the serial path.
+Every recovery action is counted in campaign telemetry (``shard_retries``,
+``shard_timeouts``, ``serial_fallbacks``, ``workers_evicted``) so operators
 can see that a campaign limped home — but the *records* are unaffected:
 shard execution is deterministic and :func:`merge_shard_results` is
 order-independent, so a recovered campaign is byte-identical to a clean one.
@@ -35,15 +35,20 @@ from __future__ import annotations
 import abc
 import atexit
 import base64
+import dataclasses
+import hashlib
 import importlib
+import json
 import os
+import select
+import socket
+import threading
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core import tracing
+from repro.core.breaker import HALF_OPEN, OPEN, CircuitBreaker
 from repro.core.cache import (
     record_from_payload,
     record_key,
@@ -53,16 +58,24 @@ from repro.core.cache import (
 from repro.core.plan import CampaignPlan, WorkShard
 from repro.core.results import DelayAVFResult, InjectionRecord, StructureCampaignResult
 from repro.core.telemetry import CampaignTelemetry
+from repro.distrib.transport import (
+    CorruptFrameError,
+    FileQueueListener,
+    SocketChannel,
+    SocketListener,
+    TransportError,
+    parse_workers_from,
+)
 
 
 @dataclass(frozen=True)
 class SessionSpec:
     """Everything a worker needs to rebuild a campaign session.
 
-    ``system_factory`` must be picklable by reference (a module-level
+    ``system_factory`` must be importable by reference (a module-level
     callable, e.g. :func:`repro.soc.system.build_system`); ``factory_kwargs``
-    is a tuple of ``(name, value)`` pairs so the spec stays hashable-free but
-    comparable and picklable.
+    is a tuple of ``(name, value)`` pairs so the spec stays comparable and
+    wire-serializable (:meth:`to_payload`).
     """
 
     system_factory: Callable[..., Any]
@@ -87,9 +100,8 @@ class SessionSpec:
         )
 
     # ------------------------------------------------------------------
-    # Wire round-trip: the JSON-safe twin of the picklable form, used by
-    # the distributed coordinator to ship specs to remote workers that
-    # share no process ancestry (and possibly no machine).
+    # Wire round-trip: the JSON-safe form the coordinator ships to workers,
+    # which may share no process ancestry (and possibly no machine).
     # ------------------------------------------------------------------
     def to_payload(self) -> Dict[str, Any]:
         """A JSON-safe dict :meth:`from_payload` rebuilds exactly.
@@ -169,7 +181,7 @@ class ShardResult:
 
 
 def shard_result_to_payload(result: ShardResult) -> Dict[str, Any]:
-    """The JSON-safe wire form of one executed shard (remote workers).
+    """The JSON-safe wire form of one executed shard (sent by workers).
 
     Records compress to their derived-field payloads
     (:func:`repro.core.cache.record_to_payload`); identity — wire index,
@@ -491,7 +503,7 @@ def merge_shard_results(
 ) -> StructureCampaignResult:
     """Deterministic merge: shard (= cycle) order, then shard-internal order.
 
-    Keyed by ``shard_index`` so out-of-order completion (a parallel pool) and
+    Keyed by ``shard_index`` so out-of-order completion (a worker fleet) and
     in-order completion (the serial executor) assemble byte-identical
     results.
     """
@@ -539,7 +551,7 @@ class Executor(abc.ABC):
         """
 
     def close(self) -> None:  # pragma: no cover - trivial default
-        """Release executor resources (worker pools); idempotent."""
+        """Release executor resources (worker processes); idempotent."""
 
 
 class SerialExecutor(Executor):
@@ -568,246 +580,524 @@ class SerialExecutor(Executor):
         return results
 
 
-# Per-worker-process session, built once by the pool initializer.
-_WORKER_SESSION = None
-
-
-def _worker_flush() -> None:
-    """Final unconditional flush of a worker's verdict cache at process exit.
-
-    Pool workers exit normally when the pool shuts down (they drain a
-    sentinel), so this ``atexit`` hook runs and persists whatever the
-    throttled per-shard flushes have not yet written.  A crashed worker
-    (``os._exit``, OOM kill) skips it — the engine's post-merge re-put of
-    every record covers that case.
-    """
-    session = _WORKER_SESSION
-    if session is not None and session.verdict_cache is not None:
-        session.verdict_cache.flush()
-
-
-def _worker_init(spec: SessionSpec) -> None:
-    global _WORKER_SESSION
-    # A forked worker inherits the parent's tracer buffer — reset it so the
-    # coordinator's spans do not come back duplicated with shard results, and
-    # enable tracing only when the campaign asked for it.
-    tracing.configure(
-        bool(getattr(spec.config, "trace", False)), reset=True
-    )
-    _WORKER_SESSION = spec.build_session()
-    atexit.register(_worker_flush)
-
-
-def _maybe_inject_worker_fault(shard: WorkShard) -> None:
-    """Test seam: deterministically fault a pool worker (CI fault smoke).
-
-    ``REPRO_FAULT_WORKER=<mode>:<shard index>`` faults the worker that picks
-    up the named shard; *mode* is ``crash`` (``os._exit``, breaking the
-    pool), ``hang`` (sleep ``REPRO_FAULT_HANG_SECONDS``, default 3600, to
-    trip the per-shard timeout), or ``raise`` (an ordinary exception, to
-    exercise retry).  When ``REPRO_FAULT_ONCE_FILE`` names a marker file the
-    fault fires at most once across all workers and attempts — the first
-    process to atomically create the marker wins.  Only pool workers call
-    this, so the serial path (and the serial *fallback* path) is immune by
-    construction.
-    """
-    directive = os.environ.get("REPRO_FAULT_WORKER")
-    if not directive:
-        return
-    mode, _, index = directive.partition(":")
-    if not index or shard.index != int(index):
-        return
-    marker = os.environ.get("REPRO_FAULT_ONCE_FILE")
-    if marker:
-        try:
-            os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-        except FileExistsError:
-            return  # the fault already fired once
-    if mode == "crash":
-        os._exit(23)
-    elif mode == "hang":
-        time.sleep(float(os.environ.get("REPRO_FAULT_HANG_SECONDS", "3600")))
-    elif mode == "raise":
-        raise RuntimeError(f"injected worker fault on shard {shard.index}")
-
-
-def _worker_run_shard(item: Tuple[CampaignPlan, WorkShard]) -> ShardResult:
-    plan, shard = item
-    _maybe_inject_worker_fault(shard)
-    session = _WORKER_SESSION
-    before = session.telemetry.snapshot()
-    result = execute_shard(session, plan, shard)
-    result.telemetry = session.telemetry.diff(before)
-    if tracing.enabled():
-        # Spans are plain dicts: they pickle back with the result, and the
-        # coordinator folds them into its own buffer (one trace per campaign,
-        # one Perfetto track per worker pid).
-        result.spans = tracing.drain()
-    return result
-
-
 class ShardExecutionError(RuntimeError):
     """A shard kept failing after its full retry budget was spent."""
 
 
+#: Seconds between file-queue spool GC sweeps (see ``sweep_stale_files``).
+_SWEEP_INTERVAL = 30.0
+
+#: Seconds a closing coordinator waits for a local worker to flush its cache
+#: and exit before terminating it.
+_JOIN_SECONDS = 30.0
+
+
+@dataclass
+class _WorkerState:
+    """Coordinator-side bookkeeping for one worker."""
+
+    key: str
+    channel: Any
+    process: Any = None  #: the forked process of a local worker
+    sessions: Set[str] = field(default_factory=set)  #: spec digests sent
+    plans: Set[str] = field(default_factory=set)  #: plan ids sent
+    busy: Optional[int] = None  #: shard index in flight, if any
+    deadline: Optional[float] = None  #: monotonic timeout for the busy shard
+
+
 class ParallelExecutor(Executor):
-    """Fault-tolerant process-pool execution from a rebuilt-per-worker session.
+    """The shard coordinator: dispatch shards to worker processes.
 
-    The pool (and with it every worker's session and caches) persists across
-    :meth:`execute` calls until :meth:`close` or a different spec arrives.
-    Requires a picklable :class:`SessionSpec` — construct the engine via
-    :meth:`repro.core.campaign.DelayAVFEngine.from_spec` (or pass ``spec=``)
-    to use it.
+    Workers come from one of two sources:
 
-    Failure handling, per :meth:`execute` call:
+    - ``jobs=N`` forks N local workers (``multiprocessing`` fork context,
+      inside the caller's process group), each running
+      :func:`repro.distrib.worker.serve` over a ``socket.socketpair()``.  The
+      local fleet's membership is closed: each :meth:`execute` tops it back
+      up to N live workers, a worker lost during a call is not replaced, and
+      once every one is gone the remaining shards run serially at once.
+    - ``workers_from=ADDR`` (which makes ``jobs`` moot) listens at
+      ``HOST:PORT`` (socket transport) or ``queue:DIR`` (shared-filesystem
+      queue) for ``repro worker`` processes, which may join at any time,
+      mid-campaign included.  An empty fleet waits *worker_wait_seconds*
+      for one before falling back to serial.
 
-    - A shard that *raises* in its worker is retried with exponential
-      backoff, up to *max_retries* further attempts, then the error
-      propagates as :class:`ShardExecutionError`.
-    - A shard that exceeds *shard_timeout* seconds counts as a pool failure
-      too: the hung worker cannot be cancelled, so the pool is recycled
-      (workers terminated) and unfinished shards re-submitted.  The timeout
-      clock for a shard starts when the executor begins waiting on its
-      future; waits happen in submission order, so time spent on earlier
-      shards only ever *extends* a later shard's effective budget — the
-      timeout is conservative, never premature.  Budget it to cover a cold
-      worker's golden run plus the slowest expected shard.
-    - A dead worker (``BrokenProcessPool``) poisons the whole pool: finished
-      futures are harvested, the pool is rebuilt, and only unfinished shards
-      are re-submitted — up to *max_pool_rebuilds* times, after which the
-      remaining shards degrade gracefully to in-process serial execution.
-      Results stay byte-identical because shard execution is deterministic
-      and the merge is order-independent.
+    Either way each worker rebuilds the campaign session once per
+    :class:`SessionSpec` and serves shards from its warm caches, one shard
+    in flight per worker.  One fault model covers both sources:
+
+    - a shard its worker *raises* on is retried with exponential backoff, up
+      to *max_retries* further attempts, then :class:`ShardExecutionError`;
+    - a shard exceeding *shard_timeout* evicts its (presumed hung) worker and
+      is requeued, charged one attempt.  The clock starts at dispatch, so
+      budget for a cold worker's session build plus the slowest shard;
+    - a dead worker (EOF, corrupt frame) is evicted and its shard requeued
+      without charging the retry budget: the shard did nothing wrong;
+    - consecutive evictions trip a circuit breaker; while it is open,
+      campaigns short-circuit to the serial path until a half-open probe
+      campaign decides whether the fleet is back.
+
+    Evicted local workers are terminated and reaped; :meth:`close` shuts
+    down and reaps the rest (terminating any still busy with the shard of
+    an abandoned campaign).  Every recovery action lands in telemetry and
+    progress notes, but records never change: shard execution is
+    deterministic and the merge is order-independent.
+
+    Workers stream back telemetry deltas and trace spans with each result;
+    the spans are re-homed onto the worker's pid track under the
+    ``executor.submit`` dispatch span
+    (:func:`repro.core.tracing.stitch_remote_spans`).
     """
 
     def __init__(
         self,
         jobs: int = 2,
-        mp_context=None,
+        *,
+        workers_from: Optional[str] = None,
         shard_timeout: Optional[float] = None,
         max_retries: int = 2,
         retry_backoff: float = 0.05,
-        max_pool_rebuilds: int = 1,
+        worker_wait_seconds: float = 30.0,
+        breaker_threshold: int = 3,
+        breaker_reset_seconds: float = 60.0,
     ):
         self.jobs = max(1, int(jobs))
+        self.workers_from = workers_from
         self.shard_timeout = shard_timeout
         self.max_retries = max(0, int(max_retries))
         self.retry_backoff = max(0.0, float(retry_backoff))
-        self.max_pool_rebuilds = max(0, int(max_pool_rebuilds))
-        self._mp_context = mp_context
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._spec: Optional[SessionSpec] = None
+        self.worker_wait_seconds = max(0.0, float(worker_wait_seconds))
+        self.breaker = CircuitBreaker(
+            failure_threshold=breaker_threshold,
+            reset_seconds=breaker_reset_seconds,
+        )
+        self._listener = None
+        if workers_from is not None:
+            parsed = parse_workers_from(workers_from)
+            if parsed[0] == "queue":
+                self._listener = FileQueueListener(parsed[1])
+            else:
+                self._listener = SocketListener(parsed[1], parsed[2])
+        self._run_evictions = 0
+        self._last_sweep = time.monotonic()
+        self._workers: Dict[str, _WorkerState] = {}
+        self._worker_seq = 0
+        self._plan_seq = 0
         self._fallback_session = None
+        self._lock = threading.Lock()
+        self._shared = False
+        self._closed = False
 
+    @property
+    def address(self):
+        """The bound listen address of a ``workers_from`` fleet."""
+        return self._listener.address
+
+    # ------------------------------------------------------------------
+    # Executor interface
+    # ------------------------------------------------------------------
     def execute(self, plan, session=None, spec=None, progress=None):
         if spec is None:
             raise ValueError(
-                "ParallelExecutor needs a picklable SessionSpec; construct "
-                "the engine via DelayAVFEngine.from_spec(...)"
+                "ParallelExecutor needs a SessionSpec to ship to workers; "
+                "construct the engine via DelayAVFEngine.from_spec(...)"
             )
+        # Shared fleets serve several engines: one campaign at a time.
+        with self._lock:
+            return self._execute_locked(plan, session, spec, progress)
+
+    def _execute_locked(self, plan, session, spec, progress):
         # Recovery actions are charged to the campaign's telemetry when the
         # engine's live session rides along (the normal path); direct calls
         # without one still work, their counters just land in a throwaway.
-        telemetry = session.telemetry if session is not None else CampaignTelemetry()
+        telemetry = (
+            session.telemetry if session is not None else CampaignTelemetry()
+        )
+        shards: Dict[int, WorkShard] = {s.index: s for s in plan.shards}
+        pending: List[int] = sorted(shards)
         done: Dict[int, ShardResult] = {}
-        pending: Dict[int, WorkShard] = {shard.index: shard for shard in plan.shards}
-        attempts: Dict[int, int] = {index: 0 for index in pending}
-        rebuilds_left = self.max_pool_rebuilds
+        if not self._admit_fleet(telemetry, progress):
+            # Breaker open and still cooling down: do not even wait for
+            # workers — short-circuit the whole campaign to the serial path.
+            self._serial_finish(
+                pending, shards, plan, session, spec, done, telemetry, progress
+            )
+            return [done[index] for index in sorted(done)]
+        if self._listener is None:
+            self._spawn_local_workers(telemetry, progress)
+        spec_payload, digest = self._wire_spec(spec)
+        self._plan_seq += 1
+        plan_id = f"{digest[:8]}:{self._plan_seq}"
+        plan_payload = plan.to_payload()
+        inflight: Dict[int, str] = {}  #: shard index -> worker key
+        attempts: Dict[int, int] = {index: 0 for index in shards}
         retry_rounds = 0
-        while pending:
-            pool = self._ensure_pool(spec)
-            with tracing.span(
-                "executor.submit", cat="executor", shards=len(pending)
-            ):
-                futures = [
-                    (index, pool.submit(_worker_run_shard, (plan, pending[index])))
-                    for index in sorted(pending)
-                ]
-            pool_failed = had_retries = False
-            for index, future in futures:
-                if pool_failed:
-                    # Harvest shards that finished before the failure ("only
-                    # unfinished shards are re-submitted"); abandon the rest.
-                    if future.done() and not future.cancelled():
-                        try:
-                            done[index] = future.result(timeout=0)
-                            pending.pop(index)
-                            self._harvested(done[index], progress)
-                            continue
-                        except Exception:
-                            pass
-                    future.cancel()
-                    continue
-                try:
-                    done[index] = future.result(timeout=self.shard_timeout)
-                    pending.pop(index)
-                    self._harvested(done[index], progress)
-                except BrokenExecutor:
-                    pool_failed = True
-                except FutureTimeoutError:
-                    telemetry.incr("shard_timeouts")
-                    tracing.instant(
-                        "executor.shard_timeout", cat="executor", shard=index
-                    )
-                    if progress is not None:
-                        progress.note("timeouts")
-                    attempts[index] += 1
-                    pool_failed = True  # the hung worker poisons the pool
-                except Exception as exc:
-                    attempts[index] += 1
-                    if attempts[index] > self.max_retries:
-                        raise ShardExecutionError(
-                            f"shard {index} (cycle {pending[index].cycle}) "
-                            f"failed {attempts[index]} times; giving up"
-                        ) from exc
-                    telemetry.incr("shard_retries")
-                    tracing.instant(
-                        "executor.retry", cat="executor", shard=index
-                    )
-                    if progress is not None:
-                        progress.note("retries")
-                    had_retries = True
-            if pool_failed:
-                with tracing.span("executor.pool_rebuild", cat="executor"):
-                    self._discard_pool()
-                if rebuilds_left > 0:
-                    rebuilds_left -= 1
-                    telemetry.incr("pool_rebuilds")
-                    telemetry.incr("shard_retries", len(pending))
-                    if progress is not None:
-                        progress.note("pool_rebuilds")
-                    continue
-                # Pool-rebuild budget exhausted: limp home in-process.
-                telemetry.incr("serial_fallbacks")
-                if progress is not None:
-                    progress.note("serial_fallbacks")
-                with tracing.span(
-                    "executor.serial_fallback", cat="executor",
-                    shards=len(pending),
+        fleet_empty_since = None
+        self._run_evictions = 0
+        with tracing.span(
+            "executor.submit", cat="executor", shards=len(shards)
+        ) as dispatch_span:
+            while True:
+                self._accept_new_workers(telemetry, progress)
+                if self._collect(
+                    plan_id, shards, inflight, pending, done, attempts,
+                    telemetry, progress, dispatch_span,
                 ):
-                    fallback = self._serial_session(session, spec)
-                    for index in sorted(pending):
-                        before = (
-                            fallback.telemetry.snapshot()
-                            if progress is not None
-                            else None
-                        )
-                        done[index] = execute_shard(fallback, plan, pending[index])
-                        if progress is not None:
-                            progress.shard_done(fallback.telemetry.diff(before))
-                pending.clear()
-            elif had_retries and pending:
-                retry_rounds += 1
-                time.sleep(
-                    min(2.0, self.retry_backoff * (2 ** (retry_rounds - 1)))
+                    retry_rounds += 1
+                    time.sleep(
+                        min(2.0, self.retry_backoff * (2 ** (retry_rounds - 1)))
+                    )
+                if len(done) == len(shards):
+                    break
+                self._check_timeouts(
+                    inflight, pending, attempts, telemetry, progress
                 )
+                # Collect before dispatch: a worker that just answered gets
+                # its next shard in the same round, not after a wait.
+                self._dispatch(
+                    pending, inflight, spec_payload, digest, plan_id,
+                    plan_payload, shards, telemetry, progress,
+                )
+                if self._workers:
+                    fleet_empty_since = None
+                elif fleet_empty_since is None:
+                    fleet_empty_since = time.monotonic()
+                # A local fleet never regrows within a call; a listener
+                # fleet gets worker_wait_seconds for a worker to join.
+                fleet_gone = fleet_empty_since is not None and (
+                    self._listener is None
+                    or time.monotonic() - fleet_empty_since
+                    >= self.worker_wait_seconds
+                )
+                if fleet_gone or self.breaker.state == OPEN:
+                    # No worker left, or evictions during this run tripped
+                    # the breaker: limp home in-process.
+                    pending.extend(inflight)
+                    self._serial_finish(
+                        pending, shards, plan, session, spec, done,
+                        telemetry, progress,
+                    )
+                    break
+                self._wait_for_messages(0.02)
+        if self._run_evictions == 0 and self.breaker.record_success():
+            # A clean run through a previously tripped breaker: the fleet
+            # (or lack of one) is healthy again.
+            telemetry.incr("breaker_recoveries")
+            tracing.instant("executor.breaker_recovered", cat="executor")
+            if progress is not None:
+                progress.note("breaker_recoveries")
         return [done[index] for index in sorted(done)]
 
-    @staticmethod
-    def _harvested(result: ShardResult, progress) -> None:
-        """Progress bookkeeping for one shard result back from the pool."""
+    def _admit_fleet(self, telemetry, progress) -> bool:
+        """Consult the breaker; True means the fleet may be used this run."""
+        probing = self.breaker.state == HALF_OPEN
+        if not self.breaker.allow():
+            telemetry.incr("breaker_short_circuits")
+            tracing.instant("executor.breaker_short_circuit", cat="executor")
+            if progress is not None:
+                progress.note("breaker_short_circuits")
+            return False
+        if probing:
+            telemetry.incr("breaker_probes")
+            tracing.instant("executor.breaker_probe", cat="executor")
+        return True
+
+    def _wire_spec(self, spec: SessionSpec):
+        """The spec as shipped to workers, plus its content digest.
+
+        The wire config is neutralized (no progress stream, metrics file, or
+        stats printing fighting the coordinator's) and must not recurse:
+        workers run their shards in-process, so ``jobs`` collapses to 1 and
+        ``workers_from`` is stripped.  ``trace`` survives — worker spans come
+        back with each result.  Sessions are cached per digest on workers, so
+        two engines with identical wire specs share one warm session.
+        """
+        config = dataclasses.replace(
+            spec.config.neutral(), jobs=1, workers_from=None
+        )
+        payload = dataclasses.replace(spec, config=config).to_payload()
+        digest = hashlib.sha256(
+            json.dumps(payload, sort_keys=True).encode("utf-8")
+        ).hexdigest()
+        return payload, digest
+
+    # ------------------------------------------------------------------
+    # Fleet management
+    # ------------------------------------------------------------------
+    def _join(self, channel, telemetry, progress, process=None) -> None:
+        self._worker_seq += 1
+        key = str(getattr(channel, "worker_id", f"worker-{self._worker_seq}"))
+        self._workers[key] = _WorkerState(
+            key=key, channel=channel, process=process
+        )
+        telemetry.incr("workers_joined")
+        tracing.instant("executor.worker_joined", cat="executor", worker=key)
         if progress is not None:
-            progress.shard_done(result.telemetry)
+            progress.note("workers_joined")
+
+    def _spawn_local_workers(self, telemetry, progress) -> None:
+        """Fork local workers until *jobs* of them are alive."""
+        import multiprocessing
+
+        from repro.distrib.worker import serve_forked
+
+        for worker in list(self._workers.values()):
+            if not worker.process.is_alive():  # died since the last call
+                self._evict(worker, {}, [], telemetry, progress)
+        context = multiprocessing.get_context("fork")
+        while len(self._workers) < self.jobs:
+            coordinator_end, worker_end = socket.socketpair()
+            channel = SocketChannel(coordinator_end)
+            inherited = [w.channel for w in self._workers.values()]
+            process = context.Process(
+                target=serve_forked,
+                args=(SocketChannel(worker_end), inherited + [channel]),
+                name="repro-worker", daemon=True,
+            )
+            try:
+                process.start()
+            finally:
+                # Only the child may hold the worker end, or its death would
+                # never read as EOF here.
+                worker_end.close()
+            self._join(channel, telemetry, progress, process=process)
+
+    def _accept_new_workers(self, telemetry, progress) -> None:
+        if self._listener is None:
+            return
+        self._sweep_spool(telemetry)
+        for channel in self._listener.accept():
+            self._join(channel, telemetry, progress)
+
+    def _sweep_spool(self, telemetry) -> None:
+        """Throttled GC of the file-queue spool (no-op on socket fleets)."""
+        sweep = getattr(self._listener, "sweep", None)
+        if sweep is None:
+            return
+        now = time.monotonic()
+        if now - self._last_sweep < _SWEEP_INTERVAL:
+            return
+        self._last_sweep = now
+        try:
+            swept = sweep()
+        except OSError:
+            return
+        if swept:
+            telemetry.incr("spool_files_swept", swept)
+            tracing.instant(
+                "executor.spool_swept", cat="executor", files=swept
+            )
+
+    def _wait_for_messages(self, seconds: float) -> None:
+        """Sleep up to *seconds*, waking early when a socket worker speaks,
+        so a worker that finishes a shard gets its next one at once."""
+        channels = [worker.channel for worker in self._workers.values()]
+        if all(isinstance(channel, SocketChannel) for channel in channels):
+            select.select(channels, [], [], seconds)
+        else:
+            time.sleep(seconds)
+
+    def _release(self, worker: _WorkerState, graceful: bool) -> None:
+        """Forget *worker*, close its channel, reap it if it is local.
+
+        A graceful release gives a local worker told to shut down time to
+        flush and exit; otherwise it is terminated outright (it may be hung
+        mid-shard).
+        """
+        self._workers.pop(worker.key, None)
+        worker.channel.close()
+        process = worker.process
+        if process is not None:
+            if graceful:
+                process.join(_JOIN_SECONDS)
+            if process.is_alive():
+                process.terminate()
+            process.join()
+
+    def _note_transport_error(self, exc: TransportError, telemetry) -> None:
+        """Corrupt frames get their own counter on top of the eviction."""
+        if isinstance(exc, CorruptFrameError):
+            telemetry.incr("corrupt_frames")
+            tracing.instant(
+                "executor.corrupt_frame", cat="executor", detail=str(exc)
+            )
+
+    def _evict(
+        self, worker: _WorkerState, inflight, pending, telemetry, progress
+    ) -> None:
+        """Drop a dead or hung worker; its in-flight shard is requeued.
+
+        Requeueing does *not* charge the shard's retry budget: a worker's
+        death is not the shard's fault.
+        """
+        self._release(worker, graceful=False)
+        telemetry.incr("workers_evicted")
+        tracing.instant(
+            "executor.worker_evicted", cat="executor", worker=worker.key
+        )
+        if progress is not None:
+            progress.note("evictions")
+        if worker.busy is not None and worker.busy in inflight:
+            inflight.pop(worker.busy)
+            pending.append(worker.busy)
+        worker.busy = None
+        self._run_evictions += 1
+        if self.breaker.record_failure():
+            telemetry.incr("breaker_trips")
+            tracing.instant("executor.breaker_tripped", cat="executor")
+            if progress is not None:
+                progress.note("breaker_trips")
+
+    def _dispatch(
+        self, pending, inflight, spec_payload, digest, plan_id, plan_payload,
+        shards, telemetry, progress,
+    ) -> None:
+        """Hand one pending shard to every idle worker (warming it first)."""
+        for worker in list(self._workers.values()):
+            if not pending:
+                break
+            if worker.busy is not None:
+                continue
+            index = min(pending)
+            try:
+                if digest not in worker.sessions:
+                    worker.channel.send(
+                        {"type": "session", "digest": digest,
+                         "spec": spec_payload}
+                    )
+                    worker.sessions.add(digest)
+                if plan_id not in worker.plans:
+                    worker.channel.send(
+                        {"type": "plan", "plan_id": plan_id,
+                         "digest": digest, "plan": plan_payload}
+                    )
+                    worker.plans.add(plan_id)
+                worker.channel.send(
+                    {"type": "shard", "plan_id": plan_id,
+                     "shard": shards[index].to_payload()}
+                )
+            except TransportError as exc:
+                self._note_transport_error(exc, telemetry)
+                self._evict(worker, inflight, pending, telemetry, progress)
+                continue
+            pending.remove(index)
+            worker.busy = index
+            worker.deadline = (
+                None if self.shard_timeout is None
+                else time.monotonic() + self.shard_timeout
+            )
+            inflight[index] = worker.key
+
+    # ------------------------------------------------------------------
+    # Result collection / fault handling
+    # ------------------------------------------------------------------
+    def _collect(
+        self, plan_id, shards, inflight, pending, done, attempts,
+        telemetry, progress, dispatch_span,
+    ) -> bool:
+        """Poll every worker once; returns True when a shard was retried."""
+        had_retries = False
+        for worker in list(self._workers.values()):
+            try:
+                messages = worker.channel.poll()
+            except TransportError as exc:
+                self._note_transport_error(exc, telemetry)
+                self._evict(worker, inflight, pending, telemetry, progress)
+                continue
+            for message in messages:
+                kind = message.get("type")
+                if kind in ("result", "error"):
+                    if message.get("plan_id") != plan_id:
+                        worker.busy = None  # stale answer to an old plan
+                        continue
+                    index = int(message["shard_index"])
+                    worker.busy = None
+                    worker.deadline = None
+                    if index in done or index not in inflight:
+                        continue  # already answered elsewhere
+                    inflight.pop(index)
+                    if kind == "error":
+                        attempts[index] += 1
+                        if attempts[index] > self.max_retries:
+                            raise ShardExecutionError(
+                                f"shard {index} (cycle {shards[index].cycle}) "
+                                f"failed {attempts[index]} times on worker "
+                                f"{worker.key}; giving up: "
+                                f"{message.get('message')}"
+                            )
+                        telemetry.incr("shard_retries")
+                        tracing.instant(
+                            "executor.retry", cat="executor", shard=index
+                        )
+                        if progress is not None:
+                            progress.note("retries")
+                        pending.append(index)
+                        had_retries = True
+                        continue
+                    result = shard_result_from_payload(
+                        message["result"], shards[index]
+                    )
+                    if result.spans:
+                        result.spans = tracing.stitch_remote_spans(
+                            result.spans,
+                            pid=message.get("pid"),
+                            parent=dispatch_span,
+                            parent_pid=os.getpid(),
+                        )
+                    done[index] = result
+                    telemetry.incr("worker_shards_completed")
+                    if progress is not None:
+                        progress.shard_done(result.telemetry)
+        return had_retries
+
+    def _check_timeouts(
+        self, inflight, pending, attempts, telemetry, progress
+    ) -> None:
+        """Evict workers whose shard overran *shard_timeout*.
+
+        A running shard cannot be cancelled, so its worker is evicted
+        outright; the timeout charges the shard one attempt but never
+        raises — a shard that times out everywhere ends in the serial
+        fallback once the fleet is gone.
+        """
+        if self.shard_timeout is None:
+            return
+        now = time.monotonic()
+        for index, worker_key in list(inflight.items()):
+            worker = self._workers.get(worker_key)
+            if worker is None or worker.deadline is None:
+                continue
+            if now < worker.deadline:
+                continue
+            telemetry.incr("shard_timeouts")
+            tracing.instant(
+                "executor.shard_timeout", cat="executor", shard=index
+            )
+            if progress is not None:
+                progress.note("timeouts")
+            attempts[index] += 1
+            self._evict(worker, inflight, pending, telemetry, progress)
+
+    def _serial_finish(
+        self, pending, shards, plan, session, spec, done, telemetry, progress
+    ) -> None:
+        """Run every remaining shard in-process (the fleet is gone)."""
+        telemetry.incr("serial_fallbacks")
+        if progress is not None:
+            progress.note("serial_fallbacks")
+        with tracing.span(
+            "executor.serial_fallback", cat="executor", shards=len(pending)
+        ):
+            fallback = self._serial_session(session, spec)
+            for index in sorted(set(pending)):
+                before = (
+                    fallback.telemetry.snapshot()
+                    if progress is not None else None
+                )
+                done[index] = execute_shard(fallback, plan, shards[index])
+                if progress is not None:
+                    progress.shard_done(fallback.telemetry.diff(before))
+        pending.clear()
 
     def _serial_session(self, session, spec: SessionSpec):
         """The session serial-fallback shards run against.
@@ -822,42 +1112,32 @@ class ParallelExecutor(Executor):
             self._fallback_session = spec.build_session()
         return self._fallback_session
 
-    def _ensure_pool(self, spec: SessionSpec) -> ProcessPoolExecutor:
-        if self._pool is not None and self._spec != spec:
-            self.close()
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs,
-                mp_context=self._mp_context,
-                initializer=_worker_init,
-                initargs=(spec,),
-            )
-            self._spec = spec
-        return self._pool
-
-    def _discard_pool(self) -> None:
-        """Tear down a broken or hung pool without waiting on its workers.
-
-        Hung workers never drain the shutdown sentinel, so they are
-        terminated outright before the (non-blocking) shutdown; a later
-        :meth:`_ensure_pool` builds a fresh pool.
-        """
-        pool, self._pool, self._spec = self._pool, None, None
-        if pool is None:
-            return
-        processes = getattr(pool, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.terminate()
-            except Exception:
-                pass
-        pool.shutdown(wait=False, cancel_futures=True)
-
+    # ------------------------------------------------------------------
+    # Teardown
+    # ------------------------------------------------------------------
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            self._spec = None
+        """Release the fleet — unless shared, then only the registry may."""
+        if not self._shared:
+            self.shutdown()
+
+    def shutdown(self) -> None:
+        """Shut every worker down (reaping local ones), close the listener.
+
+        A local fleet is forked afresh by the next :meth:`execute`.
+        """
+        workers = list(self._workers.values())
+        for worker in workers:  # all at once: they flush and exit in parallel
+            try:
+                worker.channel.send({"type": "shutdown"})
+            except TransportError:
+                pass
+        for worker in workers:
+            # A worker still busy when the campaign was abandoned (it raised,
+            # or was interrupted) is running a shard nobody will collect.
+            self._release(worker, graceful=worker.busy is None)
+        if self._listener is not None:
+            self._listener.close()
+        self._closed = True
         if self._fallback_session is not None:
             if self._fallback_session.verdict_cache is not None:
                 self._fallback_session.verdict_cache.flush()
@@ -867,4 +1147,52 @@ class ParallelExecutor(Executor):
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.close()
+        self.shutdown()
+
+
+# ----------------------------------------------------------------------
+# Shared fleets: one listener per address, however many engines use it
+# ----------------------------------------------------------------------
+_SHARED: Dict[str, ParallelExecutor] = {}
+_SHARED_LOCK = threading.Lock()
+
+
+def shared_remote_executor(workers_from: str, **kwargs) -> ParallelExecutor:
+    """The process-wide ``workers_from`` coordinator for one listen address.
+
+    A listen address binds once; every engine configured with the same
+    address (the service runs one engine per benchmark/structure pair) gets
+    the same executor, whose :meth:`~ParallelExecutor.execute` is internally
+    serialized.  Engine ``close()`` calls are no-ops on shared instances;
+    :func:`shutdown_shared_executors` — wired into ``repro.api.shutdown``
+    and ``atexit`` — releases the fleets.
+    """
+    with _SHARED_LOCK:
+        executor = _SHARED.get(workers_from)
+        if executor is None or executor._closed:
+            executor = ParallelExecutor(workers_from=workers_from, **kwargs)
+            executor._shared = True
+            _SHARED[workers_from] = executor
+        return executor
+
+
+def breaker_states() -> Dict[str, Dict[str, Any]]:
+    """Breaker snapshot per live shared fleet (``/v1/healthz`` reads this)."""
+    with _SHARED_LOCK:
+        return {
+            address: executor.breaker.snapshot()
+            for address, executor in _SHARED.items()
+            if not executor._closed
+        }
+
+
+def shutdown_shared_executors() -> None:
+    """Tear down every shared fleet (workers get a shutdown message)."""
+    with _SHARED_LOCK:
+        executors = list(_SHARED.values())
+        _SHARED.clear()
+    for executor in executors:
+        executor.shutdown()
+
+
+atexit.register(shutdown_shared_executors)

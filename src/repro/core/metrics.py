@@ -18,8 +18,8 @@ The ``kind`` label carries the wall-vs-cumulative distinction the telemetry
 layer tracks (see :mod:`repro.core.telemetry`): ``wall`` is coordinator
 wall-clock, ``cpu`` is the cross-worker cumulative sum.
 
-Writes are atomic (temp file + ``os.replace``) so a scrape never reads a
-half-written file.  During execution a throttled heartbeat JSON
+Writes are atomic (:func:`repro.fileio.atomic_write`) so a scrape never
+reads a half-written file.  During execution a throttled heartbeat JSON
 (``PATH + ".heartbeat"``) is maintained by
 :class:`repro.core.progress.Heartbeat`.
 """
@@ -27,29 +27,11 @@ half-written file.  During execution a throttled heartbeat JSON
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from typing import Any, Dict, Mapping, Optional
 
+from repro.fileio import atomic_write
+
 PROMETHEUS_PREFIX = "repro_campaign"
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=os.path.basename(path), suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 def _escape_label(value: Any) -> str:
@@ -151,7 +133,7 @@ def write_metrics(
 ) -> None:
     """Write the campaign metrics snapshot to *path* (format by extension)."""
     if str(path).endswith(".json"):
-        _atomic_write(
+        atomic_write(
             path,
             json.dumps(
                 metrics_payload(telemetry, labels, extra), indent=2, sort_keys=True
@@ -159,7 +141,7 @@ def write_metrics(
             + "\n",
         )
     else:
-        _atomic_write(path, render_prometheus(telemetry, labels))
+        atomic_write(path, render_prometheus(telemetry, labels))
 
 
 def heartbeat_path(metrics_out: str) -> str:

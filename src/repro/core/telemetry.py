@@ -29,9 +29,11 @@ into one campaign report, and snapshots/diffs are plain dicts, so they pickle
 across process boundaries.
 
 The fault-tolerance counters (``shard_retries``, ``shard_timeouts``,
-``pool_rebuilds``, ``serial_fallbacks``, ``shards_resumed``) record how hard
-the executors had to work to bring a campaign home; a non-zero
-``shard_timeouts``, ``pool_rebuilds``, or ``serial_fallbacks`` also raises
+``serial_fallbacks``, ``shards_resumed``) and the worker-fleet counters of
+the shard coordinator, :class:`repro.core.executor.ParallelExecutor`
+(``workers_joined``, ``workers_evicted``, ``worker_shards_completed``),
+record how hard execution had to work to bring a campaign home; a non-zero
+``shard_timeouts``, ``serial_fallbacks``, or ``workers_evicted`` also raises
 the ``degraded`` flag on the campaign's
 :class:`repro.core.results.StructureCampaignResult`.  The robustness counters
 (``refinement_rounds``, ``extra_shards``, ``guard_violations``) and the
@@ -78,15 +80,14 @@ COUNTER_ORDER = (
     "lane_slots",
     "shard_retries",
     "shard_timeouts",
-    "pool_rebuilds",
     "serial_fallbacks",
     "shards_resumed",
-    # Remote-worker fleet lifecycle (counted by the distributed coordinator,
-    # repro.distrib.coordinator.RemoteExecutor; an eviction also raises the
-    # campaign's degraded flag, like pool rebuilds do for the process pool).
-    "remote_workers_joined",
-    "remote_workers_evicted",
-    "remote_shards_completed",
+    # Worker-fleet lifecycle (counted by the shard coordinator,
+    # repro.core.executor.ParallelExecutor; an eviction also raises the
+    # campaign's degraded flag).
+    "workers_joined",
+    "workers_evicted",
+    "worker_shards_completed",
     "refinement_rounds",
     "extra_shards",
     "guard_violations",

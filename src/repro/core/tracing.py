@@ -42,11 +42,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+
+from repro.fileio import atomic_write
 
 #: Span categories used by the built-in instrumentation.  ``executor`` spans
 #: describe coordination work that legitimately differs between serial and
@@ -280,33 +281,15 @@ def to_chrome_trace(spans: Optional[Sequence[Dict[str, Any]]] = None) -> Dict:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=os.path.basename(path), suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
 def write_chrome_trace(
     path: str, spans: Optional[Sequence[Dict[str, Any]]] = None
 ) -> None:
-    _atomic_write(path, json.dumps(to_chrome_trace(spans)))
+    atomic_write(path, json.dumps(to_chrome_trace(spans)))
 
 
 def write_jsonl(path: str, spans: Optional[Sequence[Dict[str, Any]]] = None) -> None:
     source = _TRACER.spans if spans is None else spans
-    _atomic_write(path, "".join(json.dumps(entry) + "\n" for entry in source))
+    atomic_write(path, "".join(json.dumps(entry) + "\n" for entry in source))
 
 
 def write_trace(path: str, spans: Optional[Sequence[Dict[str, Any]]] = None) -> None:

@@ -1,40 +1,27 @@
-"""Distributed campaign execution (ROADMAP item 3).
+"""Worker processes and the message transport between them and a coordinator.
 
 DelayAVF campaigns are embarrassingly parallel across sampled cycles, and a
 :class:`repro.core.plan.WorkShard` is already a tiny self-contained
-description any worker can resolve against its own rebuilt session — this
-package lets those shards leave the box, in the DAVOS host/controller shape:
+description any worker can resolve against its own rebuilt session.  The one
+shard coordinator, :class:`repro.core.executor.ParallelExecutor`, sends
+those shards to worker processes — forked locally (``jobs=N``) or joining
+from other hosts (``workers_from=ADDR``, the DAVOS host/controller shape).
+This package holds the two pieces every worker source shares:
 
-- :mod:`repro.distrib.transport` — stdlib-only message channels: JSON lines
-  over a TCP socket, or a file queue on a shared filesystem.
-- :mod:`repro.distrib.worker` — the ``repro worker`` loop: connect, rebuild
+- :mod:`repro.distrib.transport` — stdlib-only message channels: framed
+  JSON lines over a socket (TCP or a local socketpair), or a file queue on a
+  shared filesystem.
+- :mod:`repro.distrib.worker` — the worker loop (``repro worker``): rebuild
   sessions from wire-serializable :class:`repro.core.executor.SessionSpec`
-  payloads, serve shards from warm caches exactly like a
-  :class:`~repro.core.executor.ParallelExecutor` pool worker, stream back
+  payloads, serve shards from warm caches, stream back
   :class:`~repro.core.executor.ShardResult` payloads (records + telemetry
   delta + trace spans).
-- :mod:`repro.distrib.coordinator` — :class:`RemoteExecutor`, an
-  :class:`repro.core.executor.Executor` that dispatches shards to the fleet
-  and reuses the PR 3 fault-tolerance semantics across hosts: per-shard
-  timeout, bounded retry-with-backoff, dead-worker eviction with
-  re-submission of only the unfinished shards, and serial fallback when the
-  fleet empties.
 
 Records are byte-identical to :class:`~repro.core.executor.SerialExecutor`
 runs — shard execution is deterministic and the merge is order-independent —
-so a fleet only ever changes wall-clock time and telemetry.
+so workers only ever change wall-clock time and telemetry.
 """
 
-from repro.distrib.coordinator import (
-    RemoteExecutor,
-    breaker_states,
-    shared_remote_executor,
-)
 from repro.distrib.transport import parse_workers_from
 
-__all__ = [
-    "RemoteExecutor",
-    "breaker_states",
-    "shared_remote_executor",
-    "parse_workers_from",
-]
+__all__ = ["parse_workers_from"]

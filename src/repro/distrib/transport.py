@@ -3,18 +3,20 @@
 Two transports, one contract.  A :class:`MessageChannel` carries JSON
 messages (plain dicts) between the coordinator and one worker:
 
-- **Socket** (:class:`SocketChannel`) — newline-delimited JSON over TCP.
-  The coordinator listens (:class:`SocketListener`), workers connect
-  (:func:`connect`, with a retry window so start order does not matter).
-  Disconnects surface eagerly as :class:`TransportError`, which is what the
-  coordinator's dead-worker eviction keys on.
+- **Socket** (:class:`SocketChannel`) — newline-delimited frames over a
+  connected socket: TCP for joining workers (the coordinator listens with
+  :class:`SocketListener`, workers :func:`connect` with a retry window so
+  start order does not matter), a ``socket.socketpair()`` for the local
+  workers a ``jobs=N`` coordinator forks.  Disconnects surface eagerly as
+  :class:`TransportError`, which is what the coordinator's dead-worker
+  eviction keys on.
 - **File queue** (:class:`FileQueueChannel`) — a directory on a shared
   filesystem.  Workers announce themselves with a hello file
   (:func:`announce`); each direction is a spool of sequence-numbered JSON
   files written atomically (temp file + ``os.replace``) so a reader never
   observes a torn message.  There is no connection to break, so worker
   death is only detected by the coordinator's per-shard timeout — the fault
-  model is documented in DESIGN.md §12.
+  model is documented in DESIGN.md §7.
 
 Messages are whole JSON objects; framing (newlines / one file per message)
 is the transport's business.  Every message travels inside a
@@ -23,16 +25,13 @@ is the transport's business.  Every message travels inside a
 the receiver raises :class:`CorruptFrameError` (a :class:`TransportError`),
 which the coordinator treats exactly like a worker death: evict the channel
 and requeue the in-flight shard uncharged, never crash on a JSON decode
-error.  Bare ``{...`` JSON lines from pre-framing peers still parse, so a
-mixed-version fleet degrades to the old undetected-corruption behaviour
-instead of breaking.
+error.  Every peer frames its messages; an unframed line is corrupt.
 
-Neither transport authenticates: the socket
-listener should bind loopback or a trusted network, and the queue directory
-carries the filesystem's own permissions — the worker protocol rebuilds
-sessions by importing a factory the coordinator names, so a fleet trusts
-its coordinator exactly as much as a pickle-based process pool trusts its
-parent.
+Neither transport authenticates: the socket listener should bind loopback
+or a trusted network, and the queue directory carries the filesystem's own
+permissions — the worker protocol rebuilds sessions by importing a factory
+the coordinator names, so a fleet trusts its coordinator exactly as much as
+a forked worker trusts its parent.
 """
 
 from __future__ import annotations
@@ -43,11 +42,11 @@ import json
 import os
 import select
 import socket
-import tempfile
 import time
 import uuid
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.fileio import atomic_write
 from repro.testing import chaos
 
 
@@ -81,14 +80,8 @@ def parse_frame(line: bytes) -> Dict[str, Any]:
 
     Raises :class:`CorruptFrameError` on any mismatch — malformed header,
     declared-length disagreement (truncation), checksum failure (bit rot),
-    or an unparseable body.  A line opening with ``{`` is accepted as a
-    legacy unframed message for mixed-version fleets.
+    or an unparseable body.
     """
-    if line.startswith(b"{"):
-        try:
-            return json.loads(line)
-        except ValueError as exc:
-            raise CorruptFrameError(f"corrupt legacy message: {exc}") from exc
     try:
         length_bytes, digest, body = line.split(b" ", 2)
         length = int(length_bytes)
@@ -165,6 +158,10 @@ class SocketChannel(MessageChannel):
         self._buffer = b""
         self._pending: List[Dict[str, Any]] = []
         self._closed = False
+
+    def fileno(self) -> int:
+        """The socket's descriptor, so coordinators can ``select`` on it."""
+        return self._sock.fileno()
 
     def send(self, message: Dict[str, Any]) -> None:
         data = chaos.fire("transport.send", data=frame_message(message))
@@ -306,47 +303,16 @@ def connect(
 #     to/<worker-id>/NNNNNNNN.json  coordinator -> worker spool
 #     from/<worker-id>/NNNNNNNN.json worker -> coordinator spool
 #
-# Writers publish with temp-file + os.replace (atomic on POSIX), readers
-# consume in sequence order and unlink behind themselves, so the spool stays
-# small and a torn message can never be observed.
-def _atomic_write_json(directory: str, name: str, payload: Dict[str, Any]) -> None:
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(prefix=name, suffix=".tmp", dir=directory)
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, sort_keys=True)
-        os.replace(tmp_path, os.path.join(directory, name))
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-
-
-def _atomic_write_bytes(directory: str, name: str, data: bytes) -> None:
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(prefix=name, suffix=".tmp", dir=directory)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp_path, os.path.join(directory, name))
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-
-
+# Writers publish with repro.fileio.atomic_write, readers consume in
+# sequence order and unlink behind themselves, so the spool stays small and a
+# torn message can never be observed.
 def _spool_messages(directory: str) -> Tuple[List[Dict[str, Any]], int]:
     """Consume every complete spool file, in order: ``(messages, corrupt)``.
 
     Spool files are published atomically, so a file that fails frame
     verification is genuinely damaged (bit rot, a faulty shared FS), not a
     half-written race: it is unlinked and counted in ``corrupt`` rather
-    than retried forever.  Legacy bare-JSON files that fail to parse are
-    left in place for the next poll (the old visibility-race tolerance).
+    than retried forever.
     """
     try:
         names = sorted(
@@ -366,21 +332,15 @@ def _spool_messages(directory: str) -> Tuple[List[Dict[str, Any]], int]:
         stripped = raw.strip()
         if not stripped:
             continue
-        if stripped.startswith(b"{"):
+        try:
+            message = parse_frame(stripped)
+        except CorruptFrameError:
             try:
-                message = json.loads(stripped)
-            except ValueError:
-                continue
-        else:
-            try:
-                message = parse_frame(stripped)
-            except CorruptFrameError:
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-                corrupt += 1
-                continue
+                os.unlink(path)
+            except OSError:
+                pass
+            corrupt += 1
+            continue
         messages.append(message)
         try:
             os.unlink(path)
@@ -454,8 +414,9 @@ class FileQueueChannel(MessageChannel):
     def send(self, message: Dict[str, Any]) -> None:
         self._seq += 1
         data = chaos.fire("transport.send", data=frame_message(message))
+        path = os.path.join(self._send_dir, f"{self._seq:08d}.json")
         try:
-            _atomic_write_bytes(self._send_dir, f"{self._seq:08d}.json", data)
+            atomic_write(path, data)
         except OSError as exc:
             raise TransportError(f"queue directory unusable: {exc}") from exc
 
@@ -548,9 +509,8 @@ def announce(directory: str, worker_id: Optional[str] = None) -> FileQueueChanne
     """
     worker_id = worker_id or uuid.uuid4().hex[:12]
     channel = FileQueueChannel(directory, worker_id, side="worker")
-    _atomic_write_json(
-        os.path.join(directory, "workers"),
-        f"{worker_id}.json",
-        {"worker_id": worker_id, "pid": os.getpid()},
+    atomic_write(
+        os.path.join(directory, "workers", f"{worker_id}.json"),
+        json.dumps({"worker_id": worker_id, "pid": os.getpid()}, sort_keys=True),
     )
     return channel

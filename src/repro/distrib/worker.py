@@ -1,7 +1,9 @@
 """The ``repro worker`` serve loop: execute shards a coordinator sends.
 
-A worker is the remote twin of a :class:`~repro.core.executor.ParallelExecutor`
-pool worker: it rebuilds a campaign session once per
+Every worker of a :class:`~repro.core.executor.ParallelExecutor` runs this
+loop — the local workers it forks for ``jobs=N`` over a socketpair, and
+``repro worker`` processes that join a ``workers_from`` fleet.  A worker
+rebuilds a campaign session once per
 :class:`~repro.core.executor.SessionSpec` (golden run, analyzers, verdict
 cache) and then serves shards from those warm caches, streaming back
 :class:`~repro.core.executor.ShardResult` payloads that carry the records,
@@ -28,24 +30,30 @@ Sessions are cached per spec *digest*, so a coordinator serving several
 engines (the campaign service) can interleave their shards and every engine
 still hits a warm session.  The worker never interprets shard contents — it
 runs the exact :func:`repro.core.executor.execute_shard` inner loop the
-serial and pool paths run, which is what keeps remote records byte-identical.
+serial path runs, which is what keeps worker records byte-identical.
+
+Before each shard the loop fires the ``worker.shard`` hook point of
+:mod:`repro.testing.chaos` — the fault seam for worker crashes (``kill``),
+raised shards (``raise``) and hangs (``delay:S``).  Only workers fire it, so
+the coordinator's serial path is immune by construction.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+import signal
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core import tracing
 from repro.core.executor import (
     SessionSpec,
-    _maybe_inject_worker_fault,
     execute_shard,
     shard_result_to_payload,
 )
 from repro.core.plan import CampaignPlan, WorkShard
 from repro.distrib.transport import MessageChannel, TransportError
+from repro.testing import chaos
 
 
 def _build_session(spec: SessionSpec, cache_dir: Optional[str]):
@@ -123,6 +131,28 @@ def serve(
     return served
 
 
+def serve_forked(channel: MessageChannel, inherited) -> None:
+    """The body of a local worker forked by a ``jobs=N`` coordinator.
+
+    *inherited* are the coordinator-side channels the fork copied (this
+    worker's own and its siblings'); closing them leaves the coordinator
+    their only holder, so a coordinator that dies reads as EOF here.
+    """
+    # Signals belong to the coordinator (a service daemon's drain handler
+    # must not survive the fork): SIGTERM stops a worker outright, and
+    # Ctrl-C reaches the fleet through the coordinator's shutdown.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in inherited:
+        end.close()
+    try:
+        serve(channel)
+    except TransportError:
+        pass  # the coordinator is gone
+    finally:
+        channel.close()
+
+
 def uuid_of(channel: MessageChannel) -> str:
     """The channel's worker id when it has one (file queue), else the pid."""
     return str(getattr(channel, "worker_id", os.getpid()))
@@ -139,7 +169,7 @@ def _serve_shard(
     try:
         plan, digest = plans[str(message["plan_id"])]
         session = sessions[digest]
-        _maybe_inject_worker_fault(shard)
+        chaos.fire("worker.shard")
         before = session.telemetry.snapshot()
         result = execute_shard(session, plan, shard)
         result.telemetry = session.telemetry.diff(before)

@@ -36,10 +36,10 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
+from repro.core.executor import breaker_states
 from repro.core.metrics import render_prometheus_sections
 from repro.core.results import PAYLOAD_SCHEMA, envelope
 from repro.core.telemetry import CampaignTelemetry
-from repro.distrib import breaker_states
 from repro.errors import (
     ERROR_TAXONOMY,
     InputError,

@@ -394,7 +394,7 @@ class JobManager:
         #: default remote-worker fleet address (``HOST:PORT`` / ``queue:DIR``)
         #: applied to jobs whose config does not set one; the engines those
         #: jobs build then run their shards on the shared fleet through
-        #: :class:`repro.distrib.coordinator.RemoteExecutor`.
+        #: :class:`repro.core.executor.ParallelExecutor`.
         self.workers_from = workers_from
         #: write-ahead journal making restarts lossless (None = ephemeral)
         self.journal = journal

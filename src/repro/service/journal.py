@@ -39,11 +39,12 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.fileio import atomic_write
 
 __all__ = ["JobJournal", "FSYNC_POLICIES"]
 
@@ -163,23 +164,10 @@ class JobJournal:
         """Atomically write the result document; returns its sha256."""
         data = json.dumps(result, sort_keys=True).encode("utf-8")
         digest = hashlib.sha256(data).hexdigest()
-        target = self._result_path(job_id)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=target.name, suffix=".tmp", dir=self.results_dir
+        atomic_write(
+            self._result_path(job_id), data,
+            fsync=self.fsync_policy != "never",
         )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                if self.fsync_policy != "never":
-                    os.fsync(handle.fileno())
-            os.replace(tmp_name, target)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
         return digest
 
     def load_result(

@@ -17,6 +17,11 @@ places where real infrastructure faults bite:
     to RUNNING (and after the journal records it).  A ``kill`` action here is
     a daemon SIGKILL mid-job — the scenario the write-ahead journal exists
     to survive.
+``worker.shard``
+    Fired by the worker loop (:mod:`repro.distrib.worker`) before each shard
+    it executes, in local and joining workers alike.  ``kill`` is a worker
+    crash (the coordinator sees EOF and evicts), ``raise`` a shard error (the
+    coordinator retries), ``delay:S`` a hang (the shard timeout evicts).
 
 With no hooks installed and no environment configuration every ``fire`` is
 inert, so the hook points cost one dict lookup and one ``os.environ`` probe
@@ -34,9 +39,8 @@ Two activation styles:
   ``REPRO_CHAOS="cache.flush=truncate,transport.send=corrupt:7"``.
   ``REPRO_CHAOS_ONCE_FILE`` names a marker-file prefix; when set, each point
   fires at most once across *all* processes sharing the prefix (the claim is
-  an ``O_CREAT | O_EXCL`` marker, the same idiom as the worker fault seam in
-  :mod:`repro.core.executor`), so "corrupt one message then behave" is
-  expressible for multi-process fleets.
+  an ``O_CREAT | O_EXCL`` marker), so "corrupt one message then behave" or
+  "kill one worker then behave" is expressible for multi-process fleets.
 
 Actions:
 

@@ -27,11 +27,11 @@ from repro.core.cache import (
     verify_scope_file,
 )
 from repro.core.campaign import CampaignConfig, DelayAVFEngine
-from repro.core.executor import SerialExecutor, SessionSpec
+from repro.core.executor import ParallelExecutor, SerialExecutor, SessionSpec
 from repro.distrib import transport
-from repro.distrib.coordinator import RemoteExecutor
 from repro.distrib.worker import serve
 from repro.errors import ServiceOverloadedError
+from repro.fileio import atomic_write
 from repro.service.journal import JobJournal
 from repro.service.jobs import JobManager, JobSpec
 from repro.soc.system import build_system
@@ -139,6 +139,23 @@ def test_unknown_action_raises(monkeypatch):
         chaos.fire("x")
 
 
+def test_atomic_write_publishes_whole_or_not_at_all(tmp_path):
+    target = tmp_path / "sub" / "doc.json"
+    atomic_write(target, "old")
+    assert target.read_text() == "old"
+
+    def crash_before_replace(tmp):
+        assert open(tmp).read() == "new"  # fully written, not yet published
+        raise chaos.ChaosError("killed between write and replace")
+
+    with pytest.raises(chaos.ChaosError):
+        atomic_write(target, "new", before_replace=crash_before_replace)
+    assert target.read_text() == "old"
+    assert os.listdir(target.parent) == ["doc.json"]  # no temp file left
+    atomic_write(target, b"bytes", fsync=True)
+    assert target.read_bytes() == b"bytes"
+
+
 # ----------------------------------------------------------------------
 # Cache integrity: torn flush -> quarantine -> rebuild, bit-identical
 # ----------------------------------------------------------------------
@@ -232,14 +249,16 @@ def test_corrupt_result_frame_requeues_and_stays_identical(
         return bytes(damaged)
 
     with chaos.injected("transport.send", corrupt_one_result):
-        with RemoteExecutor("127.0.0.1:0", worker_wait_seconds=60.0) as remote:
+        with ParallelExecutor(
+            workers_from="127.0.0.1:0", worker_wait_seconds=60.0
+        ) as remote:
             host, port = remote.address
             _start_worker_threads(host, port, 2)
             result = fib_engine.run_structure("alu", executor=remote)
     assert state["fired"], "no result frame crossed the wire"
     _assert_identical(result, clean_result)
     assert result.telemetry.count("corrupt_frames") >= 1
-    assert result.telemetry.count("remote_workers_evicted") >= 1
+    assert result.telemetry.count("workers_evicted") >= 1
     # Detected corruption is the transport's fault, not the shard's: the
     # retry budget must not have been charged.
     assert result.telemetry.count("shard_retries") == 0
@@ -321,8 +340,8 @@ def test_breaker_state_machine_with_fake_clock():
 
 
 def test_open_breaker_short_circuits_to_serial(fib_engine, clean_result):
-    with RemoteExecutor(
-        "127.0.0.1:0",
+    with ParallelExecutor(
+        workers_from="127.0.0.1:0",
         worker_wait_seconds=60.0,
         breaker_threshold=1,
         breaker_reset_seconds=3600.0,
@@ -339,8 +358,8 @@ def test_open_breaker_short_circuits_to_serial(fib_engine, clean_result):
 def test_half_open_probe_recovers_through_real_workers(
     fib_engine, clean_result
 ):
-    with RemoteExecutor(
-        "127.0.0.1:0",
+    with ParallelExecutor(
+        workers_from="127.0.0.1:0",
         worker_wait_seconds=60.0,
         breaker_threshold=1,
         breaker_reset_seconds=0.0,  # cooled instantly: next run is the probe

@@ -1,13 +1,14 @@
-"""Distributed campaign execution: transport, worker loop, RemoteExecutor.
+"""Worker fleets: transport, worker loop, and the shard coordinator.
 
 The acceptance bar mirrors the fault-tolerance suite: however shards travel
-(socket, file queue) and whatever goes wrong on the way (worker death,
-raised shards, an empty fleet), the merged records must be byte-identical to
-a clean serial run — only telemetry, spans, and the ``degraded`` flag may
-differ.  In-process workers run :func:`repro.distrib.worker.serve` on daemon
-threads with ``configure_tracing=False`` so they never touch the host
-tracer; the crash test uses real ``repro worker`` subprocesses because the
-``crash`` fault mode calls ``os._exit``.
+(forked local workers, socket, file queue) and whatever goes wrong on the
+way (worker death, raised shards, an empty fleet), the merged records must
+be byte-identical to a clean serial run — only telemetry, spans, and the
+``degraded`` flag may differ.  In-process joining workers run
+:func:`repro.distrib.worker.serve` on daemon threads with
+``configure_tracing=False`` so they never touch the host tracer; the crash
+test uses real ``repro worker`` subprocesses because the ``kill`` chaos
+action SIGKILLs the process that fires it.
 """
 
 import dataclasses
@@ -22,20 +23,19 @@ import pytest
 from repro.core import tracing
 from repro.core.campaign import CampaignConfig, DelayAVFEngine
 from repro.core.executor import (
+    ParallelExecutor,
     SerialExecutor,
     SessionSpec,
     execute_shard,
     shard_result_from_payload,
     shard_result_to_payload,
-)
-from repro.core.plan import CampaignPlan, WorkShard, build_plan
-from repro.distrib import transport
-from repro.distrib.coordinator import (
-    RemoteExecutor,
     shared_remote_executor,
     shutdown_shared_executors,
 )
+from repro.core.plan import CampaignPlan, WorkShard, build_plan
+from repro.distrib import transport
 from repro.distrib.worker import serve
+from repro.testing import chaos
 from repro.soc.system import build_system
 from repro.workloads.beebs import load_benchmark
 
@@ -67,20 +67,30 @@ def clean_result(fib_engine):
     return fib_engine.run_structure("alu", executor=SerialExecutor())
 
 
+def _serve_in_thread(channel):
+    """An in-process worker serving shards over *channel*."""
+    thread = threading.Thread(
+        target=serve,
+        args=(channel,),
+        kwargs={"configure_tracing": False},
+        daemon=True,
+    )
+    thread.start()
+    return thread
+
+
 def _start_worker_threads(host, port, count):
     """In-process workers serving shards over real sockets."""
-    threads = []
-    for _ in range(count):
-        channel = transport.connect(host, port, retry_seconds=10.0)
-        thread = threading.Thread(
-            target=serve,
-            args=(channel,),
-            kwargs={"configure_tracing": False},
-            daemon=True,
-        )
-        thread.start()
-        threads.append(thread)
-    return threads
+    return [
+        _serve_in_thread(transport.connect(host, port, retry_seconds=10.0))
+        for _ in range(count)
+    ]
+
+
+def _listening(address, **kwargs):
+    """A coordinator for joining workers (no local forks)."""
+    kwargs.setdefault("worker_wait_seconds", 60.0)
+    return ParallelExecutor(workers_from=address, **kwargs)
 
 
 def _assert_identical(result, clean_result):
@@ -180,56 +190,83 @@ def test_shard_result_payload_validates_shape(fib_engine):
 
 
 # ----------------------------------------------------------------------
-# Socket transport: parity with serial execution
+# Parity: every worker source reproduces the serial records exactly
 # ----------------------------------------------------------------------
-def test_remote_socket_parity(fib_engine, clean_result):
-    with RemoteExecutor("127.0.0.1:0", worker_wait_seconds=60.0) as remote:
-        host, port = remote.address
-        _start_worker_threads(host, port, 2)
-        result = fib_engine.run_structure("alu", executor=remote)
-    assert result == clean_result
+def _run_with(source, engine, tmp_path):
+    """One alu campaign on *engine*, its shards run by *source*."""
+    if source == "serial":
+        return engine.run_structure("alu", executor=SerialExecutor())
+    if source == "jobs2":
+        with ParallelExecutor(jobs=2) as local:
+            return engine.run_structure("alu", executor=local)
+    if source == "socket":
+        with _listening("127.0.0.1:0") as remote:
+            _start_worker_threads(*remote.address, 2)
+            return engine.run_structure("alu", executor=remote)
+    queue_dir = str(tmp_path / "q")
+    with _listening(f"queue:{queue_dir}") as remote:
+        _serve_in_thread(transport.announce(queue_dir))
+        return engine.run_structure("alu", executor=remote)
+
+
+#: Workers each source brings to the campaign.
+_JOINED = {"serial": 0, "jobs2": 2, "socket": 2, "queue": 1}
+
+
+@pytest.mark.parametrize("source", sorted(_JOINED))
+def test_executor_parity(source, tmp_path, fib_engine, clean_result):
+    result = _run_with(source, fib_engine, tmp_path)
+    joined = _JOINED[source]
+    assert result == clean_result  # telemetry excluded from equality by design
     _assert_identical(result, clean_result)
-    assert result.telemetry.count("remote_workers_joined") == 2
-    assert result.telemetry.count("remote_shards_completed") == 3
+    for delay in DISTRIB_CONFIG.delay_fractions:
+        assert (
+            result.by_delay[delay].delay_avf
+            == clean_result.by_delay[delay].delay_avf
+        )
+    # Worker telemetry was merged back into the campaign's slice.
+    assert result.telemetry.count("injections") == (
+        clean_result.telemetry.count("injections")
+    )
+    assert result.telemetry.count("workers_joined") == joined
+    assert result.telemetry.count("worker_shards_completed") == (
+        3 if joined else 0
+    )
     assert not result.degraded
 
 
 def test_remote_executor_requires_spec():
-    with RemoteExecutor("127.0.0.1:0") as remote:
+    with _listening("127.0.0.1:0") as remote:
         plan = CampaignPlan(
             structure="alu", benchmark="x", wire_count=1,
             wire_indices=(0,), sampled_cycles=(1,),
             delay_fractions=(0.5,), shards=(),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="SessionSpec"):
             remote.execute(plan)
 
 
-# ----------------------------------------------------------------------
-# File-queue transport
-# ----------------------------------------------------------------------
-def test_remote_queue_parity(tmp_path, fib_engine, clean_result):
-    queue_dir = str(tmp_path / "q")
-    with RemoteExecutor(f"queue:{queue_dir}", worker_wait_seconds=60.0) as remote:
-        channel = transport.announce(queue_dir)
-        thread = threading.Thread(
-            target=serve,
-            args=(channel,),
-            kwargs={"configure_tracing": False},
-            daemon=True,
-        )
-        thread.start()
+def test_bare_json_line_is_corrupt_and_evicts(fib_engine, clean_result):
+    """Every peer frames its messages: an unframed line evicts its sender."""
+    with pytest.raises(transport.CorruptFrameError):
+        transport.parse_frame(b'{"type": "hello", "pid": 1}')
+    with _listening("127.0.0.1:0") as remote:
+        host, port = remote.address
+        legacy = transport.connect(host, port, retry_seconds=10.0)
+        legacy._sock.sendall(b'{"type": "hello", "pid": 1}\n')
+        _start_worker_threads(host, port, 1)
         result = fib_engine.run_structure("alu", executor=remote)
-    assert result == clean_result
+        legacy.close()
     _assert_identical(result, clean_result)
-    assert result.telemetry.count("remote_workers_joined") == 1
+    assert result.telemetry.count("corrupt_frames") >= 1
+    assert result.telemetry.count("workers_evicted") >= 1
 
 
 # ----------------------------------------------------------------------
 # Fault tolerance at the coordinator
 # ----------------------------------------------------------------------
 def test_empty_fleet_falls_back_to_serial(fib_engine, clean_result):
-    with RemoteExecutor("127.0.0.1:0", worker_wait_seconds=0.1) as remote:
+    with _listening("127.0.0.1:0", worker_wait_seconds=0.1) as remote:
         result = fib_engine.run_structure("alu", executor=remote)
     assert result == clean_result
     _assert_identical(result, clean_result)
@@ -238,9 +275,9 @@ def test_empty_fleet_falls_back_to_serial(fib_engine, clean_result):
 
 
 def test_worker_raise_is_retried(monkeypatch, tmp_path, fib_engine, clean_result):
-    monkeypatch.setenv("REPRO_FAULT_WORKER", "raise:1")
-    monkeypatch.setenv("REPRO_FAULT_ONCE_FILE", str(tmp_path / "fault.marker"))
-    with RemoteExecutor("127.0.0.1:0", worker_wait_seconds=60.0) as remote:
+    monkeypatch.setenv(chaos.ENV_SPEC, "worker.shard=raise")
+    monkeypatch.setenv(chaos.ENV_ONCE_FILE, str(tmp_path / "fault"))
+    with _listening("127.0.0.1:0") as remote:
         host, port = remote.address
         _start_worker_threads(host, port, 2)
         result = fib_engine.run_structure("alu", executor=remote)
@@ -258,13 +295,15 @@ def test_worker_crash_evicts_and_recovers(tmp_path, clean_result):
     )
     tracing.enable(reset=True)
     try:
-        with RemoteExecutor("127.0.0.1:0", worker_wait_seconds=120.0) as remote:
+        with _listening("127.0.0.1:0", worker_wait_seconds=120.0) as remote:
             host, port = remote.address
             env = dict(
                 os.environ,
-                REPRO_FAULT_WORKER="crash:1",
-                REPRO_FAULT_ONCE_FILE=str(tmp_path / "fault.marker"),
                 PYTHONPATH=os.pathsep.join(sys.path),
+                **{
+                    chaos.ENV_SPEC: "worker.shard=kill",
+                    chaos.ENV_ONCE_FILE: str(tmp_path / "fault"),
+                },
             )
             procs = [
                 subprocess.Popen(
@@ -287,7 +326,7 @@ def test_worker_crash_evicts_and_recovers(tmp_path, clean_result):
                 for proc in procs:
                     proc.wait(timeout=30)
         _assert_identical(result, clean_result)
-        assert result.telemetry.count("remote_workers_evicted") >= 1
+        assert result.telemetry.count("workers_evicted") >= 1
         assert result.degraded
         # Cross-host span stitching: worker spans come back on their own pid
         # track, their roots parent-linked to the coordinator dispatch span.
@@ -338,7 +377,7 @@ def test_resume_after_coordinator_restart(tmp_path, clean_result):
     spec = _fibcall_spec(config)
     engine = DelayAVFEngine.from_spec(spec)
     try:
-        with RemoteExecutor("127.0.0.1:0", worker_wait_seconds=60.0) as remote:
+        with _listening("127.0.0.1:0") as remote:
             host, port = remote.address
             _start_worker_threads(host, port, 2)
             first = engine.run_structure("alu", executor=remote)
@@ -349,7 +388,7 @@ def test_resume_after_coordinator_restart(tmp_path, clean_result):
     # "Restart": a fresh engine over the same cache, a fleet nobody joins.
     engine = DelayAVFEngine.from_spec(spec)
     try:
-        with RemoteExecutor("127.0.0.1:0", worker_wait_seconds=0.1) as remote:
+        with _listening("127.0.0.1:0", worker_wait_seconds=0.1) as remote:
             resumed = engine.run_structure("alu", executor=remote, resume=True)
     finally:
         engine.close()
@@ -384,7 +423,8 @@ def test_default_executor_prefers_remote(tmp_path):
     engine = DelayAVFEngine.from_spec(_fibcall_spec(config))
     try:
         executor = engine.default_executor()
-        assert isinstance(executor, RemoteExecutor)
+        assert isinstance(executor, ParallelExecutor)
+        assert executor.workers_from == config.workers_from
         assert executor is engine.default_executor()
     finally:
         engine.close()

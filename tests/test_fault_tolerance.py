@@ -1,16 +1,23 @@
-"""Fault-tolerant campaign execution: retry, pool recovery, fallback, resume.
+"""Fault-tolerant campaign execution: retry, eviction, fallback, resume.
 
-Worker faults are injected through the ``REPRO_FAULT_WORKER`` test seam in
-:mod:`repro.core.executor` (the same seam CI's fault-injection smoke job
-uses): the env var names a fault mode and a shard index, and the pool worker
-that picks up that shard crashes (``os._exit``), hangs, or raises.  The
-acceptance bar throughout is that a recovered campaign's records are
-byte-identical to a clean serial run — only telemetry and the ``degraded``
-flag may differ.
+Worker faults are injected through the ``worker.shard`` hook point of
+:mod:`repro.testing.chaos` (the same seam CI's chaos smoke uses): the
+``REPRO_CHAOS`` environment, inherited by the forked local workers, makes
+the worker that picks up a shard die (``kill``), raise (``raise``), or hang
+(``delay:S``); ``REPRO_CHAOS_ONCE_FILE`` limits the fault to one firing
+across all workers.  The acceptance bar throughout is that a recovered
+campaign's records are byte-identical to a clean serial run — only telemetry
+and the ``degraded`` flag may differ.
 """
 
 import dataclasses
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -26,11 +33,13 @@ from repro.core.executor import (
     ParallelExecutor,
     SerialExecutor,
     SessionSpec,
+    ShardExecutionError,
     execute_shard,
 )
 from repro.core.group_ace import Outcome
 from repro.core.plan import build_plan
 from repro.soc.system import build_system
+from repro.testing import chaos
 from repro.workloads.beebs import load_benchmark
 
 #: Small but real: 3 shards x 8 wires x 2 delays on the shortest benchmark.
@@ -61,93 +70,181 @@ def clean_result(fib_engine):
     return fib_engine.run_structure("alu", executor=SerialExecutor())
 
 
-def _arm_fault(monkeypatch, tmp_path, directive, once=True, **env):
-    monkeypatch.setenv("REPRO_FAULT_WORKER", directive)
+def _arm_fault(monkeypatch, tmp_path, action, once=True):
+    """Fault the workers' ``worker.shard`` hook (once, or on every shard)."""
+    monkeypatch.setenv(chaos.ENV_SPEC, f"worker.shard={action}")
     if once:
-        monkeypatch.setenv("REPRO_FAULT_ONCE_FILE", str(tmp_path / "fault.marker"))
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+        monkeypatch.setenv(chaos.ENV_ONCE_FILE, str(tmp_path / "fault"))
 
 
-# ----------------------------------------------------------------------
-# Worker crash: pool rebuild, unfinished shards re-submitted
-# ----------------------------------------------------------------------
-def test_worker_crash_recovers_via_pool_rebuild(
-    monkeypatch, tmp_path, fib_engine, clean_result
-):
-    _arm_fault(monkeypatch, tmp_path, "crash:1")
-    with ParallelExecutor(jobs=2) as pool:
-        recovered = fib_engine.run_structure("alu", executor=pool)
-    assert recovered == clean_result
+def _assert_identical(result, clean_result):
+    assert result == clean_result
     for delay in FAULT_CONFIG.delay_fractions:
         assert (
-            recovered.by_delay[delay].records == clean_result.by_delay[delay].records
+            result.by_delay[delay].records == clean_result.by_delay[delay].records
         )
-    assert recovered.telemetry.count("pool_rebuilds") >= 1
-    assert recovered.telemetry.count("shard_retries") >= 1
+
+
+# ----------------------------------------------------------------------
+# Worker crash: the dead worker is evicted, its shard requeued
+# ----------------------------------------------------------------------
+def test_worker_crash_recovers_via_eviction(
+    monkeypatch, tmp_path, fib_engine, clean_result
+):
+    _arm_fault(monkeypatch, tmp_path, "kill")
+    with ParallelExecutor(jobs=2) as pool:
+        recovered = fib_engine.run_structure("alu", executor=pool)
+    _assert_identical(recovered, clean_result)
+    assert recovered.telemetry.count("workers_evicted") >= 1
     assert recovered.degraded
     assert not clean_result.degraded
 
 
 # ----------------------------------------------------------------------
-# Worker exception: bounded retry with backoff, pool survives
+# Worker exception: bounded retry with backoff, the fleet survives
 # ----------------------------------------------------------------------
 def test_worker_exception_retried_without_pool_rebuild(
     monkeypatch, tmp_path, fib_engine, clean_result
 ):
-    _arm_fault(monkeypatch, tmp_path, "raise:0")
+    _arm_fault(monkeypatch, tmp_path, "raise")
     with ParallelExecutor(jobs=2) as pool:
         recovered = fib_engine.run_structure("alu", executor=pool)
-    assert recovered == clean_result
+    _assert_identical(recovered, clean_result)
     assert recovered.telemetry.count("shard_retries") >= 1
-    assert recovered.telemetry.count("pool_rebuilds") == 0
+    assert recovered.telemetry.count("workers_evicted") == 0
     # A retried-and-recovered shard is routine, not a degraded campaign.
     assert not recovered.degraded
 
 
-def test_worker_exception_exhausts_retry_budget(monkeypatch, fib_engine):
-    from repro.core.executor import ShardExecutionError
-
+def test_worker_exception_exhausts_retry_budget(monkeypatch, tmp_path, fib_engine):
     # Fault every attempt (no once-marker): the retry budget must bound it.
-    monkeypatch.setenv("REPRO_FAULT_WORKER", "raise:0")
+    # Every shard raises, so whichever runs out of attempts first is named.
+    _arm_fault(monkeypatch, tmp_path, "raise", once=False)
     with ParallelExecutor(jobs=2, max_retries=1, retry_backoff=0.01) as pool:
-        with pytest.raises(ShardExecutionError, match="shard 0"):
+        with pytest.raises(ShardExecutionError, match=r"shard \d+ .*giving up"):
             fib_engine.run_structure("alu", executor=pool)
 
 
 # ----------------------------------------------------------------------
-# Hung worker: per-shard timeout recycles the pool
+# Hung worker: the per-shard timeout evicts (and reaps) it
 # ----------------------------------------------------------------------
 def test_hung_worker_times_out_and_recovers(
     monkeypatch, tmp_path, fib_engine, clean_result
 ):
-    _arm_fault(
-        monkeypatch, tmp_path, "hang:1", REPRO_FAULT_HANG_SECONDS="300"
-    )
-    with ParallelExecutor(jobs=2, shard_timeout=15, max_pool_rebuilds=3) as pool:
+    _arm_fault(monkeypatch, tmp_path, "delay:300")
+    started = time.monotonic()
+    with ParallelExecutor(jobs=2, shard_timeout=15) as pool:
         recovered = fib_engine.run_structure("alu", executor=pool)
-    assert recovered == clean_result
+    assert time.monotonic() - started < 120
+    _assert_identical(recovered, clean_result)
     assert recovered.telemetry.count("shard_timeouts") >= 1
-    assert recovered.telemetry.count("pool_rebuilds") >= 1
+    assert recovered.telemetry.count("workers_evicted") >= 1
     assert recovered.degraded
+    # The hung worker was terminated and reaped, the survivor shut down.
+    assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
-# Repeated pool failure: graceful serial fallback finishes the campaign
+# Every worker dies: graceful serial fallback finishes the campaign
 # ----------------------------------------------------------------------
 def test_repeated_pool_failure_degrades_to_serial(
-    monkeypatch, fib_engine, clean_result
+    monkeypatch, tmp_path, fib_engine, clean_result
 ):
-    # Crash on every attempt: round 1 breaks the pool, the single rebuild
-    # breaks again, and the remaining shards must finish in-process (the
-    # fault seam only fires in pool workers, so the serial path is clean).
-    monkeypatch.setenv("REPRO_FAULT_WORKER", "crash:1")
-    with ParallelExecutor(jobs=2, max_pool_rebuilds=1) as pool:
+    # Kill on every shard: both local workers die, the local fleet never
+    # regrows within a call, and the remaining shards must finish in-process
+    # at once — no waiting for workers_from joiners (the hook only fires in
+    # workers, so the serial path is clean).
+    _arm_fault(monkeypatch, tmp_path, "kill", once=False)
+    started = time.monotonic()
+    with ParallelExecutor(jobs=2, worker_wait_seconds=600) as pool:
         recovered = fib_engine.run_structure("alu", executor=pool)
-    assert recovered == clean_result
-    assert recovered.telemetry.count("pool_rebuilds") == 1
-    assert recovered.telemetry.count("serial_fallbacks") >= 1
+    assert time.monotonic() - started < 120
+    _assert_identical(recovered, clean_result)
+    assert recovered.telemetry.count("workers_evicted") == 2
+    assert recovered.telemetry.count("serial_fallbacks") == 1
     assert recovered.degraded
+
+
+def test_close_terminates_a_worker_busy_with_an_abandoned_shard(
+    tmp_path, fib_engine
+):
+    """A campaign that raises leaves a worker mid-shard; closing the fleet
+    terminates it instead of waiting for a result nobody will collect."""
+    marker = str(tmp_path / "sleeper")
+
+    def hang_first_fail_rest(data=None, path=None):  # runs in the workers
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            raise chaos.ChaosError("shard fails")
+        time.sleep(300)
+
+    started = time.monotonic()
+    with chaos.injected("worker.shard", hang_first_fail_rest):
+        with pytest.raises(ShardExecutionError):
+            with ParallelExecutor(jobs=2, max_retries=0) as pool:
+                fib_engine.run_structure("alu", executor=pool)
+    assert time.monotonic() - started < 20
+    assert multiprocessing.active_children() == []
+
+
+def test_local_fleet_is_topped_up_and_reaped(fib_engine, clean_result):
+    pool = ParallelExecutor(jobs=2)
+    result = fib_engine.run_structure("alu", executor=pool)
+    _assert_identical(result, clean_result)
+    assert len(multiprocessing.active_children()) == 2
+    # A worker that dies between campaigns is replaced by the next one.
+    victim = next(iter(pool._workers.values())).process
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join(timeout=30)
+    again = fib_engine.run_structure("alu", executor=pool)
+    _assert_identical(again, clean_result)
+    assert again.telemetry.count("workers_evicted") == 1
+    assert again.telemetry.count("workers_joined") == 1
+    assert len(multiprocessing.active_children()) == 2
+    pool.close()
+    assert multiprocessing.active_children() == []
+    # A closed local fleet is forked afresh by the next campaign.
+    third = fib_engine.run_structure("alu", executor=pool)
+    _assert_identical(third, clean_result)
+    assert third.telemetry.count("workers_joined") == 2
+    pool.close()
+    assert multiprocessing.active_children() == []
+
+
+def _alive(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_local_workers_exit_when_their_coordinator_dies():
+    """Only the coordinator holds its end of each worker's socketpair, so a
+    SIGKILLed coordinator reads as EOF and its idle workers exit."""
+    coordinator = subprocess.Popen(
+        [sys.executable, "-c", (
+            "import time\n"
+            "from repro.core.executor import ParallelExecutor\n"
+            "from repro.core.telemetry import CampaignTelemetry\n"
+            "pool = ParallelExecutor(jobs=2)\n"
+            "pool._spawn_local_workers(CampaignTelemetry(), None)\n"
+            "print(*(w.process.pid for w in pool._workers.values()),"
+            " flush=True)\n"
+            "time.sleep(600)\n"
+        )],
+        stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    workers = [int(pid) for pid in coordinator.stdout.readline().split()]
+    assert len(workers) == 2 and all(_alive(pid) for pid in workers)
+    coordinator.kill()
+    coordinator.wait(timeout=30)
+    deadline = time.monotonic() + 30
+    while any(_alive(pid) for pid in workers) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    assert not any(_alive(pid) for pid in workers)
 
 
 # ----------------------------------------------------------------------
@@ -316,8 +413,6 @@ def test_config_validates_fault_knobs():
         CampaignConfig(max_retries=-1)
     with pytest.raises(ValueError, match="retry_backoff"):
         CampaignConfig(retry_backoff=-0.1)
-    with pytest.raises(ValueError, match="max_pool_rebuilds"):
-        CampaignConfig(max_pool_rebuilds=-1)
     with pytest.raises(ValueError, match="flush_every_shards"):
         CampaignConfig(flush_every_shards=0)
     with pytest.raises(ValueError, match="flush_max_seconds"):

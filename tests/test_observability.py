@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -102,6 +103,24 @@ def test_heartbeat_throttles_and_forces(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["n"] == 3
     assert payload["updated_unix"] > 0
+
+
+def test_first_beat_and_line_written_soon_after_boot(tmp_path, monkeypatch):
+    """``time.monotonic`` counts from boot: 5 s of uptime is inside both
+    throttle windows, yet the first heartbeat and first piped line fire."""
+    monkeypatch.setattr(time, "monotonic", lambda: 5.0)
+    path = tmp_path / "status.json"
+    stream = io.StringIO()  # not a TTY: throttled full lines
+    reporter = ProgressReporter(
+        stream=stream, heartbeat=Heartbeat(str(path), min_interval=3600.0)
+    )
+    reporter.LINE_INTERVAL = 3600.0
+    reporter.shard_done()
+    assert json.loads(path.read_text())["shards_done"] == 1
+    assert stream.getvalue().count("\n") == 1
+    reporter.shard_done()  # the clock has not moved: both stay throttled
+    assert json.loads(path.read_text())["shards_done"] == 1
+    assert stream.getvalue().count("\n") == 1
 
 
 # ----------------------------------------------------------------------
