@@ -68,7 +68,7 @@ def test_fig7_structure_delayavf(benchmark):
     # (cache-hit rates and phase wall times explain warm-vs-cold speedups).
     combined = CampaignTelemetry()
     for bench in BENCHMARK_NAMES:
-        combined.merge(_shared.engine(bench).telemetry)
+        combined.merge_snapshot(_shared.engine(bench).telemetry.snapshot())
     print()
     print(render_telemetry(
         combined, title=f"fig7 campaign telemetry (jobs={_shared.JOBS})"

@@ -61,7 +61,6 @@ def render_telemetry(
     # "cpu·workers" sums every process's spans, so a parallel campaign's cpu
     # column legitimately exceeds wall by roughly the parallelism.  A phase
     # timed only inside workers (no coordinator span) shows wall as "—".
-    wall_seconds = getattr(telemetry, "phase_wall_seconds", {}) or {}
     width = max(
         (len(name) for name, _ in counters + gauges + phases), default=0
     )
@@ -76,7 +75,7 @@ def render_telemetry(
             f"  {'phase':<{width}}  {'wall':>{wall_col}}  {'cpu·workers':>12}"
         )
     for name, seconds in phases:
-        wall = wall_seconds.get(name)
+        wall = telemetry.phase_wall_seconds.get(name)
         wall_text = f"{wall * 1000.0:.1f} ms" if wall is not None else "—"
         lines.append(
             f"  {name:<{width}}  {wall_text:>12}  {seconds * 1000.0:.1f} ms"

@@ -4,7 +4,7 @@ This module is the supported programmatic entry point.  Instead of wiring a
 system, a session, and an engine together by hand::
 
     system = build_system()
-    session = CampaignSession(system, program, config)   # raises TypeError
+    session = CampaignSession(system, program, config)
     ...
 
 callers make one call::
@@ -476,7 +476,7 @@ def fsck(cache_dir, quarantine: bool = False) -> Dict[str, list]:
     """Verify every verdict-cache scope file in *cache_dir*.
 
     Returns the :func:`repro.core.cache.verify_cache_dir` report:
-    ``{"ok" | "legacy" | "foreign" | "corrupt": [(path, detail), ...],
+    ``{"ok" | "foreign" | "corrupt": [(path, detail), ...],
     "quarantined": [(path, new_path), ...]}``.  With *quarantine* true,
     corrupt files are renamed aside exactly as a live campaign load would,
     so the next run rebuilds them from simulation.

@@ -736,8 +736,8 @@ def cmd_fsck(args) -> int:
     """``repro fsck``: verdict-cache integrity scan, doctor exit contract.
 
     Exit 0 when every scope file verifies clean, 1 when any file is corrupt
-    (torn write, bit rot, checksum mismatch), 2 when there are only
-    warnings (legacy pre-checksum files, foreign schema versions).
+    (torn write, bit rot, checksum missing or mismatched), 2 when there are
+    only warnings (foreign schema versions).
     """
     report = api.fsck(args.cache_dir, quarantine=args.quarantine)
     if not os.path.isdir(args.cache_dir):
@@ -745,19 +745,15 @@ def cmd_fsck(args) -> int:
         return EXIT_FATAL
     for path, detail in report["ok"]:
         print(f"ok       {path}: {detail}")
-    for path, detail in report["legacy"]:
-        print(f"legacy   {path}: {detail}")
     for path, detail in report["foreign"]:
         print(f"foreign  {path}: {detail}")
     for path, detail in report["corrupt"]:
         print(f"CORRUPT  {path}: {detail}")
     for path, target in report["quarantined"]:
         print(f"         quarantined -> {target}")
-    scanned = sum(
-        len(report[key]) for key in ("ok", "legacy", "foreign", "corrupt")
-    )
+    scanned = sum(len(report[key]) for key in ("ok", "foreign", "corrupt"))
     corrupt = len(report["corrupt"])
-    warns = len(report["legacy"]) + len(report["foreign"])
+    warns = len(report["foreign"])
     summary = (
         f"fsck: {scanned} file(s) scanned, {corrupt} corrupt, "
         f"{warns} warning(s)"

@@ -255,9 +255,7 @@ def _read_scope_payload(path: Path) -> Tuple[Dict[str, object], Optional[str]]:
     A missing file is a cold scope: ``({}, None)``.  ``damage`` is a
     human-readable reason whenever the file exists but cannot be trusted —
     unreadable, unparseable (torn write), wrong shape, or a
-    ``payload_sha256`` that no longer matches its body.  Files written
-    before checksums existed (no ``payload_sha256`` field) still load; the
-    next flush upgrades them.
+    ``payload_sha256`` that is missing or no longer matches its body.
     """
     try:
         raw = path.read_bytes()
@@ -272,7 +270,9 @@ def _read_scope_payload(path: Path) -> Tuple[Dict[str, object], Optional[str]]:
     if not isinstance(payload, dict):
         return {}, "not a JSON object"
     stored_sha = payload.get("payload_sha256")
-    if stored_sha is not None and stored_sha != compute_payload_sha256(payload):
+    if stored_sha is None:
+        return {}, "no payload_sha256 (every flush writes one)"
+    if stored_sha != compute_payload_sha256(payload):
         return {}, "payload_sha256 mismatch (bit rot or partial overwrite)"
     return payload, None
 
@@ -283,43 +283,37 @@ def verify_scope_file(path) -> Tuple[str, str]:
     Returns ``(status, detail)`` with status one of:
 
     - ``"ok"``       — parseable, this schema, checksum verified.
-    - ``"legacy"``   — valid but written before checksums existed.
     - ``"foreign"``  — a different schema version (loaders ignore it).
-    - ``"corrupt"``  — torn, unparseable, or checksum-mismatched.
+    - ``"corrupt"``  — torn, unparseable, or checksum missing/mismatched.
     """
     path = Path(path)
     payload, damage = _read_scope_payload(path)
     if damage is not None:
         return "corrupt", damage
     if not payload:
-        if not path.exists():
-            return "corrupt", "file vanished during verification"
-        return "corrupt", "empty payload"
-    stored_version = payload.get("schema_version", payload.get("format"))
+        return "corrupt", "file vanished during verification"
+    stored_version = payload.get("schema_version")
     if stored_version != CACHE_FORMAT:
         return (
             "foreign",
             f"schema_version {stored_version!r} (this build reads {CACHE_FORMAT})",
         )
-    counts = (
+    return "ok", (
         f"{len(payload.get('verdicts', {}))} verdicts, "
         f"{len(payload.get('records', {}))} records, "
         f"{len(payload.get('shards', {}))} shards"
     )
-    if payload.get("payload_sha256") is None:
-        return "legacy", f"no payload_sha256 (pre-integrity file); {counts}"
-    return "ok", counts
 
 
 def verify_cache_dir(directory, quarantine: bool = False) -> Dict[str, list]:
     """Verify every scope file in *directory* (the ``repro fsck`` core).
 
-    Returns ``{"ok" | "legacy" | "foreign" | "corrupt": [(path, detail)...],
+    Returns ``{"ok" | "foreign" | "corrupt": [(path, detail)...],
     "quarantined": [(path, quarantine_path)...]}``.  With *quarantine* true,
     corrupt files are moved aside the same way a live load would move them.
     """
     report: Dict[str, list] = {
-        "ok": [], "legacy": [], "foreign": [], "corrupt": [], "quarantined": [],
+        "ok": [], "foreign": [], "corrupt": [], "quarantined": [],
     }
     directory = Path(directory)
     if not directory.is_dir():
@@ -423,7 +417,7 @@ class VerdictCache:
             target = quarantine_scope_file(path)
             self._note_quarantine(path, target)
             payload = {}
-        stored_version = payload.get("schema_version", payload.get("format"))
+        stored_version = payload.get("schema_version")
         if payload and stored_version != CACHE_FORMAT:
             # A cache written by a different (usually newer) schema: its
             # entries may not mean what this code thinks.  Discard-and-warn
@@ -617,7 +611,6 @@ class VerdictCache:
                 self._load(self.path, replace=False)
                 payload = {
                     "schema_version": CACHE_FORMAT,
-                    "format": CACHE_FORMAT,  # legacy alias read by older builds
                     "scope": self.scope_key,
                     "meta": self._meta,
                     "verdicts": self._verdicts,

@@ -102,9 +102,6 @@ class CampaignConfig:
     #: batches and the event simulator's word-packed cone passes (1 disables
     #: packing; 64 is a full machine word)
     lanes: int = 64
-    #: REMOVED alias of ``lanes`` (the deprecation cycle is finished): any
-    #: non-None value raises ``ValueError`` pointing at ``lanes``
-    batch_lanes: Optional[int] = None
     #: local worker processes per structure campaign (>1 selects
     #: ParallelExecutor; requires the engine to be built from a SessionSpec)
     jobs: int = 1
@@ -188,11 +185,6 @@ class CampaignConfig:
                 f"lanes must be in 1..64 (bit-planes of one machine word), "
                 f"got {self.lanes}"
             )
-        if self.batch_lanes is not None:
-            raise ValueError(
-                "batch_lanes was removed; pass lanes="
-                f"{self.batch_lanes!r} instead"
-            )
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.shard_timeout is not None and self.shard_timeout <= 0:
@@ -221,12 +213,6 @@ class CampaignConfig:
             raise ValueError("breaker_threshold must be >= 1")
         if self.breaker_reset_seconds < 0:
             raise ValueError("breaker_reset_seconds must be >= 0")
-
-    @property
-    def lane_width(self) -> int:
-        """Effective packed-lane width (``lanes``; the ``batch_lanes`` alias
-        is gone)."""
-        return self.lanes
 
     @classmethod
     def from_cli_args(cls, args) -> "CampaignConfig":
@@ -282,7 +268,6 @@ class CampaignConfig:
         """A JSON-serializable dict :meth:`from_payload` rebuilds exactly."""
         payload = dataclasses.asdict(self)
         payload["delay_fractions"] = list(self.delay_fractions)
-        payload.pop("batch_lanes", None)  # removed alias: never on the wire
         return payload
 
     @classmethod
@@ -304,7 +289,7 @@ class CampaignConfig:
         if unknown:
             raise InputError(
                 f"unknown config field(s): {', '.join(unknown)}",
-                hint="known fields: " + ", ".join(sorted(known - {'batch_lanes'})),
+                hint="known fields: " + ", ".join(sorted(known)),
             )
         kwargs = dict(payload)
         if "delay_fractions" in kwargs and kwargs["delay_fractions"] is not None:
@@ -344,17 +329,7 @@ class CampaignSession:
         config: CampaignConfig,
         telemetry: Optional[CampaignTelemetry] = None,
         verdict_cache=None,
-        _internal: bool = False,
-        allow_legacy: bool = False,
     ):
-        if not (_internal or allow_legacy):
-            raise TypeError(
-                "Constructing CampaignSession directly is no longer "
-                "supported (the deprecation cycle ended): use the repro.api "
-                "facade (repro.api.analyze / repro.api.sweep) or "
-                "DelayAVFEngine, which manage the session for you, or pass "
-                "allow_legacy=True to opt into the unsupported path."
-            )
         self.system = system
         self.program = program
         self.config = config
@@ -433,8 +408,8 @@ class CampaignSession:
             known, _, _, source = self._known_length()
             if known is None:
                 # Pass 1 (cold only): plain probe run to learn the length.
-                with self.telemetry.timer("golden"), tracing.span(
-                    "session.probe_run", cat="session",
+                with self.telemetry.phase(
+                    "golden", "session.probe_run", cat="session",
                     benchmark=self.program.name,
                 ):
                     self.telemetry.incr("probe_runs")
@@ -601,8 +576,8 @@ class CampaignSession:
         self._golden = fresh
 
     def _instrumented_run_at(self, checkpoint_cycles: Sequence[int]) -> RunResult:
-        with self.telemetry.timer("golden"), tracing.span(
-            "session.golden_run", cat="session",
+        with self.telemetry.phase(
+            "golden", "session.golden_run", cat="session",
             benchmark=self.program.name, checkpoints=len(checkpoint_cycles),
         ):
             self.telemetry.incr("golden_runs")
@@ -625,8 +600,8 @@ class CampaignSession:
         """Fault-free event-simulated waveforms of one sampled cycle."""
         waves = self._waveforms.get(cycle)
         if waves is None:
-            with self.telemetry.timer("waveforms"), tracing.span(
-                "session.waveforms", cat="session", cycle=cycle
+            with self.telemetry.phase(
+                "waveforms", "session.waveforms", cat="session", cycle=cycle
             ):
                 ckpt = self.checkpoint(cycle)
                 waves = self.system.event_sim.simulate_cycle(
@@ -671,7 +646,6 @@ class DelayAVFEngine:
             program,
             self.config,
             verdict_cache=self.verdict_cache,
-            _internal=True,
         )
         self.telemetry = self.session.telemetry
         self._executor: Optional[Executor] = None
@@ -765,7 +739,7 @@ class DelayAVFEngine:
             "campaign.run", cat="campaign",
             structure=structure, benchmark=self.program.name,
         ):
-            with self.telemetry.timer("plan"):
+            with self.telemetry.phase("plan"):
                 plan = build_plan(
                     structure,
                     self.program.name,
@@ -809,7 +783,7 @@ class DelayAVFEngine:
         """
         structures = list(structures)
         if (
-            self.config.lane_width <= 1
+            self.config.lanes <= 1
             or self.config.jobs > 1
             or self.config.workers_from
         ):
@@ -829,16 +803,13 @@ class DelayAVFEngine:
         queries = []
         for stage in staged:
             queries.extend(plan_queries(self.session, stage.prepared))
-        lanes = self.config.lane_width
+        lanes = self.config.lanes
         if queries:
-            with tracing.span(
-                "campaign.prefetch", cat="executor",
+            with self.telemetry.phase(
+                "prefetch", "campaign.prefetch", cat="executor",
                 queries=len(queries), lanes=lanes, structures=len(staged),
             ):
-                with self.telemetry.timer("prefetch"):
-                    self.session.group_ace.prefetch_spanning(
-                        queries, lanes=lanes
-                    )
+                self.session.group_ace.prefetch_spanning(queries, lanes=lanes)
         return self._finish_staged(staged)
 
     def _stage_structures(
@@ -862,7 +833,7 @@ class DelayAVFEngine:
                 "campaign.prepare", cat="campaign",
                 structure=structure, benchmark=self.program.name,
             ):
-                with self.telemetry.timer("plan"):
+                with self.telemetry.phase("plan"):
                     plan = build_plan(
                         structure,
                         self.program.name,
@@ -907,13 +878,13 @@ class DelayAVFEngine:
                 structure=stage.structure, benchmark=self.program.name,
                 grouped=True,
             ):
-                with self.telemetry.timer("execute"):
+                with self.telemetry.phase("execute"):
                     shard_results = evaluate_prepared_shards(
                         self.session, stage.exec_plan, stage.prepared,
                         progress=stage.reporter,
                     )
-                with self.telemetry.timer("merge"), tracing.span(
-                    "campaign.merge", cat="campaign", structure=stage.structure
+                with self.telemetry.phase(
+                    "merge", "campaign.merge", structure=stage.structure
                 ):
                     result = merge_shard_results(
                         stage.plan, shard_results + stage.resumed
@@ -976,7 +947,7 @@ class DelayAVFEngine:
             "campaign.run", cat="campaign",
             structure=structure, benchmark=self.program.name, adaptive=True,
         ):
-            with self.telemetry.timer("plan"):
+            with self.telemetry.phase("plan"):
                 plan = build_plan(
                     structure,
                     self.program.name,
@@ -996,7 +967,7 @@ class DelayAVFEngine:
                     )
                 if worst.half_width <= target_half_width:
                     break
-                with self.telemetry.timer("refine"):
+                with self.telemetry.phase("refine"):
                     new_wires, new_cycles = self._plan_growth(
                         plan, worst, target_half_width, confidence, growth_cap,
                         structure, base_seed, round_index,
@@ -1005,7 +976,7 @@ class DelayAVFEngine:
                     break  # full population sampled; as tight as it gets
                 if new_cycles:
                     self.session.ensure_checkpoints(new_cycles)
-                with self.telemetry.timer("plan"):
+                with self.telemetry.phase("plan"):
                     refinement = build_refinement_plan(plan, new_wires, new_cycles)
                 self.telemetry.incr("refinement_rounds")
                 self.telemetry.incr("extra_shards", len(refinement.shards))
@@ -1132,8 +1103,8 @@ class DelayAVFEngine:
                 reporter.start(len(plan.shards), resumed=len(resumed))
             else:
                 reporter.add_total(len(exec_plan.shards))
-        with self.telemetry.timer("execute"), tracing.span(
-            "campaign.execute", cat="campaign",
+        with self.telemetry.phase(
+            "execute", "campaign.execute",
             structure=plan.structure, shards=len(exec_plan.shards),
         ):
             shard_results = (
@@ -1148,8 +1119,8 @@ class DelayAVFEngine:
                 if exec_plan.shards
                 else []
             )
-        with self.telemetry.timer("merge"), tracing.span(
-            "campaign.merge", cat="campaign", structure=plan.structure
+        with self.telemetry.phase(
+            "merge", "campaign.merge", structure=plan.structure
         ):
             result = merge_shard_results(plan, shard_results + resumed)
         # Worker telemetry arrives as per-shard snapshot deltas; fold it into
@@ -1206,8 +1177,8 @@ class DelayAVFEngine:
     ) -> None:
         """Guard-check the merged result and attach its telemetry slice."""
         if self.config.guards:
-            with self.telemetry.timer("guards"), tracing.span(
-                "campaign.guards", cat="campaign", structure=result.structure
+            with self.telemetry.phase(
+                "guards", "campaign.guards", structure=result.structure
             ):
                 apply_guards(result, self.telemetry)
         if started is not None:
@@ -1380,7 +1351,7 @@ def run_structures_spanning(
     ] * len(runs)
     for index, (engine, structures) in enumerate(runs):
         if (
-            engine.config.lane_width <= 1
+            engine.config.lanes <= 1
             or engine.config.jobs > 1
             or engine.config.workers_from
         ):
@@ -1408,14 +1379,13 @@ def run_structures_spanning(
         if queries:
             groups.append((engine.session.group_ace, queries))
     if groups:
-        lanes = min(engine.config.lane_width for _, engine, _ in staged_by_engine)
+        lanes = min(engine.config.lanes for _, engine, _ in staged_by_engine)
         first_engine = staged_by_engine[0][1]
-        with tracing.span(
-            "campaign.prefetch", cat="executor",
+        with first_engine.telemetry.phase(
+            "prefetch", "campaign.prefetch", cat="executor",
             queries=total_queries, lanes=lanes, engines=len(groups),
         ):
-            with first_engine.telemetry.timer("prefetch"):
-                prefetch_spanning_multi(groups, lanes=lanes)
+            prefetch_spanning_multi(groups, lanes=lanes)
     for index, engine, staged in staged_by_engine:
         results[index] = engine._finish_staged(staged)
     return results
@@ -1469,8 +1439,9 @@ def _run_packed_golden_chunk(chunk: Sequence[CampaignSession]) -> None:
     its result and retires; the word keeps stepping for the rest.
     """
     first = chunk[0]
-    with first.telemetry.timer("golden"), tracing.span(
-        "session.golden_run_packed", cat="session", workloads=len(chunk),
+    with first.telemetry.phase(
+        "golden", "session.golden_run_packed", cat="session",
+        workloads=len(chunk),
     ):
         scalar = first.system.simulator()
         psim = PackedCycleSimulator(scalar.netlist, scalar.plan)

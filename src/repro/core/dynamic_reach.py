@@ -16,15 +16,14 @@ short-circuits to a whole cycle's worth of (wire, delay) queries at once and
 feeds the survivors to :meth:`repro.sim.eventsim.EventSimulator.
 resimulate_batch`, which amortizes cone construction and fault-free waveform
 gathering across the batch (the ``batch_resims`` / ``cone_index_hits``
-telemetry and the ``batch_resim`` phase timer report how much of the campaign
-ran batched).
+telemetry and the ``batch_resim`` phase report how much of the campaign ran
+batched).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core import tracing
 from repro.core.static_reach import StaticReachability
 from repro.core.telemetry import CampaignTelemetry
 from repro.netlist.netlist import Wire
@@ -123,8 +122,8 @@ class DynamicReachability:
                 sim.packed_cone_lane_slots,
                 sim.packed_scalar_lanes,
             )
-            with telemetry.timer("batch_resim"), tracing.span(
-                "dynamic.batch_reach", cat="sim",
+            with telemetry.phase(
+                "batch_resim", "dynamic.batch_reach", cat="sim",
                 cycle=waves.cycle, queries=len(keys), lanes=lanes,
             ):
                 batch = sim.resimulate_batch(

@@ -96,7 +96,6 @@ class SessionSpec:
             self.program,
             self.config,
             verdict_cache=open_configured_cache(system, self.program, self.config),
-            _internal=True,
         )
 
     # ------------------------------------------------------------------
@@ -316,11 +315,10 @@ def _prepare_shard(session, plan: CampaignPlan, shard: WorkShard) -> _PreparedSh
         # reachable set through the shared-cone batch API up front, so the
         # per-record evaluation afterwards runs against warm per-cycle memos.
         wire_of = dict(chosen)
-        lane_width = int(getattr(plan, "lane_width", config.lane_width))
         prepared.reach_sets = session.dynamic.reachable_set_batch(
             prepared.waves,
             [(wire_of[index], delay) for index, delay in pending],
-            lanes=lane_width,
+            lanes=plan.lane_width,
         )
     return prepared
 
@@ -343,7 +341,7 @@ def _evaluate_shard(
     by_delay: Dict[float, List[InjectionRecord]] = {
         delay: [] for delay in shard.delay_fractions
     }
-    with session.telemetry.timer("evaluate"):
+    with session.telemetry.phase("evaluate"):
         for index, wire in prepared.chosen:
             for delay in shard.delay_fractions:
                 record = prepared.cached.get((index, delay))
@@ -375,22 +373,21 @@ def _evaluate_shard(
             )
         )
         cache.flush_throttled(
-            every_n=getattr(config, "flush_every_shards", 8),
-            max_seconds=getattr(config, "flush_max_seconds", 10.0),
+            every_n=config.flush_every_shards,
+            max_seconds=config.flush_max_seconds,
         )
     return ShardResult(shard_index=shard.index, by_delay=by_delay)
 
 
 def _execute_shard_body(session, plan: CampaignPlan, shard: WorkShard) -> ShardResult:
     prepared = _prepare_shard(session, plan, shard)
-    lane_width = int(getattr(plan, "lane_width", session.config.lane_width))
-    if prepared.reach_sets and lane_width > 1:
-        with session.telemetry.timer("prefetch"):
+    if prepared.reach_sets and plan.lane_width > 1:
+        with session.telemetry.phase("prefetch"):
             session.group_ace.prefetch_spanning(
                 _group_ace_queries(
                     session, [(prepared.checkpoint, prepared.reach_sets)]
                 ),
-                lanes=lane_width,
+                lanes=plan.lane_width,
             )
     return _evaluate_shard(session, plan, prepared)
 
@@ -484,17 +481,14 @@ def execute_shards_spanning(
     wider — across whole campaigns — via
     :meth:`repro.core.campaign.DelayAVFEngine.run_structures`.)
     """
-    telemetry = session.telemetry
     prepared_shards = prepare_plan_shards(session, plan)
     queries = plan_queries(session, prepared_shards)
-    lane_width = int(getattr(plan, "lane_width", session.config.lane_width))
     if queries:
-        with tracing.span(
-            "campaign.prefetch", cat="executor",
-            queries=len(queries), lanes=lane_width,
+        with session.telemetry.phase(
+            "prefetch", "campaign.prefetch", cat="executor",
+            queries=len(queries), lanes=plan.lane_width,
         ):
-            with telemetry.timer("prefetch"):
-                session.group_ace.prefetch_spanning(queries, lanes=lane_width)
+            session.group_ace.prefetch_spanning(queries, lanes=plan.lane_width)
     return evaluate_prepared_shards(session, plan, prepared_shards, progress)
 
 
@@ -567,8 +561,7 @@ class SerialExecutor(Executor):
             if spec is None:
                 raise ValueError("SerialExecutor needs a session or a spec")
             session = spec.build_session()
-        lane_width = int(getattr(plan, "lane_width", session.config.lane_width))
-        if lane_width > 1:
+        if plan.lane_width > 1:
             return execute_shards_spanning(session, plan, progress)
         results = []
         for shard in plan.shards:
@@ -639,8 +632,10 @@ class ParallelExecutor(Executor):
 
     Evicted local workers are terminated and reaped; :meth:`close` shuts
     down and reaps the rest (terminating any still busy with the shard of
-    an abandoned campaign).  Every recovery action lands in telemetry and
-    progress notes, but records never change: shard execution is
+    an abandoned campaign).  Every fleet event — a join, retry, timeout,
+    eviction, breaker transition or serial fallback — is one counter, one
+    ``executor.<counter>`` trace instant and one progress note under the
+    counter's name, but records never change: shard execution is
     deterministic and the merge is order-independent.
 
     Workers stream back telemetry deltas and trace spans with each result;
@@ -679,6 +674,9 @@ class ParallelExecutor(Executor):
             else:
                 self._listener = SocketListener(parsed[1], parsed[2])
         self._run_evictions = 0
+        #: the running campaign's telemetry and progress reporter
+        self._telemetry: Optional[CampaignTelemetry] = None
+        self._progress = None
         self._last_sweep = time.monotonic()
         self._workers: Dict[str, _WorkerState] = {}
         self._worker_seq = 0
@@ -704,27 +702,40 @@ class ParallelExecutor(Executor):
             )
         # Shared fleets serve several engines: one campaign at a time.
         with self._lock:
-            return self._execute_locked(plan, session, spec, progress)
+            # Events are charged to the campaign's telemetry when the
+            # engine's live session rides along (the normal path); direct
+            # calls without one still work, their counters just land in a
+            # throwaway.
+            self._telemetry = (
+                session.telemetry if session is not None
+                else CampaignTelemetry()
+            )
+            self._progress = progress
+            try:
+                return self._execute_locked(plan, session, spec)
+            finally:
+                self._telemetry = self._progress = None
 
-    def _execute_locked(self, plan, session, spec, progress):
-        # Recovery actions are charged to the campaign's telemetry when the
-        # engine's live session rides along (the normal path); direct calls
-        # without one still work, their counters just land in a throwaway.
-        telemetry = (
-            session.telemetry if session is not None else CampaignTelemetry()
-        )
+    def _event(self, counter: str, amount: int = 1, **attrs: Any) -> None:
+        """Count *amount* executor events, mark them in the trace as one
+        instant ``executor.<counter>`` and note them on the progress stream
+        under the counter's own name."""
+        self._telemetry.incr(counter, amount)
+        tracing.tracer().instant(f"executor.{counter}", cat="executor", **attrs)
+        if self._progress is not None:
+            self._progress.note(counter, amount)
+
+    def _execute_locked(self, plan, session, spec):
         shards: Dict[int, WorkShard] = {s.index: s for s in plan.shards}
         pending: List[int] = sorted(shards)
         done: Dict[int, ShardResult] = {}
-        if not self._admit_fleet(telemetry, progress):
+        if not self._admit_fleet():
             # Breaker open and still cooling down: do not even wait for
             # workers — short-circuit the whole campaign to the serial path.
-            self._serial_finish(
-                pending, shards, plan, session, spec, done, telemetry, progress
-            )
+            self._serial_finish(pending, shards, plan, session, spec, done)
             return [done[index] for index in sorted(done)]
         if self._listener is None:
-            self._spawn_local_workers(telemetry, progress)
+            self._spawn_local_workers()
         spec_payload, digest = self._wire_spec(spec)
         self._plan_seq += 1
         plan_id = f"{digest[:8]}:{self._plan_seq}"
@@ -738,10 +749,10 @@ class ParallelExecutor(Executor):
             "executor.submit", cat="executor", shards=len(shards)
         ) as dispatch_span:
             while True:
-                self._accept_new_workers(telemetry, progress)
+                self._accept_new_workers()
                 if self._collect(
                     plan_id, shards, inflight, pending, done, attempts,
-                    telemetry, progress, dispatch_span,
+                    dispatch_span,
                 ):
                     retry_rounds += 1
                     time.sleep(
@@ -749,14 +760,12 @@ class ParallelExecutor(Executor):
                     )
                 if len(done) == len(shards):
                     break
-                self._check_timeouts(
-                    inflight, pending, attempts, telemetry, progress
-                )
+                self._check_timeouts(inflight, pending, attempts)
                 # Collect before dispatch: a worker that just answered gets
                 # its next shard in the same round, not after a wait.
                 self._dispatch(
                     pending, inflight, spec_payload, digest, plan_id,
-                    plan_payload, shards, telemetry, progress,
+                    plan_payload, shards,
                 )
                 if self._workers:
                     fleet_empty_since = None
@@ -774,32 +783,24 @@ class ParallelExecutor(Executor):
                     # the breaker: limp home in-process.
                     pending.extend(inflight)
                     self._serial_finish(
-                        pending, shards, plan, session, spec, done,
-                        telemetry, progress,
+                        pending, shards, plan, session, spec, done
                     )
                     break
                 self._wait_for_messages(0.02)
         if self._run_evictions == 0 and self.breaker.record_success():
             # A clean run through a previously tripped breaker: the fleet
             # (or lack of one) is healthy again.
-            telemetry.incr("breaker_recoveries")
-            tracing.instant("executor.breaker_recovered", cat="executor")
-            if progress is not None:
-                progress.note("breaker_recoveries")
+            self._event("breaker_recoveries")
         return [done[index] for index in sorted(done)]
 
-    def _admit_fleet(self, telemetry, progress) -> bool:
+    def _admit_fleet(self) -> bool:
         """Consult the breaker; True means the fleet may be used this run."""
         probing = self.breaker.state == HALF_OPEN
         if not self.breaker.allow():
-            telemetry.incr("breaker_short_circuits")
-            tracing.instant("executor.breaker_short_circuit", cat="executor")
-            if progress is not None:
-                progress.note("breaker_short_circuits")
+            self._event("breaker_short_circuits")
             return False
         if probing:
-            telemetry.incr("breaker_probes")
-            tracing.instant("executor.breaker_probe", cat="executor")
+            self._event("breaker_probes")
         return True
 
     def _wire_spec(self, spec: SessionSpec):
@@ -824,18 +825,15 @@ class ParallelExecutor(Executor):
     # ------------------------------------------------------------------
     # Fleet management
     # ------------------------------------------------------------------
-    def _join(self, channel, telemetry, progress, process=None) -> None:
+    def _join(self, channel, process=None) -> None:
         self._worker_seq += 1
         key = str(getattr(channel, "worker_id", f"worker-{self._worker_seq}"))
         self._workers[key] = _WorkerState(
             key=key, channel=channel, process=process
         )
-        telemetry.incr("workers_joined")
-        tracing.instant("executor.worker_joined", cat="executor", worker=key)
-        if progress is not None:
-            progress.note("workers_joined")
+        self._event("workers_joined", worker=key)
 
-    def _spawn_local_workers(self, telemetry, progress) -> None:
+    def _spawn_local_workers(self) -> None:
         """Fork local workers until *jobs* of them are alive."""
         import multiprocessing
 
@@ -843,7 +841,7 @@ class ParallelExecutor(Executor):
 
         for worker in list(self._workers.values()):
             if not worker.process.is_alive():  # died since the last call
-                self._evict(worker, {}, [], telemetry, progress)
+                self._evict(worker, {}, [])
         context = multiprocessing.get_context("fork")
         while len(self._workers) < self.jobs:
             coordinator_end, worker_end = socket.socketpair()
@@ -860,16 +858,16 @@ class ParallelExecutor(Executor):
                 # Only the child may hold the worker end, or its death would
                 # never read as EOF here.
                 worker_end.close()
-            self._join(channel, telemetry, progress, process=process)
+            self._join(channel, process=process)
 
-    def _accept_new_workers(self, telemetry, progress) -> None:
+    def _accept_new_workers(self) -> None:
         if self._listener is None:
             return
-        self._sweep_spool(telemetry)
+        self._sweep_spool()
         for channel in self._listener.accept():
-            self._join(channel, telemetry, progress)
+            self._join(channel)
 
-    def _sweep_spool(self, telemetry) -> None:
+    def _sweep_spool(self) -> None:
         """Throttled GC of the file-queue spool (no-op on socket fleets)."""
         sweep = getattr(self._listener, "sweep", None)
         if sweep is None:
@@ -883,10 +881,7 @@ class ParallelExecutor(Executor):
         except OSError:
             return
         if swept:
-            telemetry.incr("spool_files_swept", swept)
-            tracing.instant(
-                "executor.spool_swept", cat="executor", files=swept
-            )
+            self._event("spool_files_swept", swept, files=swept)
 
     def _wait_for_messages(self, seconds: float) -> None:
         """Sleep up to *seconds*, waking early when a socket worker speaks,
@@ -914,43 +909,31 @@ class ParallelExecutor(Executor):
                 process.terminate()
             process.join()
 
-    def _note_transport_error(self, exc: TransportError, telemetry) -> None:
-        """Corrupt frames get their own counter on top of the eviction."""
-        if isinstance(exc, CorruptFrameError):
-            telemetry.incr("corrupt_frames")
-            tracing.instant(
-                "executor.corrupt_frame", cat="executor", detail=str(exc)
-            )
-
     def _evict(
-        self, worker: _WorkerState, inflight, pending, telemetry, progress
+        self, worker: _WorkerState, inflight, pending,
+        error: Optional[TransportError] = None,
     ) -> None:
         """Drop a dead or hung worker; its in-flight shard is requeued.
 
         Requeueing does *not* charge the shard's retry budget: a worker's
-        death is not the shard's fault.
+        death is not the shard's fault.  A corrupt frame (*error*) is
+        counted on top of the eviction.
         """
+        if isinstance(error, CorruptFrameError):
+            self._event("corrupt_frames", detail=str(error))
         self._release(worker, graceful=False)
-        telemetry.incr("workers_evicted")
-        tracing.instant(
-            "executor.worker_evicted", cat="executor", worker=worker.key
-        )
-        if progress is not None:
-            progress.note("evictions")
+        self._event("workers_evicted", worker=worker.key)
         if worker.busy is not None and worker.busy in inflight:
             inflight.pop(worker.busy)
             pending.append(worker.busy)
         worker.busy = None
         self._run_evictions += 1
         if self.breaker.record_failure():
-            telemetry.incr("breaker_trips")
-            tracing.instant("executor.breaker_tripped", cat="executor")
-            if progress is not None:
-                progress.note("breaker_trips")
+            self._event("breaker_trips")
 
     def _dispatch(
         self, pending, inflight, spec_payload, digest, plan_id, plan_payload,
-        shards, telemetry, progress,
+        shards,
     ) -> None:
         """Hand one pending shard to every idle worker (warming it first)."""
         for worker in list(self._workers.values()):
@@ -977,8 +960,7 @@ class ParallelExecutor(Executor):
                      "shard": shards[index].to_payload()}
                 )
             except TransportError as exc:
-                self._note_transport_error(exc, telemetry)
-                self._evict(worker, inflight, pending, telemetry, progress)
+                self._evict(worker, inflight, pending, exc)
                 continue
             pending.remove(index)
             worker.busy = index
@@ -993,7 +975,7 @@ class ParallelExecutor(Executor):
     # ------------------------------------------------------------------
     def _collect(
         self, plan_id, shards, inflight, pending, done, attempts,
-        telemetry, progress, dispatch_span,
+        dispatch_span,
     ) -> bool:
         """Poll every worker once; returns True when a shard was retried."""
         had_retries = False
@@ -1001,8 +983,7 @@ class ParallelExecutor(Executor):
             try:
                 messages = worker.channel.poll()
             except TransportError as exc:
-                self._note_transport_error(exc, telemetry)
-                self._evict(worker, inflight, pending, telemetry, progress)
+                self._evict(worker, inflight, pending, exc)
                 continue
             for message in messages:
                 kind = message.get("type")
@@ -1025,12 +1006,7 @@ class ParallelExecutor(Executor):
                                 f"{worker.key}; giving up: "
                                 f"{message.get('message')}"
                             )
-                        telemetry.incr("shard_retries")
-                        tracing.instant(
-                            "executor.retry", cat="executor", shard=index
-                        )
-                        if progress is not None:
-                            progress.note("retries")
+                        self._event("shard_retries", shard=index)
                         pending.append(index)
                         had_retries = True
                         continue
@@ -1045,14 +1021,12 @@ class ParallelExecutor(Executor):
                             parent_pid=os.getpid(),
                         )
                     done[index] = result
-                    telemetry.incr("worker_shards_completed")
-                    if progress is not None:
-                        progress.shard_done(result.telemetry)
+                    self._telemetry.incr("worker_shards_completed")
+                    if self._progress is not None:
+                        self._progress.shard_done(result.telemetry)
         return had_retries
 
-    def _check_timeouts(
-        self, inflight, pending, attempts, telemetry, progress
-    ) -> None:
+    def _check_timeouts(self, inflight, pending, attempts) -> None:
         """Evict workers whose shard overran *shard_timeout*.
 
         A running shard cannot be cancelled, so its worker is evicted
@@ -1069,22 +1043,14 @@ class ParallelExecutor(Executor):
                 continue
             if now < worker.deadline:
                 continue
-            telemetry.incr("shard_timeouts")
-            tracing.instant(
-                "executor.shard_timeout", cat="executor", shard=index
-            )
-            if progress is not None:
-                progress.note("timeouts")
+            self._event("shard_timeouts", shard=index)
             attempts[index] += 1
-            self._evict(worker, inflight, pending, telemetry, progress)
+            self._evict(worker, inflight, pending)
 
-    def _serial_finish(
-        self, pending, shards, plan, session, spec, done, telemetry, progress
-    ) -> None:
+    def _serial_finish(self, pending, shards, plan, session, spec, done) -> None:
         """Run every remaining shard in-process (the fleet is gone)."""
-        telemetry.incr("serial_fallbacks")
-        if progress is not None:
-            progress.note("serial_fallbacks")
+        self._event("serial_fallbacks")
+        progress = self._progress
         with tracing.span(
             "executor.serial_fallback", cat="executor", shards=len(pending)
         ):

@@ -71,7 +71,7 @@ def render_prometheus_sections(sections) -> str:
             gauge_lines.append(
                 f"{PROMETHEUS_PREFIX}_gauge{block} {telemetry.gauges[name]}"
             )
-        wall = getattr(telemetry, "phase_wall_seconds", {}) or {}
+        wall = telemetry.phase_wall_seconds
         for name in sorted(telemetry.phase_seconds):
             block = _label_block({**labels, "name": name, "kind": "cpu"})
             phase_lines.append(
@@ -116,9 +116,7 @@ def metrics_payload(
         "counters": dict(telemetry.counters),
         "gauges": dict(telemetry.gauges),
         "phase_seconds": dict(telemetry.phase_seconds),
-        "phase_wall_seconds": dict(
-            getattr(telemetry, "phase_wall_seconds", {}) or {}
-        ),
+        "phase_wall_seconds": dict(telemetry.phase_wall_seconds),
     }
     if extra:
         payload.update(dict(extra))

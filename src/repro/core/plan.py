@@ -94,8 +94,8 @@ class CampaignPlan:
     sampled_cycles: Tuple[int, ...]
     shards: Tuple[WorkShard, ...]
     #: packed-lane width every simulation layer of this campaign uses —
-    #: stamped from ``config.lane_width`` so workers executing a pickled
-    #: shard fill the same words as the coordinator.  Each shard carries a
+    #: stamped from ``config.lanes`` so workers executing a shipped shard
+    #: fill the same words as the coordinator.  Each shard carries a
     #: whole cycle's wire × delay cross-product, so the batch feed is
     #: always a lane-width multiple until the final partial word.
     lane_width: int = 64
@@ -134,7 +134,7 @@ class CampaignPlan:
             shards=tuple(
                 WorkShard.from_payload(shard) for shard in payload["shards"]
             ),
-            lane_width=int(payload.get("lane_width", 64)),
+            lane_width=int(payload["lane_width"]),
         )
 
 
@@ -187,7 +187,7 @@ def build_plan(
             delay_fractions=delays,
             sampled_cycles=tuple(sampled_cycles),
             shards=shards,
-            lane_width=int(getattr(config, "lane_width", 64)),
+            lane_width=config.lanes,
         )
 
 

@@ -127,10 +127,11 @@ class ProgressReporter:
                 self.cache_hits += counters.get("record_cache_hits", 0)
             self._emit()
 
-    def note(self, event: str) -> None:
-        """Count a recovery action (``retries``/``timeouts``/...)."""
+    def note(self, event: str, amount: int = 1) -> None:
+        """Count *amount* executor events under their telemetry counter
+        name (``shard_retries``/``workers_evicted``/...)."""
         with self._lock:
-            self.notes[event] = self.notes.get(event, 0) + 1
+            self.notes[event] = self.notes.get(event, 0) + amount
             self._emit(force=True)
 
     def refinement(self, round_index: int, half_width: float, target: float) -> None:

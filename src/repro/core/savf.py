@@ -62,7 +62,7 @@ class SAVFEngine:
             )
         chosen = sample_wires(dffs, max_bits, seed)
         ace = sdc = due = samples = 0
-        lanes = self.session.config.lane_width
+        lanes = self.session.config.lanes
         if progress is not None:
             progress.start(len(self.session.sampled_cycles))
         for cycle in self.session.sampled_cycles:

@@ -1,4 +1,4 @@
-"""Campaign telemetry: counters, gauges, and phase timers.
+"""Campaign telemetry: counters, gauges, and phase ledgers.
 
 One :class:`CampaignTelemetry` instance is threaded through a campaign
 session's analyzers (:class:`repro.core.delayavf.DelayAceEvaluator`,
@@ -11,22 +11,26 @@ packed-simulator lanes ran, and where the wall-clock time went.
 Counters are plain integer increments (cheap enough for per-injection use).
 Gauges are point-in-time float levels (the final ``ci_half_width`` of an
 adaptive campaign is a level, not a tally); when per-worker gauges merge back
-into the coordinator, each gauge follows its declared policy in
-:data:`GAUGE_MERGE_POLICIES` — ``max`` (the default: the worst level wins,
-deterministically, no matter which worker's future completes first), ``min``,
-or ``last`` (explicit opt-in to completion-order semantics).
+into the coordinator, the largest value wins — deterministically, no matter
+which worker's shard completes first — except for the :data:`LAST_GAUGES`,
+which the coordinator recomputes after the merge.
 
-Phase timers are cumulative ``time.perf_counter`` spans kept in **two**
-ledgers: ``phase_seconds`` sums every span including per-worker ones merged
-across process boundaries (labelled ``cpu·workers`` in reports — for a
-parallel campaign this exceeds wall-clock by roughly the parallelism), and
-``phase_wall_seconds`` records only spans observed by the owning process and
-is deliberately *not* merged from worker snapshots, so on the coordinator it
-is genuine wall-clock.  Serial campaigns show identical columns.
+Time is recorded by :meth:`CampaignTelemetry.phase`, the one instrumentation
+primitive: it reads the clock once at entry and once at exit, adds the
+duration to both phase ledgers and, when tracing is on, makes it the ``ts``
+and ``dur`` of the phase's span (:mod:`repro.core.tracing`), so a phase
+whose every call names a span has a ledger exactly the sum of its spans;
+a call without a span name is ledger-only.  ``phase_seconds`` also sums
+the phases timed in worker processes (labelled ``cpu·workers`` in reports —
+for a parallel campaign this exceeds wall-clock by roughly the
+parallelism), while ``phase_wall_seconds`` keeps only the phases the owning
+process timed and is deliberately *not* merged from worker deltas, so on
+the coordinator it is genuine wall-clock.  Serial campaigns show identical
+columns.
 
-Instances merge, so the parallel executor can combine per-worker telemetry
-into one campaign report, and snapshots/diffs are plain dicts, so they pickle
-across process boundaries.
+Snapshots and diffs are plain dicts: workers ship each shard's telemetry
+delta as JSON with its result, and the coordinator folds the deltas into the
+campaign's instance with :meth:`CampaignTelemetry.merge_snapshot`.
 
 The fault-tolerance counters (``shard_retries``, ``shard_timeouts``,
 ``serial_fallbacks``, ``shards_resumed``) and the worker-fleet counters of
@@ -45,7 +49,10 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterator, Optional
+
+from repro.core import tracing
 
 #: Presentation order for the known counters (unknown ones sort last).
 COUNTER_ORDER = (
@@ -139,54 +146,21 @@ GAUGE_ORDER = (
     "eval_program_evictions",
 )
 
-#: How each gauge combines when worker snapshots merge into the coordinator.
-#: ``max``: the largest incoming-or-current value wins (order-independent;
-#: right for "worst level observed" gauges like ``ci_half_width`` — a
-#: campaign is only as converged as its least-converged worker).  ``min``:
-#: the smallest wins.  ``last``: incoming overwrites current — the historical
-#: behaviour, now an explicit opt-in because it makes the merged value depend
-#: on future-completion order.  Undeclared gauges default to
-#: :data:`DEFAULT_GAUGE_POLICY`.
-GAUGE_MERGE_POLICIES: Dict[str, str] = {
-    "ci_half_width": "max",
-    # Occupancy gauges are recomputed post-merge from their counters in
-    # DelayAVFEngine._finalize; "last" keeps the recomputed value.
-    "packed_lane_occupancy": "last",
-    "group_ace_lane_occupancy": "last",
-    # Program-cache gauges describe the coordinator's shared EvalPlan.
-    "eval_programs_cached": "max",
-    "eval_program_evictions": "max",
-}
-
-DEFAULT_GAUGE_POLICY = "max"
-
-_VALID_GAUGE_POLICIES = frozenset({"max", "min", "last"})
+#: Gauges an incoming (per-worker) value overwrites when snapshots merge:
+#: the occupancy gauges are recomputed post-merge from their counters in
+#: DelayAVFEngine._finalize.  Every other gauge merges by max (a campaign is
+#: only as converged as its least-converged worker).
+LAST_GAUGES = frozenset({"packed_lane_occupancy", "group_ace_lane_occupancy"})
 
 
-def gauge_merge_policy(name: str) -> str:
-    """The declared merge policy for gauge *name* (default ``max``)."""
-    policy = GAUGE_MERGE_POLICIES.get(name, DEFAULT_GAUGE_POLICY)
-    if policy not in _VALID_GAUGE_POLICIES:
-        raise ValueError(f"unknown gauge merge policy {policy!r} for {name!r}")
-    return policy
-
-
+@dataclass
 class CampaignTelemetry:
-    """Mutable counters + gauges + phase timers for one campaign session."""
+    """Mutable counters + gauges + phase ledgers for one campaign session."""
 
-    __slots__ = ("counters", "phase_seconds", "phase_wall_seconds", "gauges")
-
-    def __init__(
-        self,
-        counters: Optional[Dict[str, int]] = None,
-        phase_seconds: Optional[Dict[str, float]] = None,
-        gauges: Optional[Dict[str, float]] = None,
-        phase_wall_seconds: Optional[Dict[str, float]] = None,
-    ):
-        self.counters: Dict[str, int] = dict(counters or {})
-        self.phase_seconds: Dict[str, float] = dict(phase_seconds or {})
-        self.phase_wall_seconds: Dict[str, float] = dict(phase_wall_seconds or {})
-        self.gauges: Dict[str, float] = dict(gauges or {})
+    counters: Dict[str, int] = field(default_factory=dict)
+    phase_seconds: Dict[str, float] = field(default_factory=dict)
+    gauges: Dict[str, float] = field(default_factory=dict)
+    phase_wall_seconds: Dict[str, float] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     def incr(self, name: str, amount: int = 1) -> None:
@@ -199,16 +173,14 @@ class CampaignTelemetry:
         self.gauges[name] = float(value)
 
     def merge_gauge(self, name: str, value: float) -> None:
-        """Fold an incoming (e.g. per-worker) gauge in by its declared policy."""
+        """Fold an incoming (e.g. per-worker) gauge in: the larger value
+        wins, except that an incoming :data:`LAST_GAUGES` value overwrites."""
         value = float(value)
         current = self.gauges.get(name)
-        policy = gauge_merge_policy(name)
-        if current is None or policy == "last":
+        if current is None or name in LAST_GAUGES:
             self.gauges[name] = value
-        elif policy == "max":
+        else:
             self.gauges[name] = max(current, value)
-        else:  # "min"
-            self.gauges[name] = min(current, value)
 
     def gauge(self, name: str) -> Optional[float]:
         return self.gauges.get(name)
@@ -221,21 +193,42 @@ class CampaignTelemetry:
             )
 
     @contextmanager
-    def timer(self, phase: str) -> Iterator[None]:
-        """Accumulate the wall-clock time of the ``with`` body under *phase*.
+    def phase(
+        self,
+        name: str,
+        span: Optional[str] = None,
+        *,
+        cat: str = "campaign",
+        **attrs: Any,
+    ) -> Iterator[None]:
+        """Time the ``with`` body as phase *name* and, when tracing is on
+        and *span* is given, as that span (category *cat*, attributes
+        *attrs*).
 
-        Spans recorded through :meth:`timer` are wall-clock *in the recording
-        process* and land in both ledgers; only the merge step (which brings
-        in spans timed by other processes) adds to ``phase_seconds`` alone.
+        The clock is read once at entry and once at exit, and the span gets
+        the same start and duration, so this call adds exactly the span's
+        ``dur`` to the ledgers.  The duration is wall-clock *in the recording
+        process*, so it lands in both ledgers; only :meth:`merge_snapshot`,
+        which brings in phases timed by other processes, adds to
+        ``phase_seconds`` alone.
         """
+        tracer = tracing.tracer()
+        record = (
+            tracer.open(span, cat, attrs)
+            if span is not None and tracer.enabled
+            else None
+        )
         start = time.perf_counter()
         try:
             yield
         finally:
-            self.add_seconds(phase, time.perf_counter() - start)
+            seconds = time.perf_counter() - start
+            self.add_seconds(name, seconds)
+            if record is not None:
+                tracer.close(record, start, seconds)
 
     # ------------------------------------------------------------------
-    # Snapshots, diffs, and merging (plain dicts: picklable across workers)
+    # Snapshots, diffs, and merging (plain dicts: JSON-safe for workers)
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Dict]:
         return {
@@ -253,47 +246,30 @@ class CampaignTelemetry:
         phase present only in *before* yields a negative delta instead of
         being silently dropped.
         """
-        before_counters = before.get("counters", {})
-        before_phases = before.get("phase_seconds", {})
-        before_wall = before.get("phase_wall_seconds", {})
         before_gauges = before.get("gauges", {})
-        counters = {}
-        for name in sorted(set(self.counters) | set(before_counters)):
-            delta = self.counters.get(name, 0) - before_counters.get(name, 0)
-            if delta:
-                counters[name] = delta
-        phases = {}
-        for name in sorted(set(self.phase_seconds) | set(before_phases)):
-            delta = self.phase_seconds.get(name, 0.0) - before_phases.get(name, 0.0)
-            if delta:
-                phases[name] = delta
-        wall = {}
-        for name in sorted(set(self.phase_wall_seconds) | set(before_wall)):
-            delta = self.phase_wall_seconds.get(name, 0.0) - before_wall.get(
-                name, 0.0
-            )
-            if delta:
-                wall[name] = delta
-        gauges = {
-            name: value
-            for name, value in self.gauges.items()
-            if value != before_gauges.get(name)
-        }
         return {
-            "counters": counters,
-            "phase_seconds": phases,
-            "phase_wall_seconds": wall,
-            "gauges": gauges,
+            "counters": _delta(self.counters, before.get("counters", {})),
+            "phase_seconds": _delta(
+                self.phase_seconds, before.get("phase_seconds", {})
+            ),
+            "phase_wall_seconds": _delta(
+                self.phase_wall_seconds, before.get("phase_wall_seconds", {})
+            ),
+            "gauges": {
+                name: value
+                for name, value in self.gauges.items()
+                if value != before_gauges.get(name)
+            },
         }
 
     def merge_snapshot(self, snap: Dict[str, Dict]) -> None:
         """Fold a (typically per-worker) snapshot delta into this instance.
 
-        Counters and cumulative ``phase_seconds`` sum; gauges follow their
-        declared policy in :data:`GAUGE_MERGE_POLICIES`; incoming
-        ``phase_wall_seconds`` are intentionally **dropped** — a worker's
-        wall-clock is CPU time from the coordinator's point of view, and the
-        coordinator's own wall ledger already covers the elapsed time.
+        Counters and cumulative ``phase_seconds`` sum; gauges merge by
+        :meth:`merge_gauge`; incoming ``phase_wall_seconds`` are
+        intentionally **dropped** — a worker's wall-clock is CPU time from
+        the coordinator's point of view, and the coordinator's own wall
+        ledger already covers the elapsed time.
         """
         for name, value in snap.get("counters", {}).items():
             self.incr(name, value)
@@ -302,44 +278,21 @@ class CampaignTelemetry:
         for name, value in snap.get("gauges", {}).items():
             self.merge_gauge(name, value)
 
-    def merge(self, other: "CampaignTelemetry") -> None:
-        self.merge_snapshot(other.snapshot())
-
     @classmethod
     def from_snapshot(cls, snap: Dict[str, Dict]) -> "CampaignTelemetry":
         return cls(
-            snap.get("counters"),
-            snap.get("phase_seconds"),
-            snap.get("gauges"),
-            snap.get("phase_wall_seconds"),
+            dict(snap.get("counters", {})),
+            dict(snap.get("phase_seconds", {})),
+            dict(snap.get("gauges", {})),
+            dict(snap.get("phase_wall_seconds", {})),
         )
 
-    # ------------------------------------------------------------------
-    # Pickling (__slots__ classes need explicit state handling)
-    # ------------------------------------------------------------------
-    def __getstate__(self):
-        return self.snapshot()
 
-    def __setstate__(self, state):
-        self.counters = dict(state.get("counters", {}))
-        self.phase_seconds = dict(state.get("phase_seconds", {}))
-        self.phase_wall_seconds = dict(state.get("phase_wall_seconds", {}))
-        self.gauges = dict(state.get("gauges", {}))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CampaignTelemetry):
-            return NotImplemented
-        return (
-            self.counters == other.counters
-            and self.phase_seconds == other.phase_seconds
-            and self.phase_wall_seconds == other.phase_wall_seconds
-            and self.gauges == other.gauges
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"CampaignTelemetry(counters={self.counters!r}, "
-            f"phase_seconds={self.phase_seconds!r}, "
-            f"phase_wall_seconds={self.phase_wall_seconds!r}, "
-            f"gauges={self.gauges!r})"
-        )
+def _delta(now: Dict[str, float], before: Dict[str, float]) -> Dict[str, float]:
+    """The non-zero per-name changes from *before* to *now*, sorted by name."""
+    delta = {}
+    for name in sorted(set(now) | set(before)):
+        change = now.get(name, 0) - before.get(name, 0)
+        if change:
+            delta[name] = change
+    return delta

@@ -18,10 +18,16 @@ Design rules:
   returns one shared ``nullcontext`` when the tracer is off; the hot path
   pays a function call and an attribute check, nothing else.  Campaigns
   without ``--trace`` must not measurably slow down.
-- **Spans are plain dicts.**  They pickle across process boundaries without
-  custom reducers: pool workers drain their buffer into each
-  :class:`repro.core.executor.ShardResult` and the coordinator folds the
-  buffers back with :func:`extend`.
+- **Spans are plain dicts.**  They travel as JSON: a worker drains its
+  buffer into the :class:`repro.core.executor.ShardResult` of each shard it
+  serves, and the coordinator re-homes them onto the worker's track
+  (:func:`stitch_remote_spans`) and folds them back with :func:`extend`.
+- **A phase and its span share one clock.**  A timed phase opens its span
+  through :meth:`repro.core.telemetry.CampaignTelemetry.phase`, which
+  reads the clock once at entry and once at exit and hands both readings
+  to :meth:`Tracer.open`/:meth:`Tracer.close`, so each call adds
+  exactly its span's duration to the phase ledger; :func:`span` serves
+  the spans no ledger needs.
 - **Identity is (name, category, attributes).**  Process ids and span ids are
   bookkeeping, not identity: a serial and a parallel run of the same campaign
   produce the same *set* of span identities (duplicates collapse — two
@@ -32,10 +38,10 @@ Design rules:
   monotonic clock to wall time once per process; within a process, nesting is
   exact.
 
-The per-process tracer is a module-level singleton; workers reset and
-re-enable it from their :class:`~repro.core.executor.SessionSpec` config in
-the pool initializer (a forked worker would otherwise inherit the parent's
-buffer).
+The per-process tracer is a module-level singleton; a worker resets it and
+adopts the ``trace`` flag of each new
+:class:`~repro.core.executor.SessionSpec` it is sent (a forked worker would
+otherwise inherit the parent's buffer).
 """
 
 from __future__ import annotations
@@ -84,6 +90,36 @@ class Tracer:
         self._stamp_process()
 
     # ------------------------------------------------------------------
+    def open(
+        self, name: str, cat: str, attrs: Dict[str, Any], ph: str = "X"
+    ) -> Dict[str, Any]:
+        """Start a span timed by the caller: it becomes the parent of spans
+        opened before its :meth:`close`."""
+        span_id = self._next_id
+        self._next_id += 1
+        record = {
+            "name": name,
+            "cat": cat,
+            "ph": ph,
+            "ts": 0.0,
+            "dur": 0.0,
+            "pid": self._pid,
+            "tid": self._pid,
+            "id": span_id,
+            "parent": self._stack[-1] if self._stack else None,
+            "args": attrs,
+        }
+        self._stack.append(span_id)
+        return record
+
+    def close(self, record: Dict[str, Any], start: float, seconds: float) -> None:
+        """Finish a span from :meth:`open`: it began at ``perf_counter()``
+        reading *start* and lasted *seconds*."""
+        self._stack.pop()
+        record["ts"] = (self._epoch + start) * 1e6
+        record["dur"] = seconds * 1e6
+        self.spans.append(record)
+
     @contextmanager
     def span(
         self, name: str, cat: str = "campaign", **attrs: Any
@@ -92,54 +128,21 @@ class Tracer:
         if not self.enabled:
             yield None
             return
-        span_id = self._next_id
-        self._next_id += 1
-        parent = self._stack[-1] if self._stack else None
-        self._stack.append(span_id)
+        record = self.open(name, cat, attrs)
         start = time.perf_counter()
         try:
-            yield span_id
+            yield record["id"]
         finally:
-            duration = time.perf_counter() - start
-            self._stack.pop()
-            self.spans.append(
-                {
-                    "name": name,
-                    "cat": cat,
-                    "ph": "X",
-                    "ts": (self._epoch + start) * 1e6,
-                    "dur": duration * 1e6,
-                    "pid": self._pid,
-                    "tid": self._pid,
-                    "id": span_id,
-                    "parent": parent,
-                    "args": attrs,
-                }
-            )
+            self.close(record, start, time.perf_counter() - start)
 
     def instant(self, name: str, cat: str = "campaign", **attrs: Any) -> None:
-        """Record a zero-duration ("i") marker event (retries, rebuilds)."""
-        if not self.enabled:
-            return
-        span_id = self._next_id
-        self._next_id += 1
-        self.spans.append(
-            {
-                "name": name,
-                "cat": cat,
-                "ph": "i",
-                "ts": (self._epoch + time.perf_counter()) * 1e6,
-                "dur": 0.0,
-                "pid": self._pid,
-                "tid": self._pid,
-                "id": span_id,
-                "parent": self._stack[-1] if self._stack else None,
-                "args": attrs,
-            }
-        )
+        """Record a zero-duration ("i") marker event (retries, evictions)."""
+        if self.enabled:
+            record = self.open(name, cat, attrs, ph="i")
+            self.close(record, time.perf_counter(), 0.0)
 
     def drain(self) -> List[Dict[str, Any]]:
-        """Return and clear the buffered spans (picklable plain dicts)."""
+        """Return and clear the buffered spans (JSON-safe plain dicts)."""
         spans, self.spans = self.spans, []
         return spans
 
@@ -175,7 +178,7 @@ def disable() -> None:
 
 
 def configure(on: bool, reset: bool = False) -> None:
-    """Set the process-local tracer state (used by pool-worker init)."""
+    """Set the process-local tracer state (a worker adopting a spec)."""
     if reset:
         _TRACER.reset()
     _TRACER.enabled = bool(on)

@@ -114,10 +114,7 @@ def serve(
                 if digest not in sessions:
                     spec = SessionSpec.from_payload(message["spec"])
                     if configure_tracing:
-                        tracing.configure(
-                            bool(getattr(spec.config, "trace", False)),
-                            reset=True,
-                        )
+                        tracing.configure(spec.config.trace, reset=True)
                     sessions[digest] = _build_session(spec, cache_dir)
             elif kind == "plan":
                 plans[str(message["plan_id"])] = (

@@ -8,7 +8,7 @@ import pytest
 import repro
 from repro import api
 from repro.cli import main
-from repro.core.campaign import CampaignConfig, CampaignSession, DelayAVFEngine
+from repro.core.campaign import CampaignConfig, DelayAVFEngine
 from repro.core.results import SAVFResult, StructureCampaignResult
 from repro.soc.system import build_system
 from repro.workloads.beebs import load_benchmark
@@ -236,22 +236,8 @@ print("engines-before-exit", len(api._ENGINES), flush=True)
 
 
 # ----------------------------------------------------------------------
-# End of the hand-wired session path's deprecation cycle
+# Engine construction
 # ----------------------------------------------------------------------
-def test_direct_session_construction_raises():
-    system = build_system()
-    program = load_benchmark("libstrstr")
-    with pytest.raises(TypeError, match="repro.api"):
-        CampaignSession(system, program, SMALL)
-
-
-def test_direct_session_construction_escape_hatch():
-    system = build_system()
-    program = load_benchmark("libstrstr")
-    session = CampaignSession(system, program, SMALL, allow_legacy=True)
-    assert session.config is SMALL
-
-
 def test_engine_construction_does_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
@@ -281,13 +267,6 @@ def test_config_validation_rejects_bad_knobs():
         CampaignConfig(lanes=0)
     with pytest.raises(ValueError, match="lanes"):
         CampaignConfig(lanes=65)
-    # The removed alias is a hard error that names its replacement.
-    with pytest.raises(ValueError, match="batch_lanes was removed"):
-        CampaignConfig(batch_lanes=65)
-    with pytest.raises(ValueError, match="pass lanes=8"):
-        CampaignConfig(batch_lanes=8)
-    assert CampaignConfig(lanes=32).lane_width == 32
-    assert CampaignConfig().lane_width == 64
     with pytest.raises(ValueError, match="jobs"):
         CampaignConfig(jobs=0)
 

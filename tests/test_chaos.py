@@ -19,6 +19,7 @@ import time
 import pytest
 
 from repro import api
+from repro.cli import main
 from repro.core.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.core.cache import (
     VerdictCache,
@@ -199,6 +200,24 @@ def test_torn_cache_flush_quarantines_and_rebuilds_identical(tmp_path):
     report = verify_cache_dir(cache_dir)
     assert not report["corrupt"]
     assert report["ok"]
+
+
+def test_scope_file_without_checksum_is_corrupt(tmp_path, capsys):
+    """Every flush writes payload_sha256, so a scope file lacking one is
+    damaged: fsck fails on it, and the next open quarantines it and starts
+    cold."""
+    cache = VerdictCache(tmp_path, "scope")
+    cache.put_record("k", [1, "x"])
+    cache.flush()
+    payload = json.loads(cache.path.read_text())
+    del payload["payload_sha256"]
+    cache.path.write_text(json.dumps(payload))
+    assert main(["fsck", str(tmp_path)]) == 1
+    assert f"CORRUPT  {cache.path}: no payload_sha256" in capsys.readouterr().out
+    reopened = VerdictCache(tmp_path, "scope")
+    assert reopened.quarantines == 1
+    assert reopened.get_record("k") is None
+    assert not cache.path.exists()
 
 
 def test_concurrent_flushes_over_quarantined_scope_converge(tmp_path):

@@ -219,13 +219,13 @@ def test_session_probe_skipped_on_repeat(system):
         "tiny-halt",
     )
     config = CampaignConfig(cycle_count=2, margin_cycles=200, max_run_cycles=2000)
-    first = CampaignSession(system, program, config, allow_legacy=True)
+    first = CampaignSession(system, program, config)
     # Sessions are lazy: nothing runs until the golden state is needed.
     assert first.telemetry.count("probe_runs") == 0
     assert first.golden.halted
     assert first.telemetry.count("probe_runs") == 1
     assert first.telemetry.count("golden_runs") == 1
-    second = CampaignSession(system, program, config, allow_legacy=True)
+    second = CampaignSession(system, program, config)
     assert second.total_cycles == first.total_cycles
     assert second.telemetry.count("probe_runs") == 0
     assert second.telemetry.count("probe_skips") == 1

@@ -229,7 +229,8 @@ def test_local_workers_exit_when_their_coordinator_dies():
             "from repro.core.executor import ParallelExecutor\n"
             "from repro.core.telemetry import CampaignTelemetry\n"
             "pool = ParallelExecutor(jobs=2)\n"
-            "pool._spawn_local_workers(CampaignTelemetry(), None)\n"
+            "pool._telemetry = CampaignTelemetry()\n"
+            "pool._spawn_local_workers()\n"
             "print(*(w.process.pid for w in pool._workers.values()),"
             " flush=True)\n"
             "time.sleep(600)\n"

@@ -1,46 +1,36 @@
-"""Telemetry aggregation: gauge merge policies, wall/cpu ledgers, diffs."""
+"""Telemetry aggregation: gauge merging, phase ledgers and spans, diffs."""
 
 import pickle
 import random
+import threading
+import time
 
 import pytest
 
-from repro.core.telemetry import (
-    DEFAULT_GAUGE_POLICY,
-    GAUGE_MERGE_POLICIES,
-    CampaignTelemetry,
-    gauge_merge_policy,
-)
+from repro.core import tracing
+from repro.core.telemetry import LAST_GAUGES, CampaignTelemetry
+
+
+@pytest.fixture
+def traced():
+    """A tracer enabled for the test, disabled and empty afterwards."""
+    tracing.enable(reset=True)
+    yield
+    tracing.disable()
+    tracing.reset()
 
 
 # ----------------------------------------------------------------------
-# Gauge merge policies (the set_gauge-clobber fix)
+# Gauge merging (the set_gauge-clobber fix)
 # ----------------------------------------------------------------------
-def test_declared_policies_are_valid():
-    assert DEFAULT_GAUGE_POLICY == "max"
-    assert gauge_merge_policy("ci_half_width") == "max"
-    assert gauge_merge_policy("never_heard_of_it") == DEFAULT_GAUGE_POLICY
-    for name in GAUGE_MERGE_POLICIES:
-        assert gauge_merge_policy(name) in {"max", "min", "last"}
-
-
-def test_unknown_policy_rejected(monkeypatch):
-    monkeypatch.setitem(GAUGE_MERGE_POLICIES, "bogus_gauge", "average")
-    with pytest.raises(ValueError, match="average"):
-        gauge_merge_policy("bogus_gauge")
-
-
-def test_merge_gauge_max_min_last(monkeypatch):
-    monkeypatch.setitem(GAUGE_MERGE_POLICIES, "floor_gauge", "min")
-    monkeypatch.setitem(GAUGE_MERGE_POLICIES, "latest_gauge", "last")
+def test_merge_gauge_max_last():
+    assert "packed_lane_occupancy" in LAST_GAUGES
     telemetry = CampaignTelemetry()
     for value in (0.3, 0.7, 0.5):
-        telemetry.merge_gauge("ci_half_width", value)   # max
-        telemetry.merge_gauge("floor_gauge", value)     # min
-        telemetry.merge_gauge("latest_gauge", value)    # last
+        telemetry.merge_gauge("ci_half_width", value)           # max
+        telemetry.merge_gauge("packed_lane_occupancy", value)   # last
     assert telemetry.gauge("ci_half_width") == pytest.approx(0.7)
-    assert telemetry.gauge("floor_gauge") == pytest.approx(0.3)
-    assert telemetry.gauge("latest_gauge") == pytest.approx(0.5)
+    assert telemetry.gauge("packed_lane_occupancy") == pytest.approx(0.5)
 
 
 def test_merge_snapshot_gauges_order_independent():
@@ -91,16 +81,70 @@ def test_merged_telemetry_bit_identical_under_shuffle():
 
 
 # ----------------------------------------------------------------------
-# Wall vs cpu·workers ledgers
+# Wall vs cpu·workers ledgers, and the spans phases record
 # ----------------------------------------------------------------------
 def test_timer_records_both_ledgers():
     telemetry = CampaignTelemetry()
-    with telemetry.timer("waveforms"):
+    with telemetry.phase("waveforms"):
         pass
     assert telemetry.phase_seconds["waveforms"] >= 0.0
     assert telemetry.phase_wall_seconds["waveforms"] == (
         telemetry.phase_seconds["waveforms"]
     )
+
+
+def test_phase_ledgers_are_exactly_its_span(traced, monkeypatch):
+    """One clock reading at entry and one at exit feed both ledgers and the
+    span, which keeps its name, category, attributes and parent."""
+    telemetry = CampaignTelemetry()
+    telemetry.add_seconds("execute", 1.0)
+    readings = iter([10.0, 10.25])  # this thread may read the clock twice
+    real_clock, caller = time.perf_counter, threading.get_ident()
+
+    def clock():
+        if threading.get_ident() != caller:
+            return real_clock()
+        return next(readings)
+
+    with tracing.span("campaign.run") as run_id:
+        monkeypatch.setattr(time, "perf_counter", clock)
+        with telemetry.phase(
+            "execute", "campaign.execute", structure="alu", shards=3
+        ):
+            pass
+        monkeypatch.undo()
+    span = next(s for s in tracing.drain() if s["name"] == "campaign.execute")
+    assert span["dur"] == 0.25e6
+    assert span["ts"] == (tracing.tracer()._epoch + 10.0) * 1e6
+    assert (span["cat"], span["ph"]) == ("campaign", "X")
+    assert span["args"] == {"structure": "alu", "shards": 3}
+    assert span["parent"] == run_id
+    assert telemetry.phase_seconds["execute"] == 1.0 + span["dur"] / 1e6
+    assert telemetry.phase_wall_seconds["execute"] == 1.0 + span["dur"] / 1e6
+
+
+def test_phase_nests_spans_and_takes_a_category(traced):
+    telemetry = CampaignTelemetry()
+    with telemetry.phase("golden", "session.golden_run", cat="session"):
+        with tracing.span("sim.step", cat="sim"):
+            pass
+        with telemetry.phase("plan"):  # no span: ledger only
+            pass
+    inner, outer = tracing.drain()
+    assert (outer["name"], outer["cat"]) == ("session.golden_run", "session")
+    assert (inner["name"], inner["parent"]) == ("sim.step", outer["id"])
+    assert set(telemetry.phase_seconds) == {"golden", "plan"}
+
+
+def test_phase_untraced_fills_ledgers_without_spans():
+    assert not tracing.enabled()
+    telemetry = CampaignTelemetry()
+    with telemetry.phase("merge", "campaign.merge", structure="alu"):
+        pass
+    assert telemetry.phase_wall_seconds["merge"] == (
+        telemetry.phase_seconds["merge"]
+    )
+    assert tracing.drain() == []
 
 
 def test_add_seconds_wall_flag():

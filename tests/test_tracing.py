@@ -9,7 +9,9 @@ import pytest
 
 from repro.core import tracing
 from repro.core.campaign import CampaignConfig, DelayAVFEngine
-from repro.core.executor import SessionSpec
+from repro.core.executor import ParallelExecutor, SessionSpec
+from repro.core.progress import ProgressReporter
+from repro.core.telemetry import CampaignTelemetry
 from repro.soc.system import build_system
 from repro.workloads.beebs import load_benchmark
 
@@ -261,3 +263,47 @@ def test_serial_and_parallel_trace_same_work():
     trace_wall = tracing.trace_wall_seconds(parallel_spans)
     assert trace_wall == pytest.approx(run_wall, rel=0.05)
     assert parallel_result.telemetry.count("injections") > 0
+
+
+def test_executor_event_is_counter_instant_and_note():
+    """A fleet event is counted, traced as ``executor.<counter>`` and noted
+    on the progress stream, all under the counter's own name."""
+    spec = SessionSpec(
+        system_factory=build_system,
+        program=load_benchmark("libfibcall"),
+        config=replace(
+            TRACE_CONFIG, jobs=2, cycle_count=2, max_wires=2,
+            delay_fractions=(0.9,),
+        ),
+        factory_kwargs=(("use_ecc", False),),
+    )
+    engine = DelayAVFEngine.from_spec(spec)
+    reporter = ProgressReporter(enabled=False)
+    try:
+        result = engine.run_structure("alu", reporter=reporter)
+        spans = tracing.drain()
+    finally:
+        engine.close()
+    instants = [span for span in spans if span["ph"] == "i"]
+    assert [(s["name"], s["cat"]) for s in instants] == [
+        ("executor.workers_joined", "executor")
+    ] * 2
+    assert {s["args"]["worker"] for s in instants} == {"worker-1", "worker-2"}
+    assert result.telemetry.count("workers_joined") == 2
+    assert reporter.notes == {"workers_joined": 2}
+
+
+def test_executor_event_notes_its_amount():
+    """An event counted several times at once (a spool sweep) notes the
+    same amount its counter gains, under one instant."""
+    tracing.enable(reset=True)
+    pool = ParallelExecutor(jobs=1)
+    pool._telemetry = CampaignTelemetry()
+    pool._progress = ProgressReporter(enabled=False)
+    pool._event("spool_files_swept", 3, files=3)
+    (instant,) = tracing.drain()
+    assert (instant["name"], instant["args"]) == (
+        "executor.spool_files_swept", {"files": 3}
+    )
+    assert pool._telemetry.count("spool_files_swept") == 3
+    assert pool._progress.notes == {"spool_files_swept": 3}
