@@ -323,14 +323,17 @@ def sweep(
 ) -> Dict[Tuple[str, str], StructureCampaignResult]:
     """Cross-product campaign: every structure under every workload.
 
-    With lane packing on (the default) the whole cross-product resolves its
-    GroupACE queries in one shared packed prefetch spanning structures AND
-    workloads (:func:`~repro.core.campaign.run_structures_spanning`): every
-    workload of the SoC runs on the same netlist, so all the campaigns'
-    injected simulations share the same 64-lane words.  Records are
-    byte-identical to per-structure :func:`analyze` calls.  *delays*
-    overrides the config's delay sweep for every campaign in the sweep.
-    Returns ``{(structure, workload_name): result}``.
+    One :func:`~repro.core.campaign.run_structures_spanning` call: run
+    in-process (the default), the whole cross-product's shards go through
+    one :func:`~repro.core.executor.execute_shards` call, whose one packed
+    prefetch resolves the GroupACE queries of every structure AND workload
+    — every workload of the SoC runs on the same netlist, so all the
+    campaigns' injected simulations share the same 64-lane words (``lanes=1``
+    turns the packing off).  With ``jobs > 1`` or ``workers_from`` each
+    campaign runs on the worker fleet in turn.  Records are byte-identical
+    to per-structure :func:`analyze` calls.  *delays* overrides the
+    config's delay sweep for every campaign in the sweep.  Returns
+    ``{(structure, workload_name): result}``.
     """
     config = config or CampaignConfig()
     if delays is not None:

@@ -44,19 +44,17 @@ from repro.core.executor import (
     SerialExecutor,
     SessionSpec,
     ShardResult,
-    evaluate_prepared_shards,
+    execute_shards,
     merge_shard_results,
     open_configured_cache,
-    plan_queries,
-    prepare_plan_shards,
     shared_remote_executor,
 )
-from repro.core.group_ace import GroupAceAnalyzer, prefetch_spanning_multi
+from repro.core.group_ace import GroupAceAnalyzer
 from repro.core.guards import apply_guards, ensure_preflight, preflight_campaign
 from repro.core.metrics import heartbeat_path, write_metrics
 from repro.core.orace import OraceAnalyzer
 from repro.core.progress import Heartbeat, ProgressReporter
-from repro.core.plan import build_plan, build_refinement_plan
+from repro.core.plan import CampaignPlan, build_plan, build_refinement_plan
 from repro.core.results import DelayAVFResult, StructureCampaignResult
 from repro.core.sampling import (
     extend_cycle_sample,
@@ -730,171 +728,34 @@ class DelayAVFEngine:
         ``degraded`` flag reports whether fault-tolerant execution had to
         evict workers, time shards out, or fall back to serial on the way.
         """
-        resume = self.config.resume if resume is None else bool(resume)
-        before = self.telemetry.snapshot()
-        started = time.perf_counter()
-        if reporter is None:
-            reporter = self._make_reporter(structure)
+        executor = executor if executor is not None else self.default_executor()
         with tracing.span(
             "campaign.run", cat="campaign",
             structure=structure, benchmark=self.program.name,
         ):
-            with self.telemetry.phase("plan"):
-                plan = build_plan(
-                    structure,
-                    self.program.name,
-                    self.system.structure_wires(structure),
-                    self.session.sampled_cycles,
-                    self.config,
-                    delay_fractions=delay_fractions,
-                    max_wires=max_wires,
-                    seed=seed,
-                )
-            executor = executor if executor is not None else self.default_executor()
-            result = self._execute_plan(plan, executor, resume, reporter)
-            self._finalize(result, before, started)
-        if reporter is not None:
-            reporter.finish("degraded" if result.degraded else "done")
-        return result
+            campaign = self._open(
+                structure, delay_fractions, max_wires, seed, resume, reporter
+            )
+            shard_results = self._execute(
+                campaign.exec_plan, executor, campaign.reporter
+            )
+            return self._close(
+                campaign,
+                self._merge(campaign.plan, shard_results, campaign.resumed),
+            )
 
     def run_structures(
-        self,
-        structures: Sequence[str],
-        delay_fractions: Optional[Sequence[float]] = None,
-        max_wires: Optional[int] = None,
-        seed: Optional[int] = None,
-        resume: Optional[bool] = None,
+        self, structures: Sequence[str]
     ) -> Dict[str, StructureCampaignResult]:
         """Run several structures' campaigns with one shared packed prefetch.
 
-        One engine serves every structure of its benchmark, and GroupACE/
-        ORACE resolution is timing-agnostic, so the forward simulations of
-        *all* the campaigns pack into the same 64-lane words: each campaign
-        alone rarely fills a word, and every extra batch costs a full
-        program-length simulation.  Records are byte-identical to sequential
-        :meth:`run_structure` calls — only the packing changes.
-
-        Falls back to sequential :meth:`run_structure` calls when lane
-        packing is off (``lanes=1``) or shards run on worker processes
-        (``jobs > 1`` or ``workers_from``; workers pack per-shard instead).  Because the
-        prefetch is shared, the per-campaign ``campaign`` wall-clock slices
-        overlap: the shared prefetch seconds are reported once, not split
-        per structure.
+        A one-engine :func:`run_structures_spanning`: one engine serves every
+        structure of its benchmark, and GroupACE/ORACE resolution is
+        timing-agnostic, so the forward simulations of *all* the campaigns
+        pack into the same 64-lane words.  Records are byte-identical to
+        sequential :meth:`run_structure` calls — only the packing changes.
         """
-        structures = list(structures)
-        if (
-            self.config.lanes <= 1
-            or self.config.jobs > 1
-            or self.config.workers_from
-        ):
-            return {
-                structure: self.run_structure(
-                    structure,
-                    delay_fractions=delay_fractions,
-                    max_wires=max_wires,
-                    seed=seed,
-                    resume=resume,
-                )
-                for structure in structures
-            }
-        staged = self._stage_structures(
-            structures, delay_fractions, max_wires, seed, resume
-        )
-        queries = []
-        for stage in staged:
-            queries.extend(plan_queries(self.session, stage.prepared))
-        lanes = self.config.lanes
-        if queries:
-            with self.telemetry.phase(
-                "prefetch", "campaign.prefetch", cat="executor",
-                queries=len(queries), lanes=lanes, structures=len(staged),
-            ):
-                self.session.group_ace.prefetch_spanning(queries, lanes=lanes)
-        return self._finish_staged(staged)
-
-    def _stage_structures(
-        self,
-        structures: Sequence[str],
-        delay_fractions=None,
-        max_wires=None,
-        seed=None,
-        resume=None,
-    ) -> List["_StagedCampaign"]:
-        """Plan, resume-split, and prepare every structure's shards."""
-        resume_flag = self.config.resume if resume is None else bool(resume)
-        with_orace = bool(self.config.compute_orace)
-        clock = self.system.clock_period
-        staged: List[_StagedCampaign] = []
-        for structure in structures:
-            before = self.telemetry.snapshot()
-            started = time.perf_counter()
-            reporter = self._make_reporter(structure)
-            with tracing.span(
-                "campaign.prepare", cat="campaign",
-                structure=structure, benchmark=self.program.name,
-            ):
-                with self.telemetry.phase("plan"):
-                    plan = build_plan(
-                        structure,
-                        self.program.name,
-                        self.system.structure_wires(structure),
-                        self.session.sampled_cycles,
-                        self.config,
-                        delay_fractions=delay_fractions,
-                        max_wires=max_wires,
-                        seed=seed,
-                    )
-                resumed: List = []
-                exec_plan = plan
-                if resume_flag and self.verdict_cache is not None:
-                    resumed, remaining = self._split_resumable(
-                        plan, with_orace, clock
-                    )
-                    if resumed:
-                        self.telemetry.incr("shards_resumed", len(resumed))
-                        exec_plan = dataclasses.replace(
-                            plan, shards=tuple(remaining)
-                        )
-                if reporter is not None:
-                    reporter.start(len(plan.shards), resumed=len(resumed))
-                prepared = prepare_plan_shards(self.session, exec_plan)
-            staged.append(
-                _StagedCampaign(
-                    engine=self, structure=structure, plan=plan,
-                    exec_plan=exec_plan, prepared=prepared, resumed=resumed,
-                    before=before, started=started, reporter=reporter,
-                )
-            )
-        return staged
-
-    def _finish_staged(
-        self, staged: Sequence["_StagedCampaign"]
-    ) -> Dict[str, StructureCampaignResult]:
-        """Evaluate, merge, persist, and finalize staged campaigns."""
-        results: Dict[str, StructureCampaignResult] = {}
-        for stage in staged:
-            with tracing.span(
-                "campaign.run", cat="campaign",
-                structure=stage.structure, benchmark=self.program.name,
-                grouped=True,
-            ):
-                with self.telemetry.phase("execute"):
-                    shard_results = evaluate_prepared_shards(
-                        self.session, stage.exec_plan, stage.prepared,
-                        progress=stage.reporter,
-                    )
-                with self.telemetry.phase(
-                    "merge", "campaign.merge", structure=stage.structure
-                ):
-                    result = merge_shard_results(
-                        stage.plan, shard_results + stage.resumed
-                    )
-                self._persist_result(stage.plan, result)
-                self._finalize(result, stage.before, stage.started)
-            if stage.reporter is not None:
-                stage.reporter.finish("done")
-            results[stage.structure] = result
-        return results
+        return run_structures_spanning([(self, structures)])[0]
 
     def run_structure_adaptive(
         self,
@@ -932,33 +793,25 @@ class DelayAVFEngine:
         """
         if target_half_width <= 0.0:
             raise ValueError("target_half_width must be > 0")
-        resume = self.config.resume if resume is None else bool(resume)
         max_rounds = (
             self.config.refine_max_rounds if max_rounds is None else max_rounds
         )
         growth_cap = self.config.refine_growth if growth is None else growth
         executor = executor if executor is not None else self.default_executor()
         base_seed = self.config.seed if seed is None else seed
-        before = self.telemetry.snapshot()
-        started = time.perf_counter()
-        if reporter is None:
-            reporter = self._make_reporter(structure)
         with tracing.span(
             "campaign.run", cat="campaign",
             structure=structure, benchmark=self.program.name, adaptive=True,
         ):
-            with self.telemetry.phase("plan"):
-                plan = build_plan(
-                    structure,
-                    self.program.name,
-                    self.system.structure_wires(structure),
-                    self.session.sampled_cycles,
-                    self.config,
-                    delay_fractions=delay_fractions,
-                    max_wires=max_wires,
-                    seed=seed,
-                )
-            result = self._execute_plan(plan, executor, resume, reporter)
+            campaign = self._open(
+                structure, delay_fractions, max_wires, seed, resume, reporter
+            )
+            plan, reporter = campaign.plan, campaign.reporter
+            result = self._merge(
+                plan,
+                self._execute(campaign.exec_plan, executor, reporter),
+                campaign.resumed,
+            )
             for round_index in range(1, max_rounds + 1):
                 worst = self._worst_interval(result, confidence)
                 if reporter is not None:
@@ -980,8 +833,11 @@ class DelayAVFEngine:
                     refinement = build_refinement_plan(plan, new_wires, new_cycles)
                 self.telemetry.incr("refinement_rounds")
                 self.telemetry.incr("extra_shards", len(refinement.shards))
-                round_result = self._execute_plan(
-                    refinement, executor, resume, reporter
+                exec_plan, resumed = self._split(refinement, resume, reporter)
+                round_result = self._merge(
+                    refinement,
+                    self._execute(exec_plan, executor, reporter),
+                    resumed,
                 )
                 for delay, delay_result in round_result.by_delay.items():
                     result.by_delay[delay].records.extend(delay_result.records)
@@ -996,10 +852,7 @@ class DelayAVFEngine:
             self.telemetry.set_gauge("ci_half_width", final_half_width)
             if reporter is not None:
                 reporter.set_half_width(final_half_width)
-            self._finalize(result, before, started)
-        if reporter is not None:
-            reporter.finish("degraded" if result.degraded else "done")
-        return result
+            return self._close(campaign, result)
 
     # ------------------------------------------------------------------
     def _worst_interval(
@@ -1083,42 +936,87 @@ class DelayAVFEngine:
             label=f"{self.program.name}/{structure}",
         )
 
-    def _execute_plan(
-        self, plan, executor: Executor, resume: bool, reporter=None
-    ) -> StructureCampaignResult:
-        """Resume-split, execute, merge, and persist one plan."""
-        with_orace = bool(self.config.compute_orace)
-        clock = self.system.clock_period
-        resumed: List = []
+    def _open(
+        self, structure, delay_fractions=None, max_wires=None, seed=None,
+        resume=None, reporter=None,
+    ) -> "_Campaign":
+        """Open a campaign: plan it, split off the shards a resume
+        reassembles from the cache, and start its progress reporter."""
+        before = self.telemetry.snapshot()
+        started = time.perf_counter()
+        with self.telemetry.phase("plan"):
+            plan = build_plan(
+                structure,
+                self.program.name,
+                self.system.structure_wires(structure),
+                self.session.sampled_cycles,
+                self.config,
+                delay_fractions=delay_fractions,
+                max_wires=max_wires,
+                seed=seed,
+            )
+        if reporter is None:
+            reporter = self._make_reporter(structure)
+        exec_plan, resumed = self._split(plan, resume, reporter)
+        return _Campaign(plan, exec_plan, resumed, before, started, reporter)
+
+    def _split(self, plan, resume, reporter):
+        """``(plan of the shards still to run, resumed shard results)``.
+
+        With *resume* (default ``config.resume``) and a verdict cache, a
+        shard is reassembled from the record table instead of run if its
+        completion mark *and* every one of its records survived in the
+        cache; a mark whose records were lost (torn file recovered cold,
+        for instance) silently re-executes.  The first wave starts the
+        reporter (resumed shards count as done); refinement waves only grow
+        its budget.
+        """
+        resume = self.config.resume if resume is None else bool(resume)
+        resumed: List[ShardResult] = []
         exec_plan = plan
         if resume and self.verdict_cache is not None:
-            resumed, remaining = self._split_resumable(plan, with_orace, clock)
+            with_orace = bool(self.config.compute_orace)
+            clock = self.system.clock_period
+            remaining = []
+            for shard in plan.shards:
+                loaded = None
+                if self.verdict_cache.shard_complete(
+                    shard_key(
+                        plan.structure, shard.cycle, shard.wire_indices,
+                        shard.delay_fractions, with_orace, clock,
+                    )
+                ):
+                    loaded = self._load_shard_result(
+                        plan, shard, with_orace, clock
+                    )
+                if loaded is None:
+                    remaining.append(shard)
+                else:
+                    resumed.append(loaded)
             if resumed:
                 self.telemetry.incr("shards_resumed", len(resumed))
                 exec_plan = dataclasses.replace(plan, shards=tuple(remaining))
         if reporter is not None:
-            # First wave starts the counters (resumed shards count as done);
-            # refinement waves only grow the budget.
             if reporter.state == "idle":
                 reporter.start(len(plan.shards), resumed=len(resumed))
             else:
                 reporter.add_total(len(exec_plan.shards))
-        with self.telemetry.phase(
-            "execute", "campaign.execute",
-            structure=plan.structure, shards=len(exec_plan.shards),
-        ):
-            shard_results = (
-                list(
-                    executor.execute(
-                        exec_plan,
-                        session=self.session,
-                        spec=self.spec,
-                        progress=reporter,
-                    )
-                )
-                if exec_plan.shards
-                else []
+        return exec_plan, resumed
+
+    def _execute(self, plan, executor: Executor, reporter) -> List[ShardResult]:
+        """Run *plan*'s shards on *executor* (nothing to run, no call)."""
+        if not plan.shards:
+            return []
+        return list(
+            executor.execute(
+                plan, session=self.session, spec=self.spec, progress=reporter
             )
+        )
+
+    def _merge(
+        self, plan, shard_results: List[ShardResult], resumed: List[ShardResult]
+    ) -> StructureCampaignResult:
+        """Merge a plan's shard results, fold in what workers sent, persist."""
         with self.telemetry.phase(
             "merge", "campaign.merge", structure=plan.structure
         ):
@@ -1172,23 +1070,25 @@ class DelayAVFEngine:
         self.telemetry.incr("coverage_vectors")
         self.verdict_cache.flush()
 
-    def _finalize(
-        self, result: StructureCampaignResult, before, started: Optional[float] = None
-    ) -> None:
-        """Guard-check the merged result and attach its telemetry slice."""
+    def _close(
+        self, campaign: "_Campaign", result: StructureCampaignResult
+    ) -> StructureCampaignResult:
+        """Close a campaign: guard-check its merged result, attach its
+        telemetry slice, write its metrics, and finish its reporter."""
         if self.config.guards:
             with self.telemetry.phase(
                 "guards", "campaign.guards", structure=result.structure
             ):
                 apply_guards(result, self.telemetry)
-        if started is not None:
-            # End-to-end campaign wall-clock, recorded last so it bounds every
-            # other phase's wall column in the result's telemetry slice.
-            self.telemetry.add_seconds("campaign", time.perf_counter() - started)
+        # End-to-end campaign wall-clock, recorded last so it bounds every
+        # other phase's wall column in the result's telemetry slice.
+        self.telemetry.add_seconds(
+            "campaign", time.perf_counter() - campaign.started
+        )
         # Lane-occupancy gauges, recomputed from this campaign's slice of the
         # merged (coordinator + worker) counters: how full the packed words
         # actually ran.
-        before_counters = before.get("counters", {})
+        before_counters = campaign.before.get("counters", {})
 
         def campaign_count(name: str) -> int:
             return self.telemetry.count(name) - before_counters.get(name, 0)
@@ -1217,7 +1117,7 @@ class DelayAVFEngine:
                 float(plan_obj.program_cache_evictions),
             )
         result.telemetry = CampaignTelemetry.from_snapshot(
-            self.telemetry.diff(before)
+            self.telemetry.diff(campaign.before)
         )
         result.degraded = any(
             result.telemetry.count(counter)
@@ -1240,33 +1140,11 @@ class DelayAVFEngine:
                     "suspect": bool(result.suspect),
                 },
             )
+        if campaign.reporter is not None:
+            campaign.reporter.finish("degraded" if result.degraded else "done")
+        return result
 
     # ------------------------------------------------------------------
-    def _split_resumable(self, plan, with_orace: bool, clock: float):
-        """Partition the plan into cache-reassembled and still-to-run shards.
-
-        A shard resumes only if its completion mark *and* every one of its
-        records survived in the cache; a mark whose records were lost (torn
-        file recovered cold, for instance) silently re-executes.
-        """
-        cache = self.verdict_cache
-        resumed: List[ShardResult] = []
-        remaining = []
-        for shard in plan.shards:
-            loaded = None
-            if cache.shard_complete(
-                shard_key(
-                    plan.structure, shard.cycle, shard.wire_indices,
-                    shard.delay_fractions, with_orace, clock,
-                )
-            ):
-                loaded = self._load_shard_result(plan, shard, with_orace, clock)
-            if loaded is None:
-                remaining.append(shard)
-            else:
-                resumed.append(loaded)
-        return resumed, remaining
-
     def _load_shard_result(
         self, plan, shard, with_orace: bool, clock: float
     ) -> Optional[ShardResult]:
@@ -1312,16 +1190,13 @@ class DelayAVFEngine:
 
 
 @dataclass
-class _StagedCampaign:
-    """One structure campaign paused between preparation and evaluation."""
+class _Campaign:
+    """One structure campaign between its open and its close."""
 
-    engine: DelayAVFEngine
-    structure: str
-    plan: object
-    exec_plan: object
-    prepared: List
-    resumed: List
-    before: object
+    plan: CampaignPlan
+    exec_plan: CampaignPlan  #: the shards still to run after the resume split
+    resumed: List[ShardResult]  #: completed shards reassembled from the cache
+    before: Dict  #: telemetry snapshot at open; the result reports the delta
     started: float
     reporter: Optional[ProgressReporter]
 
@@ -1339,55 +1214,67 @@ def run_structures_spanning(
     byte-identical to sequential :meth:`DelayAVFEngine.run_structure` calls
     per engine.
 
-    Engines that cannot join a packed group (lane packing off, or worker
-    processes configured) fall back to their own :meth:`run_structures` path;
-    engines whose netlists differ (e.g. ECC variants) still batch — the
-    packer partitions lanes by netlist internally.  Returns one
+    Every campaign of an engine whose default executor runs in-process is
+    opened first; their shards then run as one
+    :func:`~repro.core.executor.execute_shards` call (one ``execute``
+    phase, one multi-engine prefetch) after one packed golden-run word for
+    the packed engines, and each campaign is closed in turn.  Width-1
+    engines join the call unpacked; an engine with a worker fleet runs its
+    campaigns one at a time through :meth:`DelayAVFEngine.run_structure`.
+    Engines whose netlists differ (e.g. ECC variants) still batch — the
+    packer partitions lanes by netlist internally.  Because the execution
+    is shared, the campaigns' telemetry slices overlap: the shared
+    ``execute`` and ``prefetch`` seconds are timed once, on the first
+    engine's telemetry, not split per campaign.  Returns one
     ``{structure: result}`` dict per input engine, in order.
     """
-    packed: List[Tuple[int, DelayAVFEngine, Sequence[str]]] = []
-    results: List[Optional[Dict[str, StructureCampaignResult]]] = [
-        None
-    ] * len(runs)
-    for index, (engine, structures) in enumerate(runs):
-        if (
-            engine.config.lanes <= 1
-            or engine.config.jobs > 1
-            or engine.config.workers_from
-        ):
-            results[index] = engine.run_structures(structures)
-        else:
-            packed.append((index, engine, list(structures)))
-    if not packed:
-        return results
+    in_process = [
+        isinstance(engine.default_executor(), SerialExecutor)
+        for engine, _ in runs
+    ]
     # The golden runs themselves are lane-packable: they are plain scalar
     # simulations of the same netlist from reset, one per workload.  Run
-    # them as one packed word before staging touches session.golden.
-    packed_golden_runs([engine.session for _, engine, _ in packed])
-    staged_by_engine: List[Tuple[int, DelayAVFEngine, List[_StagedCampaign]]] = []
-    for index, engine, structures in packed:
-        staged_by_engine.append(
-            (index, engine, engine._stage_structures(structures))
+    # them as one packed word before any shard touches session.golden.
+    packed_golden_runs([
+        engine.session
+        for (engine, _), local in zip(runs, in_process)
+        if local and engine.config.lanes > 1
+    ])
+    results: List[Dict[str, StructureCampaignResult]] = []
+    opened: List[Tuple[DelayAVFEngine, Dict, _Campaign]] = []
+    for (engine, structures), local in zip(runs, in_process):
+        by_structure: Dict[str, StructureCampaignResult] = {}
+        results.append(by_structure)
+        for structure in structures:
+            if not local:
+                by_structure[structure] = engine.run_structure(structure)
+                continue
+            with tracing.span(
+                "campaign.prepare", cat="campaign",
+                structure=structure, benchmark=engine.program.name,
+            ):
+                opened.append((engine, by_structure, engine._open(structure)))
+    executed = []
+    if opened:
+        executed = execute_shards(
+            [
+                (engine.session, campaign.exec_plan, campaign.exec_plan.shards)
+                for engine, _, campaign in opened
+            ],
+            [campaign.reporter for _, _, campaign in opened],
         )
-    groups = []
-    total_queries = 0
-    for _, engine, staged in staged_by_engine:
-        queries = []
-        for stage in staged:
-            queries.extend(plan_queries(engine.session, stage.prepared))
-        total_queries += len(queries)
-        if queries:
-            groups.append((engine.session.group_ace, queries))
-    if groups:
-        lanes = min(engine.config.lanes for _, engine, _ in staged_by_engine)
-        first_engine = staged_by_engine[0][1]
-        with first_engine.telemetry.phase(
-            "prefetch", "campaign.prefetch", cat="executor",
-            queries=total_queries, lanes=lanes, engines=len(groups),
+    for (engine, by_structure, campaign), shard_results in zip(
+        opened, executed
+    ):
+        structure = campaign.plan.structure
+        with tracing.span(
+            "campaign.run", cat="campaign",
+            structure=structure, benchmark=engine.program.name, grouped=True,
         ):
-            prefetch_spanning_multi(groups, lanes=lanes)
-    for index, engine, staged in staged_by_engine:
-        results[index] = engine._finish_staged(staged)
+            by_structure[structure] = engine._close(
+                campaign,
+                engine._merge(campaign.plan, shard_results, campaign.resumed),
+            )
     return results
 
 

@@ -5,8 +5,8 @@ The campaign engine plans a structure campaign into per-cycle
 :class:`Executor`:
 
 - :class:`SerialExecutor` runs every shard in-process against the engine's
-  live :class:`repro.core.campaign.CampaignSession` (the historical
-  behaviour, and the default).
+  live :class:`repro.core.campaign.CampaignSession` (the default), through
+  :func:`execute_shards`, the one in-process shard driver.
 - :class:`ParallelExecutor` is the one shard coordinator.  It dispatches
   shards to worker processes running the :mod:`repro.distrib.worker` loop —
   forked locally (``jobs=N``) or joining over a socket or file queue
@@ -55,6 +55,7 @@ from repro.core.cache import (
     record_to_payload,
     shard_key,
 )
+from repro.core.group_ace import prefetch_spanning_multi
 from repro.core.plan import CampaignPlan, WorkShard
 from repro.core.results import DelayAVFResult, InjectionRecord, StructureCampaignResult
 from repro.core.telemetry import CampaignTelemetry
@@ -237,34 +238,64 @@ def shard_result_from_payload(
 
 
 # ----------------------------------------------------------------------
-# The shard inner loop (shared verbatim by both executors)
+# The in-process shard driver
 # ----------------------------------------------------------------------
-def execute_shard(session, plan: CampaignPlan, shard: WorkShard) -> ShardResult:
-    """Run every (wire, delay) injection of one sampled cycle.
+def execute_shards(
+    batches: Sequence[Tuple[Any, CampaignPlan, Sequence[WorkShard]]],
+    progress: Sequence[Any] = (),
+) -> List[List[ShardResult]]:
+    """Run ``(session, plan, shards)`` batches in-process, packed together.
 
-    Loops are wire-outer / delay-inner within the shard — combined with the
-    plan's cycle-per-shard decomposition this reproduces the legacy engine's
-    cycle-outermost §V-C cache-reuse order exactly.
+    The one in-process shard driver — workers (:func:`execute_shard`),
+    :class:`SerialExecutor`, the coordinator's serial fallback and the
+    engine's sweeps (:func:`repro.core.campaign.run_structures_spanning`)
+    all run shards through it — in three passes, all inside one
+    ``execute`` phase (``campaign.execute`` span):
 
-    Completed injections are served from the persistent record cache when one
-    is attached; the shard only builds waveforms and checkpoints (the
-    expensive timing-aware event simulation) for the injections it actually
-    has to evaluate, so a fully warm shard never touches the event simulator.
-    Cold injections first flow through the batched timing-aware engine
-    (:meth:`DynamicReachability.reachable_set_batch`), which amortizes
-    fan-out-cone construction and fault-free waveform slicing across the
-    whole cycle before the per-record evaluation loop runs.
+    1. *prepare* every shard: record-cache lookups, then, only for the
+       injections the cache cannot serve, the cycle's waveforms and
+       checkpoint and the batched timing-aware reachability pass
+       (:meth:`DynamicReachability.reachable_set_batch`);
+    2. *prefetch*: one :func:`~repro.core.group_ace.prefetch_spanning_multi`
+       call (``prefetch`` phase, ``campaign.prefetch`` span) resolves the
+       GroupACE/ORACE queries of every batch with a packed lane width, so a
+       64-lane word packs across checkpoints, structures and workloads;
+       width-1 batches skip it and resolve each query on the scalar
+       ``GroupAceAnalyzer._run_injected``, the width-1 reference;
+    3. *evaluate* each shard against the warm caches, wire-outer /
+       delay-inner (the §V-C cache-reuse order).
+
+    Both phases are timed on the first batch's session telemetry.
+    *progress* holds one reporter (or None) per batch, told as each of its
+    shards completes.  Returns each batch's shard results, in batch order;
+    batching changes only the packing, never a record.
     """
-    with tracing.span(
-        "shard.execute",
-        cat="shard",
-        structure=plan.structure,
-        shard=shard.index,
-        cycle=shard.cycle,
-        wires=len(shard.wire_indices),
-        delays=len(shard.delay_fractions),
+    reporters = progress or [None] * len(batches)
+    telemetry = batches[0][0].telemetry
+    with telemetry.phase(
+        "execute", "campaign.execute", cat="executor",
+        batches=len(batches),
+        shards=sum(len(shards) for _, _, shards in batches),
     ):
-        return _execute_shard_body(session, plan, shard)
+        prepared = [
+            [_prepare_shard(session, plan, shard) for shard in shards]
+            for session, plan, shards in batches
+        ]
+        _prefetch(telemetry, batches, prepared)
+        return [
+            [
+                _evaluate_shard(session, plan, shard, reporter)
+                for shard in shard_list
+            ]
+            for (session, plan, _), shard_list, reporter in zip(
+                batches, prepared, reporters
+            )
+        ]
+
+
+def execute_shard(session, plan: CampaignPlan, shard: WorkShard) -> ShardResult:
+    """Run one shard in-process (a worker's unit of work)."""
+    return execute_shards([(session, plan, [shard])])[0][0]
 
 
 @dataclass
@@ -280,47 +311,42 @@ class _PreparedShard:
 
 
 def _prepare_shard(session, plan: CampaignPlan, shard: WorkShard) -> _PreparedShard:
-    """Record-cache lookups plus the batched timing-aware reachability pass.
-
-    Everything *before* GroupACE resolution: the returned object carries the
-    dynamically reachable error sets the prefetch (per-shard or
-    campaign-spanning) still has to resolve.
-    """
-    config = session.config
-    telemetry = session.telemetry
-    cache = session.verdict_cache
-    with_orace = bool(config.compute_orace)
-    wires = session.system.structure_wires(plan.structure)
-    chosen = [(index, wires[index]) for index in shard.wire_indices]
-
-    cached: Dict[Tuple[int, float], InjectionRecord] = {}
-    if cache is not None:
-        for index, _ in chosen:
-            for delay in shard.delay_fractions:
-                payload = cache.get_record(
-                    _record_key_of(session, plan, shard, index, delay)
-                )
-                if payload is not None:
-                    cached[(index, delay)] = record_from_payload(
-                        payload, index, shard.cycle, delay
+    """Record-cache lookups plus the batched timing-aware reachability pass."""
+    with tracing.span(
+        "shard.execute",
+        cat="shard",
+        structure=plan.structure,
+        shard=shard.index,
+        cycle=shard.cycle,
+        wires=len(shard.wire_indices),
+        delays=len(shard.delay_fractions),
+    ):
+        cache = session.verdict_cache
+        wires = session.system.structure_wires(plan.structure)
+        chosen = [(index, wires[index]) for index in shard.wire_indices]
+        cached: Dict[Tuple[int, float], InjectionRecord] = {}
+        if cache is not None:
+            for index, _ in chosen:
+                for delay in shard.delay_fractions:
+                    payload = cache.get_record(
+                        _record_key_of(session, plan, shard, index, delay)
                     )
-        telemetry.incr("record_cache_hits", len(cached))
-
-    prepared = _PreparedShard(shard=shard, chosen=chosen, cached=cached)
-    pending = shard.injection_pairs(skip=cached)
-    if pending:
-        prepared.waves = session.waveforms(shard.cycle)
-        prepared.checkpoint = session.checkpoint(shard.cycle)
-        # Batched timing-aware pass: resolve every pending dynamically
-        # reachable set through the shared-cone batch API up front, so the
-        # per-record evaluation afterwards runs against warm per-cycle memos.
-        wire_of = dict(chosen)
-        prepared.reach_sets = session.dynamic.reachable_set_batch(
-            prepared.waves,
-            [(wire_of[index], delay) for index, delay in pending],
-            lanes=plan.lane_width,
-        )
-    return prepared
+                    if payload is not None:
+                        cached[(index, delay)] = record_from_payload(
+                            payload, index, shard.cycle, delay
+                        )
+        prepared = _PreparedShard(shard=shard, chosen=chosen, cached=cached)
+        pending = shard.injection_pairs(skip=cached)
+        if pending:
+            prepared.waves = session.waveforms(shard.cycle)
+            prepared.checkpoint = session.checkpoint(shard.cycle)
+            wire_of = dict(chosen)
+            prepared.reach_sets = session.dynamic.reachable_set_batch(
+                prepared.waves,
+                [(wire_of[index], delay) for index, delay in pending],
+                lanes=plan.lane_width,
+            )
+        return prepared
 
 
 def _record_key_of(session, plan, shard, index: int, delay: float) -> str:
@@ -330,166 +356,106 @@ def _record_key_of(session, plan, shard, index: int, delay: float) -> str:
     )
 
 
+def _prefetch(telemetry, batches, prepared) -> None:
+    """Resolve the packed batches' GroupACE/ORACE queries in one call.
+
+    Collects each non-empty dynamically reachable set — plus the
+    per-member singleton sets ORACE requires for multi-bit errors — one
+    query list per session, so the evaluation pass afterwards is pure cache
+    hits.  Lanes are the narrowest packed width among the batches.
+    """
+    groups: Dict[int, Tuple[Any, List]] = {}
+    widths = [plan.lane_width for _, plan, _ in batches if plan.lane_width > 1]
+    for (session, plan, _), shard_list in zip(batches, prepared):
+        if plan.lane_width <= 1:
+            continue
+        orace = bool(session.config.compute_orace)
+        queries = []
+        for shard in shard_list:
+            for errors in shard.reach_sets or ():
+                if not errors:
+                    continue
+                queries.append((shard.checkpoint, errors))
+                if orace and len(errors) > 1:
+                    queries.extend(
+                        (shard.checkpoint, {dff: value})
+                        for dff, value in errors.items()
+                    )
+        if queries:
+            groups.setdefault(id(session), (session.group_ace, []))[1].extend(
+                queries
+            )
+    if not groups:
+        return
+    lanes = min(widths)
+    with telemetry.phase(
+        "prefetch", "campaign.prefetch", cat="executor",
+        queries=sum(len(queries) for _, queries in groups.values()),
+        lanes=lanes, engines=len(groups),
+    ):
+        prefetch_spanning_multi(list(groups.values()), lanes=lanes)
+
+
 def _evaluate_shard(
-    session, plan: CampaignPlan, prepared: _PreparedShard
+    session, plan: CampaignPlan, prepared: _PreparedShard, progress=None
 ) -> ShardResult:
     """The per-record evaluation loop over a prepared shard."""
     shard = prepared.shard
     config = session.config
+    telemetry = session.telemetry
     cache = session.verdict_cache
     with_orace = bool(config.compute_orace)
+    before = telemetry.snapshot() if progress is not None else None
     by_delay: Dict[float, List[InjectionRecord]] = {
         delay: [] for delay in shard.delay_fractions
     }
-    with session.telemetry.phase("evaluate"):
-        for index, wire in prepared.chosen:
-            for delay in shard.delay_fractions:
-                record = prepared.cached.get((index, delay))
-                if record is None:
-                    record = session.evaluator.evaluate(
-                        prepared.waves,
-                        prepared.checkpoint,
-                        wire,
-                        index,
-                        delay,
-                        with_orace=with_orace,
-                    )
-                    if cache is not None:
-                        cache.put_record(
-                            _record_key_of(session, plan, shard, index, delay),
-                            record_to_payload(record),
+    with tracing.span(
+        "shard.evaluate", cat="executor",
+        structure=plan.structure, shard=shard.index,
+    ):
+        with telemetry.phase("evaluate"):
+            for index, wire in prepared.chosen:
+                for delay in shard.delay_fractions:
+                    record = prepared.cached.get((index, delay))
+                    if record is None:
+                        record = session.evaluator.evaluate(
+                            prepared.waves,
+                            prepared.checkpoint,
+                            wire,
+                            index,
+                            delay,
+                            with_orace=with_orace,
                         )
-                by_delay[delay].append(record)
-    if cache is not None:
-        # Every record of this shard is now in the store: mark the shard
-        # complete (resume skips it) and persist incrementally.  The flush is
-        # throttled — per-shard read-merge-rewrite under the inter-process
-        # lock would serialize workers on disk I/O — with unconditional
-        # flushes at worker exit and campaign end guaranteeing completeness.
-        cache.mark_shard_complete(
-            shard_key(
-                plan.structure, shard.cycle, shard.wire_indices,
-                shard.delay_fractions, with_orace, session.system.clock_period,
-            )
-        )
-        cache.flush_throttled(
-            every_n=config.flush_every_shards,
-            max_seconds=config.flush_max_seconds,
-        )
-    return ShardResult(shard_index=shard.index, by_delay=by_delay)
-
-
-def _execute_shard_body(session, plan: CampaignPlan, shard: WorkShard) -> ShardResult:
-    prepared = _prepare_shard(session, plan, shard)
-    if prepared.reach_sets and plan.lane_width > 1:
-        with session.telemetry.phase("prefetch"):
-            session.group_ace.prefetch_spanning(
-                _group_ace_queries(
-                    session, [(prepared.checkpoint, prepared.reach_sets)]
-                ),
-                lanes=plan.lane_width,
-            )
-    return _evaluate_shard(session, plan, prepared)
-
-
-def _group_ace_queries(session, checkpointed_sets):
-    """Flatten (checkpoint, reach sets) pairs into spanning prefetch items.
-
-    ``checkpointed_sets`` holds one entry per prepared shard.  Collects each
-    non-empty dynamically reachable set — plus the per-member singleton sets
-    ORACE requires for multi-bit errors — so one lane-parallel resolution
-    makes the scalar evaluation pass afterwards pure cache hits.
-    """
-    queries = []
-    orace = bool(session.config.compute_orace)
-    for checkpoint, reach_sets in checkpointed_sets:
-        for errors in reach_sets:
-            if not errors:
-                continue
-            queries.append((checkpoint, errors))
-            if orace and len(errors) > 1:
-                queries.extend(
-                    (checkpoint, {dff: value}) for dff, value in errors.items()
+                        if cache is not None:
+                            cache.put_record(
+                                _record_key_of(
+                                    session, plan, shard, index, delay
+                                ),
+                                record_to_payload(record),
+                            )
+                    by_delay[delay].append(record)
+        if cache is not None:
+            telemetry.incr("record_cache_hits", len(prepared.cached))
+            # Every record of this shard is now in the store: mark the shard
+            # complete (resume skips it) and persist incrementally.  The
+            # flush is throttled — per-shard read-merge-rewrite under the
+            # inter-process lock would serialize workers on disk I/O — with
+            # unconditional flushes at worker exit and campaign end
+            # guaranteeing completeness.
+            cache.mark_shard_complete(
+                shard_key(
+                    plan.structure, shard.cycle, shard.wire_indices,
+                    shard.delay_fractions, with_orace,
+                    session.system.clock_period,
                 )
-    return queries
-
-
-def prepare_plan_shards(
-    session, plan: CampaignPlan
-) -> List[_PreparedShard]:
-    """Prepare every shard of a plan (pass 1 of the spanning path)."""
-    prepared_shards: List[_PreparedShard] = []
-    for shard in plan.shards:
-        with tracing.span(
-            "shard.execute",
-            cat="shard",
-            structure=plan.structure,
-            shard=shard.index,
-            cycle=shard.cycle,
-            wires=len(shard.wire_indices),
-            delays=len(shard.delay_fractions),
-        ):
-            prepared_shards.append(_prepare_shard(session, plan, shard))
-    return prepared_shards
-
-
-def plan_queries(session, prepared_shards: List[_PreparedShard]):
-    """Spanning GroupACE/ORACE queries still unresolved after preparation."""
-    return _group_ace_queries(
-        session,
-        [
-            (prepared.checkpoint, prepared.reach_sets)
-            for prepared in prepared_shards
-            if prepared.reach_sets
-        ],
-    )
-
-
-def evaluate_prepared_shards(
-    session, plan: CampaignPlan, prepared_shards: List[_PreparedShard],
-    progress=None,
-) -> List[ShardResult]:
-    """Per-shard evaluation loops (pass 3 of the spanning path)."""
-    telemetry = session.telemetry
-    results = []
-    for prepared in prepared_shards:
-        before = telemetry.snapshot() if progress is not None else None
-        with tracing.span(
-            "shard.evaluate", cat="executor",
-            structure=plan.structure, shard=prepared.shard.index,
-        ):
-            result = _evaluate_shard(session, plan, prepared)
-        if progress is not None:
-            progress.shard_done(telemetry.diff(before))
-        results.append(result)
-    return results
-
-
-def execute_shards_spanning(
-    session, plan: CampaignPlan, progress=None
-) -> List[ShardResult]:
-    """Run a plan's shards with lane packing spanning the whole campaign.
-
-    Single cycles rarely contribute enough unique error sets to fill a
-    64-lane word, so per-shard prefetching leaves most planes idle.  This
-    path prepares *every* shard first (record-cache lookups, waveforms, the
-    batched timing-aware reachability pass), resolves all GroupACE/ORACE
-    queries of the campaign in one cross-checkpoint lane-parallel prefetch,
-    then runs the per-shard evaluation loops against the warm cache.
-    Records are byte-identical to the per-shard path — only the packing of
-    the timing-agnostic simulations changes.  (One engine can pack even
-    wider — across whole campaigns — via
-    :meth:`repro.core.campaign.DelayAVFEngine.run_structures`.)
-    """
-    prepared_shards = prepare_plan_shards(session, plan)
-    queries = plan_queries(session, prepared_shards)
-    if queries:
-        with session.telemetry.phase(
-            "prefetch", "campaign.prefetch", cat="executor",
-            queries=len(queries), lanes=plan.lane_width,
-        ):
-            session.group_ace.prefetch_spanning(queries, lanes=plan.lane_width)
-    return evaluate_prepared_shards(session, plan, prepared_shards, progress)
+            )
+            cache.flush_throttled(
+                every_n=config.flush_every_shards,
+                max_seconds=config.flush_max_seconds,
+            )
+    if progress is not None:
+        progress.shard_done(telemetry.diff(before))
+    return ShardResult(shard_index=shard.index, by_delay=by_delay)
 
 
 def merge_shard_results(
@@ -551,9 +517,9 @@ class Executor(abc.ABC):
 class SerialExecutor(Executor):
     """In-process execution against a live session (default behaviour).
 
-    With a packed lane width (``plan.lane_width > 1``) the serial path packs
-    GroupACE resolution *across* shards (:func:`execute_shards_spanning`);
-    at width 1 it runs the historical one-shard-at-a-time loop.
+    The whole plan is one :func:`execute_shards` batch, so GroupACE
+    resolution packs across its shards at the plan's lane width (width 1
+    keeps every query on the scalar path).
     """
 
     def execute(self, plan, session=None, spec=None, progress=None):
@@ -561,16 +527,7 @@ class SerialExecutor(Executor):
             if spec is None:
                 raise ValueError("SerialExecutor needs a session or a spec")
             session = spec.build_session()
-        if plan.lane_width > 1:
-            return execute_shards_spanning(session, plan, progress)
-        results = []
-        for shard in plan.shards:
-            before = session.telemetry.snapshot() if progress is not None else None
-            result = execute_shard(session, plan, shard)
-            if progress is not None:
-                progress.shard_done(session.telemetry.diff(before))
-            results.append(result)
-        return results
+        return execute_shards([(session, plan, plan.shards)], [progress])[0]
 
 
 class ShardExecutionError(RuntimeError):
@@ -1050,19 +1007,15 @@ class ParallelExecutor(Executor):
     def _serial_finish(self, pending, shards, plan, session, spec, done) -> None:
         """Run every remaining shard in-process (the fleet is gone)."""
         self._event("serial_fallbacks")
-        progress = self._progress
         with tracing.span(
             "executor.serial_fallback", cat="executor", shards=len(pending)
         ):
-            fallback = self._serial_session(session, spec)
-            for index in sorted(set(pending)):
-                before = (
-                    fallback.telemetry.snapshot()
-                    if progress is not None else None
-                )
-                done[index] = execute_shard(fallback, plan, shards[index])
-                if progress is not None:
-                    progress.shard_done(fallback.telemetry.diff(before))
+            remaining = [shards[index] for index in sorted(set(pending))]
+            [results] = execute_shards(
+                [(self._serial_session(session, spec), plan, remaining)],
+                [self._progress],
+            )
+        done.update((result.shard_index, result) for result in results)
         pending.clear()
 
     def _serial_session(self, session, spec: SessionSpec):

@@ -133,10 +133,6 @@ class GroupAceAnalyzer:
         """GroupACE(S, i+1) for the dynamically reachable set *overrides*."""
         return self.outcome_of_state_errors(checkpoint, overrides).is_failure
 
-    @property
-    def cache_size(self) -> int:
-        return len(self._cache)
-
     # ------------------------------------------------------------------
     def prefetch(
         self,
@@ -222,20 +218,6 @@ class GroupAceAnalyzer:
                 task.key[0], at_next_boundary, task.key[2], outcome
             )
 
-    def _run_injected_batch(
-        self,
-        lane_items: Sequence[Tuple[Checkpoint, Dict[int, int]]],
-        at_next_boundary: bool,
-    ) -> List[Outcome]:
-        """Run up to :data:`MAX_LANES` injections of this workload at once."""
-        return _run_lane_tasks(
-            [
-                _LaneTask(self, None, checkpoint, overrides)
-                for checkpoint, overrides in lane_items
-            ],
-            at_next_boundary,
-        )
-
     # ------------------------------------------------------------------
     def _run_injected(
         self,
@@ -288,7 +270,7 @@ class _LaneTask:
     """One unresolved injection: its analyzer, cache key, and inputs."""
 
     analyzer: GroupAceAnalyzer
-    key: Optional[Tuple]
+    key: Tuple
     checkpoint: Checkpoint
     overrides: Dict[int, int]
 

@@ -8,10 +8,9 @@ one versioned envelope::
 
 so consumers can dispatch on ``kind`` and future schema revisions can be
 detected instead of misparsed.  :func:`envelope` wraps, :func:`unwrap_payload`
-unwraps (accepting bare pre-envelope payloads for backward compatibility),
-and :func:`result_from_payload` is the single round-trip helper that turns
-any payload — enveloped or legacy-bare — back into the matching result
-object.
+unwraps (refusing a payload without the envelope), and
+:func:`result_from_payload` is the single round-trip helper that turns any
+enveloped payload back into the matching result object.
 """
 
 from __future__ import annotations
@@ -40,23 +39,25 @@ def envelope(kind: str, result: Dict) -> Dict:
 
 
 def is_enveloped(payload: Mapping) -> bool:
-    """Whether *payload* is a v1 envelope (vs a legacy bare payload)."""
+    """Whether *payload* is a v1 envelope (vs a bare result payload)."""
     return "schema" in payload and "result" in payload
 
 
 def unwrap_payload(
     payload: Mapping, expected_kind: Optional[str] = None
-) -> Tuple[Optional[str], Mapping]:
-    """``(kind, bare payload)`` of an enveloped **or** legacy-bare payload.
+) -> Tuple[str, Mapping]:
+    """``(kind, bare payload)`` of an enveloped payload.
 
-    Legacy payloads (pre-envelope ``to_payload`` output) pass through with
-    ``kind=None``.  An envelope with a schema this build does not read, or a
-    kind differing from *expected_kind*, raises
+    A payload without the envelope, an envelope with a schema this build
+    does not read, or a kind differing from *expected_kind* raises
     :class:`repro.errors.InputError` — misparsing a future schema silently
     would be worse than refusing it.
     """
     if not is_enveloped(payload):
-        return None, payload
+        raise InputError(
+            f"payload is not a {PAYLOAD_SCHEMA!r} envelope",
+            hint="a result's to_payload() returns the envelope",
+        )
     schema = payload.get("schema")
     if schema != PAYLOAD_SCHEMA:
         raise InputError(
@@ -360,7 +361,7 @@ class StructureCampaignResult:
         """Rebuild a result from :meth:`to_payload` output (summaries are
         recomputed from the records, so only the records are trusted).
 
-        Accepts both the v1 envelope and legacy bare payloads.
+        Reads the v1 envelope only.
         """
         _, payload = unwrap_payload(payload, expected_kind=cls.PAYLOAD_KIND)
         by_delay = {}
@@ -448,7 +449,7 @@ class SAVFResult:
 
     @classmethod
     def from_payload(cls, payload: Dict) -> "SAVFResult":
-        """Rebuild from :meth:`to_payload` output (envelope or legacy bare)."""
+        """Rebuild from :meth:`to_payload` output (the v1 envelope)."""
         _, payload = unwrap_payload(payload, expected_kind=cls.PAYLOAD_KIND)
         return cls(
             structure=payload["structure"],
@@ -465,21 +466,14 @@ def result_from_payload(
 ) -> Union[StructureCampaignResult, SAVFResult]:
     """The single round-trip helper: any result payload back to its object.
 
-    Dispatches on the envelope ``kind``; legacy bare payloads (no envelope)
-    are sniffed by shape — ``by_delay`` marks a campaign result, ``ace_count``
-    an sAVF one.  Raises :class:`repro.errors.InputError` for kinds this
-    build cannot rebuild.
+    Dispatches on the envelope ``kind`` and hands the envelope to the
+    matching ``from_payload``.  Raises :class:`repro.errors.InputError` for
+    a payload without the envelope and for kinds this build cannot rebuild.
     """
-    kind, bare = unwrap_payload(payload)
-    if kind is None:
-        if "by_delay" in bare:
-            kind = StructureCampaignResult.PAYLOAD_KIND
-        elif "ace_count" in bare:
-            kind = SAVFResult.PAYLOAD_KIND
-    if kind == StructureCampaignResult.PAYLOAD_KIND:
-        return StructureCampaignResult.from_payload(dict(bare))
-    if kind == SAVFResult.PAYLOAD_KIND:
-        return SAVFResult.from_payload(dict(bare))
+    kind, _ = unwrap_payload(payload)
+    for result_type in (StructureCampaignResult, SAVFResult):
+        if kind == result_type.PAYLOAD_KIND:
+            return result_type.from_payload(payload)
     raise InputError(
         f"cannot rebuild a result from payload kind {kind!r}",
         hint="known kinds: delayavf, savf",

@@ -148,7 +148,7 @@ GAUGE_ORDER = (
 
 #: Gauges an incoming (per-worker) value overwrites when snapshots merge:
 #: the occupancy gauges are recomputed post-merge from their counters in
-#: DelayAVFEngine._finalize.  Every other gauge merges by max (a campaign is
+#: DelayAVFEngine._close.  Every other gauge merges by max (a campaign is
 #: only as converged as its least-converged worker).
 LAST_GAUGES = frozenset({"packed_lane_occupancy", "group_ace_lane_occupancy"})
 

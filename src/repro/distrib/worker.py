@@ -29,8 +29,9 @@ worker →    ``pong``    liveness answer
 Sessions are cached per spec *digest*, so a coordinator serving several
 engines (the campaign service) can interleave their shards and every engine
 still hits a warm session.  The worker never interprets shard contents — it
-runs the exact :func:`repro.core.executor.execute_shard` inner loop the
-serial path runs, which is what keeps worker records byte-identical.
+runs each shard through :func:`repro.core.executor.execute_shard`, the same
+in-process driver the serial path runs, which is what keeps worker records
+byte-identical.
 
 Before each shard the loop fires the ``worker.shard`` hook point of
 :mod:`repro.testing.chaos` — the fault seam for worker crashes (``kill``),

@@ -191,6 +191,7 @@ def test_campaign_records_identical_across_lane_widths(system, strstr_program):
     occupancy = telemetry.gauge("packed_lane_occupancy")
     assert occupancy is not None and 0.0 < occupancy <= 1.0
     assert results[1].telemetry.count("packed_cone_words") == 0
+    assert results[1].telemetry.count("lane_batches") == 0
 
 
 def test_run_structures_matches_sequential_campaigns(system, strstr_program):
@@ -308,3 +309,39 @@ def test_run_structures_spanning_across_workloads(system, strstr_program):
                 by_structure[structure].by_delay[0.9].records
                 == expected[name][structure].by_delay[0.9].records
             ), (name, structure)
+
+
+def test_run_structures_spanning_packs_once(system, strstr_program, monkeypatch):
+    """Two engines × two structures: one multi-engine GroupACE prefetch and
+    one packed golden-run word for the whole sweep, and lanes really pack."""
+    from repro.core import campaign, executor, group_ace
+    from repro.workloads.beebs import load_benchmark
+
+    calls = {"prefetch_spanning_multi": 0, "packed_golden_runs": 0}
+
+    def counted(function):
+        def wrapper(*args, **kwargs):
+            calls[function.__name__] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    prefetch = counted(group_ace.prefetch_spanning_multi)
+    for module in (group_ace, executor, campaign):
+        if hasattr(module, "prefetch_spanning_multi"):
+            monkeypatch.setattr(module, "prefetch_spanning_multi", prefetch)
+    monkeypatch.setattr(
+        campaign, "packed_golden_runs", counted(campaign.packed_golden_runs)
+    )
+    base = dict(
+        cycle_count=3, max_wires=16, delay_fractions=(0.7, 0.9),
+        margin_cycles=400, seed=3, lanes=64,
+    )
+    engines = [
+        DelayAVFEngine(system, program, CampaignConfig(**base))
+        for program in (strstr_program, load_benchmark("libfibcall"))
+    ]
+    campaign.run_structures_spanning(
+        [(engine, ("alu", "decoder")) for engine in engines]
+    )
+    assert calls == {"prefetch_spanning_multi": 1, "packed_golden_runs": 1}
+    assert sum(e.telemetry.count("lane_batches") for e in engines) > 0

@@ -64,9 +64,9 @@ def test_envelope_round_trip():
     assert kind == "delayavf" and bare == {"x": 1}
 
 
-def test_unwrap_accepts_legacy_bare_payloads():
-    kind, bare = unwrap_payload({"by_delay": []})
-    assert kind is None and bare == {"by_delay": []}
+def test_unwrap_rejects_bare_payloads():
+    with pytest.raises(InputError, match="envelope"):
+        unwrap_payload({"by_delay": []})
 
 
 def test_unwrap_rejects_foreign_schema_and_kind():
@@ -84,8 +84,6 @@ def test_result_from_payload_dispatches_on_kind():
     )
     rebuilt = result_from_payload(result.to_payload())
     assert rebuilt == result
-    # Legacy bare payloads dispatch by shape.
-    assert result_from_payload(result.result_payload()) == result
     savf = api.savf("lsu", "libstrstr", bits=4, config=CampaignConfig(
         delay_fractions=(0.9,), cycle_count=2, max_wires=3,
     ))

@@ -265,6 +265,27 @@ def test_serial_and_parallel_trace_same_work():
     assert parallel_result.telemetry.count("injections") > 0
 
 
+def test_sweep_execute_ledger_is_its_spans(system, strstr_program):
+    """A sweep times prepare, prefetch and evaluate inside one spanned
+    ``execute`` phase: the ledger is exactly its ``campaign.execute``
+    spans and covers the prefetch and evaluate ledgers."""
+    engine = DelayAVFEngine(
+        system, strstr_program,
+        CampaignConfig(
+            cycle_count=4, max_wires=48, delay_fractions=(0.7, 0.9),
+            margin_cycles=400, trace=True,
+        ),
+    )
+    engine.run_structures(["alu", "decoder"])
+    spans = tracing.drain()
+    phases = engine.telemetry.phase_seconds
+    spanned = sum(
+        span["dur"] for span in spans if span["name"] == "campaign.execute"
+    ) / 1e6
+    assert abs(phases["execute"] - spanned) <= 1e-6
+    assert phases["execute"] >= phases["prefetch"] + phases["evaluate"]
+
+
 def test_executor_event_is_counter_instant_and_note():
     """A fleet event is counted, traced as ``executor.<counter>`` and noted
     on the progress stream, all under the counter's own name."""
