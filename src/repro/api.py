@@ -265,9 +265,8 @@ def analyze(
     config for this call.
 
     *workers_from* dispatches shards to joining ``repro worker`` processes
-    instead of running them locally: a ``HOST:PORT`` listen address (socket
-    transport) or ``queue:DIR`` (shared-filesystem queue) — see
-    :class:`repro.core.executor.ParallelExecutor`.
+    instead of running them locally: a ``HOST:PORT`` socket listen address
+    — see :class:`repro.core.executor.ParallelExecutor`.
     """
     run_config = _observed_config(
         config or CampaignConfig(), trace, progress, metrics_out, lanes,

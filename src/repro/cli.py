@@ -169,8 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers-from", default=None, dest="workers_from", metavar="ADDR",
         help="dispatch shards to remote 'repro worker' processes: listen on "
-             "HOST:PORT (socket transport) or poll queue:DIR (shared "
-             "filesystem); falls back to serial when no worker joins",
+             "HOST:PORT; falls back to serial when no worker joins",
     )
     p.add_argument(
         "--stats", action="store_true",
@@ -306,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers-from", default=None, dest="workers_from", metavar="ADDR",
         help="default remote-worker listen address applied to jobs that do "
-             "not set one (HOST:PORT or queue:DIR; see 'repro worker')",
+             "not set one (HOST:PORT; see 'repro worker')",
     )
     p.add_argument(
         "--journal-dir", default=None, dest="journal_dir", metavar="DIR",
@@ -349,13 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
              "(the fleet side of --workers-from)",
     )
     p.add_argument(
-        "--connect", default=None, metavar="HOST:PORT",
+        "--connect", required=True, metavar="HOST:PORT",
         help="coordinator socket address to connect to",
-    )
-    p.add_argument(
-        "--queue", default=None, metavar="DIR",
-        help="shared-filesystem queue directory to announce in "
-             "(alternative to --connect)",
     )
     p.add_argument(
         "--cache-dir", default=None,
@@ -366,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--retry-seconds", type=float, default=30.0, dest="retry_seconds",
         metavar="SECONDS",
         help="how long to retry connecting while the coordinator comes up "
-             "(socket transport; default: 30)",
+             "(default: 30)",
     )
     p.add_argument(
         "--max-idle", type=float, default=None, dest="max_idle",
@@ -774,30 +768,14 @@ def cmd_worker(args) -> int:
     from repro.distrib import transport
     from repro.distrib.worker import serve
 
-    if bool(args.connect) == bool(args.queue):
-        print(
-            "error: pass exactly one of --connect HOST:PORT / --queue DIR",
-            file=sys.stderr,
-        )
-        return EXIT_FATAL
     try:
-        if args.connect:
-            kind, host, port = transport.parse_workers_from(args.connect)
-            if kind != "socket":
-                raise ValueError("--connect takes HOST:PORT (use --queue for "
-                                 "queue directories)")
-            channel = transport.connect(
-                host, port, retry_seconds=args.retry_seconds
-            )
-        else:
-            channel = transport.announce(args.queue)
-    except (transport.TransportError, ValueError, OSError) as exc:
+        host, port = transport.parse_workers_from(args.connect)
+        channel = transport.connect(host, port, retry_seconds=args.retry_seconds)
+    except (transport.TransportError, ValueError) as exc:
         print(f"error: cannot reach coordinator: {exc}", file=sys.stderr)
         return EXIT_FATAL
     print(
-        f"repro-worker serving "
-        f"{args.connect or 'queue:' + args.queue} (pid {os.getpid()})",
-        flush=True,
+        f"repro-worker serving {args.connect} (pid {os.getpid()})", flush=True
     )
     try:
         served = serve(

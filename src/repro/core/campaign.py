@@ -145,18 +145,12 @@ class CampaignConfig:
     metrics_out: Optional[str] = None
     #: minimum seconds between heartbeat-file rewrites
     heartbeat_seconds: float = 2.0
-    #: distributed execution: the listen address remote ``repro worker``
-    #: processes join — ``HOST:PORT`` (socket transport) or ``queue:DIR``
-    #: (shared-filesystem queue); None keeps every shard on this host
+    #: distributed execution: the ``HOST:PORT`` socket address remote
+    #: ``repro worker`` processes join; None keeps every shard on this host
     workers_from: Optional[str] = None
     #: seconds a ``workers_from`` coordinator waits for (more) workers once
     #: the fleet is empty before the remaining shards fall back to serial
     worker_wait_seconds: float = 30.0
-    #: consecutive worker evictions (deaths, timeouts, corrupt frames) that
-    #: trip the fleet circuit breaker into serial fallback
-    breaker_threshold: int = 3
-    #: cool-down seconds before a tripped breaker admits a half-open probe
-    breaker_reset_seconds: float = 60.0
 
     def __post_init__(self):
         if not self.delay_fractions:
@@ -207,10 +201,6 @@ class CampaignConfig:
             parse_workers_from(self.workers_from)  # raises ValueError
         if self.worker_wait_seconds < 0:
             raise ValueError("worker_wait_seconds must be >= 0")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
-        if self.breaker_reset_seconds < 0:
-            raise ValueError("breaker_reset_seconds must be >= 0")
 
     @classmethod
     def from_cli_args(cls, args) -> "CampaignConfig":
@@ -672,23 +662,14 @@ class DelayAVFEngine:
         subsumes local ones.  Its coordinator is the process-wide shared
         instance for its address (one listener per address, however many
         engines), so ``close()`` on this engine leaves the fleet up for its
-        siblings.
+        siblings.  Either coordinator reads its fault policy
+        (``shard_timeout``, ``max_retries``, ...) from each campaign's spec.
         """
         if self._executor is None:
-            knobs = dict(
-                shard_timeout=self.config.shard_timeout,
-                max_retries=self.config.max_retries,
-                retry_backoff=self.config.retry_backoff,
-                worker_wait_seconds=self.config.worker_wait_seconds,
-                breaker_threshold=self.config.breaker_threshold,
-                breaker_reset_seconds=self.config.breaker_reset_seconds,
-            )
             if self.config.workers_from:
-                self._executor = shared_remote_executor(
-                    self.config.workers_from, **knobs
-                )
+                self._executor = shared_remote_executor(self.config.workers_from)
             elif self.config.jobs > 1:
-                self._executor = ParallelExecutor(self.config.jobs, **knobs)
+                self._executor = ParallelExecutor(self.config.jobs)
             else:
                 self._executor = SerialExecutor()
         return self._executor

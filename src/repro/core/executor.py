@@ -9,16 +9,17 @@ The campaign engine plans a structure campaign into per-cycle
   :func:`execute_shards`, the one in-process shard driver.
 - :class:`ParallelExecutor` is the one shard coordinator.  It dispatches
   shards to worker processes running the :mod:`repro.distrib.worker` loop —
-  forked locally (``jobs=N``) or joining over a socket or file queue
-  (``workers_from=ADDR``).  Each worker rebuilds the session once from a
-  wire-serializable :class:`SessionSpec` (system factory + program +
+  forked locally (``jobs=N``) or joining over a socket
+  (``workers_from=HOST:PORT``).  Each worker rebuilds the session once from
+  a wire-serializable :class:`SessionSpec` (system factory + program +
   config) and serves shards from its warm caches; the fleet is kept alive
   across ``run_structure`` calls so consecutive structure campaigns reuse
   worker sessions exactly like the serial engine reuses its one session.
 
 The coordinator is fault tolerant: raised shards are retried with backoff,
 hung or dead workers are evicted and their shards requeued, and when no
-worker is left the remaining shards finish in-process on the serial path.
+worker is left, or a campaign has evicted too many, the remaining shards
+finish in-process on the serial path.
 Every recovery action is counted in campaign telemetry (``shard_retries``,
 ``shard_timeouts``, ``serial_fallbacks``, ``workers_evicted``) so operators
 can see that a campaign limped home — but the *records* are unaffected:
@@ -48,7 +49,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core import tracing
-from repro.core.breaker import HALF_OPEN, OPEN, CircuitBreaker
 from repro.core.cache import (
     record_from_payload,
     record_key,
@@ -61,7 +61,6 @@ from repro.core.results import DelayAVFResult, InjectionRecord, StructureCampaig
 from repro.core.telemetry import CampaignTelemetry
 from repro.distrib.transport import (
     CorruptFrameError,
-    FileQueueListener,
     SocketChannel,
     SocketListener,
     TransportError,
@@ -534,8 +533,10 @@ class ShardExecutionError(RuntimeError):
     """A shard kept failing after its full retry budget was spent."""
 
 
-#: Seconds between file-queue spool GC sweeps (see ``sweep_stale_files``).
-_SWEEP_INTERVAL = 30.0
+#: Worker evictions after which a campaign stops trusting its fleet and
+#: finishes serially, so a fleet whose workers keep rejoining and dying
+#: cannot requeue a shard forever.
+_MAX_EVICTIONS = 3
 
 #: Seconds a closing coordinator waits for a local worker to flush its cache
 #: and exit before terminating it.
@@ -566,34 +567,35 @@ class ParallelExecutor(Executor):
       local fleet's membership is closed: each :meth:`execute` tops it back
       up to N live workers, a worker lost during a call is not replaced, and
       once every one is gone the remaining shards run serially at once.
-    - ``workers_from=ADDR`` (which makes ``jobs`` moot) listens at
-      ``HOST:PORT`` (socket transport) or ``queue:DIR`` (shared-filesystem
-      queue) for ``repro worker`` processes, which may join at any time,
-      mid-campaign included.  An empty fleet waits *worker_wait_seconds*
-      for one before falling back to serial.
+    - ``workers_from=HOST:PORT`` (which makes ``jobs`` moot) listens on a
+      socket for ``repro worker`` processes, which may join at any time,
+      mid-campaign included.  An empty fleet waits
+      ``config.worker_wait_seconds`` for one before falling back to serial.
 
     Either way each worker rebuilds the campaign session once per
     :class:`SessionSpec` and serves shards from its warm caches, one shard
-    in flight per worker.  One fault model covers both sources:
+    in flight per worker.  One fault model covers both sources, its knobs
+    read from each campaign's ``spec.config`` (so engines sharing a fleet
+    keep their own):
 
-    - a shard its worker *raises* on is retried with exponential backoff, up
-      to *max_retries* further attempts, then :class:`ShardExecutionError`;
-    - a shard exceeding *shard_timeout* evicts its (presumed hung) worker and
-      is requeued, charged one attempt.  The clock starts at dispatch, so
-      budget for a cold worker's session build plus the slowest shard;
+    - a shard its worker *raises* on is retried with exponential backoff
+      (``retry_backoff``), up to ``max_retries`` further attempts, then
+      :class:`ShardExecutionError`;
+    - a shard exceeding ``shard_timeout`` evicts its (presumed hung) worker
+      and is requeued, charged one attempt.  The clock starts at dispatch,
+      so budget for a cold worker's session build plus the slowest shard;
     - a dead worker (EOF, corrupt frame) is evicted and its shard requeued
       without charging the retry budget: the shard did nothing wrong;
-    - consecutive evictions trip a circuit breaker; while it is open,
-      campaigns short-circuit to the serial path until a half-open probe
-      campaign decides whether the fleet is back.
+    - once a campaign has evicted three workers, its remaining shards
+      finish serially, however many workers keep joining.
 
     Evicted local workers are terminated and reaped; :meth:`close` shuts
     down and reaps the rest (terminating any still busy with the shard of
     an abandoned campaign).  Every fleet event — a join, retry, timeout,
-    eviction, breaker transition or serial fallback — is one counter, one
-    ``executor.<counter>`` trace instant and one progress note under the
-    counter's name, but records never change: shard execution is
-    deterministic and the merge is order-independent.
+    eviction or serial fallback — is one counter, one ``executor.<counter>``
+    trace instant and one progress note under the counter's name, but
+    records never change: shard execution is deterministic and the merge is
+    order-independent.
 
     Workers stream back telemetry deltas and trace spans with each result;
     the spans are re-homed onto the worker's pid track under the
@@ -601,40 +603,17 @@ class ParallelExecutor(Executor):
     (:func:`repro.core.tracing.stitch_remote_spans`).
     """
 
-    def __init__(
-        self,
-        jobs: int = 2,
-        *,
-        workers_from: Optional[str] = None,
-        shard_timeout: Optional[float] = None,
-        max_retries: int = 2,
-        retry_backoff: float = 0.05,
-        worker_wait_seconds: float = 30.0,
-        breaker_threshold: int = 3,
-        breaker_reset_seconds: float = 60.0,
-    ):
+    def __init__(self, jobs: int = 2, *, workers_from: Optional[str] = None):
         self.jobs = max(1, int(jobs))
         self.workers_from = workers_from
-        self.shard_timeout = shard_timeout
-        self.max_retries = max(0, int(max_retries))
-        self.retry_backoff = max(0.0, float(retry_backoff))
-        self.worker_wait_seconds = max(0.0, float(worker_wait_seconds))
-        self.breaker = CircuitBreaker(
-            failure_threshold=breaker_threshold,
-            reset_seconds=breaker_reset_seconds,
-        )
         self._listener = None
         if workers_from is not None:
-            parsed = parse_workers_from(workers_from)
-            if parsed[0] == "queue":
-                self._listener = FileQueueListener(parsed[1])
-            else:
-                self._listener = SocketListener(parsed[1], parsed[2])
+            self._listener = SocketListener(*parse_workers_from(workers_from))
         self._run_evictions = 0
-        #: the running campaign's telemetry and progress reporter
+        #: the running campaign's config, telemetry and progress reporter
+        self._config = None
         self._telemetry: Optional[CampaignTelemetry] = None
         self._progress = None
-        self._last_sweep = time.monotonic()
         self._workers: Dict[str, _WorkerState] = {}
         self._worker_seq = 0
         self._plan_seq = 0
@@ -657,12 +636,14 @@ class ParallelExecutor(Executor):
                 "ParallelExecutor needs a SessionSpec to ship to workers; "
                 "construct the engine via DelayAVFEngine.from_spec(...)"
             )
-        # Shared fleets serve several engines: one campaign at a time.
+        # Shared fleets serve several engines: one campaign at a time, each
+        # under its own fault policy.
         with self._lock:
             # Events are charged to the campaign's telemetry when the
             # engine's live session rides along (the normal path); direct
             # calls without one still work, their counters just land in a
             # throwaway.
+            self._config = spec.config
             self._telemetry = (
                 session.telemetry if session is not None
                 else CampaignTelemetry()
@@ -671,26 +652,21 @@ class ParallelExecutor(Executor):
             try:
                 return self._execute_locked(plan, session, spec)
             finally:
-                self._telemetry = self._progress = None
+                self._config = self._telemetry = self._progress = None
 
-    def _event(self, counter: str, amount: int = 1, **attrs: Any) -> None:
-        """Count *amount* executor events, mark them in the trace as one
-        instant ``executor.<counter>`` and note them on the progress stream
-        under the counter's own name."""
-        self._telemetry.incr(counter, amount)
+    def _event(self, counter: str, **attrs: Any) -> None:
+        """Count one executor event, mark it in the trace as an instant
+        ``executor.<counter>`` and note it on the progress stream under the
+        counter's own name."""
+        self._telemetry.incr(counter)
         tracing.tracer().instant(f"executor.{counter}", cat="executor", **attrs)
         if self._progress is not None:
-            self._progress.note(counter, amount)
+            self._progress.note(counter)
 
     def _execute_locked(self, plan, session, spec):
         shards: Dict[int, WorkShard] = {s.index: s for s in plan.shards}
         pending: List[int] = sorted(shards)
         done: Dict[int, ShardResult] = {}
-        if not self._admit_fleet():
-            # Breaker open and still cooling down: do not even wait for
-            # workers — short-circuit the whole campaign to the serial path.
-            self._serial_finish(pending, shards, plan, session, spec, done)
-            return [done[index] for index in sorted(done)]
         if self._listener is None:
             self._spawn_local_workers()
         spec_payload, digest = self._wire_spec(spec)
@@ -712,9 +688,8 @@ class ParallelExecutor(Executor):
                     dispatch_span,
                 ):
                     retry_rounds += 1
-                    time.sleep(
-                        min(2.0, self.retry_backoff * (2 ** (retry_rounds - 1)))
-                    )
+                    backoff = self._config.retry_backoff
+                    time.sleep(min(2.0, backoff * (2 ** (retry_rounds - 1))))
                 if len(done) == len(shards):
                     break
                 self._check_timeouts(inflight, pending, attempts)
@@ -733,32 +708,18 @@ class ParallelExecutor(Executor):
                 fleet_gone = fleet_empty_since is not None and (
                     self._listener is None
                     or time.monotonic() - fleet_empty_since
-                    >= self.worker_wait_seconds
+                    >= self._config.worker_wait_seconds
                 )
-                if fleet_gone or self.breaker.state == OPEN:
-                    # No worker left, or evictions during this run tripped
-                    # the breaker: limp home in-process.
+                if fleet_gone or self._run_evictions >= _MAX_EVICTIONS:
+                    # No worker left, or this run keeps losing them: limp
+                    # home in-process.
                     pending.extend(inflight)
                     self._serial_finish(
                         pending, shards, plan, session, spec, done
                     )
                     break
                 self._wait_for_messages(0.02)
-        if self._run_evictions == 0 and self.breaker.record_success():
-            # A clean run through a previously tripped breaker: the fleet
-            # (or lack of one) is healthy again.
-            self._event("breaker_recoveries")
         return [done[index] for index in sorted(done)]
-
-    def _admit_fleet(self) -> bool:
-        """Consult the breaker; True means the fleet may be used this run."""
-        probing = self.breaker.state == HALF_OPEN
-        if not self.breaker.allow():
-            self._event("breaker_short_circuits")
-            return False
-        if probing:
-            self._event("breaker_probes")
-        return True
 
     def _wire_spec(self, spec: SessionSpec):
         """The spec as shipped to workers, plus its content digest.
@@ -784,7 +745,7 @@ class ParallelExecutor(Executor):
     # ------------------------------------------------------------------
     def _join(self, channel, process=None) -> None:
         self._worker_seq += 1
-        key = str(getattr(channel, "worker_id", f"worker-{self._worker_seq}"))
+        key = f"worker-{self._worker_seq}"
         self._workers[key] = _WorkerState(
             key=key, channel=channel, process=process
         )
@@ -820,34 +781,14 @@ class ParallelExecutor(Executor):
     def _accept_new_workers(self) -> None:
         if self._listener is None:
             return
-        self._sweep_spool()
         for channel in self._listener.accept():
             self._join(channel)
 
-    def _sweep_spool(self) -> None:
-        """Throttled GC of the file-queue spool (no-op on socket fleets)."""
-        sweep = getattr(self._listener, "sweep", None)
-        if sweep is None:
-            return
-        now = time.monotonic()
-        if now - self._last_sweep < _SWEEP_INTERVAL:
-            return
-        self._last_sweep = now
-        try:
-            swept = sweep()
-        except OSError:
-            return
-        if swept:
-            self._event("spool_files_swept", swept, files=swept)
-
     def _wait_for_messages(self, seconds: float) -> None:
-        """Sleep up to *seconds*, waking early when a socket worker speaks,
-        so a worker that finishes a shard gets its next one at once."""
+        """Sleep up to *seconds*, waking early when a worker speaks, so a
+        worker that finishes a shard gets its next one at once."""
         channels = [worker.channel for worker in self._workers.values()]
-        if all(isinstance(channel, SocketChannel) for channel in channels):
-            select.select(channels, [], [], seconds)
-        else:
-            time.sleep(seconds)
+        select.select(channels, [], [], seconds)
 
     def _release(self, worker: _WorkerState, graceful: bool) -> None:
         """Forget *worker*, close its channel, reap it if it is local.
@@ -885,8 +826,6 @@ class ParallelExecutor(Executor):
             pending.append(worker.busy)
         worker.busy = None
         self._run_evictions += 1
-        if self.breaker.record_failure():
-            self._event("breaker_trips")
 
     def _dispatch(
         self, pending, inflight, spec_payload, digest, plan_id, plan_payload,
@@ -921,9 +860,9 @@ class ParallelExecutor(Executor):
                 continue
             pending.remove(index)
             worker.busy = index
+            timeout = self._config.shard_timeout
             worker.deadline = (
-                None if self.shard_timeout is None
-                else time.monotonic() + self.shard_timeout
+                None if timeout is None else time.monotonic() + timeout
             )
             inflight[index] = worker.key
 
@@ -956,7 +895,7 @@ class ParallelExecutor(Executor):
                     inflight.pop(index)
                     if kind == "error":
                         attempts[index] += 1
-                        if attempts[index] > self.max_retries:
+                        if attempts[index] > self._config.max_retries:
                             raise ShardExecutionError(
                                 f"shard {index} (cycle {shards[index].cycle}) "
                                 f"failed {attempts[index]} times on worker "
@@ -984,14 +923,14 @@ class ParallelExecutor(Executor):
         return had_retries
 
     def _check_timeouts(self, inflight, pending, attempts) -> None:
-        """Evict workers whose shard overran *shard_timeout*.
+        """Evict workers whose shard overran ``shard_timeout``.
 
         A running shard cannot be cancelled, so its worker is evicted
         outright; the timeout charges the shard one attempt but never
         raises — a shard that times out everywhere ends in the serial
         fallback once the fleet is gone.
         """
-        if self.shard_timeout is None:
+        if self._config.shard_timeout is None:
             return
         now = time.monotonic()
         for index, worker_key in list(inflight.items()):
@@ -1076,33 +1015,24 @@ _SHARED: Dict[str, ParallelExecutor] = {}
 _SHARED_LOCK = threading.Lock()
 
 
-def shared_remote_executor(workers_from: str, **kwargs) -> ParallelExecutor:
+def shared_remote_executor(workers_from: str) -> ParallelExecutor:
     """The process-wide ``workers_from`` coordinator for one listen address.
 
     A listen address binds once; every engine configured with the same
     address (the service runs one engine per benchmark/structure pair) gets
     the same executor, whose :meth:`~ParallelExecutor.execute` is internally
-    serialized.  Engine ``close()`` calls are no-ops on shared instances;
-    :func:`shutdown_shared_executors` — wired into ``repro.api.shutdown``
-    and ``atexit`` — releases the fleets.
+    serialized and applies each campaign's own fault policy.  Engine
+    ``close()`` calls are no-ops on shared instances;
+    :func:`shutdown_shared_executors` — wired into ``repro.api.shutdown`` and
+    ``atexit`` — releases the fleets.
     """
     with _SHARED_LOCK:
         executor = _SHARED.get(workers_from)
         if executor is None or executor._closed:
-            executor = ParallelExecutor(workers_from=workers_from, **kwargs)
+            executor = ParallelExecutor(workers_from=workers_from)
             executor._shared = True
             _SHARED[workers_from] = executor
         return executor
-
-
-def breaker_states() -> Dict[str, Dict[str, Any]]:
-    """Breaker snapshot per live shared fleet (``/v1/healthz`` reads this)."""
-    with _SHARED_LOCK:
-        return {
-            address: executor.breaker.snapshot()
-            for address, executor in _SHARED.items()
-            if not executor._closed
-        }
 
 
 def shutdown_shared_executors() -> None:

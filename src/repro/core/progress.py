@@ -127,11 +127,11 @@ class ProgressReporter:
                 self.cache_hits += counters.get("record_cache_hits", 0)
             self._emit()
 
-    def note(self, event: str, amount: int = 1) -> None:
-        """Count *amount* executor events under their telemetry counter
-        name (``shard_retries``/``workers_evicted``/...)."""
+    def note(self, event: str) -> None:
+        """Count one executor event under its telemetry counter name
+        (``shard_retries``/``workers_evicted``/...)."""
         with self._lock:
-            self.notes[event] = self.notes.get(event, 0) + amount
+            self.notes[event] = self.notes.get(event, 0) + 1
             self._emit(force=True)
 
     def refinement(self, round_index: int, half_width: float, target: float) -> None:

@@ -108,18 +108,13 @@ COUNTER_ORDER = (
     "jobs_failed",
     "client_disconnects",
     # Durability & integrity (PR 9): cache quarantines, journal recovery,
-    # bounded-queue rejections, fleet circuit breakers, transport hygiene.
+    # bounded-queue rejections, transport hygiene.
     "cache_quarantines",
     "jobs_recovered",
     "jobs_requeued",
     "jobs_rejected_overloaded",
     "journal_torn_tails",
-    "breaker_trips",
-    "breaker_probes",
-    "breaker_recoveries",
-    "breaker_short_circuits",
     "corrupt_frames",
-    "spool_files_swept",
 )
 
 #: Presentation order for the known phases.

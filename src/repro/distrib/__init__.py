@@ -5,12 +5,11 @@ DelayAVF campaigns are embarrassingly parallel across sampled cycles, and a
 description any worker can resolve against its own rebuilt session.  The one
 shard coordinator, :class:`repro.core.executor.ParallelExecutor`, sends
 those shards to worker processes — forked locally (``jobs=N``) or joining
-from other hosts (``workers_from=ADDR``, the DAVOS host/controller shape).
-This package holds the two pieces every worker source shares:
+from other hosts (``workers_from=HOST:PORT``, the DAVOS host/controller
+shape).  This package holds the two pieces every worker source shares:
 
-- :mod:`repro.distrib.transport` — stdlib-only message channels: framed
-  JSON lines over a socket (TCP or a local socketpair), or a file queue on a
-  shared filesystem.
+- :mod:`repro.distrib.transport` — the stdlib-only message channel: framed
+  JSON lines over a socket (TCP or a local socketpair).
 - :mod:`repro.distrib.worker` — the worker loop (``repro worker``): rebuild
   sessions from wire-serializable :class:`repro.core.executor.SessionSpec`
   payloads, serve shards from warm caches, stream back

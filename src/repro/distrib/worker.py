@@ -10,20 +10,18 @@ cache) and then serves shards from those warm caches, streaming back
 the worker's telemetry delta, and its drained trace spans.
 
 Protocol (all messages are JSON dicts over one
-:class:`~repro.distrib.transport.MessageChannel`):
+:class:`~repro.distrib.transport.SocketChannel`):
 
 ========== =========== =====================================================
 direction   type        payload
 ========== =========== =====================================================
-worker →    ``hello``   ``pid``, ``worker_id`` — announce and identify
+worker →    ``hello``   ``pid`` — announce
 coord →     ``session`` ``digest``, ``spec`` — build/cache a session
 coord →     ``plan``    ``plan_id``, ``digest``, ``plan`` — register a plan
 coord →     ``shard``   ``plan_id`` + the shard payload — execute one shard
-coord →     ``ping``    liveness probe; answered with ``pong``
 coord →     ``shutdown`` flush caches and exit the loop
 worker →    ``result``  ``plan_id``, ``shard_index``, ``result`` payload
 worker →    ``error``   ``plan_id``, ``shard_index``, ``message`` — raised
-worker →    ``pong``    liveness answer
 ========== =========== =====================================================
 
 Sessions are cached per spec *digest*, so a coordinator serving several
@@ -53,7 +51,7 @@ from repro.core.executor import (
     shard_result_to_payload,
 )
 from repro.core.plan import CampaignPlan, WorkShard
-from repro.distrib.transport import MessageChannel, TransportError
+from repro.distrib.transport import SocketChannel, TransportError
 from repro.testing import chaos
 
 
@@ -74,7 +72,7 @@ def _build_session(spec: SessionSpec, cache_dir: Optional[str]):
 
 
 def serve(
-    channel: MessageChannel,
+    channel: SocketChannel,
     *,
     cache_dir: Optional[str] = None,
     max_idle: Optional[float] = None,
@@ -98,9 +96,7 @@ def serve(
                 session.verdict_cache.flush()
 
     try:
-        channel.send(
-            {"type": "hello", "pid": os.getpid(), "worker_id": uuid_of(channel)}
-        )
+        channel.send({"type": "hello", "pid": os.getpid()})
         while True:
             message = channel.recv(timeout=max_idle)
             if message is None:
@@ -108,9 +104,7 @@ def serve(
             kind = message.get("type")
             if kind == "shutdown":
                 break
-            if kind == "ping":
-                channel.send({"type": "pong", "pid": os.getpid()})
-            elif kind == "session":
+            if kind == "session":
                 digest = str(message["digest"])
                 if digest not in sessions:
                     spec = SessionSpec.from_payload(message["spec"])
@@ -129,7 +123,7 @@ def serve(
     return served
 
 
-def serve_forked(channel: MessageChannel, inherited) -> None:
+def serve_forked(channel: SocketChannel, inherited) -> None:
     """The body of a local worker forked by a ``jobs=N`` coordinator.
 
     *inherited* are the coordinator-side channels the fork copied (this
@@ -151,13 +145,8 @@ def serve_forked(channel: MessageChannel, inherited) -> None:
         channel.close()
 
 
-def uuid_of(channel: MessageChannel) -> str:
-    """The channel's worker id when it has one (file queue), else the pid."""
-    return str(getattr(channel, "worker_id", os.getpid()))
-
-
 def _serve_shard(
-    channel: MessageChannel,
+    channel: SocketChannel,
     sessions: Dict[str, Any],
     plans: Dict[str, Tuple[CampaignPlan, str]],
     message: Dict[str, Any],

@@ -2,9 +2,9 @@
 
 Every writer whose readers must never observe a torn file — verdict-cache
 scopes, the job journal's result store, the length store, metrics and
-heartbeat snapshots, trace exports, file-queue spool messages — goes through
-:func:`atomic_write`: write a temporary sibling, then ``os.replace`` it over
-the target (atomic on POSIX), unlinking the temporary on any failure.
+heartbeat snapshots, trace exports — goes through :func:`atomic_write`:
+write a temporary sibling, then ``os.replace`` it over the target (atomic
+on POSIX), unlinking the temporary on any failure.
 """
 
 from __future__ import annotations

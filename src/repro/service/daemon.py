@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
-from repro.core.executor import breaker_states
 from repro.core.metrics import render_prometheus_sections
 from repro.core.results import PAYLOAD_SCHEMA, envelope
 from repro.core.telemetry import CampaignTelemetry
@@ -64,7 +63,7 @@ class ServiceConfig:
     cache_dir: Optional[str] = None  #: default verdict-cache dir for jobs
     drain_timeout: Optional[float] = None  #: max seconds drain may take
     #: default remote-worker fleet applied to jobs that do not set one
-    #: (``HOST:PORT`` listen address or ``queue:DIR``; see ``repro worker``)
+    #: (a ``HOST:PORT`` listen address; see ``repro worker``)
     workers_from: Optional[str] = None
     #: write-ahead job journal directory; None disables durability
     journal_dir: Optional[str] = None
@@ -315,9 +314,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                     },
                     "journal": self.manager.journal is not None,
                 }
-                breakers = breaker_states()
-                if breakers:  # only worth reporting when something tripped
-                    payload["breakers"] = breakers
                 self._send_json(200, envelope("health", payload))
                 return
             if path == "/v1/metrics":

@@ -391,10 +391,11 @@ class JobManager:
             raise ValueError("max_queued must be >= 1 (or None for unbounded)")
         self.workers = int(workers)
         self.cache_dir = cache_dir
-        #: default remote-worker fleet address (``HOST:PORT`` / ``queue:DIR``)
+        #: default remote-worker fleet listen address (``HOST:PORT``)
         #: applied to jobs whose config does not set one; the engines those
         #: jobs build then run their shards on the shared fleet through
-        #: :class:`repro.core.executor.ParallelExecutor`.
+        #: :class:`repro.core.executor.ParallelExecutor`, each job under its
+        #: own config's fault policy.
         self.workers_from = workers_from
         #: write-ahead journal making restarts lossless (None = ephemeral)
         self.journal = journal

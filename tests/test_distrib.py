@@ -1,7 +1,7 @@
 """Worker fleets: transport, worker loop, and the shard coordinator.
 
 The acceptance bar mirrors the fault-tolerance suite: however shards travel
-(forked local workers, socket, file queue) and whatever goes wrong on the
+(forked local workers, joining socket workers) and whatever goes wrong on the
 way (worker death, raised shards, an empty fleet), the merged records must
 be byte-identical to a clean serial run — only telemetry, spans, and the
 ``degraded`` flag may differ.  In-process joining workers run
@@ -26,6 +26,7 @@ from repro.core.executor import (
     ParallelExecutor,
     SerialExecutor,
     SessionSpec,
+    ShardExecutionError,
     execute_shard,
     shard_result_from_payload,
     shard_result_to_payload,
@@ -54,6 +55,14 @@ def _fibcall_spec(config=DISTRIB_CONFIG) -> SessionSpec:
     )
 
 
+def _fib_engine(**overrides) -> DelayAVFEngine:
+    """An engine whose config differs from DISTRIB_CONFIG by *overrides*
+    (fleet coordinators read their fault policy from the campaign's spec)."""
+    return DelayAVFEngine.from_spec(
+        _fibcall_spec(dataclasses.replace(DISTRIB_CONFIG, **overrides))
+    )
+
+
 @pytest.fixture(scope="module")
 def fib_engine():
     engine = DelayAVFEngine.from_spec(_fibcall_spec())
@@ -67,30 +76,29 @@ def clean_result(fib_engine):
     return fib_engine.run_structure("alu", executor=SerialExecutor())
 
 
-def _serve_in_thread(channel):
-    """An in-process worker serving shards over *channel*."""
-    thread = threading.Thread(
-        target=serve,
-        args=(channel,),
-        kwargs={"configure_tracing": False},
-        daemon=True,
-    )
-    thread.start()
-    return thread
+def _serve_quietly(channel):
+    # A coordinator that closes the channel under a busy worker (a failed
+    # campaign's shutdown) is the test's intent, not a thread error.
+    try:
+        serve(channel, configure_tracing=False)
+    except transport.TransportError:
+        pass
+    finally:
+        channel.close()
 
 
 def _start_worker_threads(host, port, count):
     """In-process workers serving shards over real sockets."""
-    return [
-        _serve_in_thread(transport.connect(host, port, retry_seconds=10.0))
-        for _ in range(count)
-    ]
+    for _ in range(count):
+        channel = transport.connect(host, port, retry_seconds=10.0)
+        threading.Thread(
+            target=_serve_quietly, args=(channel,), daemon=True
+        ).start()
 
 
-def _listening(address, **kwargs):
+def _listening(address):
     """A coordinator for joining workers (no local forks)."""
-    kwargs.setdefault("worker_wait_seconds", 60.0)
-    return ParallelExecutor(workers_from=address, **kwargs)
+    return ParallelExecutor(workers_from=address)
 
 
 def _assert_identical(result, clean_result):
@@ -105,15 +113,17 @@ def _assert_identical(result, clean_result):
 # Address parsing
 # ----------------------------------------------------------------------
 def test_parse_workers_from_socket_and_queue():
-    assert transport.parse_workers_from("127.0.0.1:8765") == (
-        "socket", "127.0.0.1", 8765
-    )
-    assert transport.parse_workers_from(":0") == ("socket", "127.0.0.1", 0)
-    assert transport.parse_workers_from("queue:/tmp/q") == ("queue", "/tmp/q")
+    assert transport.parse_workers_from("127.0.0.1:8765") == ("127.0.0.1", 8765)
+    assert transport.parse_workers_from(":0") == ("127.0.0.1", 0)
+    # The socket is the only transport: a queue directory is not an address,
+    # and the error names the one grammar there is.
+    with pytest.raises(ValueError, match="HOST:PORT"):
+        transport.parse_workers_from("queue:/tmp/q")
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "nonsense", "host:notaport", "host:70000", "queue:"]
+    "bad",
+    ["", "nonsense", "host:notaport", "host:70000", "queue:", "queue:/tmp/q"],
 )
 def test_parse_workers_from_rejects_garbage(bad):
     with pytest.raises(ValueError):
@@ -192,30 +202,25 @@ def test_shard_result_payload_validates_shape(fib_engine):
 # ----------------------------------------------------------------------
 # Parity: every worker source reproduces the serial records exactly
 # ----------------------------------------------------------------------
-def _run_with(source, engine, tmp_path):
+def _run_with(source, engine):
     """One alu campaign on *engine*, its shards run by *source*."""
     if source == "serial":
         return engine.run_structure("alu", executor=SerialExecutor())
     if source == "jobs2":
         with ParallelExecutor(jobs=2) as local:
             return engine.run_structure("alu", executor=local)
-    if source == "socket":
-        with _listening("127.0.0.1:0") as remote:
-            _start_worker_threads(*remote.address, 2)
-            return engine.run_structure("alu", executor=remote)
-    queue_dir = str(tmp_path / "q")
-    with _listening(f"queue:{queue_dir}") as remote:
-        _serve_in_thread(transport.announce(queue_dir))
+    with _listening("127.0.0.1:0") as remote:
+        _start_worker_threads(*remote.address, 2)
         return engine.run_structure("alu", executor=remote)
 
 
 #: Workers each source brings to the campaign.
-_JOINED = {"serial": 0, "jobs2": 2, "socket": 2, "queue": 1}
+_JOINED = {"serial": 0, "jobs2": 2, "socket": 2}
 
 
 @pytest.mark.parametrize("source", sorted(_JOINED))
-def test_executor_parity(source, tmp_path, fib_engine, clean_result):
-    result = _run_with(source, fib_engine, tmp_path)
+def test_executor_parity(source, fib_engine, clean_result):
+    result = _run_with(source, fib_engine)
     joined = _JOINED[source]
     assert result == clean_result  # telemetry excluded from equality by design
     _assert_identical(result, clean_result)
@@ -265,9 +270,13 @@ def test_bare_json_line_is_corrupt_and_evicts(fib_engine, clean_result):
 # ----------------------------------------------------------------------
 # Fault tolerance at the coordinator
 # ----------------------------------------------------------------------
-def test_empty_fleet_falls_back_to_serial(fib_engine, clean_result):
-    with _listening("127.0.0.1:0", worker_wait_seconds=0.1) as remote:
-        result = fib_engine.run_structure("alu", executor=remote)
+def test_empty_fleet_falls_back_to_serial(clean_result):
+    engine = _fib_engine(worker_wait_seconds=0.1)
+    try:
+        with _listening("127.0.0.1:0") as remote:
+            result = engine.run_structure("alu", executor=remote)
+    finally:
+        engine.close()
     assert result == clean_result
     _assert_identical(result, clean_result)
     assert result.telemetry.count("serial_fallbacks") == 1
@@ -290,12 +299,10 @@ def test_worker_crash_evicts_and_recovers(tmp_path, clean_result):
     finishes the requeued shard and records stay byte-identical."""
     # trace=True travels to the workers through the wire spec, so their
     # spans come back with each result for the stitching assertions below.
-    engine = DelayAVFEngine.from_spec(
-        _fibcall_spec(dataclasses.replace(DISTRIB_CONFIG, trace=True))
-    )
+    engine = _fib_engine(trace=True, worker_wait_seconds=120.0)
     tracing.enable(reset=True)
     try:
-        with _listening("127.0.0.1:0", worker_wait_seconds=120.0) as remote:
+        with _listening("127.0.0.1:0") as remote:
             host, port = remote.address
             env = dict(
                 os.environ,
@@ -386,9 +393,11 @@ def test_resume_after_coordinator_restart(tmp_path, clean_result):
     _assert_identical(first, clean_result)
 
     # "Restart": a fresh engine over the same cache, a fleet nobody joins.
-    engine = DelayAVFEngine.from_spec(spec)
+    engine = DelayAVFEngine.from_spec(
+        _fibcall_spec(dataclasses.replace(config, worker_wait_seconds=0.1))
+    )
     try:
-        with _listening("127.0.0.1:0", worker_wait_seconds=0.1) as remote:
+        with _listening("127.0.0.1:0") as remote:
             resumed = engine.run_structure("alu", executor=remote, resume=True)
     finally:
         engine.close()
@@ -400,8 +409,8 @@ def test_resume_after_coordinator_restart(tmp_path, clean_result):
 # ----------------------------------------------------------------------
 # Shared fleets
 # ----------------------------------------------------------------------
-def test_shared_remote_executor_is_per_address(tmp_path):
-    addr = f"queue:{tmp_path / 'shared-q'}"
+def test_shared_remote_executor_is_per_address():
+    addr = "127.0.0.1:0"
     try:
         first = shared_remote_executor(addr)
         assert shared_remote_executor(addr) is first
@@ -415,10 +424,30 @@ def test_shared_remote_executor_is_per_address(tmp_path):
         shutdown_shared_executors()
 
 
-def test_default_executor_prefers_remote(tmp_path):
+def test_shared_fleet_applies_each_engines_fault_policy(monkeypatch, tmp_path):
+    """Engines sharing one fleet keep their own fault policy: the engine
+    that opened the fleet grants retries, the second grants none, so one
+    raised shard fails the second engine's campaign."""
+    lenient = _fib_engine(workers_from="127.0.0.1:0")
+    strict = _fib_engine(workers_from="127.0.0.1:0", max_retries=0)
+    try:
+        fleet = lenient.default_executor()
+        assert strict.default_executor() is fleet
+        _start_worker_threads(*fleet.address, 2)
+        monkeypatch.setenv(chaos.ENV_SPEC, "worker.shard=raise")
+        monkeypatch.setenv(chaos.ENV_ONCE_FILE, str(tmp_path / "fault"))
+        with pytest.raises(ShardExecutionError, match="failed 1 times"):
+            strict.run_structure("alu")
+    finally:
+        lenient.close()
+        strict.close()
+        shutdown_shared_executors()
+
+
+def test_default_executor_prefers_remote():
     config = CampaignConfig(
         cycle_count=1, delay_fractions=(0.5,), jobs=4,
-        workers_from=f"queue:{tmp_path / 'q'}",
+        workers_from="127.0.0.1:0",
     )
     engine = DelayAVFEngine.from_spec(_fibcall_spec(config))
     try:

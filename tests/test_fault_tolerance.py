@@ -64,6 +64,24 @@ def fib_engine():
     engine.close()
 
 
+@pytest.fixture
+def engine_with():
+    """Build engines whose config differs from FAULT_CONFIG by the given
+    overrides — the coordinator reads its fault policy from the campaign's
+    spec — and close them after the test."""
+    engines = []
+
+    def build(**overrides):
+        engines.append(DelayAVFEngine.from_spec(
+            _fibcall_spec(dataclasses.replace(FAULT_CONFIG, **overrides))
+        ))
+        return engines[-1]
+
+    yield build
+    for engine in engines:
+        engine.close()
+
+
 @pytest.fixture(scope="module")
 def clean_result(fib_engine):
     """The clean serial reference every recovered run must reproduce."""
@@ -116,25 +134,29 @@ def test_worker_exception_retried_without_pool_rebuild(
     assert not recovered.degraded
 
 
-def test_worker_exception_exhausts_retry_budget(monkeypatch, tmp_path, fib_engine):
+def test_worker_exception_exhausts_retry_budget(
+    monkeypatch, tmp_path, engine_with
+):
     # Fault every attempt (no once-marker): the retry budget must bound it.
     # Every shard raises, so whichever runs out of attempts first is named.
     _arm_fault(monkeypatch, tmp_path, "raise", once=False)
-    with ParallelExecutor(jobs=2, max_retries=1, retry_backoff=0.01) as pool:
+    engine = engine_with(max_retries=1, retry_backoff=0.01)
+    with ParallelExecutor(jobs=2) as pool:
         with pytest.raises(ShardExecutionError, match=r"shard \d+ .*giving up"):
-            fib_engine.run_structure("alu", executor=pool)
+            engine.run_structure("alu", executor=pool)
 
 
 # ----------------------------------------------------------------------
 # Hung worker: the per-shard timeout evicts (and reaps) it
 # ----------------------------------------------------------------------
 def test_hung_worker_times_out_and_recovers(
-    monkeypatch, tmp_path, fib_engine, clean_result
+    monkeypatch, tmp_path, engine_with, clean_result
 ):
     _arm_fault(monkeypatch, tmp_path, "delay:300")
+    engine = engine_with(shard_timeout=15)
     started = time.monotonic()
-    with ParallelExecutor(jobs=2, shard_timeout=15) as pool:
-        recovered = fib_engine.run_structure("alu", executor=pool)
+    with ParallelExecutor(jobs=2) as pool:
+        recovered = engine.run_structure("alu", executor=pool)
     assert time.monotonic() - started < 120
     _assert_identical(recovered, clean_result)
     assert recovered.telemetry.count("shard_timeouts") >= 1
@@ -148,16 +170,17 @@ def test_hung_worker_times_out_and_recovers(
 # Every worker dies: graceful serial fallback finishes the campaign
 # ----------------------------------------------------------------------
 def test_repeated_pool_failure_degrades_to_serial(
-    monkeypatch, tmp_path, fib_engine, clean_result
+    monkeypatch, tmp_path, engine_with, clean_result
 ):
     # Kill on every shard: both local workers die, the local fleet never
     # regrows within a call, and the remaining shards must finish in-process
     # at once — no waiting for workers_from joiners (the hook only fires in
     # workers, so the serial path is clean).
     _arm_fault(monkeypatch, tmp_path, "kill", once=False)
+    engine = engine_with(worker_wait_seconds=600)
     started = time.monotonic()
-    with ParallelExecutor(jobs=2, worker_wait_seconds=600) as pool:
-        recovered = fib_engine.run_structure("alu", executor=pool)
+    with ParallelExecutor(jobs=2) as pool:
+        recovered = engine.run_structure("alu", executor=pool)
     assert time.monotonic() - started < 120
     _assert_identical(recovered, clean_result)
     assert recovered.telemetry.count("workers_evicted") == 2
@@ -166,7 +189,7 @@ def test_repeated_pool_failure_degrades_to_serial(
 
 
 def test_close_terminates_a_worker_busy_with_an_abandoned_shard(
-    tmp_path, fib_engine
+    tmp_path, engine_with
 ):
     """A campaign that raises leaves a worker mid-shard; closing the fleet
     terminates it instead of waiting for a result nobody will collect."""
@@ -179,11 +202,12 @@ def test_close_terminates_a_worker_busy_with_an_abandoned_shard(
             raise chaos.ChaosError("shard fails")
         time.sleep(300)
 
+    engine = engine_with(max_retries=0)
     started = time.monotonic()
     with chaos.injected("worker.shard", hang_first_fail_rest):
         with pytest.raises(ShardExecutionError):
-            with ParallelExecutor(jobs=2, max_retries=0) as pool:
-                fib_engine.run_structure("alu", executor=pool)
+            with ParallelExecutor(jobs=2) as pool:
+                engine.run_structure("alu", executor=pool)
     assert time.monotonic() - started < 20
     assert multiprocessing.active_children() == []
 

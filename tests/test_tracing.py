@@ -9,9 +9,8 @@ import pytest
 
 from repro.core import tracing
 from repro.core.campaign import CampaignConfig, DelayAVFEngine
-from repro.core.executor import ParallelExecutor, SessionSpec
+from repro.core.executor import SessionSpec
 from repro.core.progress import ProgressReporter
-from repro.core.telemetry import CampaignTelemetry
 from repro.soc.system import build_system
 from repro.workloads.beebs import load_benchmark
 
@@ -312,19 +311,3 @@ def test_executor_event_is_counter_instant_and_note():
     assert {s["args"]["worker"] for s in instants} == {"worker-1", "worker-2"}
     assert result.telemetry.count("workers_joined") == 2
     assert reporter.notes == {"workers_joined": 2}
-
-
-def test_executor_event_notes_its_amount():
-    """An event counted several times at once (a spool sweep) notes the
-    same amount its counter gains, under one instant."""
-    tracing.enable(reset=True)
-    pool = ParallelExecutor(jobs=1)
-    pool._telemetry = CampaignTelemetry()
-    pool._progress = ProgressReporter(enabled=False)
-    pool._event("spool_files_swept", 3, files=3)
-    (instant,) = tracing.drain()
-    assert (instant["name"], instant["args"]) == (
-        "executor.spool_files_swept", {"files": 3}
-    )
-    assert pool._telemetry.count("spool_files_swept") == 3
-    assert pool._progress.notes == {"spool_files_swept": 3}
