@@ -16,14 +16,14 @@ callers make one call::
 and get back a fully merged :class:`repro.core.results.StructureCampaignResult`.
 Engines are cached per ``(workload, ecc, config)`` behind the scenes — the
 workload keyed by its *content signature*, so two programs sharing a name
-but differing in image never alias each other's engine — and repeated
-:func:`analyze` calls against the same workload share the golden run, the
-warm waveform/GroupACE caches, and (when ``config.jobs > 1``) the live
-local workers, exactly like the CLI's engine does within one invocation.
-Call :func:`shutdown` to release workers and flush verdict caches
-explicitly; an ``atexit`` hook drains whatever is still cached at
-interpreter exit, so worker processes are not leaked even when callers
-forget.
+but differing in image never alias each other's engine — on one shared
+system per ``ecc`` (:func:`system_for`), and repeated :func:`analyze`
+calls against the same workload share the golden run, the warm
+waveform/GroupACE caches, and (when ``config.jobs > 1``) the live local
+workers, exactly like the CLI's engine does within one invocation.  Call
+:func:`shutdown` to release workers and flush verdict caches explicitly;
+an ``atexit`` hook drains whatever is still cached at interpreter exit, so
+worker processes are not leaked even when callers forget.
 
 The facade is a thin veneer: results are byte-identical to driving
 :class:`repro.core.campaign.DelayAVFEngine` directly with the same
@@ -59,7 +59,7 @@ from repro.core.savf import SAVFEngine
 from repro.core.stats import DEFAULT_CONFIDENCE
 from repro.core.telemetry import CampaignTelemetry
 from repro.isa.assembler import Program
-from repro.soc.system import build_system
+from repro.soc.system import IbexMiniSystem, build_system
 from repro.workloads.generator import GeneratorKnobs, format_gen_spec
 from repro.workloads.registry import resolve_program
 
@@ -70,6 +70,7 @@ __all__ = [
     "fsck",
     "generate_workloads",
     "engine_for",
+    "system_for",
     "engine_cache_stats",
     "shutdown",
     "CampaignConfig",
@@ -77,13 +78,12 @@ __all__ = [
 
 #: (program content signature, ecc, neutral config) -> live engine
 _ENGINES: Dict[Tuple, DelayAVFEngine] = {}
-#: guards _ENGINES / _ENGINE_LOCKS / _CACHE_STATS (never held while an
-#: engine is being *built* — construction can run golden simulations)
+#: guards _ENGINES / _CACHE_STATS (never held while an engine is being
+#: *built* — construction can run golden simulations)
 _REGISTRY_LOCK = threading.Lock()
-#: per-key construction locks so two threads asking for the same engine
-#: build it once while threads asking for different engines never serialize
-_ENGINE_LOCKS: Dict[Tuple, threading.Lock] = {}
+_BUILD_LOCK = threading.Lock()  #: one engine or system builds at a time
 _CACHE_STATS = {"hits": 0, "misses": 0}
+_SYSTEMS: Dict[bool, IbexMiniSystem] = {}  #: ecc -> the engines' one system
 
 
 def _resolve_program(workload: Union[str, Program]) -> Program:
@@ -113,9 +113,9 @@ def _engine(
     report share one engine — and its warm verdicts.
 
     Thread-safe: lookups synchronize on a registry lock, and construction
-    (which may run golden simulations) happens under a per-key lock so two
-    threads asking for the same engine build it exactly once while requests
-    for different engines proceed concurrently.
+    (which may run golden simulations) happens under one build lock, so
+    racing threads build an engine exactly once and never simulate on a
+    shared system at the same time.
     """
     program = _resolve_program(workload)
     neutral = config.neutral()
@@ -125,8 +125,8 @@ def _engine(
         if engine is not None:
             _CACHE_STATS["hits"] += 1
             return engine
-        build_lock = _ENGINE_LOCKS.setdefault(key, threading.Lock())
-    with build_lock:
+    system = system_for(ecc=ecc)
+    with _BUILD_LOCK:
         with _REGISTRY_LOCK:
             engine = _ENGINES.get(key)
             if engine is not None:
@@ -138,11 +138,21 @@ def _engine(
             config=neutral,
             factory_kwargs=(("use_ecc", bool(ecc)),),
         )
-        engine = DelayAVFEngine.from_spec(spec)
+        engine = DelayAVFEngine.from_spec(spec, system=system)
         with _REGISTRY_LOCK:
             _ENGINES[key] = engine
             _CACHE_STATS["misses"] += 1
     return engine
+
+
+def system_for(*, ecc: bool = False) -> IbexMiniSystem:
+    """The one system all facade engines of this *ecc* share; callers that
+    run campaigns from several threads serialize them on it."""
+    ecc = bool(ecc)
+    with _BUILD_LOCK:
+        if ecc not in _SYSTEMS:
+            _SYSTEMS[ecc] = build_system(use_ecc=ecc)
+        return _SYSTEMS[ecc]
 
 
 def engine_for(
@@ -328,11 +338,12 @@ def sweep(
     prefetch resolves the GroupACE queries of every structure AND workload
     — every workload of the SoC runs on the same netlist, so all the
     campaigns' injected simulations share the same 64-lane words (``lanes=1``
-    turns the packing off).  With ``jobs > 1`` or ``workers_from`` each
-    campaign runs on the worker fleet in turn.  Records are byte-identical
-    to per-structure :func:`analyze` calls.  *delays* overrides the
-    config's delay sweep for every campaign in the sweep.  Returns
-    ``{(structure, workload_name): result}``.
+    turns the packing off), as do its golden runs (none if all cached).
+    With ``jobs > 1`` or ``workers_from`` each campaign runs on the worker
+    fleet in turn.  Records are byte-identical to per-structure
+    :func:`analyze` calls.  *delays* overrides the config's delay sweep for
+    every campaign in the sweep.  Returns ``{(structure, workload_name):
+    result}``.
     """
     config = config or CampaignConfig()
     if delays is not None:
@@ -489,7 +500,8 @@ def fsck(cache_dir, quarantine: bool = False) -> Dict[str, list]:
 
 
 def shutdown() -> None:
-    """Close every cached engine: worker fleets stop, verdict caches flush.
+    """Close every cached engine: worker fleets stop, verdict caches flush,
+    and the shared systems go with their workload memos.
 
     Idempotent, and also registered as an ``atexit`` hook so the parallel
     path's worker processes are reclaimed even when callers never shut down
@@ -498,7 +510,8 @@ def shutdown() -> None:
     with _REGISTRY_LOCK:
         engines = list(_ENGINES.values())
         _ENGINES.clear()
-        _ENGINE_LOCKS.clear()
+    with _BUILD_LOCK:
+        _SYSTEMS.clear()
     for engine in engines:
         engine.close()
     # Shared workers_from fleets are engine-independent (one per listen

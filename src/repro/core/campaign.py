@@ -291,23 +291,17 @@ class CampaignConfig:
 class CampaignSession:
     """Shared golden-run state for one (system, program) pair.
 
-    The golden state normally needs two full runs: a *probe* pass to learn
-    the cycle count (the equally spaced injection cycles depend on it) and an
-    instrumented pass recording fingerprints + checkpoints at those cycles.
-    The probe is skipped whenever the workload's fault-free length is already
-    known — from an earlier session on the same system object (in-process
-    memo) or from a persistent verdict cache's workload metadata — and the
-    instrumented run is then verified against the recorded observables
-    instead of a fresh probe.  The remaining double-run case is the first
-    cold session for a (system, program) pair, where the checkpoint positions
-    genuinely cannot be known before a full run has measured the length.
+    A *probe* run learns the cycle count (the equally spaced injection
+    cycles depend on it) unless the length is already known (see
+    :meth:`_known_length`); the instrumented golden run then records
+    fingerprints + checkpoints at those cycles and is verified against what
+    is known.  The workload memo and static-reach cache live on the system,
+    shared by all its sessions.
 
-    Everything is materialized lazily: constructing a session runs nothing.
-    ``total_cycles``/``sampled_cycles`` resolve from the memo or cache
-    metadata (falling back to the probe run), and the instrumented golden run
-    plus the analyzers that need it appear on first use.  A campaign served
-    entirely from the persistent record cache therefore never simulates at
-    all — which is what makes warm worker processes cheap.
+    Everything is materialized lazily: constructing a session runs nothing,
+    and the golden run plus the analyzers that need it appear on first use.
+    A campaign or sweep served entirely from the persistent record cache
+    therefore never simulates at all.
     """
 
     def __init__(
@@ -326,11 +320,7 @@ class CampaignSession:
         if verdict_cache is not None:
             verdict_cache.attach_telemetry(self.telemetry)
 
-        memo = getattr(system, "_workload_memo", None)
-        if memo is None:
-            memo = {}
-            system._workload_memo = memo
-        self._memo = memo
+        self._memo = vars(system).setdefault("_workload_memo", {})
         self._psig = program_signature(program)
         self._lengths = (
             LengthStore(config.cache_dir) if config.cache_dir else None
@@ -338,7 +328,6 @@ class CampaignSession:
         self._total_cycles: Optional[int] = None
         self._sampled_cycles: Optional[List[int]] = None
         self._golden: Optional[RunResult] = None
-        self._static: Optional[StaticReachability] = None
         self._dynamic: Optional[DynamicReachability] = None
         self._group_ace: Optional[GroupAceAnalyzer] = None
         self._orace: Optional[OraceAnalyzer] = None
@@ -428,81 +417,72 @@ class CampaignSession:
             )
         return self._sampled_cycles
 
-    def _instrumented_run(self) -> RunResult:
-        """One fingerprinting + checkpointing pass over the workload."""
-        return self._instrumented_run_at(self.sampled_cycles)
+    @property
+    def has_golden(self) -> bool:
+        """Whether the golden run is installed (asking never runs it)."""
+        return self._golden is not None
+
+    @property
+    def length_verified(self) -> bool:
+        """Whether :attr:`total_cycles` was measured here (golden run, memo,
+        cache metadata), not just advised by a length-store entry or hint."""
+        known, _, _, source = self._known_length()
+        return source in ("memo", "cache") and known == self.total_cycles
 
     @property
     def golden(self) -> RunResult:
+        """The scalar golden run, installed by :meth:`adopt_golden`."""
         if self._golden is None:
-            expected = self.total_cycles  # may probe (cold start)
-            _, known_observables, known_digest, source = self._known_length()
-            # Pass 2: record fingerprints + checkpoints at the sampled cycles.
-            golden = self._instrumented_run()
-            if golden.cycles != expected and source in ("hint", "store"):
+            advisory = not self.length_verified  # may probe (cold start)
+            # Record fingerprints + checkpoints at the sampled cycles.
+            run = self._instrumented_run_at(self.sampled_cycles)
+            if not self.adopt_golden(run) and advisory:
                 # Stale advisory length (bundled hint or cross-scope store
                 # entry): the instrumented run itself measured the true
                 # length, but its checkpoints sit at positions sampled from
                 # the wrong length.  Re-sample and re-run — a stale entry
                 # costs exactly what the probe used to.
                 self.telemetry.incr("stale_length_hints")
-                self._total_cycles = golden.cycles
+                self._total_cycles = run.cycles
                 self._sampled_cycles = None
-                self._record_workload(golden)
-                expected = golden.cycles
-                known_observables = golden.observables
-                known_digest = None
-                golden = self._instrumented_run()
-            # Verify against whatever we know: the probe's observables (cold)
-            # or the memoized/persisted golden behaviour (warm start).
-            assert golden.cycles == expected
-            if known_observables is not None:
-                assert golden.observables == known_observables
-            elif known_digest is not None:
-                assert observables_digest(golden.observables) == known_digest
-            self._record_workload(golden)
-            self._golden = golden
+                self._record_workload(run)
+                self.adopt_golden(self._instrumented_run_at(self.sampled_cycles))
+            if self._golden is None:
+                raise RuntimeError(f"{self.program.name}: golden run "
+                                   f"disagrees with its known length or output")
         return self._golden
 
     def adopt_golden(self, golden: RunResult) -> bool:
-        """Install an externally computed golden run (the packed path).
+        """Verify and install a golden run, scalar or packed.
 
-        Applies the same verification the scalar :attr:`golden` property
-        does — cycle count against the known workload length, observables
-        against the memo/persisted digest.  Returns ``False`` (and installs
-        nothing) when the run cannot be trusted, e.g. a stale bundled length
-        hint: the caller simply leaves the session to its scalar path, which
-        re-samples and re-runs.  ``True`` when the session already has a
-        golden run or *golden* was verified and installed.
+        The one verification rule: the run halted, is as long as the length
+        the injection cycles were sampled from, and matches the known
+        observables (memo or persisted digest).  ``False``, installing
+        nothing, when it cannot be trusted (a stale length hint); ``True``
+        when installed or the session already had a golden run.
         """
         if self._golden is not None:
             return True
         if not golden.halted:
             raise self._halt_error()
-        expected, known_observables, known_digest, _ = self._known_length()
-        if expected is None or golden.cycles != expected:
-            return False
-        if (
-            known_observables is not None
-            and golden.observables != known_observables
-        ):
-            return False
-        if (
-            known_digest is not None
-            and observables_digest(golden.observables) != known_digest
+        _, observables, digest, _ = self._known_length()
+        if observables is not None:
+            digest = observables_digest(observables)
+        if golden.cycles != self.total_cycles or digest not in (
+            None, observables_digest(golden.observables),
         ):
             return False
         self._record_workload(golden)
         self._golden = golden
-        self.telemetry.incr("golden_runs")
         return True
 
     # ------------------------------------------------------------------
     @property
     def static(self) -> StaticReachability:
-        if self._static is None:
-            self._static = StaticReachability(self.system.sta)
-        return self._static
+        """The system's static-reach cache, shared by all its sessions."""
+        if getattr(self.system, "_static_reach", None) is None:
+            self.system._static_reach = StaticReachability(self.system.sta)
+        return self.system._static_reach
 
     @property
     def dynamic(self) -> DynamicReachability:
@@ -642,9 +622,10 @@ class DelayAVFEngine:
         self.session.total_cycles
 
     @classmethod
-    def from_spec(cls, spec: SessionSpec) -> "DelayAVFEngine":
-        """Build the engine (and its system) from a session spec."""
-        return cls(spec.build_system(), spec.program, spec.config, spec=spec)
+    def from_spec(cls, spec: SessionSpec, system=None) -> "DelayAVFEngine":
+        """Build the engine from a session spec, on *system* if given."""
+        system = system if system is not None else spec.build_system()
+        return cls(system, spec.program, spec.config, spec=spec)
 
     @property
     def system(self):
@@ -715,7 +696,8 @@ class DelayAVFEngine:
             structure=structure, benchmark=self.program.name,
         ):
             campaign = self._open(
-                structure, delay_fractions, max_wires, seed, resume, reporter
+                structure, delay_fractions, max_wires, seed, resume, reporter,
+                local=isinstance(executor, SerialExecutor),
             )
             shard_results = self._execute(
                 campaign.exec_plan, executor, campaign.reporter
@@ -785,7 +767,8 @@ class DelayAVFEngine:
             structure=structure, benchmark=self.program.name, adaptive=True,
         ):
             campaign = self._open(
-                structure, delay_fractions, max_wires, seed, resume, reporter
+                structure, delay_fractions, max_wires, seed, resume, reporter,
+                local=isinstance(executor, SerialExecutor),
             )
             plan, reporter = campaign.plan, campaign.reporter
             result = self._merge(
@@ -919,12 +902,17 @@ class DelayAVFEngine:
 
     def _open(
         self, structure, delay_fractions=None, max_wires=None, seed=None,
-        resume=None, reporter=None,
+        resume=None, reporter=None, *, local: bool,
     ) -> "_Campaign":
         """Open a campaign: plan it, split off the shards a resume
-        reassembles from the cache, and start its progress reporter."""
+        reassembles from the cache, and start its progress reporter.  A
+        *local* campaign (shards run here) first verifies an advisory length
+        with the golden run it needs anyway, so a stale one samples no plan.
+        """
         before = self.telemetry.snapshot()
         started = time.perf_counter()
+        if local and not self.session.length_verified:
+            self.session.golden
         with self.telemetry.phase("plan"):
             plan = build_plan(
                 structure,
@@ -1086,9 +1074,9 @@ class DelayAVFEngine:
                 "group_ace_lane_occupancy",
                 campaign_count("lanes_filled") / ace_slots,
             )
-        # The coordinator session's shared EvalPlan program cache (satellite
-        # of the bounded-memoization work: observable size + evictions).
-        plan_obj = getattr(self.session.system, "plan", None)
+        # The coordinator session's shared EvalPlan program cache, if built
+        # (a campaign the cache served never levelizes): size + evictions.
+        plan_obj = vars(self.session.system).get("plan")
         if plan_obj is not None and hasattr(plan_obj, "program_cache_size"):
             self.telemetry.set_gauge(
                 "eval_programs_cached", float(plan_obj.program_cache_size)
@@ -1195,32 +1183,31 @@ def run_structures_spanning(
     byte-identical to sequential :meth:`DelayAVFEngine.run_structure` calls
     per engine.
 
-    Every campaign of an engine whose default executor runs in-process is
-    opened first; their shards then run as one
-    :func:`~repro.core.executor.execute_shards` call (one ``execute``
-    phase, one multi-engine prefetch) after one packed golden-run word for
-    the packed engines, and each campaign is closed in turn.  Width-1
-    engines join the call unpacked; an engine with a worker fleet runs its
-    campaigns one at a time through :meth:`DelayAVFEngine.run_structure`.
-    Engines whose netlists differ (e.g. ECC variants) still batch — the
-    packer partitions lanes by netlist internally.  Because the execution
-    is shared, the campaigns' telemetry slices overlap: the shared
+    Every in-process campaign is opened first, their shards run as one
+    :func:`~repro.core.executor.execute_shards` call (one packed golden
+    word for the sessions whose record lookups missed, one prefetch), and
+    each campaign is closed in turn.  Sessions whose length is only
+    advisory are cold, and :meth:`DelayAVFEngine._open` verifies it: their
+    golden runs pack into one word before planning.  A warm sweep runs
+    none.  Width-1 engines join unpacked; an engine with a worker fleet
+    runs its campaigns through :meth:`DelayAVFEngine.run_structure`.  The
+    packers partition lanes by netlist (e.g. ECC variants).  The shared
     ``execute`` and ``prefetch`` seconds are timed once, on the first
-    engine's telemetry, not split per campaign.  Returns one
-    ``{structure: result}`` dict per input engine, in order.
+    engine's telemetry.  Returns one ``{structure: result}`` dict per
+    input engine, in order.
     """
     in_process = [
         isinstance(engine.default_executor(), SerialExecutor)
         for engine, _ in runs
     ]
-    # The golden runs themselves are lane-packable: they are plain scalar
-    # simulations of the same netlist from reset, one per workload.  Run
-    # them as one packed word before any shard touches session.golden.
-    packed_golden_runs([
+    advisory = [
         engine.session
         for (engine, _), local in zip(runs, in_process)
         if local and engine.config.lanes > 1
-    ])
+        and not engine.session.length_verified
+    ]
+    if len(advisory) > 1:
+        packed_golden_runs(advisory)
     results: List[Dict[str, StructureCampaignResult]] = []
     opened: List[Tuple[DelayAVFEngine, Dict, _Campaign]] = []
     for (engine, structures), local in zip(runs, in_process):
@@ -1234,7 +1221,9 @@ def run_structures_spanning(
                 "campaign.prepare", cat="campaign",
                 structure=structure, benchmark=engine.program.name,
             ):
-                opened.append((engine, by_structure, engine._open(structure)))
+                opened.append(
+                    (engine, by_structure, engine._open(structure, local=True))
+                )
     executed = []
     if opened:
         executed = execute_shards(
@@ -1271,28 +1260,23 @@ def packed_golden_runs(sessions: Sequence[CampaignSession]) -> None:
     including ``prev_settled``, same observables) and installs them via
     :meth:`CampaignSession.adopt_golden`.
 
-    A session is eligible only if its workload length is already known
-    (memo, cache, or bundled hint) — checkpoint positions are sampled from
-    the length, and probing it here would itself cost a scalar run.
-    Sessions that are ineligible, already golden, or whose packed run fails
-    adoption (stale hint) simply keep their lazy scalar path.  Best-effort
-    by design: never changes what a session's golden run contains, only how
-    it is computed.
+    Callers hand it sessions about to need a golden run.  Only sessions of
+    known length pack (checkpoint positions are sampled from it), and only
+    on a netlist two or more share: a one-lane word is slower than the
+    scalar run.  The rest, and a packed run that fails adoption (stale
+    hint), keep the scalar path.
     """
-    eligible: List[CampaignSession] = []
+    by_netlist: Dict[int, Dict[int, CampaignSession]] = {}
     for session in sessions:
-        if session._golden is not None:
-            continue
-        known, _, _, _ = session._known_length()
-        if known is None:
-            continue
-        eligible.append(session)
-    by_netlist: Dict[int, List[CampaignSession]] = {}
-    for session in eligible:
-        by_netlist.setdefault(id(session.system.netlist), []).append(session)
+        if session._golden is None and session._known_length()[0] is not None:
+            group = by_netlist.setdefault(id(session.system.netlist), {})
+            group[id(session)] = session
     for group in by_netlist.values():
-        for start in range(0, len(group), MAX_LANES):
-            _run_packed_golden_chunk(group[start : start + MAX_LANES])
+        if len(group) < 2:
+            continue
+        members = list(group.values())
+        for start in range(0, len(members), MAX_LANES):
+            _run_packed_golden_chunk(members[start : start + MAX_LANES])
 
 
 def _run_packed_golden_chunk(chunk: Sequence[CampaignSession]) -> None:
@@ -1346,4 +1330,5 @@ def _run_packed_golden_chunk(chunk: Sequence[CampaignSession]) -> None:
                     active.discard(lane)
                     psim.retire_lane(lane)
     for session, run in zip(chunk, results):
+        session.telemetry.incr("golden_runs")
         session.adopt_golden(run)

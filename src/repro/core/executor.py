@@ -248,20 +248,23 @@ def execute_shards(
     The one in-process shard driver — workers (:func:`execute_shard`),
     :class:`SerialExecutor`, the coordinator's serial fallback and the
     engine's sweeps (:func:`repro.core.campaign.run_structures_spanning`)
-    all run shards through it — in three passes, all inside one
+    all run shards through it — in five passes, all inside one
     ``execute`` phase (``campaign.execute`` span):
 
-    1. *prepare* every shard: record-cache lookups, then, only for the
-       injections the cache cannot serve, the cycle's waveforms and
-       checkpoint and the batched timing-aware reachability pass
-       (:meth:`DynamicReachability.reachable_set_batch`);
-    2. *prefetch*: one :func:`~repro.core.group_ace.prefetch_spanning_multi`
+    1. *look up* every shard's records in the verdict cache;
+    2. *golden*: one :func:`~repro.core.campaign.packed_golden_runs` word
+       for the packed sessions with injections left and no golden run, if
+       two or more (a lone one keeps its lazy scalar run): a warm sweep
+       simulates nothing;
+    3. *prepare* the shards with injections left: waveforms, checkpoint
+       and :meth:`DynamicReachability.reachable_set_batch`;
+    4. *prefetch*: one :func:`~repro.core.group_ace.prefetch_spanning_multi`
        call (``prefetch`` phase, ``campaign.prefetch`` span) resolves the
        GroupACE/ORACE queries of every batch with a packed lane width, so a
        64-lane word packs across checkpoints, structures and workloads;
-       width-1 batches skip it and resolve each query on the scalar
-       ``GroupAceAnalyzer._run_injected``, the width-1 reference;
-    3. *evaluate* each shard against the warm caches, wire-outer /
+       width-1 batches resolve each query on the scalar reference
+       ``GroupAceAnalyzer._run_injected``;
+    5. *evaluate* each shard against the warm caches, wire-outer /
        delay-inner (the §V-C cache-reuse order).
 
     Both phases are timed on the first batch's session telemetry.
@@ -277,9 +280,22 @@ def execute_shards(
         shards=sum(len(shards) for _, _, shards in batches),
     ):
         prepared = [
-            [_prepare_shard(session, plan, shard) for shard in shards]
+            [_look_up_shard(session, plan, shard) for shard in shards]
             for session, plan, shards in batches
         ]
+        waiting = {
+            id(session): session
+            for (session, plan, _), shard_list in zip(batches, prepared)
+            if plan.lane_width > 1 and not session.has_golden
+            and any(shard.pending for shard in shard_list)
+        }
+        if len(waiting) > 1:
+            from repro.core.campaign import packed_golden_runs
+
+            packed_golden_runs(list(waiting.values()))
+        for (session, plan, _), shard_list in zip(batches, prepared):
+            for shard in shard_list:
+                _prepare_shard(session, plan, shard)
         _prefetch(telemetry, batches, prepared)
         return [
             [
@@ -304,13 +320,34 @@ class _PreparedShard:
     shard: WorkShard
     chosen: List[Tuple[int, Any]]  #: (wire index, wire) pairs
     cached: Dict[Tuple[int, float], InjectionRecord]
+    pending: List[Tuple[int, float]]  #: (wire index, delay) the cache missed
     waves: Any = None
     checkpoint: Any = None
     reach_sets: List[Dict[int, int]] = None
 
 
-def _prepare_shard(session, plan: CampaignPlan, shard: WorkShard) -> _PreparedShard:
-    """Record-cache lookups plus the batched timing-aware reachability pass."""
+def _look_up_shard(session, plan: CampaignPlan, shard: WorkShard) -> _PreparedShard:
+    """A shard's record-cache lookups: what the cache serves, what is left."""
+    cache = session.verdict_cache
+    wires = session.system.structure_wires(plan.structure)
+    chosen = [(index, wires[index]) for index in shard.wire_indices]
+    cached: Dict[Tuple[int, float], InjectionRecord] = {}
+    if cache is not None:
+        for index, _ in chosen:
+            for delay in shard.delay_fractions:
+                payload = cache.get_record(
+                    _record_key_of(session, plan, shard, index, delay)
+                )
+                if payload is not None:
+                    cached[(index, delay)] = record_from_payload(
+                        payload, index, shard.cycle, delay
+                    )
+    return _PreparedShard(shard, chosen, cached, shard.injection_pairs(cached))
+
+
+def _prepare_shard(session, plan: CampaignPlan, prepared: _PreparedShard) -> None:
+    """The batched timing-aware reachability pass of a shard's injections."""
+    shard = prepared.shard
     with tracing.span(
         "shard.execute",
         cat="shard",
@@ -320,32 +357,15 @@ def _prepare_shard(session, plan: CampaignPlan, shard: WorkShard) -> _PreparedSh
         wires=len(shard.wire_indices),
         delays=len(shard.delay_fractions),
     ):
-        cache = session.verdict_cache
-        wires = session.system.structure_wires(plan.structure)
-        chosen = [(index, wires[index]) for index in shard.wire_indices]
-        cached: Dict[Tuple[int, float], InjectionRecord] = {}
-        if cache is not None:
-            for index, _ in chosen:
-                for delay in shard.delay_fractions:
-                    payload = cache.get_record(
-                        _record_key_of(session, plan, shard, index, delay)
-                    )
-                    if payload is not None:
-                        cached[(index, delay)] = record_from_payload(
-                            payload, index, shard.cycle, delay
-                        )
-        prepared = _PreparedShard(shard=shard, chosen=chosen, cached=cached)
-        pending = shard.injection_pairs(skip=cached)
-        if pending:
+        if prepared.pending:
             prepared.waves = session.waveforms(shard.cycle)
             prepared.checkpoint = session.checkpoint(shard.cycle)
-            wire_of = dict(chosen)
+            wire_of = dict(prepared.chosen)
             prepared.reach_sets = session.dynamic.reachable_set_batch(
                 prepared.waves,
-                [(wire_of[index], delay) for index, delay in pending],
+                [(wire_of[index], delay) for index, delay in prepared.pending],
                 lanes=plan.lane_width,
             )
-        return prepared
 
 
 def _record_key_of(session, plan, shard, index: int, delay: float) -> str:

@@ -309,6 +309,8 @@ def prefetch_spanning_multi(
     for task in tasks:
         by_netlist.setdefault(id(task.analyzer.sim.netlist), []).append(task)
     for netlist_tasks in by_netlist.values():
+        # A word steps until its slowest lane resolves: longest lanes first.
+        netlist_tasks.sort(key=lambda t: t.checkpoint.cycle - t.analyzer.golden.cycles)
         for start in range(0, len(netlist_tasks), lanes):
             chunk = netlist_tasks[start : start + lanes]
             outcomes = _run_lane_tasks(chunk, at_next_boundary)

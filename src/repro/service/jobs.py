@@ -14,9 +14,11 @@ Execution happens on a bounded pool of worker threads inside the service
 process.  Workers share the :mod:`repro.api` engine cache (engines keyed by
 program content signature and *neutralized* config), so concurrent jobs over
 one workload share the golden run, the warm waveform/GroupACE caches, and
-the persistent verdict store.  Engines are not safe for concurrent campaign
-runs, so the manager serializes runs per engine (sweep jobs take their
-engines' locks in a stable sorted order, so two sweeps can never deadlock).
+the persistent verdict store.  The engines of one ``ecc`` share one system
+(:func:`repro.api.system_for`), whose simulators are not safe for
+overlapping campaigns, so the manager serializes runs per system, not per
+engine: a job holds its system's run lock while it builds its engines and
+runs, and a sweep or genwork job needs just that one lock.
 
 Results are exactly what the :mod:`repro.api` facade returns — the job
 runner drives the same engine entry points with the same arguments — so a
@@ -413,12 +415,9 @@ class JobManager:
         self._seq = 0
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
-        #: serializes campaign runs per engine (engines share mutable
-        #: session state); keyed by engine identity
-        self._engine_locks: Dict[int, threading.Lock] = {}
-        #: serializes genwork jobs: each one probes a whole candidate pool
-        #: of engines, so interleaving two would thrash the engine cache
-        self._genwork_lock = threading.Lock()
+        #: serializes campaign runs per system (its engines share its
+        #: simulators); keyed by system identity
+        self._run_locks: Dict[int, threading.Lock] = {}
 
     # ------------------------------------------------------------------
     # Submission / lookup
@@ -636,9 +635,11 @@ class JobManager:
             finally:
                 self._queue.task_done()
 
-    def _engine_lock(self, engine) -> threading.Lock:
+    def _run_lock(self, ecc: bool) -> threading.Lock:
+        """The run lock of the shared system the *ecc* engines run on."""
+        system = api.system_for(ecc=ecc)
         with self._lock:
-            return self._engine_locks.setdefault(id(engine), threading.Lock())
+            return self._run_locks.setdefault(id(system), threading.Lock())
 
     def _job_config(self, spec: JobSpec) -> CampaignConfig:
         """The spec's config with service-level defaults folded in (the
@@ -693,10 +694,10 @@ class JobManager:
             return self._execute_sweep(job, config)
         if spec.kind == "genwork":
             return self._execute_genwork(job, config)
-        engine = api.engine_for(
-            spec.benchmarks[0], ecc=spec.ecc, config=config
-        )
-        with self._engine_lock(engine):
+        with self._run_lock(spec.ecc):
+            engine = api.engine_for(
+                spec.benchmarks[0], ecc=spec.ecc, config=config
+            )
             before = engine.telemetry.snapshot()
             if spec.kind == "savf":
                 result = SAVFEngine(engine.session).run_structure(
@@ -725,14 +726,8 @@ class JobManager:
     def _execute_genwork(
         self, job: Job, config: CampaignConfig
     ) -> Dict[str, Any]:
-        """Coverage-directed generation: the api facade under one big lock.
-
-        The probe campaigns build (or warm-hit) one engine per candidate
-        seed; serializing whole genwork jobs keeps that pool churn from
-        interleaving with another genwork job's.  Ordinary analyze/savf
-        jobs still run concurrently — they take per-engine locks, and
-        generated candidates get fresh engines of their own.
-        """
+        """Coverage-directed generation under the run lock of its system,
+        which all its candidates' probe engines share."""
         import dataclasses
 
         spec = job.spec
@@ -749,7 +744,7 @@ class JobManager:
                 cache_dir=config.cache_dir,
                 workers_from=config.workers_from,
             )
-        with self._genwork_lock:
+        with self._run_lock(spec.ecc):
             selection = api.generate_workloads(
                 spec.count,
                 target_structure=spec.structures[0],
@@ -762,26 +757,14 @@ class JobManager:
         return envelope("genwork", selection.to_payload())
 
     def _execute_sweep(self, job: Job, config: CampaignConfig) -> Dict[str, Any]:
-        """Cross-product job: every engine's lock held, in sorted order.
-
-        A sweep spans several engines (one per workload); taking their run
-        locks in a stable order keyed by engine identity means two
-        overlapping sweeps always acquire in the same sequence and cannot
-        deadlock against each other.
-        """
-        import contextlib
-
-        engines = [
-            api.engine_for(benchmark, ecc=job.spec.ecc, config=config)
-            for benchmark in job.spec.benchmarks
-        ]
-        locks = sorted(
-            {id(e): self._engine_lock(e) for e in engines}.items()
-        )
-        before = {id(e): e.telemetry.snapshot() for e in engines}
-        with contextlib.ExitStack() as stack:
-            for _, lock in locks:
-                stack.enter_context(lock)
+        """Cross-product job: its engines share one system, so one run
+        lock covers them."""
+        with self._run_lock(job.spec.ecc):
+            engines = [
+                api.engine_for(benchmark, ecc=job.spec.ecc, config=config)
+                for benchmark in job.spec.benchmarks
+            ]
+            before = {id(e): e.telemetry.snapshot() for e in engines}
             results = api.sweep(
                 list(job.spec.structures),
                 list(job.spec.benchmarks),

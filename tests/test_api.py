@@ -1,5 +1,6 @@
 """Top-level package API surface and the repro.api facade."""
 
+import dataclasses
 import json
 import warnings
 
@@ -102,6 +103,109 @@ def test_sweep_contract():
     for result in results.values():
         assert result.delay_fractions == (0.5,)
         assert result.sampled_wires == SMALL.max_wires
+
+
+# ----------------------------------------------------------------------
+# A cached answer costs I/O, not simulation
+# ----------------------------------------------------------------------
+def _swept(config, workloads=("libstrstr", "libfibcall")):
+    """One alu + decoder sweep: its payloads, each workload's engine
+    counters, and the engines."""
+    results = api.sweep(("alu", "decoder"), workloads, config=config)
+    engines = {name: api.engine_for(name, config=config) for name in workloads}
+    counters = {
+        name: engine.telemetry.snapshot()["counters"]
+        for name, engine in engines.items()
+    }
+    payloads = {key: result.to_payload() for key, result in results.items()}
+    return payloads, counters, engines
+
+
+def test_warm_sweep_runs_no_simulation(tmp_path):
+    config = dataclasses.replace(SMALL, cache_dir=str(tmp_path))
+    cold, _, _ = _swept(config)
+    api.shutdown()  # only the disk cache survives
+    warm, counters, _ = _swept(config)
+    assert warm == cold
+    for name in ("golden_runs", "probe_runs", "waveforms_built"):
+        assert sum(c.get(name, 0) for c in counters.values()) == 0, name
+
+
+def test_sweep_engines_share_one_system_and_one_golden_word(
+    tmp_path, monkeypatch
+):
+    from repro.core import campaign
+
+    words = []
+    packed = campaign.packed_golden_runs
+
+    def recorded(sessions):
+        packed(sessions)
+        words.append([session.has_golden for session in sessions])
+
+    monkeypatch.setattr(campaign, "packed_golden_runs", recorded)
+    _, counters, engines = _swept(
+        dataclasses.replace(SMALL, cache_dir=str(tmp_path))
+    )
+    assert len({id(engine.system) for engine in engines.values()}) == 1
+    assert words == [[True, True]]
+    assert sum(c.get("golden_runs", 0) for c in counters.values()) == 2
+
+
+def test_partly_warm_sweep_simulates_only_the_cold_workload(tmp_path):
+    reference, _, _ = _swept(
+        dataclasses.replace(SMALL, cache_dir=str(tmp_path / "reference"))
+    )
+    api.shutdown()
+    config = dataclasses.replace(SMALL, cache_dir=str(tmp_path / "partial"))
+    _swept(config, ("libstrstr",))
+    api.shutdown()
+    payloads, counters, _ = _swept(config)
+    assert payloads == reference
+    assert counters["libstrstr"].get("golden_runs", 0) == 0
+    assert counters["libfibcall"].get("golden_runs", 0) == 1
+
+
+@pytest.mark.parametrize("stale_cycles", [700, 900])
+def test_stale_length_store_entry_resamples_before_planning(
+    tmp_path, stale_cycles
+):
+    """A wrong cross-scope length re-samples before it samples a plan.
+
+    libstrstr halts after 746 cycles.  Through one engine the scalar
+    golden run detects the stale entry; in a two-workload sweep the packed
+    word's lane fails adoption first and the session falls back to it.
+    Either way the records are those of a run without the entry.
+    """
+    from repro.core.cache import program_signature
+    from repro.workloads.lengths import LengthStore
+
+    def run(cache_dir, stale, sweep):
+        if stale:
+            LengthStore(cache_dir).put(
+                program_signature(load_benchmark("libstrstr")),
+                stale_cycles, "0" * 64,
+            )
+        config = dataclasses.replace(SMALL, cache_dir=str(cache_dir))
+        if sweep:
+            result = api.sweep(
+                ("alu",), ("libstrstr", "libfibcall"), config=config
+            )[("alu", "libstrstr")]
+        else:
+            result = api.analyze("alu", "libstrstr", config=config)
+        session = api.engine_for("libstrstr", config=config).session
+        counters = session.telemetry.snapshot()["counters"]
+        api.shutdown()
+        return result, counters, session.total_cycles
+
+    reference, _, true_length = run(tmp_path / "reference", False, False)
+    for sweep, golden_runs in ((False, 2), (True, 3)):
+        result, counters, length = run(tmp_path / f"sweep{sweep}", True, sweep)
+        assert counters.get("stale_length_hints") == 1
+        assert counters.get("golden_runs") == golden_runs
+        assert length == true_length == 746
+        assert result == reference
+        assert result.sampled_cycles == reference.sampled_cycles
 
 
 def test_savf_facade():

@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -499,6 +500,41 @@ def test_generated_spec_canonicalizes_in_job_identity():
     assert plain.job_id == spelled.job_id
     with pytest.raises(InputError):
         JobSpec.from_payload({**ANALYZE_SPEC, "benchmark": "gen:oops"})
+
+
+def test_jobs_on_one_system_never_run_campaigns_at_once(monkeypatch):
+    """Engines of one ecc share one system, so its run lock serializes
+    their campaigns: two analyze jobs and a genwork job's probe campaigns
+    never overlap, though three worker threads could run them at once."""
+    from repro.core.campaign import DelayAVFEngine
+
+    intervals = []
+    run_structure = DelayAVFEngine.run_structure
+
+    def recorded(engine, *args, **kwargs):
+        started = time.perf_counter()
+        try:
+            return run_structure(engine, *args, **kwargs)
+        finally:
+            intervals.append((started, time.perf_counter(), id(engine.system)))
+
+    monkeypatch.setattr(DelayAVFEngine, "run_structure", recorded)
+    manager = JobManager(workers=3)
+    specs = [
+        {**ANALYZE_SPEC, "structure": "decoder", "benchmark": benchmark}
+        for benchmark in ("libstrstr", "libfibcall")
+    ] + [{**GENWORK_SPEC, "count": 1, "pool": 2}]
+    jobs = [manager.submit(JobSpec.from_payload(spec))[0] for spec in specs]
+    manager.start()
+    for job in jobs:
+        assert job.wait(timeout=300)
+        assert job.error is None, job.error
+    assert manager.drain(timeout=60)
+    assert len(intervals) == 4  # two analyze jobs, two genwork probes
+    assert len({system for _, _, system in intervals}) == 1
+    ordered = sorted(interval[:2] for interval in intervals)
+    for (_, end), (start, _) in zip(ordered, ordered[1:]):
+        assert end <= start
 
 
 def test_genwork_job_executes_and_dedupes(tmp_path):
