@@ -3,21 +3,27 @@
 The dynamically reachable set of an SDF is the set of state elements that
 actually latch an incorrect value: statically reachable *and* not logically
 masked.  This module wraps the event-driven simulator with the §V-C
-short-circuits:
+short-circuits, in Eq. 4 order:
 
+- if nothing is statically reachable, the set is trivially empty;
 - if the faulted wire's source does not toggle in the injection cycle, the
   set is trivially empty (no timing-aware simulation at all);
-- if nothing is statically reachable, the set is trivially empty;
+- if the shifted source settles before any DFF samples it, the set is
+  empty (the simulator's settled-source skip, ``slack_skips``);
 - otherwise only the fan-out cone of the faulted wire is re-simulated against
   the shared fault-free waveforms of that cycle.
 
-:meth:`DynamicReachability.reachable_set_batch` applies the same
-short-circuits to a whole cycle's worth of (wire, delay) queries at once and
-feeds the survivors to :meth:`repro.sim.eventsim.EventSimulator.
-resimulate_batch`, which amortizes cone construction and fault-free waveform
-gathering across the batch (the ``batch_resims`` / ``cone_index_hits``
-telemetry and the ``batch_resim`` phase report how much of the campaign ran
-batched).
+:meth:`DynamicReachability.reachable_set_batch` fills the static-reach cache
+for a whole cycle's worth of (wire, delay) queries in one levelized sweep
+(the ``static_reach`` phase), applies the same short-circuits and feeds the
+survivors to :meth:`repro.sim.eventsim.EventSimulator.resimulate_batch`,
+which amortizes cone construction and fault-free waveform gathering across
+the batch (the ``batch_resims`` / ``cone_index_hits`` telemetry and the
+``batch_resim`` phase report how much of the campaign ran batched).  The
+funnel counters count each record once, on the per-record path
+(:meth:`DynamicReachability.reachable_set`, which
+:class:`repro.core.delayavf.DelayAceEvaluator` asks only about statically
+reachable injections).
 """
 
 from __future__ import annotations
@@ -28,6 +34,12 @@ from repro.core.static_reach import StaticReachability
 from repro.core.telemetry import CampaignTelemetry
 from repro.netlist.netlist import Wire
 from repro.sim.eventsim import CycleWaveforms, EventSimulator
+
+#: Event-simulator counters a batch copies into telemetry as deltas.
+_SIM_COUNTERS = (
+    "batch_scalar_fallbacks", "slack_skips", "packed_cone_words",
+    "packed_cone_lanes", "packed_cone_lane_slots", "packed_scalar_lanes",
+)
 
 
 class DynamicReachability:
@@ -65,7 +77,9 @@ class DynamicReachability:
             return dict(cached)
         self.telemetry.incr("cone_resims")
         extra = delay_fraction * self.static.sta.clock_period
+        skips = self.event_sim.slack_skips
         errors = self.event_sim.resimulate(waves, wire, extra)
+        self.telemetry.incr("slack_skips", self.event_sim.slack_skips - skips)
         # Exactness check (Definition 3): every erroneous latch must be
         # statically reachable; anything else indicates a timing-model bug.
         static_set = self.static.reachable_set(wire, delay_fraction)
@@ -83,45 +97,42 @@ class DynamicReachability:
     ) -> List[Dict[int, int]]:
         """Batched :meth:`reachable_set` over one cycle's injections.
 
-        Applies the §V-C short-circuits and the per-cycle memo to every
-        (wire, delay-fraction) query first, then re-simulates the remaining
-        misses in one :meth:`EventSimulator.resimulate_batch` call so that
-        injections sharing a fan-out cone share its construction and
+        Fills the static-reach cache for every query (non-toggling ones
+        too: every record needs ``num_statically_reachable``), applies the
+        §V-C short-circuits and the per-cycle memo, then re-simulates the
+        remaining misses in one :meth:`EventSimulator.resimulate_batch` call
+        so that injections sharing a fan-out cone share its construction and
         fault-free slices, word-packed up to *lanes* bit-planes wide.
         Results are memoized like the scalar path, so a later
         :meth:`reachable_set` for the same query is a cache hit.  Returns
         one reachable-set dict per query, in input order.
         """
         telemetry = self.telemetry
+        with telemetry.phase(
+            "static_reach", "static.reach_batch", cat="timing",
+            cycle=waves.cycle, queries=len(queries),
+        ):
+            self.static.fill(queries)
         results: List[Optional[Dict[int, int]]] = [None] * len(queries)
         pending: Dict[Tuple[Wire, float], List[int]] = {}
-        for pos, (wire, fraction) in enumerate(queries):
-            if not waves.toggles(wire.net):
-                telemetry.incr("toggle_skips")
-                results[pos] = {}
-            elif not self.static.is_reachable(wire, fraction):
-                results[pos] = {}
+        for pos, key in enumerate(queries):
+            wire, fraction = key
+            if not waves.toggles(wire.net) or not self.static.is_reachable(*key):
+                results[pos] = {}  # the funnel counts it per record
+                continue
+            cached = waves.resim_cache.get(key)
+            if cached is not None:
+                telemetry.incr("resim_cache_hits")
+                results[pos] = dict(cached)
             else:
-                key = (wire, fraction)
-                cached = waves.resim_cache.get(key)
-                if cached is not None:
-                    telemetry.incr("resim_cache_hits")
-                    results[pos] = dict(cached)
-                else:
-                    pending.setdefault(key, []).append(pos)
+                pending.setdefault(key, []).append(pos)
         if pending:
             sim = self.event_sim
             period = self.static.sta.clock_period
             keys = list(pending)
             hits_before = sim.cone_index.hits
             builds_before = sim.cone_index.builds
-            fallbacks_before = sim.batch_scalar_fallbacks
-            packed_before = (
-                sim.packed_cone_words,
-                sim.packed_cone_lanes,
-                sim.packed_cone_lane_slots,
-                sim.packed_scalar_lanes,
-            )
+            before = [getattr(sim, name) for name in _SIM_COUNTERS]
             with telemetry.phase(
                 "batch_resim", "dynamic.batch_reach", cat="sim",
                 cycle=waves.cycle, queries=len(keys), lanes=lanes,
@@ -138,24 +149,8 @@ class DynamicReachability:
             telemetry.incr(
                 "cone_index_builds", sim.cone_index.builds - builds_before
             )
-            telemetry.incr(
-                "batch_scalar_fallbacks",
-                sim.batch_scalar_fallbacks - fallbacks_before,
-            )
-            telemetry.incr(
-                "packed_cone_words", sim.packed_cone_words - packed_before[0]
-            )
-            telemetry.incr(
-                "packed_cone_lanes", sim.packed_cone_lanes - packed_before[1]
-            )
-            telemetry.incr(
-                "packed_cone_lane_slots",
-                sim.packed_cone_lane_slots - packed_before[2],
-            )
-            telemetry.incr(
-                "packed_scalar_lanes",
-                sim.packed_scalar_lanes - packed_before[3],
-            )
+            for name, count in zip(_SIM_COUNTERS, before):
+                telemetry.incr(name, getattr(sim, name) - count)
             for key, errors in zip(keys, batch):
                 wire, fraction = key
                 static_set = self.static.reachable_set(wire, fraction)

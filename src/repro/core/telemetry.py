@@ -66,6 +66,7 @@ COUNTER_ORDER = (
     "injections",
     "static_unreachable",
     "toggle_skips",
+    "slack_skips",
     "dynamic_empty",
     "multi_bit_sets",
     "resim_cache_hits",
@@ -123,6 +124,7 @@ PHASE_ORDER = (
     "golden",
     "plan",
     "waveforms",
+    "static_reach",
     "batch_resim",
     "prefetch",
     "evaluate",

@@ -14,7 +14,10 @@ Key structure (mirroring the paper's §V-C optimizations):
   faulted wire with its source waveform shifted by the extra delay ``d``,
   stopping wherever the recomputed waveform matches the fault-free one, and
   reports the state elements whose latched value differs from the fault-free
-  next state.
+  next state.  Before any cone work it applies the *settled-source skip*
+  (:meth:`EventSimulator.source_settles`): an injection whose shifted source
+  settles, through its sink cell's worst downstream path, before the capture
+  edge latches nothing (counted in ``slack_skips``).
 - :meth:`EventSimulator.resimulate_batch` amortizes that replay across all
   injections of one cycle: a :class:`ConeIndex` owned by the simulator
   precomputes each faulted sink's transitive fan-out cone in levelized
@@ -27,7 +30,7 @@ Key structure (mirroring the paper's §V-C optimizations):
   no monotonicity shortcut is sound — only the structure walk and the
   fault-free waveform slices are shared.  Injections whose semantics do not
   fit the cone pass (output ports, direct DFF.D sinks, non-toggling
-  sources) fall back to the scalar path.
+  sources) fall back to the scalar path; settled sources take no lane.
 - Inside a cone pass, the lanes dirty at one cell are *word-packed*
   (classic parallel fault simulation, up to :data:`MAX_LANES` bit-planes
   of a Python int): the merged event stream over the union of the lanes'
@@ -89,6 +92,10 @@ Waveform = List[Tuple[float, int]]
 _CAPTURE_EPS = 1e-9
 
 _INF = float("inf")
+
+#: How far before the capture edge a shifted source must settle to be
+#: skipped: far above float round-off and :data:`_CAPTURE_EPS`.
+SETTLE_MARGIN = 1e-6
 
 #: Shared read-only empty waveform (avoids allocating one per untouched pin).
 _NO_CHANGES: Waveform = []
@@ -273,6 +280,8 @@ class EventSimulator:
         self.packed_cone_lane_slots = 0
         #: lone-dirty-lane cell evaluations that took the scalar kernel
         self.packed_scalar_lanes = 0
+        #: injections the settled-source skip answered without a cone lane
+        self.slack_skips = 0
 
     # ------------------------------------------------------------------
     # Fault-free cycle simulation
@@ -355,7 +364,6 @@ class EventSimulator:
         the GroupACE step.  Empty when the fault is masked (or the source
         never toggles).
         """
-        netlist = self.netlist
         base = waves.changes.get(wire.net)
         if not base:
             # §V-C: a non-toggling source trivially yields an empty set.
@@ -363,56 +371,37 @@ class EventSimulator:
         sink = wire.sink
         if sink.pin_type is PinType.OUTPORT:
             return {}
-        period = self.sta.clock_period
+        if self.source_settles(waves, wire, extra_delay):
+            self.slack_skips += 1
+            return {}
         shifted: Waveform = [(t + extra_delay, v) for t, v in base]
         if sink.pin_type is PinType.DFF_D:
-            latched = value_at(int(waves.initial[wire.net]), shifted, period)
+            latched = value_at(
+                int(waves.initial[wire.net]), shifted, self.sta.clock_period
+            )
             golden = int(waves.final[wire.net])
             return {sink.owner: latched} if latched != golden else {}
+        lane = _Lane({(sink.owner, sink.pin): shifted})
+        self._cone_pass(waves, self.cone_index.cone((sink.owner,)), [lane])
+        return lane.errors
 
-        modified: Dict[int, Waveform] = {}
-        pin_overrides: Dict[Tuple[int, int], Waveform] = {
-            (sink.owner, sink.pin): shifted
-        }
-        errors: Dict[int, int] = {}
-        frontier: List[Tuple[int, int]] = []
-        queued = set()
+    def source_settles(
+        self, waves: CycleWaveforms, wire: Wire, extra_delay: float
+    ) -> bool:
+        """Whether an SDF on pin *p* of cell *c* provably latches nothing.
 
-        def enqueue(cell: int) -> None:
-            if cell not in queued:
-                queued.add(cell)
-                heapq.heappush(frontier, (self.sta.cell_levels[cell], cell))
-
-        enqueue(sink.owner)
-        while frontier:
-            _, cell = heapq.heappop(frontier)
-            inputs = netlist.cell_inputs[cell]
-            pin_waves = []
-            for pin, in_net in enumerate(inputs):
-                wf = pin_overrides.get((cell, pin))
-                if wf is None:
-                    wf = modified.get(in_net)
-                if wf is None:
-                    wf = waves.changes.get(in_net, [])
-                pin_waves.append((int(waves.initial[in_net]), wf))
-            out_wf = _recompute_output(
-                netlist.cell_kinds[cell], pin_waves, float(self.sta.cell_delay[cell])
-            )
-            out_net = netlist.cell_outputs[cell]
-            base_out = waves.changes.get(out_net, [])
-            if out_wf == base_out:
-                continue  # converged with the fault-free waveform
-            modified[out_net] = out_wf
-            latched = value_at(int(waves.initial[out_net]), out_wf, period)
-            if latched != int(waves.final[out_net]):
-                for dff in self._fanout_dffs[out_net]:
-                    errors[dff] = latched
-            else:
-                for dff in self._fanout_dffs[out_net]:
-                    errors.pop(dff, None)
-            for next_cell, _pin in self._fanout_cells[out_net]:
-                enqueue(next_cell)
-        return errors
+        Under transport delay every DFF samples *p* only at instants at or
+        after ``period - (cell_delay[c] + downstream[out(c)])``; a shifted
+        source whose last change comes :data:`SETTLE_MARGIN` before that
+        holds the fault-free final value wherever it is sampled.
+        """
+        base = waves.changes.get(wire.net)
+        sink = wire.sink
+        if not base or sink.pin_type is not PinType.CELL_IN:
+            return False
+        sta, cell = self.sta, sink.owner
+        bound = sta.cell_delay[cell] + sta.downstream[self.netlist.cell_outputs[cell]]
+        return base[-1][0] + extra_delay + bound <= sta.clock_period - SETTLE_MARGIN
 
     def resimulate_batch(
         self,
@@ -432,7 +421,8 @@ class EventSimulator:
         cell.  Lane results are exactly what the scalar path would produce
         (no cross-lane value reuse, no monotonicity shortcuts); injections
         the cone pass cannot express (output-port sinks, direct DFF.D
-        sinks, non-toggling sources) take the scalar path instead.
+        sinks, non-toggling sources) take the scalar path instead, and
+        settled sources (:meth:`source_settles`) answer ``{}`` with no lane.
 
         Returns one ``{dff_index: erroneous latched value}`` dict per
         injection, in input order.
@@ -467,7 +457,7 @@ class EventSimulator:
     ) -> List[Dict[int, int]]:
         results: List[Optional[Dict[int, int]]] = [None] * len(injections)
         groups: Dict[int, List[int]] = {}
-        for i, (wire, _extra) in enumerate(injections):
+        for i, (wire, extra) in enumerate(injections):
             sink = wire.sink
             if (
                 not waves.changes.get(wire.net)
@@ -475,7 +465,10 @@ class EventSimulator:
             ):
                 # Trivial or special-sink semantics: scalar path.
                 self.batch_scalar_fallbacks += 1
-                results[i] = self.resimulate(waves, wire, injections[i][1])
+                results[i] = self.resimulate(waves, wire, extra)
+            elif self.source_settles(waves, wire, extra):
+                self.slack_skips += 1
+                results[i] = {}
             else:
                 groups.setdefault(sink.owner, []).append(i)
         for root, idxs in groups.items():
@@ -501,13 +494,13 @@ class EventSimulator:
     ) -> None:
         """Walk *cone* in levelized order, evaluating every lane's injection.
 
-        Equivalent to the scalar algorithm run once per lane: the scalar
-        frontier pops cells in (level, cell) order and a cell's fan-out is
-        always at a strictly greater level, so walking the precomputed cone
-        order and skipping cells no lane has marked dirty visits the same
-        cells in the same order.  Per-cell fault-free data (input slices,
-        baseline output waveform, delay) is gathered once and shared by all
-        lanes.
+        Equivalent to an event-driven frontier walk run once per lane (one
+        lane is how :meth:`resimulate` runs it): a cell's fan-out is always
+        at a strictly greater level, so walking the precomputed cone order
+        and skipping cells no lane has marked dirty evaluates each dirty
+        cell once, after every cell that feeds it.  Per-cell fault-free data
+        (input slices, baseline output waveform, delay) is gathered once and
+        shared by all lanes.
 
         When two or more lanes are dirty at a cell, their waveform
         recomputation is *word-packed*: lane *k* of the dirty set rides bit

@@ -8,13 +8,15 @@ Implements the timing-side primitives of the DelayAVF methodology:
   paper's Fig. 6 path-length distributions;
 - the **statically reachable set** of a small delay fault (Definition 2): the
   state elements terminating a path through the faulted wire whose length
-  exceeds the clock period once the extra delay *d* is added.
+  exceeds the clock period once the extra delay *d* is added.  A batch of
+  (wire, d) queries is answered by one levelized max-plus sweep, one numpy
+  column per query (:meth:`StaticTiming.statically_reachable_batch`).
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, List, Set, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +26,12 @@ from repro.timing.liberty import TimingLibrary
 
 #: Tolerance for floating-point comparisons against the clock period.
 _EPS = 1e-9
+
+#: Queries one reach sweep carries as columns: enough to amortize the numpy
+#: calls per level, few enough to keep its arrival matrix small.
+REACH_COLUMNS = 32
+
+_NONE: FrozenSet[int] = frozenset()
 
 
 class StaticTiming:
@@ -136,50 +144,96 @@ class StaticTiming:
             return float("-inf")
         return base + float(self.cell_delay[cell]) + float(rest)
 
-    def statically_reachable(self, wire: Wire, extra_delay: float) -> Set[int]:
-        """The statically reachable set of an SDF of *extra_delay* on *wire*.
+    def statically_reachable(
+        self, wire: Wire, extra_delay: float
+    ) -> FrozenSet[int]:
+        """The statically reachable set of an SDF of *extra_delay* on *wire*."""
+        return self.statically_reachable_batch([(wire, extra_delay)])[0]
 
-        Returns the indices of DFFs terminating a path through *wire* whose
-        length exceeds the clock period once the extra delay is added
-        (Definition 2 of the paper).  The traversal is pruned with the
-        precomputed downstream bounds so only the violating cone is walked.
+    def statically_reachable_batch(
+        self, queries: Sequence[Tuple[Wire, float]]
+    ) -> List[FrozenSet[int]]:
+        """Statically reachable sets of (wire, extra delay) queries, in order.
+
+        Cell-pin queries, sorted by their sink's level, are swept
+        :data:`REACH_COLUMNS` at a time in one levelized max-plus pass, one
+        numpy column each: ``late[net, q]`` is the latest arrival at *net*
+        over paths through query *q*'s wire.  Per level a cell takes the
+        latest arrival over its pins (the faulted pin starts at the wire's
+        arrival plus the extra delay) and adds its delay, and the column is
+        cut to ``-inf`` wherever ``t + cell_delay + downstream[out] <=
+        period + _EPS``: the pruned path walk's additions, in its order, so
+        the sets are exact to the last bit.  A DFF is reached where its D
+        net's arrival exceeds ``period + _EPS``.
+        """
+        threshold = self.clock_period + _EPS
+        levels, slot, dff_ids, dff_d = self._reach_tables
+        results = [_NONE] * len(queries)
+        swept = []
+        for pos, (wire, extra) in enumerate(queries):
+            sink = wire.sink
+            if sink.pin_type is PinType.CELL_IN:
+                swept.append((self.cell_levels[sink.owner], slot[sink.owner], pos))
+            elif sink.pin_type is PinType.DFF_D and (
+                float(self.arrival[wire.net]) + extra > threshold
+            ):
+                results[pos] = frozenset((sink.owner,))
+        swept.sort()
+        for first in range(0, len(swept), REACH_COLUMNS):
+            block = swept[first : first + REACH_COLUMNS]
+            starts = np.array([
+                float(self.arrival[queries[pos][0].net]) + queries[pos][1]
+                for _, _, pos in block
+            ])
+            injected: Dict[int, Tuple[List[int], List[int]]] = {}
+            for col, (level, row, _) in enumerate(block):
+                rows, cols = injected.setdefault(level, ([], []))
+                rows.append(row)
+                cols.append(col)
+            late = np.full((self.netlist.num_nets + 1, len(block)), -np.inf)
+            for level in range(block[0][0], len(levels)):
+                ins, outs, delay, down = levels[level]
+                t = late[ins[0]]
+                for row in ins[1:]:
+                    np.maximum(t, late[row], out=t)
+                if level in injected:
+                    rows, cols = injected[level]
+                    t[rows, cols] = starts[cols]
+                t += delay
+                late[outs] = np.where(t + down > threshold, t, -np.inf)
+            for (_, _, pos), col in zip(block, (late[dff_d] > threshold).T):
+                reached = np.flatnonzero(col).tolist()
+                if reached:  # via a set: an iterator oversizes the table
+                    results[pos] = frozenset(set(map(dff_ids.__getitem__, reached)))
+        return results
+
+    @cached_property
+    def _reach_tables(self):
+        """The reach sweep's per-level numpy tables, built on first use.
+
+        Per level: input nets (one row per pin, padded with ``num_nets``,
+        the always ``-inf`` row), output nets, delays and downstream bounds.
+        ``slot`` is each cell's column in its level.
         """
         netlist = self.netlist
-        period = self.clock_period
-        start = float(self.arrival[wire.net]) + extra_delay
-        reachable: Set[int] = set()
-        # Latest arrival, via paths through the faulted wire, at each cell's
-        # relevant input pins (max over pins is all a max-delay path needs).
-        cell_late: Dict[int, float] = {}
-        frontier: List[Tuple[int, int]] = []  # (level, cell) min-heap
-
-        def visit(sink, t: float) -> None:
-            if sink.pin_type is PinType.DFF_D:
-                if t > period + _EPS:
-                    reachable.add(sink.owner)
-                return
-            if sink.pin_type is PinType.OUTPORT:
-                return
-            cell = sink.owner
-            out = netlist.cell_outputs[cell]
-            bound = self.downstream[out]
-            # Prune: even the worst downstream continuation cannot violate.
-            if (
-                bound == -np.inf
-                or t + self.cell_delay[cell] + bound <= period + _EPS
-            ):
-                return
-            previous = cell_late.get(cell)
-            if previous is None:
-                heapq.heappush(frontier, (self.cell_levels[cell], cell))
-                cell_late[cell] = t
-            elif t > previous:
-                cell_late[cell] = t
-
-        visit(wire.sink, start)
-        while frontier:
-            _, cell = heapq.heappop(frontier)
-            t_out = cell_late[cell] + float(self.cell_delay[cell])
-            for sink in netlist.fanout_of(netlist.cell_outputs[cell]):
-                visit(sink, t_out)
-        return reachable
+        depth = max(self.cell_levels, default=-1) + 1
+        by_level: List[List[int]] = [[] for _ in range(depth)]
+        slot = []
+        for cell, level in enumerate(self.cell_levels):
+            slot.append(len(by_level[level]))
+            by_level[level].append(cell)
+        levels = []
+        for cells in by_level:
+            pins = max(len(netlist.cell_inputs[cell]) for cell in cells)
+            ins = np.array([
+                list(netlist.cell_inputs[cell])
+                + [netlist.num_nets] * (pins - len(netlist.cell_inputs[cell]))
+                for cell in cells
+            ], dtype=np.intp).T
+            outs = np.array([netlist.cell_outputs[cell] for cell in cells])
+            levels.append((ins, outs, self.cell_delay[cells][:, None],
+                           self.downstream[outs][:, None]))
+        dffs = [dff for dff in netlist.dffs if dff.d != -1]
+        return levels, slot, [dff.index for dff in dffs], np.array(
+            [dff.d for dff in dffs], dtype=np.intp
+        )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.netlist.cells import CellKind, cell_input_count
 from repro.netlist.netlist import CONST0, CONST1, Netlist
@@ -113,3 +113,111 @@ def naive_settle(nl: Netlist, state: Dict[int, int]) -> Dict[int, int]:
         if not progressed:
             raise AssertionError("combinational loop or missing roots")
     return values
+
+
+def heap_walk_reachable(sta, wire, extra_delay: float) -> Set[int]:
+    """Reference statically reachable set: the pruned per-query path walk.
+
+    Walks the fan-out of *wire*'s sink in (level, cell) order on a heap,
+    keeping each cell's latest arrival over its pins and pruning every cell
+    whose worst downstream continuation cannot violate the period.  One
+    Python walk per (wire, d) — the oracle the levelized sweep
+    (``StaticTiming.statically_reachable_batch``) must match bit for bit.
+    """
+    import heapq
+
+    import numpy as np
+
+    from repro.netlist.netlist import PinType
+
+    netlist = sta.netlist
+    threshold = sta.clock_period + 1e-9
+    start = float(sta.arrival[wire.net]) + extra_delay
+    reachable: Set[int] = set()
+    cell_late: Dict[int, float] = {}
+    frontier: List[Tuple[int, int]] = []
+
+    def visit(sink, t: float) -> None:
+        if sink.pin_type is PinType.DFF_D:
+            if t > threshold:
+                reachable.add(sink.owner)
+            return
+        if sink.pin_type is PinType.OUTPORT:
+            return
+        cell = sink.owner
+        bound = sta.downstream[netlist.cell_outputs[cell]]
+        if bound == -np.inf or t + sta.cell_delay[cell] + bound <= threshold:
+            return
+        previous = cell_late.get(cell)
+        if previous is None:
+            heapq.heappush(frontier, (sta.cell_levels[cell], cell))
+            cell_late[cell] = t
+        elif t > previous:
+            cell_late[cell] = t
+
+    visit(wire.sink, start)
+    while frontier:
+        _, cell = heapq.heappop(frontier)
+        t_out = cell_late[cell] + float(sta.cell_delay[cell])
+        for sink in netlist.fanout_of(netlist.cell_outputs[cell]):
+            visit(sink, t_out)
+    return reachable
+
+
+def frontier_walk_errors(ev, waves, wire, extra_delay: float) -> Dict[int, int]:
+    """Reference dynamically reachable set: one heap-frontier cone walk.
+
+    Replays *wire*'s fan-out cone cell by cell in (level, cell) order with
+    the source waveform shifted by *extra_delay*, stopping where a
+    recomputed waveform converges with the fault-free one — no lanes, no
+    word packing and no settled-source skip.  The oracle the event
+    simulator's cone pass (``EventSimulator.resimulate`` /
+    ``resimulate_batch``) must match exactly.
+    """
+    import heapq
+
+    from repro.netlist.netlist import PinType
+    from repro.sim.eventsim import _recompute_output, value_at
+
+    netlist, sta = ev.netlist, ev.sta
+    base = waves.changes.get(wire.net)
+    sink = wire.sink
+    if not base or sink.pin_type is PinType.OUTPORT:
+        return {}
+    period = sta.clock_period
+    shifted = [(t + extra_delay, v) for t, v in base]
+    if sink.pin_type is PinType.DFF_D:
+        latched = value_at(int(waves.initial[wire.net]), shifted, period)
+        golden = int(waves.final[wire.net])
+        return {sink.owner: latched} if latched != golden else {}
+    overrides = {(sink.owner, sink.pin): shifted}
+    modified: Dict[int, list] = {}
+    errors: Dict[int, int] = {}
+    frontier = [(sta.cell_levels[sink.owner], sink.owner)]
+    queued = {sink.owner}
+    while frontier:
+        _, cell = heapq.heappop(frontier)
+        pin_waves = []
+        for pin, in_net in enumerate(netlist.cell_inputs[cell]):
+            wf = overrides.get((cell, pin))
+            if wf is None:
+                wf = modified.get(in_net, waves.changes.get(in_net, []))
+            pin_waves.append((int(waves.initial[in_net]), wf))
+        out_wf = _recompute_output(
+            netlist.cell_kinds[cell], pin_waves, float(sta.cell_delay[cell])
+        )
+        out_net = netlist.cell_outputs[cell]
+        if out_wf == waves.changes.get(out_net, []):
+            continue  # converged with the fault-free waveform
+        modified[out_net] = out_wf
+        latched = value_at(int(waves.initial[out_net]), out_wf, period)
+        for nxt in netlist.fanout_of(out_net):
+            if nxt.pin_type is PinType.DFF_D:
+                if latched != int(waves.final[out_net]):
+                    errors[nxt.owner] = latched
+                else:
+                    errors.pop(nxt.owner, None)
+            elif nxt.pin_type is PinType.CELL_IN and nxt.owner not in queued:
+                queued.add(nxt.owner)
+                heapq.heappush(frontier, (sta.cell_levels[nxt.owner], nxt.owner))
+    return errors

@@ -69,3 +69,35 @@ def test_static_cache_reused(strstr_engine):
     first = session.static.reachable_set(wire, 0.9)
     second = session.static.reachable_set(wire, 0.9)
     assert first is second  # cached object identity
+
+
+def test_funnel_counters_partition_the_sample(system, strstr_program):
+    """Each record is counted once, in Eq. 4 order: static, toggle, slack.
+
+    ``toggle_skips`` counts exactly the statically reachable records whose
+    source does not toggle in their cycle, so the skip counters never
+    exceed the statically reachable part of the sample.
+    """
+    from repro.core.campaign import CampaignConfig, DelayAVFEngine
+
+    engine = DelayAVFEngine(system, strstr_program, CampaignConfig(
+        cycle_count=4, max_wires=24, delay_fractions=(0.5, 0.9),
+        margin_cycles=600,
+    ))
+    result = engine.run_structure("decoder")
+    counters = result.telemetry.snapshot()["counters"]
+    wires = system.structure_wires("decoder")
+    quiet = sum(
+        1
+        for by_delay in result.by_delay.values()
+        for record in by_delay.records
+        if record.statically_reachable
+        and not engine.session.waveforms(record.cycle).toggles(
+            wires[record.wire_index].net
+        )
+    )
+    assert quiet > 0
+    assert counters["toggle_skips"] == quiet
+    assert counters["toggle_skips"] + counters["slack_skips"] <= (
+        counters["injections"] - counters["static_unreachable"]
+    )

@@ -1,16 +1,18 @@
 """Timing-aware event simulator: settle-equivalence, injection, oracles."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ScriptedEnv, random_circuit
+from helpers import ScriptedEnv, frontier_walk_errors, random_circuit
 from repro.netlist.cells import CellKind
 from repro.netlist.netlist import Netlist, PinType, SinkPin, Wire
 from repro.netlist.validate import validate
 from repro.sim.cyclesim import CycleSimulator
-from repro.sim.eventsim import EventSimulator, value_at
+from repro.sim.eventsim import SETTLE_MARGIN, EventSimulator, value_at
 from repro.timing.liberty import NANGATE45ISH
 from repro.timing.sta import StaticTiming
 
@@ -68,7 +70,7 @@ def test_resimulate_matches_bruteforce(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_resimulate_batch_matches_scalar(seed):
-    """The shared-cone batched path is verdict-exact vs the scalar path."""
+    """The shared-cone batched path is verdict-exact vs the reference walk."""
     nl, sta, ev, sim = _setup(seed)
     script = [{"in": (i * 17 + 3 * seed) & 0x3F} for i in range(8)]
     env = ScriptedEnv(script)
@@ -89,7 +91,8 @@ def test_resimulate_batch_matches_scalar(seed):
         ]
         batched = ev.resimulate_batch(waves, injections)
         for (wire, extra), batch_errors in zip(injections, batched):
-            assert batch_errors == ev.resimulate(waves, wire, extra), (
+            reference = frontier_walk_errors(ev, waves, wire, extra)
+            assert batch_errors == reference, (
                 cycle,
                 wire,
                 extra,
@@ -227,3 +230,54 @@ def test_waveform_changes_are_time_ordered_and_toggling():
         seq = [int(waves.initial[net])] + [v for _, v in changes]
         assert all(a != b for a, b in zip(seq, seq[1:])), "non-toggle recorded"
         assert seq[-1] == int(waves.final[net])
+
+
+def test_settled_source_skip_matches_bruteforce(strstr_engine):
+    """Every injection the settled-source skip answers latches nothing.
+
+    On sampled IbexMini cycles, cell-pin injections from all five structures
+    run through the batch: the ones the skip answers at d = 0.5 / 0.9, one
+    per wire built to settle two margins before capture (the tightest the
+    skip may take), and one built to settle half a margin before it, which
+    must still reach the cone pass.  Full faulty-cycle simulation is the
+    oracle for all of them.
+    """
+    session = strstr_engine.session
+    system = session.system
+    ev, sta = system.event_sim, system.sta
+    period = sta.clock_period
+    rng = random.Random(5)
+    structures = ("alu", "decoder", "regfile", "lsu", "prefetch")
+    for cycle in session.sampled_cycles[:2]:
+        waves = session.waveforms(cycle)
+        ckpt = session.checkpoint(cycle)
+        skipped, edge = [], []
+        for structure in structures:
+            wires = [
+                wire for wire in system.structure_wires(structure)
+                if wire.sink.pin_type is PinType.CELL_IN
+                and wire.net in waves.changes
+                and sta.max_path_through(wire) > float("-inf")
+            ]
+            for wire in rng.sample(wires, min(2, len(wires))):
+                cell = wire.sink.owner
+                settle = (
+                    waves.changes[wire.net][-1][0] + sta.cell_delay[cell]
+                    + sta.downstream[system.netlist.cell_outputs[cell]]
+                )
+                skipped += [
+                    (wire, frac * period) for frac in (0.5, 0.9)
+                    if ev.source_settles(waves, wire, frac * period)
+                ]
+                skipped.append((wire, period - 2 * SETTLE_MARGIN - settle))
+                edge.append((wire, period - SETTLE_MARGIN / 2 - settle))
+        for group, skip in ((skipped, True), (edge, False)):
+            skips, lanes = ev.slack_skips, ev.batch_resims
+            answers = ev.resimulate_batch(waves, group)
+            assert ev.slack_skips - skips == (len(group) if skip else 0)
+            assert ev.batch_resims - lanes == (0 if skip else len(group))
+            for (wire, extra), errors in zip(group, answers):
+                assert errors == ev.simulate_cycle_with_fault(
+                    ckpt.prev_settled, ckpt.dff_values, ckpt.input_values,
+                    wire, extra,
+                ), (cycle, wire, extra)

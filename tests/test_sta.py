@@ -1,8 +1,11 @@
 """Static timing analysis: arrivals, clock period, reachability."""
 
+import random
+
+import numpy as np
 import pytest
 
-from helpers import random_circuit
+from helpers import heap_walk_reachable, random_circuit
 from repro.netlist.cells import CellKind
 from repro.netlist.netlist import Netlist, PinType, SinkPin, Wire
 from repro.netlist.validate import validate
@@ -107,7 +110,7 @@ def test_statically_reachable_respects_slack():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_reachability_matches_exhaustive_path_walk(seed):
-    """Cross-check the pruned traversal against a naive DFS enumeration."""
+    """Cross-check the levelized sweep against a naive DFS enumeration."""
     nl = random_circuit(seed, num_inputs=4, num_gates=35, num_dffs=4)
     sta = StaticTiming(nl, NANGATE45ISH)
 
@@ -135,6 +138,38 @@ def test_reachability_matches_exhaustive_path_walk(seed):
         for frac in (0.2, 0.6, 0.95):
             extra = frac * sta.clock_period
             assert sta.statically_reachable(wire, extra) == naive(wire, extra)
+
+
+@pytest.mark.parametrize("ecc", (False, True))
+def test_reach_sweep_matches_heap_walk_on_ibexmini(ecc, system, ecc_system):
+    """The sweep equals the pruned path walk, set for set, at the slack edge.
+
+    Samples wires of all five structures at several d and at each wire's
+    exact slack threshold (``period - max_path_through``), one ulp either
+    side of it and just past the comparison tolerance, and the same around
+    the tolerance itself.
+    """
+    system = ecc_system if ecc else system
+    sta = system.sta
+    rng = random.Random(17)
+    queries = []
+    for structure in ("alu", "decoder", "regfile", "lsu", "prefetch"):
+        for wire in rng.sample(system.structure_wires(structure), 40):
+            queries += [(wire, frac * sta.clock_period) for frac in (0.1, 0.5, 0.9)]
+            through = sta.max_path_through(wire)
+            if through == float("-inf"):
+                continue
+            for edge in (sta.clock_period - through, sta.clock_period + 1e-9 - through):
+                queries += [
+                    (wire, edge), (wire, np.nextafter(edge, -np.inf)),
+                    (wire, np.nextafter(edge, np.inf)), (wire, edge + 2e-9),
+                ]
+    swept = sta.statically_reachable_batch(queries)
+    reached = 0
+    for (wire, extra), got in zip(queries, swept):
+        assert got == heap_walk_reachable(sta, wire, extra), (wire, extra)
+        reached += bool(got)
+    assert 0 < reached < len(queries)
 
 
 def test_arrival_uses_fanout_load():
