@@ -91,10 +91,7 @@ def _engine(benchmark: str, ecc: bool) -> DelayAVFEngine:
     # The spec lets ParallelExecutor workers rebuild the session; in-process
     # the engine still shares the lru-cached system across benchmarks.
     spec = SessionSpec(
-        system_factory=build_system,
-        program=load_benchmark(benchmark),
-        config=config,
-        factory_kwargs=(("use_ecc", ecc),),
+        program=load_benchmark(benchmark), config=config, ecc=ecc
     )
     return DelayAVFEngine(system(ecc), spec.program, config, spec=spec)
 

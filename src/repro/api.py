@@ -28,7 +28,9 @@ worker processes are not leaked even when callers forget.
 The facade is a thin veneer: results are byte-identical to driving
 :class:`repro.core.campaign.DelayAVFEngine` directly with the same
 :class:`repro.core.campaign.CampaignConfig`, and the ``delayavf`` CLI is
-itself built on these functions.
+itself built on these functions.  Where a run reports — the *progress*
+ticker and the *metrics_out* snapshot and heartbeat — is an argument of
+each call, never a config field, so it cannot split the engine cache.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ __all__ = [
     "CampaignConfig",
 ]
 
-#: (program content signature, ecc, neutral config) -> live engine
+#: (program content signature, ecc, config) -> live engine
 _ENGINES: Dict[Tuple, DelayAVFEngine] = {}
 #: guards _ENGINES / _CACHE_STATS (never held while an engine is being
 #: *built* — construction can run golden simulations)
@@ -106,11 +108,10 @@ def _engine(
     key by :func:`repro.core.cache.program_signature` — a content hash of
     the image, not the name — so an ad-hoc program that happens to share a
     bundled benchmark's name can never silently reuse the wrong engine
-    (wrong golden run, wrong verdicts).  The config is *neutralized*
-    (:meth:`CampaignConfig.neutral`) before keying: per-call reporting
-    channels (``progress`` / ``metrics_out`` / ``stats``) never fragment
-    the cache, so concurrent service jobs differing only in where they
-    report share one engine — and its warm verdicts.
+    (wrong golden run, wrong verdicts).  Where a run reports is no config
+    field but an argument of each call, so concurrent service jobs
+    differing only in where they report share one engine — and its warm
+    verdicts.
 
     Thread-safe: lookups synchronize on a registry lock, and construction
     (which may run golden simulations) happens under one build lock, so
@@ -118,8 +119,7 @@ def _engine(
     shared system at the same time.
     """
     program = _resolve_program(workload)
-    neutral = config.neutral()
-    key = (program_signature(program), bool(ecc), neutral)
+    key = (program_signature(program), bool(ecc), config)
     with _REGISTRY_LOCK:
         engine = _ENGINES.get(key)
         if engine is not None:
@@ -132,12 +132,7 @@ def _engine(
             if engine is not None:
                 _CACHE_STATS["hits"] += 1
                 return engine
-        spec = SessionSpec(
-            system_factory=build_system,
-            program=program,
-            config=neutral,
-            factory_kwargs=(("use_ecc", bool(ecc)),),
-        )
+        spec = SessionSpec(program=program, config=config, ecc=bool(ecc))
         engine = DelayAVFEngine.from_spec(spec, system=system)
         with _REGISTRY_LOCK:
             _ENGINES[key] = engine
@@ -165,7 +160,7 @@ def engine_for(
 
     Public handle for long-lived callers (the campaign service) that need
     the engine itself — e.g. to serialize runs on it per job.  Same cache,
-    same neutralized key, same thread-safety as the internal path.
+    same key, same thread-safety as the internal path.
     """
     return _engine(workload, ecc, config or CampaignConfig())
 
@@ -183,19 +178,13 @@ def engine_cache_stats() -> Dict[str, int]:
 def _observed_config(
     config: CampaignConfig,
     trace: Optional[str],
-    progress: Optional[bool],
-    metrics_out: Optional[str],
     lanes: Optional[int] = None,
     workers_from: Optional[str] = None,
 ) -> CampaignConfig:
-    """Fold per-call observability / execution overrides into a config."""
+    """Fold per-call tracing / execution overrides into a config."""
     overrides = {}
     if trace:
         overrides["trace"] = True
-    if progress is not None:
-        overrides["progress"] = bool(progress)
-    if metrics_out is not None:
-        overrides["metrics_out"] = str(metrics_out)
     if lanes is not None:
         overrides["lanes"] = int(lanes)
     if workers_from is not None:
@@ -204,21 +193,18 @@ def _observed_config(
 
 
 def _reporter_for(
-    run_config: CampaignConfig, label: str
+    progress: Optional[bool], metrics_out: Optional[str], label: str
 ) -> Optional[ProgressReporter]:
-    """Per-call progress reporter (the engine's config is neutral, so the
-    reporting channels live here at the facade)."""
-    if not (run_config.progress or run_config.metrics_out):
+    """The one progress-reporter factory: a stderr ticker with *progress*,
+    a throttled ``<metrics_out>.heartbeat`` file with *metrics_out*, or
+    ``None`` when the call asked for neither."""
+    if not (progress or metrics_out):
         return None
-    heartbeat = None
-    if run_config.metrics_out:
-        heartbeat = Heartbeat(
-            heartbeat_path(run_config.metrics_out),
-            min_interval=run_config.heartbeat_seconds,
-        )
     return ProgressReporter(
-        enabled=bool(run_config.progress),
-        heartbeat=heartbeat,
+        enabled=bool(progress),
+        heartbeat=(
+            Heartbeat(heartbeat_path(metrics_out)) if metrics_out else None
+        ),
         label=label,
     )
 
@@ -253,11 +239,12 @@ def analyze(
     wave it keeps widening the wire/cycle sample (never re-simulating an
     already-covered injection) until every reported Wilson interval at
     *confidence* is at most that wide, the structure's population is
-    exhausted, or ``config.refine_max_rounds`` refinement rounds have run.
+    exhausted, or :data:`repro.core.campaign.REFINE_MAX_ROUNDS` refinement
+    rounds have run.
 
-    Inputs are preflighted up front (``config.preflight``) and fatal
-    problems raise :class:`repro.errors.ReproError` before any shard
-    executes.  The result carries per-delay records with confidence
+    Inputs are preflighted up front and fatal problems raise
+    :class:`repro.errors.ReproError` before any shard executes.  The
+    result carries per-delay records with confidence
     intervals, the campaign's telemetry slice, a ``degraded`` flag
     reporting fault-tolerant recovery, and — when the post-merge invariant
     guards find impossible data — a ``suspect`` flag with machine-readable
@@ -270,17 +257,16 @@ def analyze(
     simulation width (1..64 bit-planes; 1 disables packing) without
     rebuilding the config; *metrics_out* writes a
     Prometheus-textfile / JSON metrics snapshot (plus a throttled
-    ``.heartbeat`` file while running).  Each maps onto the corresponding
-    :class:`CampaignConfig` field — passing them here merely overrides the
-    config for this call.
+    ``.heartbeat`` file while running).  *progress* and *metrics_out* are
+    this call's alone; *trace* and *lanes* override the corresponding
+    :class:`CampaignConfig` field for this call.
 
     *workers_from* dispatches shards to joining ``repro worker`` processes
     instead of running them locally: a ``HOST:PORT`` socket listen address
     — see :class:`repro.core.executor.ParallelExecutor`.
     """
     run_config = _observed_config(
-        config or CampaignConfig(), trace, progress, metrics_out, lanes,
-        workers_from,
+        config or CampaignConfig(), trace, lanes, workers_from
     )
     if trace:
         # Fresh buffer per traced call — engine construction below (probe /
@@ -288,7 +274,7 @@ def analyze(
         tracing.enable(reset=True)
     engine = _engine(workload, ecc, run_config)
     reporter = _reporter_for(
-        run_config, f"{engine.program.name}/{structure}"
+        progress, metrics_out, f"{engine.program.name}/{structure}"
     )
     if target_half_width is not None:
         result = engine.run_structure_adaptive(
@@ -302,11 +288,10 @@ def analyze(
         result = engine.run_structure(
             structure, resume=resume, reporter=reporter
         )
-    if run_config.metrics_out:
-        # The cached engine runs with a neutral config, so the metrics
-        # snapshot is written here from the campaign's telemetry slice.
+    if metrics_out:
+        # Written here, per call, from the campaign's telemetry slice.
         write_metrics(
-            run_config.metrics_out,
+            metrics_out,
             result.telemetry,
             labels={
                 "structure": result.structure,
@@ -381,22 +366,20 @@ def savf(
     progress ticks; the metrics snapshot covers the telemetry delta of this
     call).
     """
-    run_config = _observed_config(
-        config or CampaignConfig(), trace, progress, metrics_out, lanes
-    )
+    run_config = _observed_config(config or CampaignConfig(), trace, lanes)
     if trace:
         tracing.enable(reset=True)
     engine = _engine(workload, ecc, run_config)
     reporter = _reporter_for(
-        run_config, f"{engine.program.name}/{structure}:savf"
+        progress, metrics_out, f"{engine.program.name}/{structure}:savf"
     )
     before = engine.telemetry.snapshot()
     result = SAVFEngine(engine.session).run_structure(
         structure, max_bits=bits, seed=seed, progress=reporter
     )
-    if run_config.metrics_out:
+    if metrics_out:
         write_metrics(
-            run_config.metrics_out,
+            metrics_out,
             CampaignTelemetry.from_snapshot(engine.telemetry.diff(before)),
             labels={
                 "structure": structure,

@@ -482,11 +482,19 @@ def _warn_health(*results) -> None:
                 print(f"  - [{name}] {reason}", file=sys.stderr)
 
 
-def cmd_delayavf(args) -> int:
+def _cli_config(args) -> Optional[CampaignConfig]:
+    """The campaign config of a ``delayavf`` / ``savf`` invocation, or
+    ``None`` after printing why its flags are invalid."""
     try:
-        config = CampaignConfig.from_cli_args(args)
+        return CampaignConfig.from_cli_args(args)
     except ValueError as exc:
         print(f"error: invalid campaign configuration: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_delayavf(args) -> int:
+    config = _cli_config(args)
+    if config is None:
         return EXIT_FATAL
     try:
         result = api.analyze(
@@ -528,7 +536,7 @@ def cmd_delayavf(args) -> int:
             f"(+/- at {args.confidence:.0%} confidence)"
         ),
     ))
-    if config.stats:
+    if args.stats:
         print()
         print(render_telemetry(
             result.telemetry,
@@ -590,7 +598,9 @@ def cmd_doctor(args) -> int:
 
 
 def cmd_savf(args) -> int:
-    config = CampaignConfig.from_cli_args(args)
+    config = _cli_config(args)
+    if config is None:
+        return EXIT_FATAL
     try:
         result = api.savf(
             args.structure, args.benchmark,

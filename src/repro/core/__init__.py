@@ -30,7 +30,6 @@ from repro.core.executor import (
     SerialExecutor,
     SessionSpec,
 )
-from repro.core.failure_rate import structure_failure_fit
 from repro.core.group_ace import GroupAceAnalyzer, Outcome
 from repro.core.plan import CampaignPlan, WorkShard, build_plan
 from repro.core.results import (
@@ -71,5 +70,4 @@ __all__ = [
     "normalize",
     "sample_cycles",
     "sample_wires",
-    "structure_failure_fit",
 ]

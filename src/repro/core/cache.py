@@ -67,6 +67,7 @@ from repro.core import tracing
 from repro.core.group_ace import Outcome
 from repro.fileio import atomic_write
 from repro.testing import chaos
+from repro.workloads import lengths
 
 #: Bump when the on-disk layout or key derivation changes.
 CACHE_FORMAT = 1
@@ -150,16 +151,17 @@ def observables_digest(observables: Iterable) -> str:
 def campaign_scope_key(netlist, program, config) -> str:
     """Scope key: netlist + program + the verdict-relevant config knobs.
 
-    ``margin_cycles`` bounds the DUE budget and ``max_run_cycles`` bounds the
-    golden run, so both participate; sampling knobs (wires, cycles, seeds,
-    delays) deliberately do not — verdicts are reusable across campaigns.
+    ``margin_cycles`` bounds the DUE budget and
+    :data:`~repro.workloads.lengths.MAX_RUN_CYCLES` bounds the golden run,
+    so both participate; sampling knobs (wires, cycles, seeds, delays)
+    deliberately do not — verdicts are reusable across campaigns.
     """
     return _sha256(
         f"format={CACHE_FORMAT}",
         netlist_signature(netlist),
         program_signature(program),
         f"margin={config.margin_cycles}",
-        f"max_run={config.max_run_cycles}",
+        f"max_run={lengths.MAX_RUN_CYCLES}",
     )
 
 

@@ -51,9 +51,8 @@ from repro.core.executor import (
 )
 from repro.core.group_ace import GroupAceAnalyzer
 from repro.core.guards import apply_guards, ensure_preflight, preflight_campaign
-from repro.core.metrics import heartbeat_path, write_metrics
 from repro.core.orace import OraceAnalyzer
-from repro.core.progress import Heartbeat, ProgressReporter
+from repro.core.progress import ProgressReporter
 from repro.core.plan import CampaignPlan, build_plan, build_refinement_plan
 from repro.core.results import DelayAVFResult, StructureCampaignResult
 from repro.core.sampling import (
@@ -72,19 +71,31 @@ from repro.isa.assembler import Program
 from repro.sim.cyclesim import Checkpoint, RunResult
 from repro.sim.eventsim import CycleWaveforms
 from repro.sim.packed import MAX_LANES, PackedCycleSimulator
-from repro.workloads.lengths import LengthStore, known_length
+from repro.workloads import lengths
+
+
+#: Leading cycles no injection is sampled in (reset and pipeline fill).
+WARMUP_CYCLES = 2
+#: Refinement rounds an adaptive campaign may run after its initial wave.
+REFINE_MAX_ROUNDS = 8
+#: Largest per-round sample growth factor of an adaptive campaign.
+REFINE_GROWTH = 2.0
 
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Every knob of a statistical campaign, validated at construction.
+    """Every knob a caller sets on a statistical campaign, validated at
+    construction.
 
     The paper's configuration corresponds to ``cycle_fraction=0.04`` and
     ``max_wires=None`` (all wires); the defaults here are laptop-sized.
-    This is the one place campaign knobs live: sampling (wires, cycles,
-    seed), the delay sweep, execution (``jobs``), persistence
-    (``cache_dir``), and reporting (``stats``).  Build it directly, or from
-    a parsed CLI namespace via :meth:`from_cli_args`.
+    The fields are sampling (wires, cycles, seed), the delay sweep, the DUE
+    hang budget, execution (``lanes``, ``jobs``, ``workers_from`` and the
+    fault policy), persistence (``cache_dir``, ``resume``) and ``trace``.
+    Where a run *reports* (``--stats``, ``--progress``, ``--metrics-out``)
+    is an argument of each :mod:`repro.api` call, not a config field.
+    Build it directly, or from a parsed CLI namespace via
+    :meth:`from_cli_args`.
     """
 
     delay_fractions: Tuple[float, ...] = DEFAULT_DELAY_FRACTIONS
@@ -92,9 +103,7 @@ class CampaignConfig:
     cycle_fraction: Optional[float] = None  #: alternative: fraction of cycles
     max_wires: Optional[int] = 48  #: wires sampled per structure (None = all)
     seed: int = 0
-    warmup_cycles: int = 2
     margin_cycles: int = 3000  #: extra cycles before declaring a hang (DUE)
-    max_run_cycles: int = 200_000
     compute_orace: bool = True
     #: lane width of every packed simulation layer — GroupACE bit-plane
     #: batches and the event simulator's word-packed cone passes (1 disables
@@ -105,52 +114,22 @@ class CampaignConfig:
     jobs: int = 1
     #: directory for the persistent verdict cache ('' / None disables it)
     cache_dir: Optional[str] = None
-    #: collect-and-report campaign telemetry (CLI ``--stats``)
-    stats: bool = False
     #: seconds a dispatched shard may run before its worker is presumed hung
     #: and evicted (None disables the timeout); budget for a cold worker's
     #: golden run plus the slowest shard
     shard_timeout: Optional[float] = None
     #: additional attempts granted to a shard whose worker raised
     max_retries: int = 2
-    #: base of the exponential retry backoff, in seconds
-    retry_backoff: float = 0.05
-    #: completed shards between incremental verdict-cache flushes (1 flushes
-    #: after every shard)
-    flush_every_shards: int = 8
-    #: seconds after which a pending incremental flush happens regardless
-    flush_max_seconds: float = 10.0
     #: skip shards already marked complete in the verdict cache
     #: (CLI ``--resume``; requires ``cache_dir``)
     resume: bool = False
-    #: validate system / workload / cache inputs before any shard executes
-    #: (raises :class:`repro.errors.ReproError` on fatal problems)
-    preflight: bool = True
-    #: run the post-merge invariant guards (:mod:`repro.core.guards`) and
-    #: flag violating results ``suspect``
-    guards: bool = True
-    #: refinement rounds an adaptive campaign may run after the initial wave
-    refine_max_rounds: int = 8
-    #: maximum per-round sample growth factor of an adaptive campaign
-    refine_growth: float = 2.0
     #: collect span-based tracing (CLI ``--trace PATH`` sets this; workers
     #: inherit it through the SessionSpec so their spans travel back with
     #: shard results)
     trace: bool = False
-    #: stream live shard progress to stderr (CLI ``--progress``)
-    progress: bool = False
-    #: write a Prometheus-textfile / JSON metrics snapshot here when the
-    #: campaign finishes, and a throttled ``<path>.heartbeat`` JSON while it
-    #: runs (CLI ``--metrics-out PATH``)
-    metrics_out: Optional[str] = None
-    #: minimum seconds between heartbeat-file rewrites
-    heartbeat_seconds: float = 2.0
     #: distributed execution: the ``HOST:PORT`` socket address remote
     #: ``repro worker`` processes join; None keeps every shard on this host
     workers_from: Optional[str] = None
-    #: seconds a ``workers_from`` coordinator waits for (more) workers once
-    #: the fleet is empty before the remaining shards fall back to serial
-    worker_wait_seconds: float = 30.0
 
     def __post_init__(self):
         if not self.delay_fractions:
@@ -168,10 +147,8 @@ class CampaignConfig:
             raise ValueError("cycle_fraction must be in (0, 1]")
         if self.max_wires is not None and self.max_wires < 1:
             raise ValueError("max_wires must be >= 1 (or None for all wires)")
-        if self.warmup_cycles < 0 or self.margin_cycles < 0:
-            raise ValueError("warmup_cycles / margin_cycles must be >= 0")
-        if self.max_run_cycles < 1:
-            raise ValueError("max_run_cycles must be >= 1")
+        if self.margin_cycles < 0:
+            raise ValueError("margin_cycles must be >= 0")
         if not 1 <= self.lanes <= 64:
             raise ValueError(
                 f"lanes must be in 1..64 (bit-planes of one machine word), "
@@ -183,24 +160,10 @@ class CampaignConfig:
             raise ValueError("shard_timeout must be > 0 seconds (or None)")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.retry_backoff < 0:
-            raise ValueError("retry_backoff must be >= 0")
-        if self.flush_every_shards < 1:
-            raise ValueError("flush_every_shards must be >= 1")
-        if self.flush_max_seconds < 0:
-            raise ValueError("flush_max_seconds must be >= 0")
-        if self.refine_max_rounds < 1:
-            raise ValueError("refine_max_rounds must be >= 1")
-        if self.refine_growth <= 1.0:
-            raise ValueError("refine_growth must be > 1.0")
-        if self.heartbeat_seconds <= 0:
-            raise ValueError("heartbeat_seconds must be > 0")
         if self.workers_from is not None:
             from repro.distrib.transport import parse_workers_from
 
             parse_workers_from(self.workers_from)  # raises ValueError
-        if self.worker_wait_seconds < 0:
-            raise ValueError("worker_wait_seconds must be >= 0")
 
     @classmethod
     def from_cli_args(cls, args) -> "CampaignConfig":
@@ -208,9 +171,9 @@ class CampaignConfig:
 
         Accepts any object exposing (a subset of) the ``delayavf``
         subcommand's attributes — ``delays``, ``cycles``, ``wires``,
-        ``seed``, ``jobs``, ``cache_dir``, ``stats``, ``shard_timeout``,
-        ``max_retries``, ``resume`` — falling back to the dataclass defaults
-        for whatever is absent.
+        ``seed``, ``lanes``, ``jobs``, ``cache_dir``, ``shard_timeout``,
+        ``max_retries``, ``resume``, ``trace``, ``workers_from`` — falling
+        back to the dataclass defaults for whatever is absent.
         """
         defaults = cls()
 
@@ -226,27 +189,11 @@ class CampaignConfig:
             lanes=pick("lanes", defaults.lanes),
             jobs=pick("jobs", defaults.jobs),
             cache_dir=getattr(args, "cache_dir", None),
-            stats=bool(getattr(args, "stats", False)),
             shard_timeout=pick("shard_timeout", defaults.shard_timeout),
             max_retries=pick("max_retries", defaults.max_retries),
             resume=bool(getattr(args, "resume", False)),
             trace=bool(getattr(args, "trace", None)),
-            progress=bool(getattr(args, "progress", False)),
-            metrics_out=getattr(args, "metrics_out", None),
             workers_from=getattr(args, "workers_from", None),
-        )
-
-    def neutral(self) -> "CampaignConfig":
-        """This config with the per-call reporting channels stripped.
-
-        ``progress`` / ``metrics_out`` / ``stats`` only decide where a run
-        *reports*, never what it computes (``trace`` stays: workers inherit
-        it through the :class:`SessionSpec`, so it is engine state).  Keying
-        engine caches on the neutral form lets clients that differ only in
-        reporting share one engine — the multi-tenant service depends on it.
-        """
-        return dataclasses.replace(
-            self, progress=False, metrics_out=None, stats=False
         )
 
     # ------------------------------------------------------------------
@@ -323,7 +270,7 @@ class CampaignSession:
         self._memo = vars(system).setdefault("_workload_memo", {})
         self._psig = program_signature(program)
         self._lengths = (
-            LengthStore(config.cache_dir) if config.cache_dir else None
+            lengths.LengthStore(config.cache_dir) if config.cache_dir else None
         )
         self._total_cycles: Optional[int] = None
         self._sampled_cycles: Optional[List[int]] = None
@@ -351,16 +298,17 @@ class CampaignSession:
         if self._psig in self._memo:
             cycles, observables = self._memo[self._psig]
             return cycles, observables, None, "memo"
+        cap = lengths.MAX_RUN_CYCLES
         if self.verdict_cache is not None:
             meta = self.verdict_cache.workload_meta()
-            if meta is not None and meta[0] <= self.config.max_run_cycles:
+            if meta is not None and meta[0] <= cap:
                 return meta[0], None, meta[1], "cache"
         if self._lengths is not None:
             stored = self._lengths.get(self._psig)
-            if stored is not None and stored[0] <= self.config.max_run_cycles:
+            if stored is not None and stored[0] <= cap:
                 return stored[0], None, stored[1], "store"
-        hint = known_length(self._psig)
-        if hint is not None and hint <= self.config.max_run_cycles:
+        hint = lengths.known_length(self._psig)
+        if hint is not None and hint <= cap:
             return hint, None, None, "hint"
         return None, None, None, None
 
@@ -376,7 +324,7 @@ class CampaignSession:
     def _halt_error(self) -> RuntimeError:
         return RuntimeError(
             f"workload {self.program.name!r} did not halt within "
-            f"{self.config.max_run_cycles} cycles"
+            f"{lengths.MAX_RUN_CYCLES} cycles"
         )
 
     @property
@@ -391,7 +339,7 @@ class CampaignSession:
                 ):
                     self.telemetry.incr("probe_runs")
                     probe = self.system.run_program(
-                        self.program, max_cycles=self.config.max_run_cycles
+                        self.program, max_cycles=lengths.MAX_RUN_CYCLES
                     )
                 if not probe.halted:
                     raise self._halt_error()
@@ -413,7 +361,7 @@ class CampaignSession:
                 self.total_cycles,
                 count=self.config.cycle_count,
                 fraction=self.config.cycle_fraction,
-                warmup=self.config.warmup_cycles,
+                warmup=WARMUP_CYCLES,
             )
         return self._sampled_cycles
 
@@ -428,6 +376,18 @@ class CampaignSession:
         cache metadata), not just advised by a length-store entry or hint."""
         known, _, _, source = self._known_length()
         return source in ("memo", "cache") and known == self.total_cycles
+
+    def verify_length(self) -> None:
+        """Make :attr:`sampled_cycles` trustworthy before anyone reads it.
+
+        An advisory length (bundled hint or length-store entry) is verified
+        with the golden run the caller needs anyway, which re-samples from
+        the measured length when the advice was stale.  Every in-process
+        caller that plans from the sample (a local campaign, an sAVF run)
+        calls this first.
+        """
+        if not self.length_verified:
+            self.golden
 
     @property
     def golden(self) -> RunResult:
@@ -551,7 +511,7 @@ class CampaignSession:
             self.telemetry.incr("golden_runs")
             golden = self.system.run_program(
                 self.program,
-                max_cycles=self.config.max_run_cycles,
+                max_cycles=lengths.MAX_RUN_CYCLES,
                 checkpoint_cycles=checkpoint_cycles,
                 record_fingerprints=True,
             )
@@ -604,10 +564,9 @@ class DelayAVFEngine:
             # golden runs) is captured too.  No reset: an api/CLI layer may
             # already have primed the buffer.
             tracing.enable()
-        if self.config.preflight:
-            # Fail fast on bad inputs — before the cache is opened, before
-            # any golden run, and long before any shard executes.
-            ensure_preflight(preflight_campaign(system, program, self.config))
+        # Fail fast on bad inputs — before the cache is opened, before any
+        # golden run, and long before any shard executes.
+        ensure_preflight(preflight_campaign(system, program, self.config))
         self.verdict_cache = open_configured_cache(system, program, self.config)
         self.session = CampaignSession(
             system,
@@ -731,8 +690,6 @@ class DelayAVFEngine:
         seed: Optional[int] = None,
         executor: Optional[Executor] = None,
         resume: Optional[bool] = None,
-        max_rounds: Optional[int] = None,
-        growth: Optional[float] = None,
         reporter: Optional[ProgressReporter] = None,
     ) -> StructureCampaignResult:
         """Run a campaign, then refine it until its CIs meet a precision
@@ -744,22 +701,18 @@ class DelayAVFEngine:
         *target_half_width*, the wire/cycle sample is widened — wires first
         (their cycles' waveforms are already warm), then cycles — by the
         factor :func:`repro.core.stats.required_samples` predicts, capped at
-        *growth* per round.  Refinement plans cover exactly the not-yet-
-        sampled (wire, cycle) pairs, so no (wire, cycle, delay) triple is
-        ever simulated twice; with a verdict cache configured the rounds
-        persist and resume like any other shards.
+        :data:`REFINE_GROWTH` per round.  Refinement plans cover exactly the
+        not-yet-sampled (wire, cycle) pairs, so no (wire, cycle, delay)
+        triple is ever simulated twice; with a verdict cache configured the
+        rounds persist and resume like any other shards.
 
-        Stops at the target, after *max_rounds* refinement rounds, or when
-        the structure's full (wire × cycle) population is exhausted —
-        whichever comes first.  ``telemetry`` reports ``refinement_rounds``,
+        Stops at the target, after :data:`REFINE_MAX_ROUNDS` refinement
+        rounds, or when the structure's full (wire × cycle) population is
+        exhausted — whichever comes first.  ``telemetry`` reports ``refinement_rounds``,
         ``extra_shards``, and the final ``ci_half_width`` gauge.
         """
         if target_half_width <= 0.0:
             raise ValueError("target_half_width must be > 0")
-        max_rounds = (
-            self.config.refine_max_rounds if max_rounds is None else max_rounds
-        )
-        growth_cap = self.config.refine_growth if growth is None else growth
         executor = executor if executor is not None else self.default_executor()
         base_seed = self.config.seed if seed is None else seed
         with tracing.span(
@@ -776,7 +729,7 @@ class DelayAVFEngine:
                 self._execute(campaign.exec_plan, executor, reporter),
                 campaign.resumed,
             )
-            for round_index in range(1, max_rounds + 1):
+            for round_index in range(1, REFINE_MAX_ROUNDS + 1):
                 worst = self._worst_interval(result, confidence)
                 if reporter is not None:
                     reporter.refinement(
@@ -786,7 +739,7 @@ class DelayAVFEngine:
                     break
                 with self.telemetry.phase("refine"):
                     new_wires, new_cycles = self._plan_growth(
-                        plan, worst, target_half_width, confidence, growth_cap,
+                        plan, worst, target_half_width, confidence,
                         structure, base_seed, round_index,
                     )
                 if not new_wires and not new_cycles:
@@ -840,7 +793,6 @@ class DelayAVFEngine:
         worst: ConfidenceInterval,
         target_half_width: float,
         confidence: float,
-        growth_cap: float,
         structure: str,
         base_seed: int,
         round_index: int,
@@ -848,9 +800,9 @@ class DelayAVFEngine:
         """Pick the new wires and cycles for one refinement round.
 
         Sizes the round from the Wilson-width inversion (clamped to
-        [1.25, *growth_cap*] so rounds neither stall nor explode), then
-        allocates the growth to wires before cycles: new wires reuse the
-        already-built waveforms and checkpoints of every sampled cycle,
+        [1.25, :data:`REFINE_GROWTH`] so rounds neither stall nor explode),
+        then allocates the growth to wires before cycles: new wires reuse
+        the already-built waveforms and checkpoints of every sampled cycle,
         while each new cycle costs a waveform build and a checkpoint run.
         """
         n_now = max(worst.samples, 1)
@@ -858,10 +810,10 @@ class DelayAVFEngine:
             round(worst.point * worst.samples), worst.samples,
             target_half_width, confidence,
         )
-        factor = min(max(needed / n_now, 1.25), growth_cap)
+        factor = min(max(needed / n_now, 1.25), REFINE_GROWTH)
         cur_wires = len(plan.wire_indices)
         cur_cycles = len(plan.sampled_cycles)
-        usable_cycles = self.session.total_cycles - self.config.warmup_cycles
+        usable_cycles = self.session.total_cycles - WARMUP_CYCLES
         desired = min(
             math.ceil(factor * n_now), plan.wire_count * usable_cycles
         )
@@ -880,39 +832,24 @@ class DelayAVFEngine:
             self.session.total_cycles,
             plan.sampled_cycles,
             want_cycles - cur_cycles,
-            self.config.warmup_cycles,
+            WARMUP_CYCLES,
         )
         return tuple(new_wires), tuple(new_cycles)
-
-    def _make_reporter(self, structure: str) -> Optional[ProgressReporter]:
-        """A progress reporter when any liveness channel is configured."""
-        if not (self.config.progress or self.config.metrics_out):
-            return None
-        heartbeat = None
-        if self.config.metrics_out:
-            heartbeat = Heartbeat(
-                heartbeat_path(self.config.metrics_out),
-                min_interval=self.config.heartbeat_seconds,
-            )
-        return ProgressReporter(
-            enabled=bool(self.config.progress),
-            heartbeat=heartbeat,
-            label=f"{self.program.name}/{structure}",
-        )
 
     def _open(
         self, structure, delay_fractions=None, max_wires=None, seed=None,
         resume=None, reporter=None, *, local: bool,
     ) -> "_Campaign":
         """Open a campaign: plan it, split off the shards a resume
-        reassembles from the cache, and start its progress reporter.  A
-        *local* campaign (shards run here) first verifies an advisory length
-        with the golden run it needs anyway, so a stale one samples no plan.
+        reassembles from the cache, and start the caller's progress
+        *reporter*, if any.  A *local* campaign (shards run here) first
+        verifies an advisory length (:meth:`CampaignSession.verify_length`),
+        so a stale one samples no plan.
         """
         before = self.telemetry.snapshot()
         started = time.perf_counter()
-        if local and not self.session.length_verified:
-            self.session.golden
+        if local:
+            self.session.verify_length()
         with self.telemetry.phase("plan"):
             plan = build_plan(
                 structure,
@@ -924,8 +861,6 @@ class DelayAVFEngine:
                 max_wires=max_wires,
                 seed=seed,
             )
-        if reporter is None:
-            reporter = self._make_reporter(structure)
         exec_plan, resumed = self._split(plan, resume, reporter)
         return _Campaign(plan, exec_plan, resumed, before, started, reporter)
 
@@ -1043,12 +978,11 @@ class DelayAVFEngine:
         self, campaign: "_Campaign", result: StructureCampaignResult
     ) -> StructureCampaignResult:
         """Close a campaign: guard-check its merged result, attach its
-        telemetry slice, write its metrics, and finish its reporter."""
-        if self.config.guards:
-            with self.telemetry.phase(
-                "guards", "campaign.guards", structure=result.structure
-            ):
-                apply_guards(result, self.telemetry)
+        telemetry slice, and finish its reporter."""
+        with self.telemetry.phase(
+            "guards", "campaign.guards", structure=result.structure
+        ):
+            apply_guards(result, self.telemetry)
         # End-to-end campaign wall-clock, recorded last so it bounds every
         # other phase's wall column in the result's telemetry slice.
         self.telemetry.add_seconds(
@@ -1096,19 +1030,6 @@ class DelayAVFEngine:
                 "workers_evicted",
             )
         )
-        if self.config.metrics_out:
-            write_metrics(
-                self.config.metrics_out,
-                result.telemetry,
-                labels={
-                    "structure": result.structure,
-                    "benchmark": result.benchmark,
-                },
-                extra={
-                    "degraded": bool(result.degraded),
-                    "suspect": bool(result.suspect),
-                },
-            )
         if campaign.reporter is not None:
             campaign.reporter.finish("degraded" if result.degraded else "done")
         return result
@@ -1287,7 +1208,8 @@ def _run_packed_golden_chunk(chunk: Sequence[CampaignSession]) -> None:
     the cycle is sampled (``prev_settled`` is the lane's just-settled net
     values — available because :meth:`PackedCycleSimulator.step` leaves the
     settled values of the cycle it latched), then step.  A lane whose
-    environment halts (or that hits its ``max_run_cycles`` cap) finalizes
+    environment halts (or that hits the
+    :data:`~repro.workloads.lengths.MAX_RUN_CYCLES` cap) finalizes
     its result and retires; the word keeps stepping for the rest.
     """
     first = chunk[0]
@@ -1299,7 +1221,7 @@ def _run_packed_golden_chunk(chunk: Sequence[CampaignSession]) -> None:
         psim = PackedCycleSimulator(scalar.netlist, scalar.plan)
         envs = [s.system.make_env(s.program) for s in chunk]
         wanted = [set(s.sampled_cycles) for s in chunk]
-        caps = [s.config.max_run_cycles for s in chunk]
+        cap = lengths.MAX_RUN_CYCLES
         results = [
             RunResult(cycles=0, halted=False, observables=()) for _ in chunk
         ]
@@ -1322,7 +1244,7 @@ def _run_packed_golden_chunk(chunk: Sequence[CampaignSession]) -> None:
             psim.step()
             for lane in sorted(active):
                 halted = envs[lane].halted()
-                if halted or psim.lane_cycles[lane] >= caps[lane]:
+                if halted or psim.lane_cycles[lane] >= cap:
                     run = results[lane]
                     run.cycles = psim.lane_cycles[lane]
                     run.halted = halted

@@ -11,8 +11,8 @@ The campaign engine plans a structure campaign into per-cycle
   shards to worker processes running the :mod:`repro.distrib.worker` loop —
   forked locally (``jobs=N``) or joining over a socket
   (``workers_from=HOST:PORT``).  Each worker rebuilds the session once from
-  a wire-serializable :class:`SessionSpec` (system factory + program +
-  config) and serves shards from its warm caches; the fleet is kept alive
+  a wire-serializable :class:`SessionSpec` (program + config + ``ecc``)
+  and serves shards from its warm caches; the fleet is kept alive
   across ``run_structure`` calls so consecutive structure campaigns reuse
   worker sessions exactly like the serial engine reuses its one session.
 
@@ -38,7 +38,6 @@ import atexit
 import base64
 import dataclasses
 import hashlib
-import importlib
 import json
 import os
 import select
@@ -46,7 +45,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core import tracing
 from repro.core.cache import (
@@ -72,19 +71,19 @@ from repro.distrib.transport import (
 class SessionSpec:
     """Everything a worker needs to rebuild a campaign session.
 
-    ``system_factory`` must be importable by reference (a module-level
-    callable, e.g. :func:`repro.soc.system.build_system`); ``factory_kwargs``
-    is a tuple of ``(name, value)`` pairs so the spec stays comparable and
-    wire-serializable (:meth:`to_payload`).
+    The system is the SoC build of :func:`repro.soc.system.build_system`
+    with or without the ECC register file (*ecc*); the spec stays
+    comparable and wire-serializable (:meth:`to_payload`).
     """
 
-    system_factory: Callable[..., Any]
     program: Any  #: :class:`repro.isa.assembler.Program`
     config: Any  #: :class:`repro.core.campaign.CampaignConfig`
-    factory_kwargs: Tuple[Tuple[str, Any], ...] = ()
+    ecc: bool = False
 
     def build_system(self):
-        return self.system_factory(**dict(self.factory_kwargs))
+        from repro.soc.system import build_system
+
+        return build_system(use_ecc=self.ecc)
 
     def build_session(self):
         """Rebuild the full campaign session (golden run, analyzers, cache)."""
@@ -103,17 +102,10 @@ class SessionSpec:
     # which may share no process ancestry (and possibly no machine).
     # ------------------------------------------------------------------
     def to_payload(self) -> Dict[str, Any]:
-        """A JSON-safe dict :meth:`from_payload` rebuilds exactly.
-
-        The factory travels by dotted reference (``module:qualname``) — the
-        same by-reference contract pickling already imposes — the program
-        image as base64, the config through its own payload round-trip.
-        Factory kwarg values must be JSON-representable primitives (the
-        existing specs only carry booleans).
-        """
-        factory = self.system_factory
+        """A JSON-safe dict :meth:`from_payload` rebuilds exactly: the
+        program image as base64, the config through its own payload
+        round-trip, and the ``ecc`` flag."""
         return {
-            "system_factory": f"{factory.__module__}:{factory.__qualname__}",
             "program": {
                 "name": self.program.name,
                 "image": base64.b64encode(self.program.image).decode("ascii"),
@@ -121,24 +113,18 @@ class SessionSpec:
                 "symbols": dict(self.program.symbols),
             },
             "config": self.config.to_payload(),
-            "factory_kwargs": [[name, value] for name, value in self.factory_kwargs],
+            "ecc": self.ecc,
         }
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "SessionSpec":
         """Rebuild a spec from its wire form (inverse of :meth:`to_payload`).
 
-        Trusts its coordinator: the factory reference is imported and
-        resolved, exactly as unpickling would.  Workers only ever deserialize
-        specs from the coordinator they explicitly connected to.
+        Pure data: nothing named in the payload is imported or called.
         """
         from repro.core.campaign import CampaignConfig
         from repro.isa.assembler import Program
 
-        module_name, _, qualname = str(payload["system_factory"]).partition(":")
-        factory: Any = importlib.import_module(module_name)
-        for part in qualname.split("."):
-            factory = getattr(factory, part)
         program_payload = payload["program"]
         program = Program(
             name=str(program_payload["name"]),
@@ -150,13 +136,9 @@ class SessionSpec:
             },
         )
         return cls(
-            system_factory=factory,
             program=program,
             config=CampaignConfig.from_payload(payload["config"]),
-            factory_kwargs=tuple(
-                (str(name), value)
-                for name, value in payload.get("factory_kwargs") or ()
-            ),
+            ecc=bool(payload["ecc"]),
         )
 
 
@@ -420,10 +402,9 @@ def _evaluate_shard(
 ) -> ShardResult:
     """The per-record evaluation loop over a prepared shard."""
     shard = prepared.shard
-    config = session.config
     telemetry = session.telemetry
     cache = session.verdict_cache
-    with_orace = bool(config.compute_orace)
+    with_orace = bool(session.config.compute_orace)
     before = telemetry.snapshot() if progress is not None else None
     by_delay: Dict[float, List[InjectionRecord]] = {
         delay: [] for delay in shard.delay_fractions
@@ -468,10 +449,7 @@ def _evaluate_shard(
                     session.system.clock_period,
                 )
             )
-            cache.flush_throttled(
-                every_n=config.flush_every_shards,
-                max_seconds=config.flush_max_seconds,
-            )
+            cache.flush_throttled()
     if progress is not None:
         progress.shard_done(telemetry.diff(before))
     return ShardResult(shard_index=shard.index, by_delay=by_delay)
@@ -558,6 +536,14 @@ class ShardExecutionError(RuntimeError):
 #: cannot requeue a shard forever.
 _MAX_EVICTIONS = 3
 
+#: Base of the exponential backoff, in seconds, before a raised shard is
+#: retried (doubling per retry round, capped at 2 s).
+_RETRY_BACKOFF = 0.05
+
+#: Seconds a ``workers_from`` coordinator waits for (more) workers once the
+#: fleet is empty before the remaining shards fall back to serial.
+_WORKER_WAIT_SECONDS = 30.0
+
 #: Seconds a closing coordinator waits for a local worker to flush its cache
 #: and exit before terminating it.
 _JOIN_SECONDS = 30.0
@@ -590,16 +576,16 @@ class ParallelExecutor(Executor):
     - ``workers_from=HOST:PORT`` (which makes ``jobs`` moot) listens on a
       socket for ``repro worker`` processes, which may join at any time,
       mid-campaign included.  An empty fleet waits
-      ``config.worker_wait_seconds`` for one before falling back to serial.
+      :data:`_WORKER_WAIT_SECONDS` for one before falling back to serial.
 
     Either way each worker rebuilds the campaign session once per
     :class:`SessionSpec` and serves shards from its warm caches, one shard
     in flight per worker.  One fault model covers both sources, its knobs
-    read from each campaign's ``spec.config`` (so engines sharing a fleet
-    keep their own):
+    (``shard_timeout``, ``max_retries``) read from each campaign's
+    ``spec.config`` (so engines sharing a fleet keep their own):
 
     - a shard its worker *raises* on is retried with exponential backoff
-      (``retry_backoff``), up to ``max_retries`` further attempts, then
+      (:data:`_RETRY_BACKOFF`), up to ``max_retries`` further attempts, then
       :class:`ShardExecutionError`;
     - a shard exceeding ``shard_timeout`` evicts its (presumed hung) worker
       and is requeued, charged one attempt.  The clock starts at dispatch,
@@ -708,8 +694,9 @@ class ParallelExecutor(Executor):
                     dispatch_span,
                 ):
                     retry_rounds += 1
-                    backoff = self._config.retry_backoff
-                    time.sleep(min(2.0, backoff * (2 ** (retry_rounds - 1))))
+                    time.sleep(
+                        min(2.0, _RETRY_BACKOFF * (2 ** (retry_rounds - 1)))
+                    )
                 if len(done) == len(shards):
                     break
                 self._check_timeouts(inflight, pending, attempts)
@@ -724,11 +711,11 @@ class ParallelExecutor(Executor):
                 elif fleet_empty_since is None:
                     fleet_empty_since = time.monotonic()
                 # A local fleet never regrows within a call; a listener
-                # fleet gets worker_wait_seconds for a worker to join.
+                # fleet gets _WORKER_WAIT_SECONDS for a worker to join.
                 fleet_gone = fleet_empty_since is not None and (
                     self._listener is None
                     or time.monotonic() - fleet_empty_since
-                    >= self._config.worker_wait_seconds
+                    >= _WORKER_WAIT_SECONDS
                 )
                 if fleet_gone or self._run_evictions >= _MAX_EVICTIONS:
                     # No worker left, or this run keeps losing them: limp
@@ -744,16 +731,13 @@ class ParallelExecutor(Executor):
     def _wire_spec(self, spec: SessionSpec):
         """The spec as shipped to workers, plus its content digest.
 
-        The wire config is neutralized (no progress stream, metrics file, or
-        stats printing fighting the coordinator's) and must not recurse:
-        workers run their shards in-process, so ``jobs`` collapses to 1 and
-        ``workers_from`` is stripped.  ``trace`` survives — worker spans come
-        back with each result.  Sessions are cached per digest on workers, so
-        two engines with identical wire specs share one warm session.
+        The wire config must not recurse: workers run their shards
+        in-process, so ``jobs`` collapses to 1 and ``workers_from`` is
+        stripped.  ``trace`` survives — worker spans come back with each
+        result.  Sessions are cached per digest on workers, so two engines
+        with identical wire specs share one warm session.
         """
-        config = dataclasses.replace(
-            spec.config.neutral(), jobs=1, workers_from=None
-        )
+        config = dataclasses.replace(spec.config, jobs=1, workers_from=None)
         payload = dataclasses.replace(spec, config=config).to_payload()
         digest = hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode("utf-8")

@@ -364,9 +364,7 @@ def preflight_system(system) -> List[Finding]:
 
 def preflight_workload(system, program, config) -> List[Finding]:
     """Validate the workload side without running it."""
-    from repro.core.cache import program_signature
     from repro.soc import memmap
-    from repro.workloads.lengths import known_length
 
     findings: List[Finding] = []
     if not program.image:
@@ -387,19 +385,6 @@ def preflight_workload(system, program, config) -> List[Finding]:
                     f"{len(program.image)} bytes but RAM holds "
                     f"{memmap.RAM_SIZE}",
                     hint="shrink the program or its data",
-                )
-            )
-        )
-    hint_cycles = known_length(program_signature(program))
-    if hint_cycles is not None and hint_cycles > config.max_run_cycles:
-        findings.append(
-            _error(
-                WorkloadError(
-                    f"workload {program.name!r} is known to run "
-                    f"{hint_cycles} cycles, above max_run_cycles="
-                    f"{config.max_run_cycles}",
-                    hint="raise max_run_cycles above the workload's "
-                    "fault-free length",
                 )
             )
         )

@@ -12,7 +12,7 @@ Two channels, both optional:
 - **stderr** (``--progress``): a single ``\\r``-rewritten line on a TTY, or
   throttled full lines when piped, so CI logs stay readable.
 - **heartbeat file** (derived from ``--metrics-out``): a small JSON document
-  atomically rewritten at most every ``heartbeat_seconds``, so an external
+  atomically rewritten at most every ``min_interval`` seconds, so an external
   monitor (or a human with ``watch cat``) can follow a long run without
   attaching to the process.
 

@@ -63,6 +63,7 @@ class SAVFEngine:
         chosen = sample_wires(dffs, max_bits, seed)
         ace = sdc = due = samples = 0
         lanes = self.session.config.lanes
+        self.session.verify_length()
         if progress is not None:
             progress.start(len(self.session.sampled_cycles))
         for cycle in self.session.sampled_cycles:

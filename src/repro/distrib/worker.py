@@ -4,8 +4,10 @@ Every worker of a :class:`~repro.core.executor.ParallelExecutor` runs this
 loop — the local workers it forks for ``jobs=N`` over a socketpair, and
 ``repro worker`` processes that join a ``workers_from`` fleet.  A worker
 rebuilds a campaign session once per
-:class:`~repro.core.executor.SessionSpec` (golden run, analyzers, verdict
-cache) and then serves shards from those warm caches, streaming back
+:class:`~repro.core.executor.SessionSpec` — the program, the config and the
+``ecc`` flag of the SoC build, so coordinator and worker must run the same
+build of this package — (golden run, analyzers, verdict cache) and then
+serves shards from those warm caches, streaming back
 :class:`~repro.core.executor.ShardResult` payloads that carry the records,
 the worker's telemetry delta, and its drained trace spans.
 
@@ -16,7 +18,8 @@ Protocol (all messages are JSON dicts over one
 direction   type        payload
 ========== =========== =====================================================
 worker →    ``hello``   ``pid`` — announce
-coord →     ``session`` ``digest``, ``spec`` — build/cache a session
+coord →     ``session`` ``digest``, ``spec`` (``program``, ``config``,
+                        ``ecc``) — build/cache a session
 coord →     ``plan``    ``plan_id``, ``digest``, ``plan`` — register a plan
 coord →     ``shard``   ``plan_id`` + the shard payload — execute one shard
 coord →     ``shutdown`` flush caches and exit the loop

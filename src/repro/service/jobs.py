@@ -12,7 +12,7 @@ and never simulates anything twice.
 
 Execution happens on a bounded pool of worker threads inside the service
 process.  Workers share the :mod:`repro.api` engine cache (engines keyed by
-program content signature and *neutralized* config), so concurrent jobs over
+program content signature, ``ecc`` and config), so concurrent jobs over
 one workload share the golden run, the warm waveform/GroupACE caches, and
 the persistent verdict store.  The engines of one ``ecc`` share one system
 (:func:`repro.api.system_for`), whose simulators are not safe for

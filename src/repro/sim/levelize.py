@@ -40,7 +40,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.netlist.cells import CellKind, eval_cell_array
+from repro.netlist.cells import CellKind
 from repro.netlist.netlist import Netlist
 
 #: Bound on compiled step programs kept per plan (LRU eviction beyond it).
@@ -59,15 +59,6 @@ _GATE_FORM = {
     CellKind.XOR2: ("xor", False),
     CellKind.XNOR2: ("xor", True),
 }
-
-
-@dataclass(frozen=True)
-class EvalBatch:
-    """A batch of same-kind cells whose inputs are all already computed."""
-
-    kind: CellKind
-    input_nets: Tuple[np.ndarray, ...]  #: one index array per input pin
-    output_nets: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -90,13 +81,11 @@ class _FusedLevel:
 
 @dataclass(frozen=True)
 class EvalPlan:
-    """An ordered list of batches that settles the combinational logic."""
+    """The fused per-level programs that settle the combinational logic."""
 
-    batches: Tuple[EvalBatch, ...]
     cell_levels: Tuple[int, ...]  #: topological level of every cell
     num_levels: int
-    #: fused per-level compilation used by :meth:`evaluate` (``batches`` is
-    #: kept as the introspectable per-kind view the tests cross-check)
+    #: fused per-level compilation used by :meth:`evaluate`
     fused_levels: Tuple[_FusedLevel, ...] = field(default=(), repr=False)
     #: lazily compiled step programs, LRU-keyed by (dtype char, mask)
     _programs: "OrderedDict[Tuple[str, int], list]" = field(
@@ -269,14 +258,6 @@ class EvalPlan:
                     bg ^= inv
                 values[out_idx] = b
 
-    def evaluate_reference(self, values: np.ndarray, mask: int = 1) -> None:
-        """Per-kind batch evaluation (the fused path's bit-exact oracle)."""
-        for batch in self.batches:
-            ins = [values[idx] for idx in batch.input_nets]
-            values[batch.output_nets] = eval_cell_array(
-                batch.kind, *ins, mask=mask
-            )
-
 
 def compute_cell_levels(netlist: Netlist) -> List[int]:
     """Return the topological level of every cell (0 = inputs are all roots).
@@ -367,34 +348,13 @@ def levelize(netlist: Netlist) -> EvalPlan:
     """Build the vectorized evaluation plan for a frozen netlist."""
     levels = compute_cell_levels(netlist)
     num_levels = max(levels) + 1 if levels else 0
-    # Group cells by (level, kind) preserving topological order.
-    grouped: Dict[Tuple[int, int], List[int]] = {}
     by_level: Dict[int, List[int]] = {}
     for cell, level in enumerate(levels):
-        grouped.setdefault((level, netlist.cell_kinds[cell]), []).append(cell)
         by_level.setdefault(level, []).append(cell)
-    batches: List[EvalBatch] = []
-    for level in range(num_levels):
-        for kind in CellKind:
-            cells = grouped.get((level, int(kind)))
-            if not cells:
-                continue
-            pin_count = len(netlist.cell_inputs[cells[0]])
-            input_nets = tuple(
-                np.array(
-                    [netlist.cell_inputs[c][pin] for c in cells], dtype=np.int64
-                )
-                for pin in range(pin_count)
-            )
-            output_nets = np.array(
-                [netlist.cell_outputs[c] for c in cells], dtype=np.int64
-            )
-            batches.append(EvalBatch(kind, input_nets, output_nets))
     fused = tuple(
         _fuse_level(netlist, by_level[level]) for level in range(num_levels)
     )
     return EvalPlan(
-        batches=tuple(batches),
         cell_levels=tuple(levels),
         num_levels=num_levels,
         fused_levels=fused,

@@ -19,7 +19,6 @@ from repro.workloads.generator import (
     make_matmult,
     make_md5,
     make_random,
-    make_random_arith,
     make_strstr,
     parse_gen_spec,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "make_matmult",
     "make_md5",
     "make_random",
-    "make_random_arith",
     "make_strstr",
     "parse_gen_spec",
     "resolve_expected_output",

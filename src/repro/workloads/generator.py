@@ -584,110 +584,6 @@ g_table:
 
 
 # ----------------------------------------------------------------------
-# constrained-random workloads (verification stress + campaign variety)
-# ----------------------------------------------------------------------
-def make_random_arith(
-    seed: int = 0, length: int = 60, stores: int = 8
-) -> Workload:
-    """A constrained-random straight-line arithmetic program.
-
-    Useful both as a co-simulation stressor (every generated program is
-    checked against the reference ISS in the test suite) and as extra
-    workload variety for campaigns.  The expected output is computed with a
-    pure-Python model of the same operation sequence.
-    """
-    import random as _random
-
-    rng = _random.Random(seed)
-    regs = ["a0", "a1", "a2", "a3", "a4", "a5", "s0", "s1"]
-    values = {reg: rng.randint(-2048, 2047) & 0xFFFFFFFF for reg in regs}
-    lines = ["start:", "    li t2, OUT"]
-    for reg, value in values.items():
-        signed = value - (1 << 32) if value & 0x80000000 else value
-        lines.append(f"    li {reg}, {signed}")
-
-    def model(op, a, b):
-        sa = a - (1 << 32) if a & 0x80000000 else a
-        sb = b - (1 << 32) if b & 0x80000000 else b
-        sh = b & 31
-        return {
-            "add": a + b, "sub": a - b, "xor": a ^ b, "or": a | b,
-            "and": a & b, "slt": int(sa < sb), "sltu": int(a < b),
-            "sll": a << sh, "srl": a >> sh, "sra": sa >> sh,
-        }[op] & 0xFFFFFFFF
-
-    ops = ["add", "sub", "xor", "or", "and", "slt", "sltu", "sll", "srl", "sra"]
-    for _ in range(length):
-        op = rng.choice(ops)
-        rd, r1, r2 = (rng.choice(regs) for _ in range(3))
-        if op in ("sll", "srl", "sra"):
-            lines.append(f"    andi t0, {r2}, 31")
-            lines.append(f"    {op} {rd}, {r1}, t0")
-            values[rd] = model(op, values[r1], values[r2] & 31)
-        else:
-            lines.append(f"    {op} {rd}, {r1}, {r2}")
-            values[rd] = model(op, values[r1], values[r2])
-    emitted = []
-    for index in range(stores):
-        reg = regs[index % len(regs)]
-        lines.append(f"    sw {reg}, {4 * index}(t2)")
-        emitted.append((4 * index, values[reg]))
-    source = _PRELUDE + "\n".join(lines) + "\n    j halt_ok\n" + _EPILOGUE
-    return Workload(f"random_arith_{seed}", source, _expected(emitted))
-
-
-def make_random_control(seed: int = 0, blocks: int = 10) -> Workload:
-    """Constrained-random program with branches, loads, and stores.
-
-    Blocks of random arithmetic are chained by data-dependent forward
-    branches (always resolvable, so termination is guaranteed), interleaved
-    with loads/stores to a scratch buffer.  The expected output is computed
-    by executing on the reference ISS (the architectural golden model), so
-    the workload's purpose is gate-level-core co-simulation stress and
-    campaign variety rather than ISS validation.
-    """
-    import random as _random
-
-    from repro.isa.assembler import assemble
-    from repro.isa.reference import run_program
-
-    rng = _random.Random(seed ^ 0x5EED)
-    regs = ["a0", "a1", "a2", "a3", "a4", "s0", "s1"]
-    lines = ["start:", "    li sp, 0xff00", "    li t2, OUT", "    la t1, scratch"]
-    for reg in regs:
-        lines.append(f"    li {reg}, {rng.randint(-500, 500)}")
-    ops = ["add", "sub", "xor", "or", "and"]
-    for block in range(blocks):
-        lines.append(f"blk{block}:")
-        for _ in range(rng.randint(3, 7)):
-            op = rng.choice(ops)
-            rd, r1, r2 = (rng.choice(regs) for _ in range(3))
-            lines.append(f"    {op} {rd}, {r1}, {r2}")
-        slot = rng.randrange(8)
-        store_reg = rng.choice(regs)
-        lines.append(f"    sw {store_reg}, {4 * slot}(t1)")
-        load_reg = rng.choice(regs)
-        lines.append(f"    lw {load_reg}, {4 * rng.randrange(8)}(t1)")
-        if block + 1 < blocks:
-            # Data-dependent forward branch: either arm reaches the next
-            # block, exercising taken and not-taken redirect paths.
-            cond = rng.choice(["beqz", "bnez", "bltz", "bgez"])
-            lines.append(f"    {cond} {rng.choice(regs)}, blk{block + 1}")
-            lines.append(f"    xor {rng.choice(regs)}, {rng.choice(regs)}, "
-                         f"{rng.choice(regs)}")
-    for index, reg in enumerate(regs[:4]):
-        lines.append(f"    sw {reg}, {4 * index}(t2)")
-    source = (
-        _PRELUDE + "\n".join(lines) + "\n    j halt_ok\n" + _EPILOGUE
-        + "\n.align 2\nscratch:\n    .space 32\n"
-    )
-    cpu = run_program(assemble(source).image, max_instructions=100_000)
-    return Workload(
-        f"random_control_{seed}", source, tuple(cpu.output_log)
-    )
-
-
-# ----------------------------------------------------------------------
 # seeded constrained-random RV32E programs (campaign traffic diversity)
 # ----------------------------------------------------------------------
 #: memory-pattern knob values: sequential walk, fixed-stride walk, and a

@@ -36,6 +36,10 @@ from typing import Dict, Optional, Tuple
 
 from repro.fileio import atomic_write
 
+#: Cycles a fault-free run may take before it counts as a hang: the cap of
+#: every golden run, and the longest length a hint or store entry may claim.
+MAX_RUN_CYCLES = 200_000
+
 #: program signature -> fault-free cycles to halt (default SoC build)
 KNOWN_LENGTHS = {
     "893beba0f3c022931472629a1f12d77affc8dce76fb9188c84534fea812a7bfc": 3564,  # md5
@@ -139,7 +143,7 @@ def _measure() -> None:  # pragma: no cover - regeneration utility
     print("KNOWN_LENGTHS = {")
     for name in BENCHMARK_NAMES:
         program = load_benchmark(name)
-        run = system.run_program(program, max_cycles=200_000)
+        run = system.run_program(program, max_cycles=MAX_RUN_CYCLES)
         if not run.halted:
             raise RuntimeError(f"{name} did not halt")
         print(f'    "{program_signature(program)}": {run.cycles},  # {name}')

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.netlist.cells import CellKind, cell_input_count
+import numpy as np
+
+from repro.netlist.cells import CellKind, cell_input_count, eval_cell_array
 from repro.netlist.netlist import CONST0, CONST1, Netlist
 from repro.netlist.validate import validate
 from repro.sim.cyclesim import CycleSimulator, Environment
+from repro.sim.levelize import compute_cell_levels
 
 
 class ScriptedEnv(Environment):
@@ -113,6 +117,49 @@ def naive_settle(nl: Netlist, state: Dict[int, int]) -> Dict[int, int]:
         if not progressed:
             raise AssertionError("combinational loop or missing roots")
     return values
+
+
+@dataclass(frozen=True)
+class EvalBatch:
+    """A batch of same-kind cells whose inputs are all already computed."""
+
+    kind: CellKind
+    input_nets: Tuple[np.ndarray, ...]  #: one index array per input pin
+    output_nets: np.ndarray
+
+
+def eval_batches(netlist: Netlist) -> List[EvalBatch]:
+    """The per-(level, kind) cell batches of *netlist*, in topological order:
+    the per-kind view of the plan :func:`repro.sim.levelize.levelize` fuses."""
+    levels = compute_cell_levels(netlist)
+    grouped: Dict[Tuple[int, int], List[int]] = {}
+    for cell, level in enumerate(levels):
+        grouped.setdefault((level, netlist.cell_kinds[cell]), []).append(cell)
+    batches: List[EvalBatch] = []
+    for level in range(max(levels) + 1 if levels else 0):
+        for kind in CellKind:
+            cells = grouped.get((level, int(kind)))
+            if not cells:
+                continue
+            input_nets = tuple(
+                np.array(
+                    [netlist.cell_inputs[c][pin] for c in cells], dtype=np.int64
+                )
+                for pin in range(len(netlist.cell_inputs[cells[0]]))
+            )
+            output_nets = np.array(
+                [netlist.cell_outputs[c] for c in cells], dtype=np.int64
+            )
+            batches.append(EvalBatch(kind, input_nets, output_nets))
+    return batches
+
+
+def evaluate_reference(netlist: Netlist, values: np.ndarray, mask: int = 1) -> None:
+    """Per-kind batch evaluation: the bit-exact oracle of the fused
+    :meth:`repro.sim.levelize.EvalPlan.evaluate`."""
+    for batch in eval_batches(netlist):
+        ins = [values[idx] for idx in batch.input_nets]
+        values[batch.output_nets] = eval_cell_array(batch.kind, *ins, mask=mask)
 
 
 def heap_walk_reachable(sta, wire, extra_delay: float) -> Set[int]:

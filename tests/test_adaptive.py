@@ -9,6 +9,7 @@ truth the sampled campaigns' confidence intervals are checked against.
 import pytest
 
 from repro import api
+from repro.core import campaign
 from repro.core.campaign import CampaignConfig, DelayAVFEngine
 from repro.isa.assembler import assemble
 from repro.soc import memmap
@@ -39,7 +40,7 @@ TINYFIB = f"""
 #: Laptop-instant sampled campaign: 24 wires x 8 cycles.
 SAMPLED_CONFIG = CampaignConfig(
     cycle_count=8, max_wires=24, delay_fractions=(DELAY,),
-    margin_cycles=80, max_run_cycles=2000,
+    margin_cycles=80,
 )
 
 
@@ -53,7 +54,7 @@ def true_delay_avf(system, tinyfib):
     """Brute-force ground truth: every wire at every post-warmup cycle."""
     config = CampaignConfig(
         cycle_count=None, cycle_fraction=1.0, max_wires=None,
-        delay_fractions=(DELAY,), margin_cycles=80, max_run_cycles=2000,
+        delay_fractions=(DELAY,), margin_cycles=80,
     )
     engine = DelayAVFEngine(system, tinyfib, config)
     result = engine.run_structure(STRUCTURE)
@@ -146,15 +147,15 @@ def test_adaptive_grows_cycles_when_wires_exhausted(system, tinyfib):
         assert new_cycles & {r.cycle for r in delay_result.records}
 
 
-def test_adaptive_exhausts_population_and_stops(system, tinyfib):
+def test_adaptive_exhausts_population_and_stops(monkeypatch, system, tinyfib):
     # An unreachable target terminates by exhausting the population, and the
     # exhaustive refinement equals the brute-force campaign sample size.
+    monkeypatch.setattr(campaign, "REFINE_MAX_ROUNDS", 20)
+    monkeypatch.setattr(campaign, "REFINE_GROWTH", 8.0)
     engine = _engine(system, tinyfib, cycle_count=40, max_wires=None)
-    result = engine.run_structure_adaptive(
-        STRUCTURE, 1e-6, max_rounds=20, growth=8.0
-    )
+    result = engine.run_structure_adaptive(STRUCTURE, 1e-6)
     wires = len(system.structure_wires(STRUCTURE))
-    usable = engine.session.total_cycles - SAMPLED_CONFIG.warmup_cycles
+    usable = engine.session.total_cycles - campaign.WARMUP_CYCLES
     assert result.sampled_wires == wires
     assert len(result.sampled_cycles) == usable
     assert result.by_delay[DELAY].samples == wires * usable

@@ -174,23 +174,26 @@ def test_stale_length_store_entry_resamples_before_planning(
 
     libstrstr halts after 746 cycles.  Through one engine the scalar
     golden run detects the stale entry; in a two-workload sweep the packed
-    word's lane fails adoption first and the session falls back to it.
-    Either way the records are those of a run without the entry.
+    word's lane fails adoption first and the session falls back to it; an
+    sAVF run verifies the length before it samples its cycles too.  Either
+    way the results are those of a run without the entry.
     """
     from repro.core.cache import program_signature
     from repro.workloads.lengths import LengthStore
 
-    def run(cache_dir, stale, sweep):
+    def run(cache_dir, stale, mode):
         if stale:
             LengthStore(cache_dir).put(
                 program_signature(load_benchmark("libstrstr")),
                 stale_cycles, "0" * 64,
             )
         config = dataclasses.replace(SMALL, cache_dir=str(cache_dir))
-        if sweep:
+        if mode == "sweep":
             result = api.sweep(
                 ("alu",), ("libstrstr", "libfibcall"), config=config
             )[("alu", "libstrstr")]
+        elif mode == "savf":
+            result = api.savf("regfile", "libstrstr", bits=24, config=config)
         else:
             result = api.analyze("alu", "libstrstr", config=config)
         session = api.engine_for("libstrstr", config=config).session
@@ -198,14 +201,21 @@ def test_stale_length_store_entry_resamples_before_planning(
         api.shutdown()
         return result, counters, session.total_cycles
 
-    reference, _, true_length = run(tmp_path / "reference", False, False)
-    for sweep, golden_runs in ((False, 2), (True, 3)):
-        result, counters, length = run(tmp_path / f"sweep{sweep}", True, sweep)
-        assert counters.get("stale_length_hints") == 1
-        assert counters.get("golden_runs") == golden_runs
+    references = {
+        mode: run(tmp_path / f"reference-{mode}", False, mode)
+        for mode in ("analyze", "savf")
+    }
+    for mode, golden_runs in (("analyze", 2), ("sweep", 3), ("savf", 2)):
+        reference, _, true_length = references[
+            "savf" if mode == "savf" else "analyze"
+        ]
+        result, counters, length = run(tmp_path / mode, True, mode)
+        assert counters.get("stale_length_hints") == 1, mode
+        assert counters.get("golden_runs") == golden_runs, mode
         assert length == true_length == 746
-        assert result == reference
-        assert result.sampled_cycles == reference.sampled_cycles
+        assert result == reference, mode
+        if mode != "savf":
+            assert result.sampled_cycles == reference.sampled_cycles
 
 
 def test_savf_facade():
@@ -280,18 +290,21 @@ def test_engine_cache_is_thread_safe():
 
 
 def test_engine_cache_key_ignores_reporting_channels(tmp_path):
-    """progress/metrics_out/stats must not fragment the engine cache."""
+    """progress/metrics_out/stats must not fragment the engine cache:
+    they are per-call arguments, never config fields."""
+    from repro.errors import InputError
+
     program = load_benchmark("libstrstr")
     base = api.engine_for(program, config=TINY)
-    import dataclasses
-
-    noisy = dataclasses.replace(
-        TINY,
-        progress=True,
-        metrics_out=str(tmp_path / "metrics.prom"),
-        stats=True,
+    for name in ("progress", "metrics_out", "stats"):
+        with pytest.raises(InputError, match=name):
+            CampaignConfig.from_payload({name: True})
+    metrics = tmp_path / "metrics.prom"
+    api.analyze(
+        "lsu", program, config=TINY, progress=True, metrics_out=str(metrics)
     )
-    assert api.engine_for(program, config=noisy) is base
+    assert metrics.exists()
+    assert api.engine_for(program, config=TINY) is base
     assert len(api._ENGINES) == 1
 
 
@@ -389,7 +402,8 @@ def test_config_from_cli_args():
     assert config.seed == 7
     assert config.jobs == 2
     assert config.cache_dir == "/tmp/verdicts"
-    assert config.stats is True
+    # --stats decides what the CLI prints, not what the campaign computes.
+    assert not hasattr(config, "stats")
 
 
 def test_config_from_cli_args_defaults_for_missing():

@@ -96,11 +96,12 @@ def test_estimate_convenience(strstr_engine):
     assert result.samples == 8 * len(strstr_engine.session.sampled_cycles)
 
 
-def test_nonhalting_workload_rejected(system):
+def test_nonhalting_workload_rejected(monkeypatch, system):
     from repro.isa.assembler import assemble
 
+    monkeypatch.setattr("repro.workloads.lengths.MAX_RUN_CYCLES", 500)
     program = assemble("loop: j loop\n", "forever")
-    config = CampaignConfig(cycle_count=2, max_run_cycles=500)
+    config = CampaignConfig(cycle_count=2)
     with pytest.raises(RuntimeError, match="did not halt"):
         DelayAVFEngine(system, program, config)
 

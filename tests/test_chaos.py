@@ -8,7 +8,6 @@ in-process, ``REPRO_CHAOS`` env for subprocess daemons), so each test
 states its failure injection explicitly instead of racing the scheduler.
 """
 
-import dataclasses
 import json
 import os
 import signal
@@ -35,7 +34,6 @@ from repro.errors import ServiceOverloadedError
 from repro.fileio import atomic_write
 from repro.service.journal import JobJournal
 from repro.service.jobs import JobManager, JobSpec
-from repro.soc.system import build_system
 from repro.testing import chaos
 from repro.workloads.beebs import load_benchmark
 
@@ -60,10 +58,8 @@ def _chaos_teardown():
 
 def _fibcall_spec(config=CHAOS_CONFIG) -> SessionSpec:
     return SessionSpec(
-        system_factory=build_system,
         program=load_benchmark("libfibcall"),
         config=config,
-        factory_kwargs=(("use_ecc", False),),
     )
 
 
@@ -283,7 +279,7 @@ def test_corrupt_result_frame_requeues_and_stays_identical(
     assert result.telemetry.count("shard_retries") == 0
 
 
-def test_fleet_that_keeps_dying_finishes_serially(clean_result):
+def test_fleet_that_keeps_dying_finishes_serially(monkeypatch, clean_result):
     """Evictions are capped per campaign: a fleet whose every result frame
     arrives corrupt loses three workers, then the campaign finishes
     in-process — long before the empty-fleet wait, although workers remain
@@ -296,8 +292,8 @@ def test_fleet_that_keeps_dying_finishes_serially(clean_result):
         damaged[len(damaged) // 2] ^= 0xFF
         return bytes(damaged)
 
-    config = dataclasses.replace(CHAOS_CONFIG, worker_wait_seconds=120.0)
-    engine = DelayAVFEngine.from_spec(_fibcall_spec(config))
+    monkeypatch.setattr("repro.core.executor._WORKER_WAIT_SECONDS", 120.0)
+    engine = DelayAVFEngine.from_spec(_fibcall_spec(CHAOS_CONFIG))
     started = time.monotonic()
     try:
         with chaos.injected("transport.send", corrupt_every_result):

@@ -85,6 +85,15 @@ def test_savf_logic_structure_errors(capsys):
     assert "no state elements" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["delayavf", "savf"])
+def test_invalid_campaign_config_is_reported_not_raised(capsys, command):
+    code = main([command, "libstrstr", "lsu", "--cycles", "0"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid campaign configuration: ")
+    assert "cycle_count must be >= 1" in err
+
+
 def test_bad_benchmark_rejected(capsys):
     code = main(["run", "quicksort"])
     assert code == 1

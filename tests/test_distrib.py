@@ -37,7 +37,6 @@ from repro.core.plan import CampaignPlan, WorkShard, build_plan
 from repro.distrib import transport
 from repro.distrib.worker import serve
 from repro.testing import chaos
-from repro.soc.system import build_system
 from repro.workloads.beebs import load_benchmark
 
 #: Small but real: 3 shards x 8 wires x 2 delays on the shortest benchmark.
@@ -48,10 +47,8 @@ DISTRIB_CONFIG = CampaignConfig(
 
 def _fibcall_spec(config=DISTRIB_CONFIG) -> SessionSpec:
     return SessionSpec(
-        system_factory=build_system,
         program=load_benchmark("libfibcall"),
         config=config,
-        factory_kwargs=(("use_ecc", False),),
     )
 
 
@@ -135,24 +132,21 @@ def test_config_validates_workers_from():
         CampaignConfig(
             cycle_count=1, delay_fractions=(0.5,), workers_from="bogus"
         )
-    with pytest.raises(ValueError):
-        CampaignConfig(
-            cycle_count=1, delay_fractions=(0.5,), worker_wait_seconds=-1.0
-        )
 
 
 # ----------------------------------------------------------------------
 # Wire payload round-trips
 # ----------------------------------------------------------------------
 def test_session_spec_payload_roundtrip():
-    spec = _fibcall_spec()
-    payload = json.loads(json.dumps(spec.to_payload()))
-    rebuilt = SessionSpec.from_payload(payload)
-    assert rebuilt.system_factory is build_system
-    assert rebuilt.config == spec.config
-    assert rebuilt.factory_kwargs == spec.factory_kwargs
-    assert rebuilt.program.image == spec.program.image
-    assert rebuilt.program.symbols == spec.program.symbols
+    for ecc in (False, True):
+        spec = dataclasses.replace(_fibcall_spec(), ecc=ecc)
+        payload = json.loads(json.dumps(spec.to_payload()))
+        assert sorted(payload) == ["config", "ecc", "program"]
+        rebuilt = SessionSpec.from_payload(payload)
+        assert rebuilt.ecc is ecc
+        assert rebuilt.config == spec.config
+        assert rebuilt.program.image == spec.program.image
+        assert rebuilt.program.symbols == spec.program.symbols
 
 
 def test_plan_and_shard_payload_roundtrip(fib_engine):
@@ -270,8 +264,9 @@ def test_bare_json_line_is_corrupt_and_evicts(fib_engine, clean_result):
 # ----------------------------------------------------------------------
 # Fault tolerance at the coordinator
 # ----------------------------------------------------------------------
-def test_empty_fleet_falls_back_to_serial(clean_result):
-    engine = _fib_engine(worker_wait_seconds=0.1)
+def test_empty_fleet_falls_back_to_serial(monkeypatch, clean_result):
+    monkeypatch.setattr("repro.core.executor._WORKER_WAIT_SECONDS", 0.1)
+    engine = _fib_engine()
     try:
         with _listening("127.0.0.1:0") as remote:
             result = engine.run_structure("alu", executor=remote)
@@ -294,12 +289,13 @@ def test_worker_raise_is_retried(monkeypatch, tmp_path, fib_engine, clean_result
     assert result.telemetry.count("shard_retries") >= 1
 
 
-def test_worker_crash_evicts_and_recovers(tmp_path, clean_result):
+def test_worker_crash_evicts_and_recovers(monkeypatch, tmp_path, clean_result):
     """Kill one of two real worker processes mid-campaign: the survivor
     finishes the requeued shard and records stay byte-identical."""
     # trace=True travels to the workers through the wire spec, so their
     # spans come back with each result for the stitching assertions below.
-    engine = _fib_engine(trace=True, worker_wait_seconds=120.0)
+    monkeypatch.setattr("repro.core.executor._WORKER_WAIT_SECONDS", 120.0)
+    engine = _fib_engine(trace=True)
     tracing.enable(reset=True)
     try:
         with _listening("127.0.0.1:0") as remote:
@@ -373,7 +369,7 @@ def test_stitch_remote_spans_rehomes_roots():
 # ----------------------------------------------------------------------
 # Resume across a coordinator restart
 # ----------------------------------------------------------------------
-def test_resume_after_coordinator_restart(tmp_path, clean_result):
+def test_resume_after_coordinator_restart(monkeypatch, tmp_path, clean_result):
     """A remote campaign persists shard completions on the *coordinator's*
     cache (records re-put post-merge), so a restarted coordinator resumes
     from the shard table without any workers at all."""
@@ -393,9 +389,8 @@ def test_resume_after_coordinator_restart(tmp_path, clean_result):
     _assert_identical(first, clean_result)
 
     # "Restart": a fresh engine over the same cache, a fleet nobody joins.
-    engine = DelayAVFEngine.from_spec(
-        _fibcall_spec(dataclasses.replace(config, worker_wait_seconds=0.1))
-    )
+    monkeypatch.setattr("repro.core.executor._WORKER_WAIT_SECONDS", 0.1)
+    engine = DelayAVFEngine.from_spec(_fibcall_spec(config))
     try:
         with _listening("127.0.0.1:0") as remote:
             resumed = engine.run_structure("alu", executor=remote, resume=True)

@@ -17,7 +17,6 @@ from repro.core.executor import (
 from repro.core.plan import CampaignPlan, WorkShard, build_plan
 from repro.core.sampling import sample_wires
 from repro.core.telemetry import CampaignTelemetry
-from repro.soc.system import build_system
 from repro.workloads.beebs import load_benchmark
 
 #: Small but non-trivial: the acceptance pair (ALU x libfibcall, d in
@@ -29,10 +28,8 @@ PARITY_CONFIG = CampaignConfig(
 
 def _fibcall_spec(config=PARITY_CONFIG) -> SessionSpec:
     return SessionSpec(
-        system_factory=build_system,
         program=load_benchmark("libfibcall"),
         config=config,
-        factory_kwargs=(("use_ecc", False),),
     )
 
 
@@ -218,7 +215,7 @@ def test_session_probe_skipped_on_repeat(system):
         """,
         "tiny-halt",
     )
-    config = CampaignConfig(cycle_count=2, margin_cycles=200, max_run_cycles=2000)
+    config = CampaignConfig(cycle_count=2, margin_cycles=200)
     first = CampaignSession(system, program, config)
     # Sessions are lazy: nothing runs until the golden state is needed.
     assert first.telemetry.count("probe_runs") == 0

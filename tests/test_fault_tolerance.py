@@ -38,7 +38,6 @@ from repro.core.executor import (
 )
 from repro.core.group_ace import Outcome
 from repro.core.plan import build_plan
-from repro.soc.system import build_system
 from repro.testing import chaos
 from repro.workloads.beebs import load_benchmark
 
@@ -50,10 +49,8 @@ FAULT_CONFIG = CampaignConfig(
 
 def _fibcall_spec(config=FAULT_CONFIG) -> SessionSpec:
     return SessionSpec(
-        system_factory=build_system,
         program=load_benchmark("libfibcall"),
         config=config,
-        factory_kwargs=(("use_ecc", False),),
     )
 
 
@@ -140,7 +137,8 @@ def test_worker_exception_exhausts_retry_budget(
     # Fault every attempt (no once-marker): the retry budget must bound it.
     # Every shard raises, so whichever runs out of attempts first is named.
     _arm_fault(monkeypatch, tmp_path, "raise", once=False)
-    engine = engine_with(max_retries=1, retry_backoff=0.01)
+    monkeypatch.setattr("repro.core.executor._RETRY_BACKOFF", 0.01)
+    engine = engine_with(max_retries=1)
     with ParallelExecutor(jobs=2) as pool:
         with pytest.raises(ShardExecutionError, match=r"shard \d+ .*giving up"):
             engine.run_structure("alu", executor=pool)
@@ -177,7 +175,8 @@ def test_repeated_pool_failure_degrades_to_serial(
     # at once — no waiting for workers_from joiners (the hook only fires in
     # workers, so the serial path is clean).
     _arm_fault(monkeypatch, tmp_path, "kill", once=False)
-    engine = engine_with(worker_wait_seconds=600)
+    monkeypatch.setattr("repro.core.executor._WORKER_WAIT_SECONDS", 600.0)
+    engine = engine_with()
     started = time.monotonic()
     with ParallelExecutor(jobs=2) as pool:
         recovered = engine.run_structure("alu", executor=pool)
@@ -394,12 +393,13 @@ def test_flush_throttled_by_count_and_age(tmp_path):
     assert reread.get_verdict("2|1|0:1") is Outcome.MASKED
 
 
-def test_throttled_workers_lose_no_records(tmp_path):
+def test_throttled_workers_lose_no_records(monkeypatch, tmp_path):
     """Even with mid-run flushes throttled off, the store ends complete."""
-    config = dataclasses.replace(
-        FAULT_CONFIG, jobs=2, cache_dir=str(tmp_path),
-        flush_every_shards=10_000, flush_max_seconds=3600.0,
+    # The forked workers inherit the patched (every_n, max_seconds) policy.
+    monkeypatch.setattr(
+        VerdictCache.flush_throttled, "__defaults__", (10_000, 3600.0)
     )
+    config = dataclasses.replace(FAULT_CONFIG, jobs=2, cache_dir=str(tmp_path))
     engine = DelayAVFEngine.from_spec(_fibcall_spec(config))
     result = engine.run_structure("alu")
     engine.close()
@@ -436,12 +436,6 @@ def test_config_validates_fault_knobs():
         CampaignConfig(shard_timeout=0)
     with pytest.raises(ValueError, match="max_retries"):
         CampaignConfig(max_retries=-1)
-    with pytest.raises(ValueError, match="retry_backoff"):
-        CampaignConfig(retry_backoff=-0.1)
-    with pytest.raises(ValueError, match="flush_every_shards"):
-        CampaignConfig(flush_every_shards=0)
-    with pytest.raises(ValueError, match="flush_max_seconds"):
-        CampaignConfig(flush_max_seconds=-1.0)
 
 
 def test_config_from_cli_args_fault_knobs():

@@ -169,8 +169,23 @@ def test_generated_programs_match_model_on_iss(index):
         assert tuple(cpu.output_log) == workload.expected_output, (seed, knobs)
 
 
-def test_generated_program_runs_on_gate_level_core(system):
-    workload = resolve_workload("gen:2:blocks=2,ops_per_block=4,loop_iters=2")
+#: Gate-level co-simulation programs: a small loop nest plus six
+#: branch/load/store-heavy mixes over every access pattern.
+_CORE_SPECS = [
+    "gen:2:blocks=2,ops_per_block=4,loop_iters=2",
+    "gen:0:alu=2,loads=6,stores=6,branches=8",
+    "gen:1:alu=1,loads=4,stores=8,branches=10,pattern=chase",
+    "gen:3:alu=2,loads=8,stores=4,branches=8,pattern=stride,stride=5",
+    "gen:4:alu=1,loads=6,stores=6,branches=6,blocks=8,loop_depth=0",
+    "gen:5:alu=2,stores=3,branches=12,muls=0",
+    "gen:6:alu=0,loads=8,stores=8,branches=8,registers=4",
+]
+
+
+@pytest.mark.parametrize("spec", _CORE_SPECS)
+def test_generated_program_runs_on_gate_level_core(system, spec):
+    workload = resolve_workload(spec)
+    assert workload.name == spec  # canonical spelling
     program = resolve_program(workload.name)
     result = system.run_program(program, max_cycles=60_000)
     assert result.halted

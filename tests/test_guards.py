@@ -308,12 +308,6 @@ def test_engine_preflight_rejects_infeasible_clock(strstr_program):
         DelayAVFEngine(system, strstr_program, config)
 
 
-def test_engine_preflight_can_be_disabled(strstr_program):
-    system = build_system(clock_period_ps=100.0)
-    config = CampaignConfig(cycle_count=2, margin_cycles=400, preflight=False)
-    DelayAVFEngine(system, strstr_program, config)  # no raise
-
-
 def test_corrupted_cache_record_marks_result_suspect(
     tmp_path, system, strstr_program
 ):
@@ -351,13 +345,3 @@ def test_corrupted_cache_record_marks_result_suspect(
     assert warm.telemetry.count("guard_violations") >= 1
     # The clean run over the same inputs stays clean.
     assert not cold.suspect
-
-
-def test_guards_can_be_disabled(tmp_path, system, strstr_program):
-    config = CampaignConfig(
-        cycle_count=2, max_wires=4, delay_fractions=(0.9,),
-        margin_cycles=600, guards=False,
-    )
-    result = DelayAVFEngine(system, strstr_program, config).run_structure("alu")
-    assert not result.suspect
-    assert result.telemetry.count("guard_violations") == 0

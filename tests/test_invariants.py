@@ -96,7 +96,9 @@ def test_levelize_deterministic(seed):
     a = levelize(nl)
     b = levelize(nl)
     assert a.num_levels == b.num_levels
-    assert len(a.batches) == len(b.batches)
-    for x, y in zip(a.batches, b.batches):
-        assert x.kind == y.kind
-        assert (x.output_nets == y.output_nets).all()
+    assert a.cell_levels == b.cell_levels
+    assert len(a.fused_levels) == len(b.fused_levels)
+    for x, y in zip(a.fused_levels, b.fused_levels):
+        assert (x.gate_out == y.gate_out).all()
+        assert (x.inv_sel == y.inv_sel).all()
+        assert (x.mux_out == y.mux_out).all()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import naive_settle, random_circuit
+from helpers import eval_batches, naive_settle, random_circuit
 from repro.netlist.cells import CellKind
 from repro.netlist.netlist import CONST0, CONST1, Netlist
 from repro.sim.levelize import compute_cell_levels, levelize
@@ -54,7 +54,7 @@ def test_batches_group_by_kind_and_level():
     nl = random_circuit(3)
     plan = levelize(nl)
     seen = set()
-    for batch in plan.batches:
+    for batch in eval_batches(nl):
         assert len(batch.output_nets) > 0
         key = (batch.kind,)
         assert len({len(arr) for arr in batch.input_nets} | {len(batch.output_nets)}) == 1
@@ -67,6 +67,7 @@ def test_empty_netlist_plan():
     nl.add_input("a", 1)
     nl.freeze()
     plan = levelize(nl)
-    assert plan.batches == ()
+    assert eval_batches(nl) == []
+    assert plan.fused_levels == ()
     values = np.zeros(nl.num_nets, dtype=np.uint8)
     plan.evaluate(values)  # no-op, no crash

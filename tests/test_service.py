@@ -151,8 +151,41 @@ def test_job_spec_validation():
         )
     with pytest.raises(InputError, match="config"):
         JobSpec.from_payload({**ANALYZE_SPEC, "config": {"warp": 9}})
+    # Where a run reports is no config field: a client still sending one
+    # hears about it instead of silently running without it.
+    with pytest.raises(InputError, match="progress"):
+        JobSpec.from_payload(
+            {**ANALYZE_SPEC, "config": {**SMALL_CONFIG, "progress": True}}
+        )
     with pytest.raises(InputError, match="structures"):
         JobSpec.from_payload({"kind": "sweep", "benchmarks": ["libstrstr"]})
+
+
+def test_journal_replay_skips_a_config_field_this_build_removed(
+    tmp_path, capsys
+):
+    """A job journaled by a build whose config still had a field this one
+    removed no longer validates: replay warns, naming it, and skips it."""
+    import hashlib
+
+    from repro.service.journal import JobJournal
+
+    canonical = JobSpec.from_payload(ANALYZE_SPEC).canonical()
+    stale = {**canonical, "config": {**canonical["config"], "stats": False}}
+    digest = hashlib.sha256(
+        json.dumps(stale, sort_keys=True).encode("utf-8")
+    ).hexdigest()
+    journal = JobJournal(tmp_path / "journal")
+    journal.record_submitted(f"job-{digest[:20]}", stale, 0)
+    journal.close()
+    manager = JobManager(journal=JobJournal(tmp_path / "journal"))
+    counts = manager.recover()
+    manager.journal.close()
+    assert counts["skipped"] == 1
+    assert counts["requeued"] == counts["recovered"] == 0
+    assert manager.jobs() == []
+    err = capsys.readouterr().err
+    assert "no longer validates" in err and "stats" in err
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,6 @@ from repro.core import tracing
 from repro.core.campaign import CampaignConfig, DelayAVFEngine
 from repro.core.executor import SessionSpec
 from repro.core.progress import ProgressReporter
-from repro.soc.system import build_system
 from repro.workloads.beebs import load_benchmark
 
 #: Small but non-trivial traced campaign (mirrors the executor parity pair).
@@ -218,10 +217,8 @@ def test_summarize_separates_wall_from_cumulative():
 def _traced_campaign(jobs):
     config = replace(TRACE_CONFIG, jobs=jobs)
     spec = SessionSpec(
-        system_factory=build_system,
         program=load_benchmark("libfibcall"),
         config=config,
-        factory_kwargs=(("use_ecc", False),),
     )
     engine = DelayAVFEngine.from_spec(spec)
     try:
@@ -289,13 +286,11 @@ def test_executor_event_is_counter_instant_and_note():
     """A fleet event is counted, traced as ``executor.<counter>`` and noted
     on the progress stream, all under the counter's own name."""
     spec = SessionSpec(
-        system_factory=build_system,
         program=load_benchmark("libfibcall"),
         config=replace(
             TRACE_CONFIG, jobs=2, cycle_count=2, max_wires=2,
             delay_fractions=(0.9,),
         ),
-        factory_kwargs=(("use_ecc", False),),
     )
     engine = DelayAVFEngine.from_spec(spec)
     reporter = ProgressReporter(enabled=False)

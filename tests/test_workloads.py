@@ -107,36 +107,3 @@ def test_fibcall_parameterized():
 def test_sources_are_cached(name):
     assert load_benchmark(name) is load_benchmark(name)
     assert benchmark_source(name) == benchmark_source(name)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_random_arith_matches_model_on_iss(seed):
-    from repro.isa.assembler import assemble
-    from repro.workloads.generator import make_random_arith
-
-    workload = make_random_arith(seed, length=40, stores=6)
-    cpu = run_program(assemble(workload.source).image)
-    assert tuple(cpu.output_log) == workload.expected_output
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_random_control_flow_cosim(system, seed):
-    """Branch/load/store-heavy random programs: core must match the ISS."""
-    from repro.isa.assembler import assemble
-    from repro.workloads.generator import make_random_control
-
-    workload = make_random_control(seed)
-    program = assemble(workload.source, workload.name)
-    result = system.run_program(program, max_cycles=20_000)
-    assert result.halted
-    assert result.observables == workload.expected_output
-
-
-def test_random_arith_on_gate_level_core(system):
-    from repro.isa.assembler import assemble
-    from repro.workloads.generator import make_random_arith
-
-    workload = make_random_arith(99, length=50, stores=8)
-    program = assemble(workload.source, workload.name)
-    result = system.run_program(program, max_cycles=5000)
-    assert result.observables == workload.expected_output
