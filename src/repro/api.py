@@ -176,20 +176,10 @@ def engine_cache_stats() -> Dict[str, int]:
 
 
 def _observed_config(
-    config: CampaignConfig,
-    trace: Optional[str],
-    lanes: Optional[int] = None,
-    workers_from: Optional[str] = None,
+    config: CampaignConfig, trace: Optional[str]
 ) -> CampaignConfig:
-    """Fold per-call tracing / execution overrides into a config."""
-    overrides = {}
-    if trace:
-        overrides["trace"] = True
-    if lanes is not None:
-        overrides["lanes"] = int(lanes)
-    if workers_from is not None:
-        overrides["workers_from"] = str(workers_from)
-    return dataclasses.replace(config, **overrides) if overrides else config
+    """Fold a per-call *trace* file into a config (it turns tracing on)."""
+    return dataclasses.replace(config, trace=True) if trace else config
 
 
 def _reporter_for(
@@ -215,25 +205,23 @@ def analyze(
     *,
     config: Optional[CampaignConfig] = None,
     ecc: bool = False,
-    resume: Optional[bool] = None,
     target_half_width: Optional[float] = None,
     confidence: float = DEFAULT_CONFIDENCE,
     trace: Optional[str] = None,
     progress: Optional[bool] = None,
     metrics_out: Optional[str] = None,
-    lanes: Optional[int] = None,
-    workers_from: Optional[str] = None,
 ) -> StructureCampaignResult:
-    """Run (or resume) a DelayAVF campaign for one structure and workload.
+    """Run a DelayAVF campaign for one structure and workload.
 
     *workload* is a bundled benchmark name (``"md5"``), a generated
     workload spec (``"gen:7"``, ``"gen:7:pattern=chase"``), or a loaded
     :class:`~repro.isa.assembler.Program`.  *config* defaults to
     ``CampaignConfig()``; pass one explicitly to control the delay sweep,
-    sampling, parallelism, fault tolerance, or the persistent verdict
-    cache.  ``resume=True`` (default ``config.resume``) skips shards the
-    verdict cache already marks complete, so an interrupted campaign picks
-    up where it left off; it requires ``config.cache_dir``.
+    sampling, lane width, parallelism (``jobs``, or a ``workers_from``
+    fleet of joining ``repro worker`` processes), fault tolerance, or the
+    persistent verdict cache.  With ``config.cache_dir`` the campaign
+    simulates only the injections whose records the cache lacks, so
+    re-running an interrupted campaign picks up where it left off.
 
     With *target_half_width* the campaign turns adaptive: after the initial
     wave it keeps widening the wire/cycle sample (never re-simulating an
@@ -253,21 +241,12 @@ def analyze(
     Observability per call: *trace* names a file that receives the
     campaign's span trace when the run finishes (Chrome trace-event JSON,
     loadable in Perfetto, or JSONL for a ``.jsonl`` path); *progress*
-    streams live shard progress to stderr; *lanes* overrides the packed
-    simulation width (1..64 bit-planes; 1 disables packing) without
-    rebuilding the config; *metrics_out* writes a
+    streams live shard progress to stderr; *metrics_out* writes a
     Prometheus-textfile / JSON metrics snapshot (plus a throttled
     ``.heartbeat`` file while running).  *progress* and *metrics_out* are
-    this call's alone; *trace* and *lanes* override the corresponding
-    :class:`CampaignConfig` field for this call.
-
-    *workers_from* dispatches shards to joining ``repro worker`` processes
-    instead of running them locally: a ``HOST:PORT`` socket listen address
-    — see :class:`repro.core.executor.ParallelExecutor`.
+    this call's alone; *trace* also turns on the config's ``trace`` field.
     """
-    run_config = _observed_config(
-        config or CampaignConfig(), trace, lanes, workers_from
-    )
+    run_config = _observed_config(config or CampaignConfig(), trace)
     if trace:
         # Fresh buffer per traced call — engine construction below (probe /
         # golden runs on a cold engine) is part of the campaign's story.
@@ -281,13 +260,10 @@ def analyze(
             structure,
             target_half_width,
             confidence=confidence,
-            resume=resume,
             reporter=reporter,
         )
     else:
-        result = engine.run_structure(
-            structure, resume=resume, reporter=reporter
-        )
+        result = engine.run_structure(structure, reporter=reporter)
     if metrics_out:
         # Written here, per call, from the campaign's telemetry slice.
         write_metrics(
@@ -356,17 +332,15 @@ def savf(
     trace: Optional[str] = None,
     progress: Optional[bool] = None,
     metrics_out: Optional[str] = None,
-    lanes: Optional[int] = None,
 ) -> SAVFResult:
     """Particle-strike sAVF estimate (the paper's comparison baseline).
 
     Reuses the same cached campaign session as :func:`analyze`, so running
     both for one workload costs a single golden run.  *trace* / *progress* /
-    *metrics_out* / *lanes* behave as in :func:`analyze` (per-cycle
-    progress ticks; the metrics snapshot covers the telemetry delta of this
-    call).
+    *metrics_out* behave as in :func:`analyze` (per-cycle progress ticks;
+    the metrics snapshot covers the telemetry delta of this call).
     """
-    run_config = _observed_config(config or CampaignConfig(), trace, lanes)
+    run_config = _observed_config(config or CampaignConfig(), trace)
     if trace:
         tracing.enable(reset=True)
     engine = _engine(workload, ecc, run_config)
@@ -432,9 +406,10 @@ def generate_workloads(
     :func:`analyze` / :func:`sweep` / the CLI / the service), the per-step
     marginal gains, every candidate's vector, the selection's combined
     coverage, and the sequential-seed baseline (the first *count*
-    candidates) it is measured against.  With ``config.cache_dir`` set the
-    probe campaigns persist verdicts and coverage vectors, so re-proposing
-    from a warm cache runs no simulation.
+    candidates) it is measured against.  Vectors are computed from the
+    probe results; with ``config.cache_dir`` set the probe campaigns
+    persist their records, so re-proposing from a warm cache runs no
+    simulation.
     """
     if count < 1:
         raise ValueError("count must be >= 1")

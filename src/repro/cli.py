@@ -8,7 +8,6 @@ Examples::
     python -m repro paths alu
     python -m repro delayavf md5 alu --delays 0.5 0.9 --wires 24 --cycles 6
     python -m repro delayavf md5 alu --jobs 4 --cache-dir .verdicts --stats
-    python -m repro delayavf md5 alu --jobs 4 --cache-dir .verdicts --resume
     python -m repro delayavf md5 alu --jobs 4 --shard-timeout 600 --max-retries 3
     python -m repro delayavf md5 alu --format json
     python -m repro delayavf md5 alu --target-half-width 0.02
@@ -148,12 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--cache-dir", default=None,
-        help="directory for the persistent verdict cache (warm-starts reruns)",
-    )
-    p.add_argument(
-        "--resume", action="store_true",
-        help="skip shards already completed in the verdict cache "
-             "(resumes an interrupted campaign; requires --cache-dir)",
+        help="directory for the persistent verdict cache (a re-run, or one "
+             "after an interrupt, simulates only what it lacks)",
     )
     p.add_argument(
         "--shard-timeout", type=float, default=None, dest="shard_timeout",

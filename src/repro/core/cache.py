@@ -1,7 +1,7 @@
 """Persistent, content-addressed verdict cache for GroupACE outcomes.
 
-GroupACE runs dominate campaign cost (each is a resumed full-program
-simulation), yet their verdicts depend only on
+GroupACE runs dominate campaign cost (each is a full-program simulation
+from a checkpoint), yet their verdicts depend only on
 
 - the netlist (which gates, DFFs, and ports exist and how they connect),
 - the program (its image decides the golden behaviour), and
@@ -28,17 +28,11 @@ completed *injection records* keyed by (structure, cycle, wire index, delay,
 ORACE flag, clock period).  A verdict hit still has to rebuild the cycle's
 waveforms and re-derive the dynamically reachable set (the timing-aware event
 sim) before it can ask for the verdict; a record hit skips all of that — a
-fully warm shard never touches the event simulator at all, which is where
-warm-restart campaign speedups actually come from.  Records are derived data
-(every field is reproducible from the scope + key), so the same
-last-writer-wins merge applies.
-
-A third table marks *completed work shards* (:func:`shard_key`).  The
-executors mark a shard complete only after every one of its records has been
-put, so an interrupted campaign (Ctrl-C, an OOM-killed worker host) can
-``resume``: shards found complete in the store are reassembled from the
-record table without executing anything, and a shard whose completion mark
-survived but whose records did not is simply re-run.
+fully warm shard never touches the event simulator at all.  Records are
+derived data (every field is reproducible from the scope + key), so the same
+last-writer-wins merge applies.  The record table is the one memory of
+finished work: a re-run after an interrupt (Ctrl-C, an OOM-killed worker
+host, a restarted coordinator) simulates exactly the injections it lacks.
 
 Every flush records a ``payload_sha256`` over the data body, so torn writes
 and bit rot are *detected*, not just tolerated: a file that fails
@@ -61,7 +55,7 @@ import threading
 import time
 import warnings
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core import tracing
 from repro.core.group_ace import Outcome
@@ -73,6 +67,10 @@ from repro.workloads import lengths
 CACHE_FORMAT = 1
 
 #: Keys of the envelope covered by ``payload_sha256`` (sorted, canonical).
+#: ``"shards"`` names a shard-completion table this build neither reads nor
+#: writes; files written before it went still checksum that table, and
+#: without the key every such file would fail verification and be rebuilt
+#: cold.  The next flush drops the table.
 _CHECKSUMMED_KEYS = ("meta", "records", "scope", "shards", "verdicts")
 
 
@@ -195,31 +193,6 @@ def record_key(
     )
 
 
-def shard_key(
-    structure: str,
-    cycle: int,
-    wire_indices: Sequence[int],
-    delay_fractions: Sequence[float],
-    with_orace: bool,
-    clock_period: float,
-) -> str:
-    """Stable content key marking one fully persisted work shard.
-
-    Hashes the shard's full identity — every wire and delay it covers plus
-    the timing/ORACE view its records were produced under — so a campaign
-    re-planned with different sampling never mistakes an old shard for its
-    own.
-    """
-    return _sha256(
-        structure,
-        str(cycle),
-        ",".join(str(index) for index in wire_indices),
-        ",".join(repr(delay) for delay in delay_fractions),
-        str(int(bool(with_orace))),
-        repr(clock_period),
-    )
-
-
 def record_to_payload(record) -> list:
     """Portable JSON form of an :class:`~repro.core.results.InjectionRecord`.
 
@@ -302,8 +275,7 @@ def verify_scope_file(path) -> Tuple[str, str]:
         )
     return "ok", (
         f"{len(payload.get('verdicts', {}))} verdicts, "
-        f"{len(payload.get('records', {}))} records, "
-        f"{len(payload.get('shards', {}))} shards"
+        f"{len(payload.get('records', {}))} records"
     )
 
 
@@ -362,7 +334,6 @@ class VerdictCache:
         self.path = self.directory / f"verdicts-{scope_key[:16]}.json"
         self._verdicts: Dict[str, str] = {}
         self._records: Dict[str, list] = {}
-        self._shards: Dict[str, int] = {}
         self._meta: Dict[str, object] = {}
         self._dirty = False
         self._calls_since_flush = 0
@@ -436,12 +407,14 @@ class VerdictCache:
             payload = {}
         stored = payload.get("verdicts", {})
         stored_records = payload.get("records", {})
-        stored_shards = payload.get("shards", {})
+        # Older files also keep coverage vectors in meta; nothing reads
+        # them, so loading leaves them out and the next flush drops them.
+        stored_meta = dict(payload.get("meta", {}))
+        stored_meta.pop("coverage", None)
         if replace:
             self._verdicts = dict(stored)
             self._records = dict(stored_records)
-            self._shards = dict(stored_shards)
-            self._meta = dict(payload.get("meta", {}))
+            self._meta = stored_meta
         else:
             # Merge-under: our in-memory entries win (they are newer but
             # deterministic, so any overlap agrees anyway).
@@ -451,22 +424,8 @@ class VerdictCache:
             records = dict(stored_records)
             records.update(self._records)
             self._records = records
-            shards = dict(stored_shards)
-            shards.update(self._shards)
-            self._shards = shards
-            meta = dict(payload.get("meta", {}))
-            stored_coverage = meta.get("coverage")
-            meta.update(self._meta)
-            if isinstance(stored_coverage, dict):
-                # "coverage" is a nested table (key -> vector payload); a
-                # shallow update would drop stored vectors our in-memory
-                # table doesn't mention, so merge it entry-wise.
-                coverage = dict(stored_coverage)
-                ours = self._meta.get("coverage")
-                if isinstance(ours, dict):
-                    coverage.update(ours)
-                meta["coverage"] = coverage
-            self._meta = meta
+            stored_meta.update(self._meta)
+            self._meta = stored_meta
 
     # ------------------------------------------------------------------
     def get_verdict(self, key: str) -> Optional[Outcome]:
@@ -507,23 +466,6 @@ class VerdictCache:
                 self._records[key] = payload
                 self._dirty = True
 
-    def shard_complete(self, key: str) -> bool:
-        """Whether the shard named by :func:`shard_key` has fully persisted."""
-        with self._lock:
-            return key in self._shards
-
-    def mark_shard_complete(self, key: str) -> None:
-        """Record that every injection record of one shard has been put.
-
-        Call only after the shard's records are in the store; resume treats
-        the mark as a promise that the record table can reassemble the shard
-        (and falls back to re-execution if it cannot).
-        """
-        with self._lock:
-            if key not in self._shards:
-                self._shards[key] = 1
-                self._dirty = True
-
     def __len__(self) -> int:
         return len(self._verdicts)
 
@@ -543,34 +485,6 @@ class VerdictCache:
             if self.workload_meta() != (total_cycles, digest):
                 self._meta["total_cycles"] = total_cycles
                 self._meta["observables_sha"] = digest
-                self._dirty = True
-
-    def get_coverage(self, key: str) -> Optional[dict]:
-        """The stored coverage-vector payload for *key*, if any.
-
-        Coverage vectors live inside the checksummed ``meta`` table (under
-        a ``"coverage"`` sub-dict) rather than as a new top-level payload
-        key: the on-disk schema and its integrity envelope are unchanged,
-        so caches written before coverage existed stay readable and vice
-        versa.
-        """
-        with self._lock:
-            table = self._meta.get("coverage")
-            if isinstance(table, dict):
-                value = table.get(key)
-                if isinstance(value, dict):
-                    return dict(value)
-        return None
-
-    def put_coverage(self, key: str, payload: dict) -> None:
-        """Persist one coverage-vector payload under *key* (idempotent)."""
-        with self._lock:
-            table = self._meta.get("coverage")
-            if not isinstance(table, dict):
-                table = {}
-                self._meta["coverage"] = table
-            if table.get(key) != payload:
-                table[key] = dict(payload)
                 self._dirty = True
 
     # ------------------------------------------------------------------
@@ -617,7 +531,6 @@ class VerdictCache:
                     "meta": self._meta,
                     "verdicts": self._verdicts,
                     "records": self._records,
-                    "shards": self._shards,
                 }
                 payload["payload_sha256"] = compute_payload_sha256(payload)
                 atomic_write(

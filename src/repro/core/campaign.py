@@ -30,10 +30,8 @@ from repro.core import tracing
 from repro.core.cache import (
     observables_digest,
     program_signature,
-    record_from_payload,
     record_key,
     record_to_payload,
-    shard_key,
 )
 from repro.core.delay_model import DEFAULT_DELAY_FRACTIONS
 from repro.core.delayavf import DelayAceEvaluator
@@ -91,7 +89,9 @@ class CampaignConfig:
     ``max_wires=None`` (all wires); the defaults here are laptop-sized.
     The fields are sampling (wires, cycles, seed), the delay sweep, the DUE
     hang budget, execution (``lanes``, ``jobs``, ``workers_from`` and the
-    fault policy), persistence (``cache_dir``, ``resume``) and ``trace``.
+    fault policy), persistence (``cache_dir``) and ``trace``.  A campaign
+    over a ``cache_dir`` that already holds some of its injection records
+    simulates only the rest, so a re-run after an interrupt needs no flag.
     Where a run *reports* (``--stats``, ``--progress``, ``--metrics-out``)
     is an argument of each :mod:`repro.api` call, not a config field.
     Build it directly, or from a parsed CLI namespace via
@@ -120,9 +120,6 @@ class CampaignConfig:
     shard_timeout: Optional[float] = None
     #: additional attempts granted to a shard whose worker raised
     max_retries: int = 2
-    #: skip shards already marked complete in the verdict cache
-    #: (CLI ``--resume``; requires ``cache_dir``)
-    resume: bool = False
     #: collect span-based tracing (CLI ``--trace PATH`` sets this; workers
     #: inherit it through the SessionSpec so their spans travel back with
     #: shard results)
@@ -172,7 +169,7 @@ class CampaignConfig:
         Accepts any object exposing (a subset of) the ``delayavf``
         subcommand's attributes — ``delays``, ``cycles``, ``wires``,
         ``seed``, ``lanes``, ``jobs``, ``cache_dir``, ``shard_timeout``,
-        ``max_retries``, ``resume``, ``trace``, ``workers_from`` — falling
+        ``max_retries``, ``trace``, ``workers_from`` — falling
         back to the dataclass defaults for whatever is absent.
         """
         defaults = cls()
@@ -191,7 +188,6 @@ class CampaignConfig:
             cache_dir=getattr(args, "cache_dir", None),
             shard_timeout=pick("shard_timeout", defaults.shard_timeout),
             max_retries=pick("max_retries", defaults.max_retries),
-            resume=bool(getattr(args, "resume", False)),
             trace=bool(getattr(args, "trace", None)),
             workers_from=getattr(args, "workers_from", None),
         )
@@ -630,7 +626,6 @@ class DelayAVFEngine:
         max_wires: Optional[int] = None,
         seed: Optional[int] = None,
         executor: Optional[Executor] = None,
-        resume: Optional[bool] = None,
         reporter: Optional[ProgressReporter] = None,
     ) -> StructureCampaignResult:
         """Estimate DelayAVF of *structure* across the delay sweep.
@@ -642,12 +637,12 @@ class DelayAVFEngine:
         decides where shards run.  Results merge deterministically by
         (cycle, wire, delay), so every executor yields identical records.
 
-        With *resume* (default ``config.resume``; needs a persistent verdict
-        cache) shards the cache marks complete are reassembled from the
-        record table instead of executed, so an interrupted campaign picks
-        up from its last incrementally-flushed shard.  The result's
-        ``degraded`` flag reports whether fault-tolerant execution had to
-        evict workers, time shards out, or fall back to serial on the way.
+        With a persistent verdict cache, every injection whose record the
+        cache holds is served from it, on every executor, so an interrupted
+        campaign re-run picks up from its last incrementally-flushed shard.
+        The result's ``degraded`` flag reports whether fault-tolerant
+        execution had to evict workers, time shards out, or fall back to
+        serial on the way.
         """
         executor = executor if executor is not None else self.default_executor()
         with tracing.span(
@@ -655,15 +650,14 @@ class DelayAVFEngine:
             structure=structure, benchmark=self.program.name,
         ):
             campaign = self._open(
-                structure, delay_fractions, max_wires, seed, resume, reporter,
+                structure, delay_fractions, max_wires, seed, reporter,
                 local=isinstance(executor, SerialExecutor),
             )
             shard_results = self._execute(
-                campaign.exec_plan, executor, campaign.reporter
+                campaign.plan, executor, campaign.reporter
             )
             return self._close(
-                campaign,
-                self._merge(campaign.plan, shard_results, campaign.resumed),
+                campaign, self._merge(campaign.plan, shard_results)
             )
 
     def run_structures(
@@ -689,7 +683,6 @@ class DelayAVFEngine:
         max_wires: Optional[int] = None,
         seed: Optional[int] = None,
         executor: Optional[Executor] = None,
-        resume: Optional[bool] = None,
         reporter: Optional[ProgressReporter] = None,
     ) -> StructureCampaignResult:
         """Run a campaign, then refine it until its CIs meet a precision
@@ -704,7 +697,7 @@ class DelayAVFEngine:
         :data:`REFINE_GROWTH` per round.  Refinement plans cover exactly the
         not-yet-sampled (wire, cycle) pairs, so no (wire, cycle, delay)
         triple is ever simulated twice; with a verdict cache configured the
-        rounds persist and resume like any other shards.
+        rounds' records persist and serve re-runs like the first wave's.
 
         Stops at the target, after :data:`REFINE_MAX_ROUNDS` refinement
         rounds, or when the structure's full (wire × cycle) population is
@@ -720,15 +713,11 @@ class DelayAVFEngine:
             structure=structure, benchmark=self.program.name, adaptive=True,
         ):
             campaign = self._open(
-                structure, delay_fractions, max_wires, seed, resume, reporter,
+                structure, delay_fractions, max_wires, seed, reporter,
                 local=isinstance(executor, SerialExecutor),
             )
             plan, reporter = campaign.plan, campaign.reporter
-            result = self._merge(
-                plan,
-                self._execute(campaign.exec_plan, executor, reporter),
-                campaign.resumed,
-            )
+            result = self._merge(plan, self._execute(plan, executor, reporter))
             for round_index in range(1, REFINE_MAX_ROUNDS + 1):
                 worst = self._worst_interval(result, confidence)
                 if reporter is not None:
@@ -750,11 +739,10 @@ class DelayAVFEngine:
                     refinement = build_refinement_plan(plan, new_wires, new_cycles)
                 self.telemetry.incr("refinement_rounds")
                 self.telemetry.incr("extra_shards", len(refinement.shards))
-                exec_plan, resumed = self._split(refinement, resume, reporter)
+                if reporter is not None:
+                    reporter.add_total(len(refinement.shards))
                 round_result = self._merge(
-                    refinement,
-                    self._execute(exec_plan, executor, reporter),
-                    resumed,
+                    refinement, self._execute(refinement, executor, reporter)
                 )
                 for delay, delay_result in round_result.by_delay.items():
                     result.by_delay[delay].records.extend(delay_result.records)
@@ -838,17 +826,18 @@ class DelayAVFEngine:
 
     def _open(
         self, structure, delay_fractions=None, max_wires=None, seed=None,
-        resume=None, reporter=None, *, local: bool,
+        reporter=None, *, local: bool,
     ) -> "_Campaign":
-        """Open a campaign: plan it, split off the shards a resume
-        reassembles from the cache, and start the caller's progress
+        """Open a campaign: plan it and start the caller's progress
         *reporter*, if any.  A *local* campaign (shards run here) first
         verifies an advisory length (:meth:`CampaignSession.verify_length`),
-        so a stale one samples no plan.
+        so a stale one samples no plan; a worker-fleet coordinator verifies
+        a length-store entry the same way, and trusts a bundled hint (the
+        tests pin the hints to the build).
         """
         before = self.telemetry.snapshot()
         started = time.perf_counter()
-        if local:
+        if local or self.session._known_length()[3] == "store":
             self.session.verify_length()
         with self.telemetry.phase("plan"):
             plan = build_plan(
@@ -861,51 +850,9 @@ class DelayAVFEngine:
                 max_wires=max_wires,
                 seed=seed,
             )
-        exec_plan, resumed = self._split(plan, resume, reporter)
-        return _Campaign(plan, exec_plan, resumed, before, started, reporter)
-
-    def _split(self, plan, resume, reporter):
-        """``(plan of the shards still to run, resumed shard results)``.
-
-        With *resume* (default ``config.resume``) and a verdict cache, a
-        shard is reassembled from the record table instead of run if its
-        completion mark *and* every one of its records survived in the
-        cache; a mark whose records were lost (torn file recovered cold,
-        for instance) silently re-executes.  The first wave starts the
-        reporter (resumed shards count as done); refinement waves only grow
-        its budget.
-        """
-        resume = self.config.resume if resume is None else bool(resume)
-        resumed: List[ShardResult] = []
-        exec_plan = plan
-        if resume and self.verdict_cache is not None:
-            with_orace = bool(self.config.compute_orace)
-            clock = self.system.clock_period
-            remaining = []
-            for shard in plan.shards:
-                loaded = None
-                if self.verdict_cache.shard_complete(
-                    shard_key(
-                        plan.structure, shard.cycle, shard.wire_indices,
-                        shard.delay_fractions, with_orace, clock,
-                    )
-                ):
-                    loaded = self._load_shard_result(
-                        plan, shard, with_orace, clock
-                    )
-                if loaded is None:
-                    remaining.append(shard)
-                else:
-                    resumed.append(loaded)
-            if resumed:
-                self.telemetry.incr("shards_resumed", len(resumed))
-                exec_plan = dataclasses.replace(plan, shards=tuple(remaining))
         if reporter is not None:
-            if reporter.state == "idle":
-                reporter.start(len(plan.shards), resumed=len(resumed))
-            else:
-                reporter.add_total(len(exec_plan.shards))
-        return exec_plan, resumed
+            reporter.start(len(plan.shards))
+        return _Campaign(plan, before, started, reporter)
 
     def _execute(self, plan, executor: Executor, reporter) -> List[ShardResult]:
         """Run *plan*'s shards on *executor* (nothing to run, no call)."""
@@ -918,13 +865,13 @@ class DelayAVFEngine:
         )
 
     def _merge(
-        self, plan, shard_results: List[ShardResult], resumed: List[ShardResult]
+        self, plan, shard_results: List[ShardResult]
     ) -> StructureCampaignResult:
         """Merge a plan's shard results, fold in what workers sent, persist."""
         with self.telemetry.phase(
             "merge", "campaign.merge", structure=plan.structure
         ):
-            result = merge_shard_results(plan, shard_results + resumed)
+            result = merge_shard_results(plan, shard_results)
         # Worker telemetry arrives as per-shard snapshot deltas; fold it into
         # the session-wide telemetry, then report this campaign's slice.
         # Worker trace buffers ride along the same way.
@@ -936,7 +883,7 @@ class DelayAVFEngine:
         return result
 
     def _persist_result(self, plan, result: StructureCampaignResult) -> None:
-        """Write a merged campaign's records and shard markers to the cache.
+        """Write a merged campaign's records to the cache.
 
         Worker flushes already wrote records shard-by-shard, but persisting
         from the owning process too guarantees a complete record table even
@@ -955,23 +902,6 @@ class DelayAVFEngine:
                     ),
                     record_to_payload(record),
                 )
-        for shard in plan.shards:
-            self.verdict_cache.mark_shard_complete(
-                shard_key(
-                    plan.structure, shard.cycle, shard.wire_indices,
-                    shard.delay_fractions, with_orace, clock,
-                )
-            )
-        # Coverage extraction is pure bookkeeping over the already-merged
-        # records; persist the vector alongside them so coverage-directed
-        # selection can read it back without re-running the campaign.
-        from repro.core.coverage import coverage_from_result, coverage_key_for_plan
-
-        vector = coverage_from_result(result)
-        self.verdict_cache.put_coverage(
-            coverage_key_for_plan(plan, clock), vector.to_payload()
-        )
-        self.telemetry.incr("coverage_vectors")
         self.verdict_cache.flush()
 
     def _close(
@@ -1035,23 +965,6 @@ class DelayAVFEngine:
         return result
 
     # ------------------------------------------------------------------
-    def _load_shard_result(
-        self, plan, shard, with_orace: bool, clock: float
-    ) -> Optional[ShardResult]:
-        by_delay: Dict[float, List] = {delay: [] for delay in shard.delay_fractions}
-        for index in shard.wire_indices:
-            for delay in shard.delay_fractions:
-                payload = self.verdict_cache.get_record(
-                    record_key(plan.structure, shard.cycle, index, delay,
-                               with_orace, clock)
-                )
-                if payload is None:
-                    return None
-                by_delay[delay].append(
-                    record_from_payload(payload, index, shard.cycle, delay)
-                )
-        return ShardResult(shard_index=shard.index, by_delay=by_delay)
-
     def estimate(
         self,
         structure: str,
@@ -1084,8 +997,6 @@ class _Campaign:
     """One structure campaign between its open and its close."""
 
     plan: CampaignPlan
-    exec_plan: CampaignPlan  #: the shards still to run after the resume split
-    resumed: List[ShardResult]  #: completed shards reassembled from the cache
     before: Dict  #: telemetry snapshot at open; the result reports the delta
     started: float
     reporter: Optional[ProgressReporter]
@@ -1149,7 +1060,7 @@ def run_structures_spanning(
     if opened:
         executed = execute_shards(
             [
-                (engine.session, campaign.exec_plan, campaign.exec_plan.shards)
+                (engine.session, campaign.plan, campaign.plan.shards)
                 for engine, _, campaign in opened
             ],
             [campaign.reporter for _, _, campaign in opened],
@@ -1163,8 +1074,7 @@ def run_structures_spanning(
             structure=structure, benchmark=engine.program.name, grouped=True,
         ):
             by_structure[structure] = engine._close(
-                campaign,
-                engine._merge(campaign.plan, shard_results, campaign.resumed),
+                campaign, engine._merge(campaign.plan, shard_results)
             )
     return results
 

@@ -12,23 +12,20 @@ exactly what DAVOS-style coverage-driven campaign management optimizes.
 
 :class:`CoverageVector` is the per-(structure, workload) summary;
 :func:`coverage_from_result` extracts one from a merged campaign result at
-zero additional simulation cost.  Vectors persist in the content-addressed
-verdict cache (under the workload-scoped ``meta`` table, keyed by
-:func:`coverage_key`), and :func:`select_workloads` is the greedy
+zero additional simulation cost, so vectors are computed from results and
+never stored (a warm campaign's result comes from the verdict cache's
+record table).  :func:`select_workloads` is the greedy
 maximum-marginal-coverage selector behind ``api.generate_workloads`` and
 the ``repro genwork`` CLI.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import (
     AbstractSet,
     Dict,
     FrozenSet,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -40,8 +37,6 @@ __all__ = [
     "CoverageVector",
     "WorkloadSelection",
     "coverage_from_result",
-    "coverage_key",
-    "coverage_key_for_plan",
     "select_workloads",
     "union_coverage",
 ]
@@ -161,47 +156,6 @@ def coverage_from_result(result) -> CoverageVector:
         sampled_wires=result.sampled_wires,
         sampled_cycles=len(result.sampled_cycles),
     )
-
-
-def coverage_key(
-    structure: str,
-    clock_period: float,
-    delay_fractions: Iterable[float],
-    cycles: Iterable[int],
-    wire_indices: Iterable[int],
-) -> str:
-    """Cache key naming one coverage vector's sampling identity.
-
-    The verdict cache is already scoped to (netlist, program, margins), so
-    the key only needs to distinguish the sampling plan: structure, clock,
-    delay sweep, and the exact sampled cycles and wires.  Identical
-    campaigns — including warm re-runs — produce identical keys, so
-    persisting is idempotent.
-    """
-    body = json.dumps(
-        [
-            structure,
-            round(float(clock_period), 6),
-            sorted(set(float(d) for d in delay_fractions)),
-            sorted(set(int(c) for c in cycles)),
-            sorted(set(int(w) for w in wire_indices)),
-        ],
-        separators=(",", ":"),
-    )
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
-    return f"{structure}|{digest}"
-
-
-def coverage_key_for_plan(plan, clock_period: float) -> str:
-    """The :func:`coverage_key` of one campaign plan's sampled population."""
-    delays = set()
-    cycles = set()
-    wires = set()
-    for shard in plan.shards:
-        delays.update(shard.delay_fractions)
-        cycles.add(shard.cycle)
-        wires.update(shard.wire_indices)
-    return coverage_key(plan.structure, clock_period, delays, cycles, wires)
 
 
 def union_coverage(vectors: Sequence[CoverageVector]) -> CoverageVector:

@@ -48,12 +48,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core import tracing
-from repro.core.cache import (
-    record_from_payload,
-    record_key,
-    record_to_payload,
-    shard_key,
-)
+from repro.core.cache import record_from_payload, record_key, record_to_payload
 from repro.core.group_ace import prefetch_spanning_multi
 from repro.core.plan import CampaignPlan, WorkShard
 from repro.core.results import DelayAVFResult, InjectionRecord, StructureCampaignResult
@@ -436,19 +431,11 @@ def _evaluate_shard(
                     by_delay[delay].append(record)
         if cache is not None:
             telemetry.incr("record_cache_hits", len(prepared.cached))
-            # Every record of this shard is now in the store: mark the shard
-            # complete (resume skips it) and persist incrementally.  The
-            # flush is throttled — per-shard read-merge-rewrite under the
-            # inter-process lock would serialize workers on disk I/O — with
-            # unconditional flushes at worker exit and campaign end
-            # guaranteeing completeness.
-            cache.mark_shard_complete(
-                shard_key(
-                    plan.structure, shard.cycle, shard.wire_indices,
-                    shard.delay_fractions, with_orace,
-                    session.system.clock_period,
-                )
-            )
+            # Every record of this shard is now in the store: persist
+            # incrementally.  The flush is throttled — per-shard
+            # read-merge-rewrite under the inter-process lock would
+            # serialize workers on disk I/O — with unconditional flushes at
+            # worker exit and campaign end guaranteeing completeness.
             cache.flush_throttled()
     if progress is not None:
         progress.shard_done(telemetry.diff(before))
@@ -580,9 +567,11 @@ class ParallelExecutor(Executor):
 
     Either way each worker rebuilds the campaign session once per
     :class:`SessionSpec` and serves shards from its warm caches, one shard
-    in flight per worker.  One fault model covers both sources, its knobs
-    (``shard_timeout``, ``max_retries``) read from each campaign's
-    ``spec.config`` (so engines sharing a fleet keep their own):
+    in flight per worker.  A shard whose every record the engine's verdict
+    cache holds is evaluated in-process and never dispatched.  One fault
+    model covers both sources, its knobs (``shard_timeout``,
+    ``max_retries``) read from each campaign's ``spec.config`` (so engines
+    sharing a fleet keep their own):
 
     - a shard its worker *raises* on is retried with exponential backoff
       (:data:`_RETRY_BACKOFF`), up to ``max_retries`` further attempts, then
@@ -671,8 +660,10 @@ class ParallelExecutor(Executor):
 
     def _execute_locked(self, plan, session, spec):
         shards: Dict[int, WorkShard] = {s.index: s for s in plan.shards}
-        pending: List[int] = sorted(shards)
-        done: Dict[int, ShardResult] = {}
+        done = self._served_by_cache(plan, session)
+        pending: List[int] = sorted(set(shards) - set(done))
+        if not pending:
+            return [done[index] for index in sorted(done)]
         if self._listener is None:
             self._spawn_local_workers()
         spec_payload, digest = self._wire_spec(spec)
@@ -727,6 +718,22 @@ class ParallelExecutor(Executor):
                     break
                 self._wait_for_messages(0.02)
         return [done[index] for index in sorted(done)]
+
+    def _served_by_cache(self, plan, session) -> Dict[int, ShardResult]:
+        """Evaluate here the shards whose every record the live session's
+        verdict cache holds, so only shards with injections left are
+        dispatched: a plan the cache serves whole forks no worker and waits
+        for none."""
+        if session is None or session.verdict_cache is None:
+            return {}
+        done: Dict[int, ShardResult] = {}
+        for shard in plan.shards:
+            prepared = _look_up_shard(session, plan, shard)
+            if not prepared.pending:
+                done[shard.index] = _evaluate_shard(
+                    session, plan, prepared, self._progress
+                )
+        return done
 
     def _wire_spec(self, spec: SessionSpec):
         """The spec as shipped to workers, plus its content digest.

@@ -406,7 +406,8 @@ def preflight_cache_dir(cache_dir: Optional[str]) -> List[Finding]:
     Beyond writability, every existing scope file is integrity-checked
     (payload checksum, parseability): a corrupt file is a warning, not an
     error, because the campaign will quarantine it and rebuild from
-    simulation — but the operator should know resume state was lost.
+    simulation — but the operator should know its records will be simulated
+    again.
     """
     from repro.core.cache import verify_cache_dir
 
@@ -446,7 +447,7 @@ def preflight_cache_dir(cache_dir: Optional[str]) -> List[Finding]:
                 "cache.foreign",
                 f"verdict cache file {path} has a foreign schema: {detail}",
                 hint="written by a different build; it will be ignored, "
-                "not resumed from",
+                "not read",
             )
         )
     return findings
@@ -503,15 +504,6 @@ def preflight_campaign(
     findings.extend(preflight_system(system))
     findings.extend(preflight_workload(system, program, config))
     findings.extend(preflight_cache_dir(config.cache_dir))
-    if config.resume and not config.cache_dir:
-        findings.append(
-            _warning(
-                "cache",
-                "resume requested without a cache_dir; there is nothing to "
-                "resume from and the flag is ignored",
-                hint="pass cache_dir to make campaigns resumable",
-            )
-        )
     for structure in structures:
         findings.extend(
             preflight_structure(system, structure, config.max_wires)

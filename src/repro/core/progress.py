@@ -90,7 +90,6 @@ class ProgressReporter:
         self._wrote_ticker = False
         self.total = 0
         self.done = 0
-        self.resumed = 0
         self.injections = 0
         self.cache_hits = 0
         self.notes: Dict[str, int] = {}
@@ -101,13 +100,10 @@ class ProgressReporter:
         self._sequence = 0
 
     # ------------------------------------------------------------------
-    def start(self, total: int, resumed: int = 0) -> None:
+    def start(self, total: int) -> None:
         with self._lock:
             self._started = time.monotonic()
             self.total = int(total)
-            self.resumed = int(resumed)
-            # Resumed shards were reassembled from the cache — already done.
-            self.done = int(resumed)
             self.state = "running"
             self._emit(force=True)
 
@@ -170,7 +166,6 @@ class ProgressReporter:
             "state": self.state,
             "shards_done": self.done,
             "shards_total": self.total,
-            "shards_resumed": self.resumed,
             "elapsed_seconds": round(elapsed, 3),
             "eta_seconds": self._eta(elapsed),
             "cache_hit_rate": self._hit_rate(),
@@ -204,8 +199,6 @@ class ProgressReporter:
         hit_rate = self._hit_rate()
         if hit_rate is not None:
             parts.append(f"cache {hit_rate * 100:.0f}%")
-        if self.resumed:
-            parts.append(f"resumed {self.resumed}")
         for event in sorted(self.notes):
             parts.append(f"{event} {self.notes[event]}")
         if self.half_width is not None:

@@ -14,8 +14,8 @@ Two guarantees matter for downstream statistics:
   shrinking the sample a confidence interval divides by; here colliding
   positions are de-collided into adjacent free cycles instead.
 - Both samplers are deterministic functions of their arguments, so two
-  processes planning the same campaign produce the same plan (the resume /
-  CI-parity story depends on it).
+  processes planning the same campaign produce the same plan (warm
+  re-runs from the record cache and CI parity depend on it).
 
 The ``extend_*`` helpers grow an existing sample *monotonically* — new draws
 never overlap old ones — which is what lets adaptive-precision refinement

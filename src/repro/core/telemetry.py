@@ -33,7 +33,7 @@ delta as JSON with its result, and the coordinator folds the deltas into the
 campaign's instance with :meth:`CampaignTelemetry.merge_snapshot`.
 
 The fault-tolerance counters (``shard_retries``, ``shard_timeouts``,
-``serial_fallbacks``, ``shards_resumed``) and the worker-fleet counters of
+``serial_fallbacks``) and the worker-fleet counters of
 the shard coordinator, :class:`repro.core.executor.ParallelExecutor`
 (``workers_joined``, ``workers_evicted``, ``worker_shards_completed``),
 record how hard execution had to work to bring a campaign home; a non-zero
@@ -89,7 +89,6 @@ COUNTER_ORDER = (
     "shard_retries",
     "shard_timeouts",
     "serial_fallbacks",
-    "shards_resumed",
     # Worker-fleet lifecycle (counted by the shard coordinator,
     # repro.core.executor.ParallelExecutor; an eviction also raises the
     # campaign's degraded flag).
@@ -99,8 +98,6 @@ COUNTER_ORDER = (
     "refinement_rounds",
     "extra_shards",
     "guard_violations",
-    # Coverage-directed workload generation: vectors persisted after a merge.
-    "coverage_vectors",
     # Campaign-service job lifecycle (counted by repro.service, reported
     # through the same telemetry pipeline as everything else).
     "jobs_submitted",

@@ -6,7 +6,7 @@ This is the repo's stand-in for the Verilator stage of the paper's flow: a
 - the fault-free *golden* run of a workload (recording per-cycle state
   fingerprints, checkpoints at sampled cycles, and the program-visible
   output), and
-- *GroupACE* runs, which resume from a checkpoint, overwrite the state
+- *GroupACE* runs, which restart from a checkpoint, overwrite the state
   elements in a dynamically reachable set with their erroneous latched
   values, and compare the resulting program-visible behaviour against the
   golden run.
@@ -73,7 +73,7 @@ class Environment(abc.ABC):
 
 @dataclass
 class Checkpoint:
-    """Everything needed to resume at — and event-simulate — cycle ``cycle``."""
+    """Everything needed to restart at — and event-simulate — cycle ``cycle``."""
 
     cycle: int
     dff_values: np.ndarray  #: Q values at the start of the cycle

@@ -175,8 +175,9 @@ def test_stale_length_store_entry_resamples_before_planning(
     libstrstr halts after 746 cycles.  Through one engine the scalar
     golden run detects the stale entry; in a two-workload sweep the packed
     word's lane fails adoption first and the session falls back to it; an
-    sAVF run verifies the length before it samples its cycles too.  Either
-    way the results are those of a run without the entry.
+    sAVF run verifies the length before it samples its cycles too, and so
+    does the coordinator of a ``jobs=2`` worker fleet.  Either way the
+    results are those of a run without the entry.
     """
     from repro.core.cache import program_signature
     from repro.workloads.lengths import LengthStore
@@ -187,7 +188,9 @@ def test_stale_length_store_entry_resamples_before_planning(
                 program_signature(load_benchmark("libstrstr")),
                 stale_cycles, "0" * 64,
             )
-        config = dataclasses.replace(SMALL, cache_dir=str(cache_dir))
+        config = dataclasses.replace(
+            SMALL, cache_dir=str(cache_dir), jobs=2 if mode == "jobs" else 1
+        )
         if mode == "sweep":
             result = api.sweep(
                 ("alu",), ("libstrstr", "libfibcall"), config=config
@@ -205,13 +208,16 @@ def test_stale_length_store_entry_resamples_before_planning(
         mode: run(tmp_path / f"reference-{mode}", False, mode)
         for mode in ("analyze", "savf")
     }
-    for mode, golden_runs in (("analyze", 2), ("sweep", 3), ("savf", 2)):
+    for mode, golden_runs in (
+        ("analyze", 2), ("sweep", 3), ("savf", 2), ("jobs", None),
+    ):
         reference, _, true_length = references[
             "savf" if mode == "savf" else "analyze"
         ]
         result, counters, length = run(tmp_path / mode, True, mode)
         assert counters.get("stale_length_hints") == 1, mode
-        assert counters.get("golden_runs") == golden_runs, mode
+        if golden_runs is not None:  # fleet workers run their own too
+            assert counters.get("golden_runs") == golden_runs, mode
         assert length == true_length == 746
         assert result == reference, mode
         if mode != "savf":

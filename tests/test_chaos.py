@@ -182,11 +182,11 @@ def test_torn_cache_flush_quarantines_and_rebuilds_identical(tmp_path):
     # resimulate from cold, and still produce identical records.
     report = verify_cache_dir(cache_dir)
     assert report["corrupt"], "chaos should have left a torn scope file"
-    resumed = api.analyze(
+    rebuilt = api.analyze(
         "lsu", "libstrstr",
-        config=CampaignConfig(**SMALL_CONFIG, cache_dir=cache_dir, resume=True),
+        config=CampaignConfig(**SMALL_CONFIG, cache_dir=cache_dir),
     )
-    assert resumed.by_delay[0.9].records == clean.by_delay[0.9].records
+    assert rebuilt.by_delay[0.9].records == clean.by_delay[0.9].records
     # The torn file was moved aside, not deleted: forensics stay possible.
     # (The counter lives on the session telemetry — the quarantine happens
     # at cache construction, before the per-run delta window opens.)

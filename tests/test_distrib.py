@@ -367,12 +367,13 @@ def test_stitch_remote_spans_rehomes_roots():
 
 
 # ----------------------------------------------------------------------
-# Resume across a coordinator restart
+# A re-run across a coordinator restart
 # ----------------------------------------------------------------------
 def test_resume_after_coordinator_restart(monkeypatch, tmp_path, clean_result):
-    """A remote campaign persists shard completions on the *coordinator's*
-    cache (records re-put post-merge), so a restarted coordinator resumes
-    from the shard table without any workers at all."""
+    """A remote campaign persists its records on the *coordinator's* cache
+    (re-put post-merge), so a restarted coordinator serves the whole plan
+    from the record table: no worker joins, none is waited for, and
+    nothing falls back to serial."""
     config = CampaignConfig(
         cycle_count=3, max_wires=8, delay_fractions=(0.5, 0.9),
         margin_cycles=400, cache_dir=str(tmp_path / "verdicts"),
@@ -393,12 +394,13 @@ def test_resume_after_coordinator_restart(monkeypatch, tmp_path, clean_result):
     engine = DelayAVFEngine.from_spec(_fibcall_spec(config))
     try:
         with _listening("127.0.0.1:0") as remote:
-            resumed = engine.run_structure("alu", executor=remote, resume=True)
+            rerun = engine.run_structure("alu", executor=remote)
     finally:
         engine.close()
-    _assert_identical(resumed, clean_result)
-    assert resumed.telemetry.count("shards_resumed") == 3
-    assert resumed.telemetry.count("serial_fallbacks") == 0
+    _assert_identical(rerun, clean_result)
+    assert rerun.telemetry.count("workers_joined") == 0
+    assert rerun.telemetry.count("serial_fallbacks") == 0
+    assert not rerun.degraded
 
 
 # ----------------------------------------------------------------------

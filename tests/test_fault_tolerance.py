@@ -1,4 +1,4 @@
-"""Fault-tolerant campaign execution: retry, eviction, fallback, resume.
+"""Fault-tolerant campaign execution: retry, eviction, fallback, re-runs.
 
 Worker faults are injected through the ``worker.shard`` hook point of
 :mod:`repro.testing.chaos` (the same seam CI's chaos smoke uses): the
@@ -26,7 +26,6 @@ from repro.core.cache import (
     compute_payload_sha256,
     record_key,
     record_to_payload,
-    shard_key,
 )
 from repro.core.campaign import CampaignConfig, DelayAVFEngine
 from repro.core.executor import (
@@ -272,7 +271,7 @@ def test_local_workers_exit_when_their_coordinator_dies():
 
 
 # ----------------------------------------------------------------------
-# Resume: interrupted campaigns pick up from the last completed shard
+# Re-runs: an interrupted campaign picks up from the records it flushed
 # ----------------------------------------------------------------------
 RESUME_CONFIG = CampaignConfig(
     cycle_count=4, max_wires=6, delay_fractions=(0.9,), margin_cycles=600
@@ -284,6 +283,7 @@ def _cached(config, tmp_path):
 
 
 def test_resume_skips_completed_shards(tmp_path, system, strstr_program):
+    """A re-run simulates only the shards whose records were not flushed."""
     config = _cached(RESUME_CONFIG, tmp_path)
     interrupted = DelayAVFEngine(system, strstr_program, config)
     plan = build_plan(
@@ -291,32 +291,35 @@ def test_resume_skips_completed_shards(tmp_path, system, strstr_program):
         interrupted.session.sampled_cycles, config,
     )
     # Simulate an interrupt after two shards: execute them (which puts their
-    # records and marks them complete), flush, and abandon the engine.
+    # records), flush, and abandon the engine.
     for shard in plan.shards[:2]:
         execute_shard(interrupted.session, plan, shard)
     interrupted.verdict_cache.flush()
 
-    resumed = DelayAVFEngine(system, strstr_program, config)
-    result = resumed.run_structure("alu", resume=True)
-    assert result.telemetry.count("shards_resumed") == 2
-    # Resumed shards bypass even the per-record cache machinery.
-    assert result.telemetry.count("record_cache_hits") == 0
+    rerun = DelayAVFEngine(system, strstr_program, config)
+    result = rerun.run_structure("alu")
+    # Only the two unflushed cycles build waveforms; the flushed shards'
+    # records come from the record table.
+    assert result.telemetry.count("waveforms_built") == 2
+    assert result.telemetry.count("record_cache_hits") == 2 * len(
+        plan.shards[0].wire_indices
+    )
 
     clean = DelayAVFEngine(system, strstr_program, RESUME_CONFIG).run_structure("alu")
     assert result == clean
     assert result.by_delay[0.9].records == clean.by_delay[0.9].records
     assert not result.degraded
 
-    # A finished campaign resumes entirely from the store: no simulation.
-    rerun = DelayAVFEngine(system, strstr_program, config)
-    full = rerun.run_structure("alu", resume=True)
+    # A finished campaign re-runs entirely from the store: no simulation.
+    finished = DelayAVFEngine(system, strstr_program, config)
+    full = finished.run_structure("alu")
     assert full == clean
-    assert full.telemetry.count("shards_resumed") == len(plan.shards)
+    assert full.telemetry.count("golden_runs") == 0
     assert full.telemetry.count("waveforms_built") == 0
 
 
 def test_resume_requires_complete_records(tmp_path, system, strstr_program):
-    """A completion mark whose records were lost silently re-executes."""
+    """A record lost from the store is re-simulated, and only that one."""
     config = _cached(RESUME_CONFIG, tmp_path)
     engine = DelayAVFEngine(system, strstr_program, config)
     first = engine.run_structure("alu")
@@ -336,24 +339,11 @@ def test_resume_requires_complete_records(tmp_path, system, strstr_program):
     payload["payload_sha256"] = compute_payload_sha256(payload)
     cache.path.write_text(json.dumps(payload))
 
-    resumed = DelayAVFEngine(system, strstr_program, config)
-    result = resumed.run_structure("alu", resume=True)
+    rerun = DelayAVFEngine(system, strstr_program, config)
+    result = rerun.run_structure("alu")
     assert result == first
-    # Every shard but the damaged one resumed; the damaged one re-ran.
-    assert result.telemetry.count("shards_resumed") == RESUME_CONFIG.cycle_count - 1
-
-
-def test_resume_off_by_default(tmp_path, system, strstr_program):
-    config = _cached(RESUME_CONFIG, tmp_path)
-    DelayAVFEngine(system, strstr_program, config).run_structure("alu")
-    warm = DelayAVFEngine(system, strstr_program, config)
-    result = warm.run_structure("alu")
-    assert result.telemetry.count("shards_resumed") == 0
-    # The record cache still serves everything — resume is an optimization
-    # on top, not a correctness requirement.
-    assert result.telemetry.count("record_cache_hits") == sum(
-        r.samples for r in result.by_delay.values()
-    )
+    assert result.telemetry.count("injections") == 1
+    assert result.telemetry.count("waveforms_built") == 1
 
 
 def test_truncated_cache_file_recovers_cold(tmp_path, system, strstr_program):
@@ -368,9 +358,9 @@ def test_truncated_cache_file_recovers_cold(tmp_path, system, strstr_program):
     path.write_text(data[: len(data) // 2])
 
     recovered = DelayAVFEngine(system, strstr_program, config)
-    result = recovered.run_structure("alu", resume=True)
+    result = recovered.run_structure("alu")
     assert result == reference
-    assert result.telemetry.count("shards_resumed") == 0
+    assert result.telemetry.count("record_cache_hits") == 0
 
 
 # ----------------------------------------------------------------------
@@ -413,19 +403,6 @@ def test_throttled_workers_lose_no_records(monkeypatch, tmp_path):
             key = record_key("alu", record.cycle, record.wire_index, delay,
                              True, clock)
             assert cache.get_record(key) == record_to_payload(record)
-    for cycle in result.sampled_cycles:
-        shard = next(
-            s for s in build_plan(
-                "alu", engine.program.name,
-                engine.system.structure_wires("alu"),
-                engine.session.sampled_cycles, config,
-            ).shards
-            if s.cycle == cycle
-        )
-        assert cache.shard_complete(
-            shard_key("alu", shard.cycle, shard.wire_indices,
-                      shard.delay_fractions, True, clock)
-        )
 
 
 # ----------------------------------------------------------------------
@@ -441,11 +418,10 @@ def test_config_validates_fault_knobs():
 def test_config_from_cli_args_fault_knobs():
     import argparse
 
-    args = argparse.Namespace(shard_timeout=12.5, max_retries=5, resume=True)
+    args = argparse.Namespace(shard_timeout=12.5, max_retries=5)
     config = CampaignConfig.from_cli_args(args)
     assert config.shard_timeout == 12.5
     assert config.max_retries == 5
-    assert config.resume is True
     # Absent flags fall back to defaults.
     bare = CampaignConfig.from_cli_args(argparse.Namespace())
     assert bare == CampaignConfig()
@@ -455,15 +431,17 @@ def test_cli_parser_accepts_fault_flags():
     from repro.cli import build_parser
 
     args = build_parser().parse_args([
-        "delayavf", "md5", "alu",
-        "--resume", "--shard-timeout", "30", "--max-retries", "4",
+        "delayavf", "md5", "alu", "--shard-timeout", "30", "--max-retries", "4",
     ])
-    assert args.resume is True
     assert args.shard_timeout == 30.0
     assert args.max_retries == 4
+    # A re-run needs no flag: the record cache serves what it holds.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["delayavf", "md5", "alu", "--resume"])
 
 
 def test_cli_resume_round_trip(tmp_path, capsys):
+    """A CLI re-run over the same cache directory prints the same JSON."""
     from repro.cli import main
 
     base = [
@@ -474,7 +452,7 @@ def test_cli_resume_round_trip(tmp_path, capsys):
     assert main(base) == 0
     first = json.loads(capsys.readouterr().out)
     assert first["result"]["degraded"] is False
-    assert main(base + ["--resume"]) == 0
+    assert main(base) == 0
     second = json.loads(capsys.readouterr().out)
     assert second == first
 

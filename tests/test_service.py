@@ -157,6 +157,11 @@ def test_job_spec_validation():
         JobSpec.from_payload(
             {**ANALYZE_SPEC, "config": {**SMALL_CONFIG, "progress": True}}
         )
+    # Nor is resuming: the record cache serves every re-run on its own.
+    with pytest.raises(InputError, match="resume"):
+        JobSpec.from_payload(
+            {**ANALYZE_SPEC, "config": {**SMALL_CONFIG, "resume": True}}
+        )
     with pytest.raises(InputError, match="structures"):
         JobSpec.from_payload({"kind": "sweep", "benchmarks": ["libstrstr"]})
 
@@ -171,21 +176,25 @@ def test_journal_replay_skips_a_config_field_this_build_removed(
     from repro.service.journal import JobJournal
 
     canonical = JobSpec.from_payload(ANALYZE_SPEC).canonical()
-    stale = {**canonical, "config": {**canonical["config"], "stats": False}}
-    digest = hashlib.sha256(
-        json.dumps(stale, sort_keys=True).encode("utf-8")
-    ).hexdigest()
     journal = JobJournal(tmp_path / "journal")
-    journal.record_submitted(f"job-{digest[:20]}", stale, 0)
+    for removed in ("stats", "resume"):
+        stale = {
+            **canonical, "config": {**canonical["config"], removed: False}
+        }
+        digest = hashlib.sha256(
+            json.dumps(stale, sort_keys=True).encode("utf-8")
+        ).hexdigest()
+        journal.record_submitted(f"job-{digest[:20]}", stale, 0)
     journal.close()
     manager = JobManager(journal=JobJournal(tmp_path / "journal"))
     counts = manager.recover()
     manager.journal.close()
-    assert counts["skipped"] == 1
+    assert counts["skipped"] == 2
     assert counts["requeued"] == counts["recovered"] == 0
     assert manager.jobs() == []
     err = capsys.readouterr().err
-    assert "no longer validates" in err and "stats" in err
+    assert "no longer validates" in err
+    assert "stats" in err and "resume" in err
 
 
 # ----------------------------------------------------------------------

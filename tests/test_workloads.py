@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.cache import program_signature
 from repro.isa.reference import run_program
 from repro.workloads.beebs import (
     BENCHMARK_NAMES,
@@ -17,6 +18,7 @@ from repro.workloads.generator import (
     make_md5,
     make_strstr,
 )
+from repro.workloads.lengths import known_length
 
 
 def test_benchmark_names():
@@ -45,6 +47,9 @@ def test_gate_level_core_matches_expected_output(system, name):
     assert result.observables == expected_output(name)
     # Table II territory: every benchmark lands in the 500–10 000 range.
     assert 500 <= result.cycles <= 10_000, (name, result.cycles)
+    # The bundled length table matches this build: a worker-fleet
+    # coordinator plans from it without a golden run of its own.
+    assert result.cycles == known_length(program_signature(program)), name
 
 
 def test_md5_matches_hashlib():
