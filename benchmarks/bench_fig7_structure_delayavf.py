@@ -7,14 +7,14 @@ generally grows with the delay duration d.
 Campaigns run through the planned/sharded engine (`REPRO_BENCH_JOBS` workers,
 optional `REPRO_BENCH_CACHE` verdict cache); the accumulated campaign
 telemetry is printed after the figure so speedups are attributable.  With
-`REPRO_BENCH_REQUIRE_BATCH=1` (the CI cold-path smoke) the bench additionally
-fails unless the batched timing-aware engine actually ran — guarding against
-a silent fallback to per-injection scalar resimulation.
+`REPRO_BENCH_REQUIRE_BATCH=1` the bench additionally fails unless the batched
+timing-aware engine actually ran — guarding against a silent fallback to
+per-injection scalar resimulation — and with
+`REPRO_BENCH_REQUIRE_PACKED_CONES=1` unless the word-packed cone pass ran at
+>= 50% mean word occupancy (the CI fig7 smoke sets both).
 """
 
-import json
 import os
-import time
 
 import _shared
 from repro.analysis.figures import render_grouped_bars
@@ -40,16 +40,7 @@ def _collect():
 
 
 def test_fig7_structure_delayavf(benchmark):
-    walls = {}
-
-    def _timed_collect():
-        started = time.perf_counter()
-        try:
-            return _collect()
-        finally:
-            walls["collect"] = time.perf_counter() - started
-
-    geo = benchmark.pedantic(_timed_collect, rounds=1, iterations=1)
+    geo = benchmark.pedantic(_collect, rounds=1, iterations=1)
     peak = max(v for group in geo.values() for v in group.values()) or 1.0
     normalized = {
         s: {k: v / peak for k, v in group.items()} for s, group in geo.items()
@@ -78,33 +69,8 @@ def test_fig7_structure_delayavf(benchmark):
             "cold fig7 run reported zero batch_resims — the batched "
             "timing-aware engine never ran"
         )
-    # Lane-packing snapshot for the perf trajectory: update_experiments.py
-    # folds this into BENCH_lanes.json after a bench run.
-    cone_slots = combined.count("packed_cone_lane_slots")
-    ga_slots = combined.count("lane_slots")
-    _shared.RESULTS_DIR.mkdir(exist_ok=True)
-    (_shared.RESULTS_DIR / "fig7_lane_stats.json").write_text(
-        json.dumps(
-            {
-                "cold_fig7_wall_seconds": round(walls["collect"], 3),
-                "packed_cone_occupancy": round(
-                    combined.count("packed_cone_lanes") / cone_slots, 4
-                ) if cone_slots else None,
-                "group_ace_lane_occupancy": round(
-                    combined.count("lanes_filled") / ga_slots, 4
-                ) if ga_slots else None,
-                "lane_batches": combined.count("lane_batches"),
-                "wires": _shared.WIRES,
-                "cycles": _shared.CYCLES,
-                "jobs": _shared.JOBS,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
-
     if os.environ.get("REPRO_BENCH_REQUIRE_PACKED_CONES"):
-        # Lane-smoke gate: the word-packed cone pass must actually engage
+        # Packed-cone gate: the word-packed cone pass must actually engage
         # (not silently fall back to per-lane scalar kernels), and the
         # packed words must be reasonably occupied.
         assert combined.count("packed_cone_lanes") > 0, (

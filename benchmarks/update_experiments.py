@@ -2,15 +2,8 @@
 """Refresh EXPERIMENTS.md's measured-results section from benchmarks/results/.
 
 Run after `pytest benchmarks/ --benchmark-only`.
-
-Also appends the lane-packing performance snapshot the fig7 bench wrote
-(``results/fig7_lane_stats.json``: cold fig7 wall time, packed-cone and
-GroupACE lane occupancy) to ``results/BENCH_lanes.json``, so the perf
-trajectory of the word-packed engine is tracked run over run.
 """
 
-import json
-import time
 from pathlib import Path
 
 from repro.analysis.report import update_experiments_md
@@ -18,30 +11,11 @@ from repro.analysis.report import update_experiments_md
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def update_lane_snapshots(results_dir: Path) -> Path | None:
-    """Fold the latest fig7 lane stats into the BENCH_lanes.json history."""
-    stats_path = results_dir / "fig7_lane_stats.json"
-    if not stats_path.exists():
-        return None
-    snapshot = json.loads(stats_path.read_text())
-    snapshot["recorded"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    history_path = results_dir / "BENCH_lanes.json"
-    history = []
-    if history_path.exists():
-        history = json.loads(history_path.read_text())
-    history.append(snapshot)
-    history_path.write_text(json.dumps(history, indent=2) + "\n")
-    return history_path
-
-
 def main() -> None:
     results_dir = REPO_ROOT / "benchmarks" / "results"
     experiments = REPO_ROOT / "EXPERIMENTS.md"
     update_experiments_md(experiments, results_dir)
     print(f"updated {experiments} from {results_dir}")
-    lanes = update_lane_snapshots(results_dir)
-    if lanes is not None:
-        print(f"appended lane-packing snapshot to {lanes}")
 
 
 if __name__ == "__main__":

@@ -217,11 +217,11 @@ def analyze(
     workload spec (``"gen:7"``, ``"gen:7:pattern=chase"``), or a loaded
     :class:`~repro.isa.assembler.Program`.  *config* defaults to
     ``CampaignConfig()``; pass one explicitly to control the delay sweep,
-    sampling, lane width, parallelism (``jobs``, or a ``workers_from``
-    fleet of joining ``repro worker`` processes), fault tolerance, or the
-    persistent verdict cache.  With ``config.cache_dir`` the campaign
-    simulates only the injections whose records the cache lacks, so
-    re-running an interrupted campaign picks up where it left off.
+    sampling, parallelism (``jobs``, or a ``workers_from`` fleet of joining
+    ``repro worker`` processes), fault tolerance, or the persistent verdict
+    cache.  With ``config.cache_dir`` the campaign simulates only the
+    injections whose records the cache lacks, so re-running an interrupted
+    campaign picks up where it left off.
 
     With *target_half_width* the campaign turns adaptive: after the initial
     wave it keeps widening the wire/cycle sample (never re-simulating an
@@ -298,8 +298,8 @@ def sweep(
     one :func:`~repro.core.executor.execute_shards` call, whose one packed
     prefetch resolves the GroupACE queries of every structure AND workload
     — every workload of the SoC runs on the same netlist, so all the
-    campaigns' injected simulations share the same 64-lane words (``lanes=1``
-    turns the packing off), as do its golden runs (none if all cached).
+    campaigns' injected simulations share the same 64-lane words, as do its
+    golden runs (none if all cached).
     With ``jobs > 1`` or ``workers_from`` each campaign runs on the worker
     fleet in turn.  Records are byte-identical to per-structure
     :func:`analyze` calls.  *delays* overrides the config's delay sweep for

@@ -136,11 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycles", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--lanes", type=int, default=None,
-        help="packed simulation width in bit-planes, 1..64 "
-             "(1 disables lane packing; default 64)",
-    )
-    p.add_argument(
         "--jobs", type=int, default=1,
         help="local worker processes (>1 forks that many workers and shards "
              "the campaign over them)",
@@ -210,10 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PS",
         help="operating clock period override to validate against the "
              "longest register-to-register path",
-    )
-    p.add_argument(
-        "--lanes", type=int, default=None,
-        help="packed simulation width to validate (1..64 bit-planes)",
     )
     _add_common(p)
 

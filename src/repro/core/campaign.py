@@ -52,7 +52,7 @@ from repro.core.guards import apply_guards, ensure_preflight, preflight_campaign
 from repro.core.orace import OraceAnalyzer
 from repro.core.progress import ProgressReporter
 from repro.core.plan import CampaignPlan, build_plan, build_refinement_plan
-from repro.core.results import DelayAVFResult, StructureCampaignResult
+from repro.core.results import StructureCampaignResult
 from repro.core.sampling import (
     extend_cycle_sample,
     extend_index_sample,
@@ -85,13 +85,17 @@ class CampaignConfig:
     """Every knob a caller sets on a statistical campaign, validated at
     construction.
 
-    The paper's configuration corresponds to ``cycle_fraction=0.04`` and
-    ``max_wires=None`` (all wires); the defaults here are laptop-sized.
-    The fields are sampling (wires, cycles, seed), the delay sweep, the DUE
-    hang budget, execution (``lanes``, ``jobs``, ``workers_from`` and the
-    fault policy), persistence (``cache_dir``) and ``trace``.  A campaign
-    over a ``cache_dir`` that already holds some of its injection records
-    simulates only the rest, so a re-run after an interrupt needs no flag.
+    The paper's configuration corresponds to ``cycle_count=None,
+    cycle_fraction=0.04`` and ``max_wires=None`` (all wires); the defaults
+    here are laptop-sized.  Exactly one of ``cycle_count`` and
+    ``cycle_fraction`` is set.  The fields are sampling (wires, cycles,
+    seed), the delay sweep, the DUE hang budget, execution (``jobs``,
+    ``workers_from`` and the fault policy), persistence (``cache_dir``) and
+    ``trace``.  Every packed simulation layer runs
+    :data:`~repro.sim.packed.MAX_LANES` lanes to a word, always.  A
+    campaign over a ``cache_dir`` that already holds some of its injection
+    records simulates only the rest, so a re-run after an interrupt needs
+    no flag.
     Where a run *reports* (``--stats``, ``--progress``, ``--metrics-out``)
     is an argument of each :mod:`repro.api` call, not a config field.
     Build it directly, or from a parsed CLI namespace via
@@ -105,10 +109,6 @@ class CampaignConfig:
     seed: int = 0
     margin_cycles: int = 3000  #: extra cycles before declaring a hang (DUE)
     compute_orace: bool = True
-    #: lane width of every packed simulation layer — GroupACE bit-plane
-    #: batches and the event simulator's word-packed cone passes (1 disables
-    #: packing; 64 is a full machine word)
-    lanes: int = 64
     #: local worker processes per structure campaign (>1 selects
     #: ParallelExecutor; requires the engine to be built from a SessionSpec)
     jobs: int = 1
@@ -136,8 +136,12 @@ class CampaignConfig:
             raise ValueError(
                 f"delay fractions must be in (0, 1]: {sorted(bad)}"
             )
-        if self.cycle_count is None and self.cycle_fraction is None:
-            raise ValueError("one of cycle_count / cycle_fraction is required")
+        if (self.cycle_count is None) == (self.cycle_fraction is None):
+            raise ValueError(
+                "specify exactly one of cycle_count / cycle_fraction (got "
+                f"cycle_count={self.cycle_count!r}, "
+                f"cycle_fraction={self.cycle_fraction!r})"
+            )
         if self.cycle_count is not None and self.cycle_count < 1:
             raise ValueError("cycle_count must be >= 1")
         if self.cycle_fraction is not None and not 0.0 < self.cycle_fraction <= 1.0:
@@ -146,11 +150,6 @@ class CampaignConfig:
             raise ValueError("max_wires must be >= 1 (or None for all wires)")
         if self.margin_cycles < 0:
             raise ValueError("margin_cycles must be >= 0")
-        if not 1 <= self.lanes <= 64:
-            raise ValueError(
-                f"lanes must be in 1..64 (bit-planes of one machine word), "
-                f"got {self.lanes}"
-            )
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.shard_timeout is not None and self.shard_timeout <= 0:
@@ -168,7 +167,7 @@ class CampaignConfig:
 
         Accepts any object exposing (a subset of) the ``delayavf``
         subcommand's attributes — ``delays``, ``cycles``, ``wires``,
-        ``seed``, ``lanes``, ``jobs``, ``cache_dir``, ``shard_timeout``,
+        ``seed``, ``jobs``, ``cache_dir``, ``shard_timeout``,
         ``max_retries``, ``trace``, ``workers_from`` — falling
         back to the dataclass defaults for whatever is absent.
         """
@@ -183,7 +182,6 @@ class CampaignConfig:
             cycle_count=pick("cycles", defaults.cycle_count),
             max_wires=pick("wires", defaults.max_wires),
             seed=pick("seed", defaults.seed),
-            lanes=pick("lanes", defaults.lanes),
             jobs=pick("jobs", defaults.jobs),
             cache_dir=getattr(args, "cache_dir", None),
             shard_timeout=pick("shard_timeout", defaults.shard_timeout),
@@ -660,19 +658,6 @@ class DelayAVFEngine:
                 campaign, self._merge(campaign.plan, shard_results)
             )
 
-    def run_structures(
-        self, structures: Sequence[str]
-    ) -> Dict[str, StructureCampaignResult]:
-        """Run several structures' campaigns with one shared packed prefetch.
-
-        A one-engine :func:`run_structures_spanning`: one engine serves every
-        structure of its benchmark, and GroupACE/ORACE resolution is
-        timing-agnostic, so the forward simulations of *all* the campaigns
-        pack into the same 64-lane words.  Records are byte-identical to
-        sequential :meth:`run_structure` calls — only the packing changes.
-        """
-        return run_structures_spanning([(self, structures)])[0]
-
     def run_structure_adaptive(
         self,
         structure: str,
@@ -859,9 +844,7 @@ class DelayAVFEngine:
         if not plan.shards:
             return []
         return list(
-            executor.execute(
-                plan, session=self.session, spec=self.spec, progress=reporter
-            )
+            executor.execute(plan, self.session, spec=self.spec, progress=reporter)
         )
 
     def _merge(
@@ -964,33 +947,6 @@ class DelayAVFEngine:
             campaign.reporter.finish("degraded" if result.degraded else "done")
         return result
 
-    # ------------------------------------------------------------------
-    def estimate(
-        self,
-        structure: str,
-        delay_fraction: float = 0.5,
-        max_wires: Optional[int] = 32,
-        max_cycles: Optional[int] = None,
-        seed: int = 0,
-    ) -> DelayAVFResult:
-        """Convenience single-delay estimate (used by the quickstart).
-
-        *max_cycles* further restricts the session's sampled cycles (it
-        cannot exceed the session's ``cycle_count``).  The returned result is
-        a copy restricted to those cycles; the underlying campaign result is
-        never mutated.
-        """
-        campaign = self.run_structure(
-            structure, delay_fractions=(delay_fraction,), max_wires=max_wires,
-            seed=seed,
-        )
-        result = campaign.by_delay[delay_fraction]
-        if max_cycles is not None:
-            result = result.restricted_to_cycles(
-                self.session.sampled_cycles[:max_cycles]
-            )
-        return result
-
 
 @dataclass
 class _Campaign:
@@ -1021,12 +977,11 @@ def run_structures_spanning(
     each campaign is closed in turn.  Sessions whose length is only
     advisory are cold, and :meth:`DelayAVFEngine._open` verifies it: their
     golden runs pack into one word before planning.  A warm sweep runs
-    none.  Width-1 engines join unpacked; an engine with a worker fleet
-    runs its campaigns through :meth:`DelayAVFEngine.run_structure`.  The
-    packers partition lanes by netlist (e.g. ECC variants).  The shared
-    ``execute`` and ``prefetch`` seconds are timed once, on the first
-    engine's telemetry.  Returns one ``{structure: result}`` dict per
-    input engine, in order.
+    none.  An engine with a worker fleet runs its campaigns through
+    :meth:`DelayAVFEngine.run_structure`.  The packers partition lanes by
+    netlist (e.g. ECC variants).  The shared ``execute`` and ``prefetch``
+    seconds are timed once, on the first engine's telemetry.  Returns one
+    ``{structure: result}`` dict per input engine, in order.
     """
     in_process = [
         isinstance(engine.default_executor(), SerialExecutor)
@@ -1035,8 +990,7 @@ def run_structures_spanning(
     advisory = [
         engine.session
         for (engine, _), local in zip(runs, in_process)
-        if local and engine.config.lanes > 1
-        and not engine.session.length_verified
+        if local and not engine.session.length_verified
     ]
     if len(advisory) > 1:
         packed_golden_runs(advisory)
@@ -1060,7 +1014,7 @@ def run_structures_spanning(
     if opened:
         executed = execute_shards(
             [
-                (engine.session, campaign.plan, campaign.plan.shards)
+                (engine.session, campaign.plan.shards)
                 for engine, _, campaign in opened
             ],
             [campaign.reporter for _, _, campaign in opened],

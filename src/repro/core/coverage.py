@@ -76,13 +76,6 @@ class CoverageVector:
             return 0.0
         return len(self.covered_wires) / self.wire_count
 
-    @property
-    def sampled_wire_coverage(self) -> float:
-        """Covered fraction of the wires this campaign sampled."""
-        if not self.sampled_wires:
-            return 0.0
-        return len(self.covered_wires) / self.sampled_wires
-
     def marginal_wires(self, covered: AbstractSet[int]) -> int:
         """How many wires this vector would add to *covered*."""
         return len(self.covered_wires - covered)
@@ -109,7 +102,7 @@ class CoverageVector:
         )
 
     def to_payload(self) -> Dict:
-        """JSON-serializable form; :meth:`from_payload` round-trips it."""
+        """JSON-serializable form (a genwork proposal reports it)."""
         return {
             "structure": self.structure,
             "wire_count": self.wire_count,
@@ -118,19 +111,6 @@ class CoverageVector:
             "sampled_wires": self.sampled_wires,
             "sampled_cycles": self.sampled_cycles,
         }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "CoverageVector":
-        return cls(
-            structure=str(payload["structure"]),
-            wire_count=int(payload["wire_count"]),
-            covered_wires=frozenset(int(w) for w in payload["covered_wires"]),
-            covered_cycles=frozenset(
-                int(c) for c in payload["covered_cycles"]
-            ),
-            sampled_wires=int(payload.get("sampled_wires", 0)),
-            sampled_cycles=int(payload.get("sampled_cycles", 0)),
-        )
 
 
 def coverage_from_result(result) -> CoverageVector:

@@ -93,7 +93,6 @@ class DynamicReachability:
         self,
         waves: CycleWaveforms,
         queries: Sequence[Tuple[Wire, float]],
-        lanes: int = 64,
     ) -> List[Dict[int, int]]:
         """Batched :meth:`reachable_set` over one cycle's injections.
 
@@ -102,7 +101,7 @@ class DynamicReachability:
         §V-C short-circuits and the per-cycle memo, then re-simulates the
         remaining misses in one :meth:`EventSimulator.resimulate_batch` call
         so that injections sharing a fan-out cone share its construction and
-        fault-free slices, word-packed up to *lanes* bit-planes wide.
+        fault-free slices, word-packed up to 64 bit-planes wide.
         Results are memoized like the scalar path, so a later
         :meth:`reachable_set` for the same query is a cache hit.  Returns
         one reachable-set dict per query, in input order.
@@ -135,12 +134,11 @@ class DynamicReachability:
             before = [getattr(sim, name) for name in _SIM_COUNTERS]
             with telemetry.phase(
                 "batch_resim", "dynamic.batch_reach", cat="sim",
-                cycle=waves.cycle, queries=len(keys), lanes=lanes,
+                cycle=waves.cycle, queries=len(keys),
             ):
                 batch = sim.resimulate_batch(
                     waves,
                     [(wire, fraction * period) for wire, fraction in keys],
-                    lanes=lanes,
                 )
             telemetry.incr("batch_resims", len(keys))
             telemetry.incr(

@@ -217,10 +217,10 @@ def shard_result_from_payload(
 # The in-process shard driver
 # ----------------------------------------------------------------------
 def execute_shards(
-    batches: Sequence[Tuple[Any, CampaignPlan, Sequence[WorkShard]]],
+    batches: Sequence[Tuple[Any, Sequence[WorkShard]]],
     progress: Sequence[Any] = (),
 ) -> List[List[ShardResult]]:
-    """Run ``(session, plan, shards)`` batches in-process, packed together.
+    """Run ``(session, shards)`` batches in-process, packed together.
 
     The one in-process shard driver — workers (:func:`execute_shard`),
     :class:`SerialExecutor`, the coordinator's serial fallback and the
@@ -230,17 +230,15 @@ def execute_shards(
 
     1. *look up* every shard's records in the verdict cache;
     2. *golden*: one :func:`~repro.core.campaign.packed_golden_runs` word
-       for the packed sessions with injections left and no golden run, if
-       two or more (a lone one keeps its lazy scalar run): a warm sweep
-       simulates nothing;
+       for the sessions with injections left and no golden run, if two or
+       more (a lone one keeps its lazy scalar run): a warm sweep simulates
+       nothing;
     3. *prepare* the shards with injections left: waveforms, checkpoint
        and :meth:`DynamicReachability.reachable_set_batch`;
     4. *prefetch*: one :func:`~repro.core.group_ace.prefetch_spanning_multi`
        call (``prefetch`` phase, ``campaign.prefetch`` span) resolves the
-       GroupACE/ORACE queries of every batch with a packed lane width, so a
-       64-lane word packs across checkpoints, structures and workloads;
-       width-1 batches resolve each query on the scalar reference
-       ``GroupAceAnalyzer._run_injected``;
+       GroupACE/ORACE queries of every batch, so a 64-lane word packs
+       across checkpoints, structures and workloads;
     5. *evaluate* each shard against the warm caches, wire-outer /
        delay-inner (the §V-C cache-reuse order).
 
@@ -254,40 +252,37 @@ def execute_shards(
     with telemetry.phase(
         "execute", "campaign.execute", cat="executor",
         batches=len(batches),
-        shards=sum(len(shards) for _, _, shards in batches),
+        shards=sum(len(shards) for _, shards in batches),
     ):
         prepared = [
-            [_look_up_shard(session, plan, shard) for shard in shards]
-            for session, plan, shards in batches
+            [_look_up_shard(session, shard) for shard in shards]
+            for session, shards in batches
         ]
         waiting = {
             id(session): session
-            for (session, plan, _), shard_list in zip(batches, prepared)
-            if plan.lane_width > 1 and not session.has_golden
+            for (session, _), shard_list in zip(batches, prepared)
+            if not session.has_golden
             and any(shard.pending for shard in shard_list)
         }
         if len(waiting) > 1:
             from repro.core.campaign import packed_golden_runs
 
             packed_golden_runs(list(waiting.values()))
-        for (session, plan, _), shard_list in zip(batches, prepared):
+        for (session, _), shard_list in zip(batches, prepared):
             for shard in shard_list:
-                _prepare_shard(session, plan, shard)
+                _prepare_shard(session, shard)
         _prefetch(telemetry, batches, prepared)
         return [
-            [
-                _evaluate_shard(session, plan, shard, reporter)
-                for shard in shard_list
-            ]
-            for (session, plan, _), shard_list, reporter in zip(
+            [_evaluate_shard(session, shard, reporter) for shard in shard_list]
+            for (session, _), shard_list, reporter in zip(
                 batches, prepared, reporters
             )
         ]
 
 
-def execute_shard(session, plan: CampaignPlan, shard: WorkShard) -> ShardResult:
+def execute_shard(session, shard: WorkShard) -> ShardResult:
     """Run one shard in-process (a worker's unit of work)."""
-    return execute_shards([(session, plan, [shard])])[0][0]
+    return execute_shards([(session, [shard])])[0][0]
 
 
 @dataclass
@@ -303,17 +298,17 @@ class _PreparedShard:
     reach_sets: List[Dict[int, int]] = None
 
 
-def _look_up_shard(session, plan: CampaignPlan, shard: WorkShard) -> _PreparedShard:
+def _look_up_shard(session, shard: WorkShard) -> _PreparedShard:
     """A shard's record-cache lookups: what the cache serves, what is left."""
     cache = session.verdict_cache
-    wires = session.system.structure_wires(plan.structure)
+    wires = session.system.structure_wires(shard.structure)
     chosen = [(index, wires[index]) for index in shard.wire_indices]
     cached: Dict[Tuple[int, float], InjectionRecord] = {}
     if cache is not None:
         for index, _ in chosen:
             for delay in shard.delay_fractions:
                 payload = cache.get_record(
-                    _record_key_of(session, plan, shard, index, delay)
+                    _record_key_of(session, shard, index, delay)
                 )
                 if payload is not None:
                     cached[(index, delay)] = record_from_payload(
@@ -322,13 +317,13 @@ def _look_up_shard(session, plan: CampaignPlan, shard: WorkShard) -> _PreparedSh
     return _PreparedShard(shard, chosen, cached, shard.injection_pairs(cached))
 
 
-def _prepare_shard(session, plan: CampaignPlan, prepared: _PreparedShard) -> None:
+def _prepare_shard(session, prepared: _PreparedShard) -> None:
     """The batched timing-aware reachability pass of a shard's injections."""
     shard = prepared.shard
     with tracing.span(
         "shard.execute",
         cat="shard",
-        structure=plan.structure,
+        structure=shard.structure,
         shard=shard.index,
         cycle=shard.cycle,
         wires=len(shard.wire_indices),
@@ -341,30 +336,26 @@ def _prepare_shard(session, plan: CampaignPlan, prepared: _PreparedShard) -> Non
             prepared.reach_sets = session.dynamic.reachable_set_batch(
                 prepared.waves,
                 [(wire_of[index], delay) for index, delay in prepared.pending],
-                lanes=plan.lane_width,
             )
 
 
-def _record_key_of(session, plan, shard, index: int, delay: float) -> str:
+def _record_key_of(session, shard, index: int, delay: float) -> str:
     return record_key(
-        plan.structure, shard.cycle, index, delay,
+        shard.structure, shard.cycle, index, delay,
         bool(session.config.compute_orace), session.system.clock_period,
     )
 
 
 def _prefetch(telemetry, batches, prepared) -> None:
-    """Resolve the packed batches' GroupACE/ORACE queries in one call.
+    """Resolve every batch's GroupACE/ORACE queries in one call.
 
     Collects each non-empty dynamically reachable set — plus the
     per-member singleton sets ORACE requires for multi-bit errors — one
     query list per session, so the evaluation pass afterwards is pure cache
-    hits.  Lanes are the narrowest packed width among the batches.
+    hits.
     """
     groups: Dict[int, Tuple[Any, List]] = {}
-    widths = [plan.lane_width for _, plan, _ in batches if plan.lane_width > 1]
-    for (session, plan, _), shard_list in zip(batches, prepared):
-        if plan.lane_width <= 1:
-            continue
+    for (session, _), shard_list in zip(batches, prepared):
         orace = bool(session.config.compute_orace)
         queries = []
         for shard in shard_list:
@@ -383,17 +374,16 @@ def _prefetch(telemetry, batches, prepared) -> None:
             )
     if not groups:
         return
-    lanes = min(widths)
     with telemetry.phase(
         "prefetch", "campaign.prefetch", cat="executor",
         queries=sum(len(queries) for _, queries in groups.values()),
-        lanes=lanes, engines=len(groups),
+        engines=len(groups),
     ):
-        prefetch_spanning_multi(list(groups.values()), lanes=lanes)
+        prefetch_spanning_multi(list(groups.values()))
 
 
 def _evaluate_shard(
-    session, plan: CampaignPlan, prepared: _PreparedShard, progress=None
+    session, prepared: _PreparedShard, progress=None
 ) -> ShardResult:
     """The per-record evaluation loop over a prepared shard."""
     shard = prepared.shard
@@ -406,7 +396,7 @@ def _evaluate_shard(
     }
     with tracing.span(
         "shard.evaluate", cat="executor",
-        structure=plan.structure, shard=shard.index,
+        structure=shard.structure, shard=shard.index,
     ):
         with telemetry.phase("evaluate"):
             for index, wire in prepared.chosen:
@@ -423,9 +413,7 @@ def _evaluate_shard(
                         )
                         if cache is not None:
                             cache.put_record(
-                                _record_key_of(
-                                    session, plan, shard, index, delay
-                                ),
+                                _record_key_of(session, shard, index, delay),
                                 record_to_payload(record),
                             )
                     by_delay[delay].append(record)
@@ -482,12 +470,15 @@ class Executor(abc.ABC):
     def execute(
         self,
         plan: CampaignPlan,
-        session=None,
+        session,
         spec: Optional[SessionSpec] = None,
         progress=None,
     ) -> List[ShardResult]:
         """Run every shard of *plan*; results may arrive in any order.
 
+        *session* is the engine's live
+        :class:`~repro.core.campaign.CampaignSession`: in-process shards run
+        against it and fleet events are charged to its telemetry.
         *progress*, when given, is a :class:`repro.core.progress.ProgressReporter`
         notified as shards complete (``shard_done``) and as recovery actions
         fire (``note``) so long campaigns stream liveness to stderr and the
@@ -499,19 +490,14 @@ class Executor(abc.ABC):
 
 
 class SerialExecutor(Executor):
-    """In-process execution against a live session (default behaviour).
+    """In-process execution against the live session (default behaviour).
 
     The whole plan is one :func:`execute_shards` batch, so GroupACE
-    resolution packs across its shards at the plan's lane width (width 1
-    keeps every query on the scalar path).
+    resolution packs across its shards into 64-lane words.
     """
 
-    def execute(self, plan, session=None, spec=None, progress=None):
-        if session is None:
-            if spec is None:
-                raise ValueError("SerialExecutor needs a session or a spec")
-            session = spec.build_session()
-        return execute_shards([(session, plan, plan.shards)], [progress])[0]
+    def execute(self, plan, session, spec=None, progress=None):
+        return execute_shards([(session, plan.shards)], [progress])[0]
 
 
 class ShardExecutionError(RuntimeError):
@@ -544,7 +530,6 @@ class _WorkerState:
     channel: Any
     process: Any = None  #: the forked process of a local worker
     sessions: Set[str] = field(default_factory=set)  #: spec digests sent
-    plans: Set[str] = field(default_factory=set)  #: plan ids sent
     busy: Optional[int] = None  #: shard index in flight, if any
     deadline: Optional[float] = None  #: monotonic timeout for the busy shard
 
@@ -612,7 +597,6 @@ class ParallelExecutor(Executor):
         self._workers: Dict[str, _WorkerState] = {}
         self._worker_seq = 0
         self._plan_seq = 0
-        self._fallback_session = None
         self._lock = threading.Lock()
         self._shared = False
         self._closed = False
@@ -625,24 +609,17 @@ class ParallelExecutor(Executor):
     # ------------------------------------------------------------------
     # Executor interface
     # ------------------------------------------------------------------
-    def execute(self, plan, session=None, spec=None, progress=None):
+    def execute(self, plan, session, spec=None, progress=None):
         if spec is None:
             raise ValueError(
                 "ParallelExecutor needs a SessionSpec to ship to workers; "
                 "construct the engine via DelayAVFEngine.from_spec(...)"
             )
         # Shared fleets serve several engines: one campaign at a time, each
-        # under its own fault policy.
+        # under its own fault policy, its events charged to its telemetry.
         with self._lock:
-            # Events are charged to the campaign's telemetry when the
-            # engine's live session rides along (the normal path); direct
-            # calls without one still work, their counters just land in a
-            # throwaway.
             self._config = spec.config
-            self._telemetry = (
-                session.telemetry if session is not None
-                else CampaignTelemetry()
-            )
+            self._telemetry = session.telemetry
             self._progress = progress
             try:
                 return self._execute_locked(plan, session, spec)
@@ -669,7 +646,6 @@ class ParallelExecutor(Executor):
         spec_payload, digest = self._wire_spec(spec)
         self._plan_seq += 1
         plan_id = f"{digest[:8]}:{self._plan_seq}"
-        plan_payload = plan.to_payload()
         inflight: Dict[int, str] = {}  #: shard index -> worker key
         attempts: Dict[int, int] = {index: 0 for index in shards}
         retry_rounds = 0
@@ -694,8 +670,7 @@ class ParallelExecutor(Executor):
                 # Collect before dispatch: a worker that just answered gets
                 # its next shard in the same round, not after a wait.
                 self._dispatch(
-                    pending, inflight, spec_payload, digest, plan_id,
-                    plan_payload, shards,
+                    pending, inflight, spec_payload, digest, plan_id, shards
                 )
                 if self._workers:
                     fleet_empty_since = None
@@ -712,9 +687,7 @@ class ParallelExecutor(Executor):
                     # No worker left, or this run keeps losing them: limp
                     # home in-process.
                     pending.extend(inflight)
-                    self._serial_finish(
-                        pending, shards, plan, session, spec, done
-                    )
+                    self._serial_finish(pending, shards, session, done)
                     break
                 self._wait_for_messages(0.02)
         return [done[index] for index in sorted(done)]
@@ -724,14 +697,14 @@ class ParallelExecutor(Executor):
         verdict cache holds, so only shards with injections left are
         dispatched: a plan the cache serves whole forks no worker and waits
         for none."""
-        if session is None or session.verdict_cache is None:
+        if session.verdict_cache is None:
             return {}
         done: Dict[int, ShardResult] = {}
         for shard in plan.shards:
-            prepared = _look_up_shard(session, plan, shard)
+            prepared = _look_up_shard(session, shard)
             if not prepared.pending:
                 done[shard.index] = _evaluate_shard(
-                    session, plan, prepared, self._progress
+                    session, prepared, self._progress
                 )
         return done
 
@@ -839,8 +812,7 @@ class ParallelExecutor(Executor):
         self._run_evictions += 1
 
     def _dispatch(
-        self, pending, inflight, spec_payload, digest, plan_id, plan_payload,
-        shards,
+        self, pending, inflight, spec_payload, digest, plan_id, shards
     ) -> None:
         """Hand one pending shard to every idle worker (warming it first)."""
         for worker in list(self._workers.values()):
@@ -856,14 +828,8 @@ class ParallelExecutor(Executor):
                          "spec": spec_payload}
                     )
                     worker.sessions.add(digest)
-                if plan_id not in worker.plans:
-                    worker.channel.send(
-                        {"type": "plan", "plan_id": plan_id,
-                         "digest": digest, "plan": plan_payload}
-                    )
-                    worker.plans.add(plan_id)
                 worker.channel.send(
-                    {"type": "shard", "plan_id": plan_id,
+                    {"type": "shard", "plan_id": plan_id, "digest": digest,
                      "shard": shards[index].to_payload()}
                 )
             except TransportError as exc:
@@ -954,32 +920,20 @@ class ParallelExecutor(Executor):
             attempts[index] += 1
             self._evict(worker, inflight, pending)
 
-    def _serial_finish(self, pending, shards, plan, session, spec, done) -> None:
-        """Run every remaining shard in-process (the fleet is gone)."""
+    def _serial_finish(self, pending, shards, session, done) -> None:
+        """Run every remaining shard in-process against the engine's live
+        session (the fleet is gone): records and telemetry then flow exactly
+        like a :class:`SerialExecutor` run."""
         self._event("serial_fallbacks")
         with tracing.span(
             "executor.serial_fallback", cat="executor", shards=len(pending)
         ):
             remaining = [shards[index] for index in sorted(set(pending))]
             [results] = execute_shards(
-                [(self._serial_session(session, spec), plan, remaining)],
-                [self._progress],
+                [(session, remaining)], [self._progress]
             )
         done.update((result.shard_index, result) for result in results)
         pending.clear()
-
-    def _serial_session(self, session, spec: SessionSpec):
-        """The session serial-fallback shards run against.
-
-        Prefers the engine's live session (records and telemetry then flow
-        exactly like a :class:`SerialExecutor` run); a standalone executor
-        builds one from the spec and keeps it for subsequent fallbacks.
-        """
-        if session is not None:
-            return session
-        if self._fallback_session is None:
-            self._fallback_session = spec.build_session()
-        return self._fallback_session
 
     # ------------------------------------------------------------------
     # Teardown
@@ -1007,10 +961,6 @@ class ParallelExecutor(Executor):
         if self._listener is not None:
             self._listener.close()
         self._closed = True
-        if self._fallback_session is not None:
-            if self._fallback_session.verdict_cache is not None:
-                self._fallback_session.verdict_cache.flush()
-            self._fallback_session = None
 
     def __enter__(self) -> "ParallelExecutor":
         return self

@@ -149,10 +149,10 @@ class GroupAceAnalyzer:
         calls for these sets are cache hits, so callers can keep using the
         scalar API unchanged.
 
-        Raises ``ValueError`` for a lane width outside ``1..MAX_LANES`` —
-        :class:`repro.core.campaign.CampaignConfig` validates user input
-        before it gets here, so an out-of-range value is a programming
-        error, not something to silently clamp.
+        Campaigns always pack :data:`MAX_LANES` wide; narrower *lanes* serve
+        the width ablation and the chunk-boundary tests.  Raises
+        ``ValueError`` for a width outside ``1..MAX_LANES`` (a programming
+        error, not something to silently clamp).
         """
         self.prefetch_spanning(
             [(checkpoint, overrides) for overrides in sets],

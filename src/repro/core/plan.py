@@ -8,10 +8,10 @@ cache-reuse order (cycle outermost: fault-free waveforms and GroupACE
 verdicts are shared by every wire and delay examined at one cycle) is a
 property of the *plan* rather than an accident of loop nesting.
 
-Shards reference wires by index into the structure's canonical wire list
-(``system.structure_wires(structure)``) instead of carrying :class:`Wire`
-objects, so a shard is a small, picklable description that any worker can
-resolve against its own rebuilt session.
+Shards name their structure and reference wires by index into its
+canonical wire list (``system.structure_wires(structure)``) instead of
+carrying :class:`Wire` objects, so a shard is a small, self-contained
+description that any worker can resolve against its own rebuilt session.
 """
 
 from __future__ import annotations
@@ -25,8 +25,11 @@ from repro.core.sampling import sample_wires
 
 @dataclass(frozen=True)
 class WorkShard:
-    """One schedulable unit: every injection of one sampled cycle."""
+    """One schedulable unit: every injection of one structure campaign at
+    one sampled cycle.  Self-contained: a worker needs only the shard and
+    its session to run it."""
 
+    structure: str  #: the structure whose wires the indices name
     index: int  #: position in the plan (merge order)
     cycle: int  #: the sampled injection cycle
     wire_indices: Tuple[int, ...]  #: indices into the structure's wire list
@@ -59,11 +62,13 @@ class WorkShard:
     def to_payload(self) -> Dict[str, Any]:
         """A JSON-safe dict :meth:`from_payload` rebuilds exactly.
 
-        Every field is already a primitive (indices, a cycle, floats), so
-        the payload is lossless — a remote worker resolves the same wires
-        against its own rebuilt session and executes the identical shard.
+        Every field is already a primitive (a structure name, indices, a
+        cycle, floats), so the payload is lossless — a remote worker
+        resolves the same wires against its own rebuilt session and executes
+        the identical shard.
         """
         return {
+            "structure": self.structure,
             "index": self.index,
             "cycle": self.cycle,
             "wire_indices": list(self.wire_indices),
@@ -73,6 +78,7 @@ class WorkShard:
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "WorkShard":
         return cls(
+            structure=str(payload["structure"]),
             index=int(payload["index"]),
             cycle=int(payload["cycle"]),
             wire_indices=tuple(int(i) for i in payload["wire_indices"]),
@@ -93,49 +99,10 @@ class CampaignPlan:
     delay_fractions: Tuple[float, ...]
     sampled_cycles: Tuple[int, ...]
     shards: Tuple[WorkShard, ...]
-    #: packed-lane width every simulation layer of this campaign uses —
-    #: stamped from ``config.lanes`` so workers executing a shipped shard
-    #: fill the same words as the coordinator.  Each shard carries a
-    #: whole cycle's wire × delay cross-product, so the batch feed is
-    #: always a lane-width multiple until the final partial word.
-    lane_width: int = 64
 
     @property
     def total_injections(self) -> int:
         return sum(shard.injections for shard in self.shards)
-
-    # ------------------------------------------------------------------
-    # Wire round-trip (the distributed coordinator ships plans as JSON)
-    # ------------------------------------------------------------------
-    def to_payload(self) -> Dict[str, Any]:
-        """A JSON-safe dict :meth:`from_payload` rebuilds exactly."""
-        return {
-            "structure": self.structure,
-            "benchmark": self.benchmark,
-            "wire_count": self.wire_count,
-            "wire_indices": list(self.wire_indices),
-            "delay_fractions": list(self.delay_fractions),
-            "sampled_cycles": list(self.sampled_cycles),
-            "shards": [shard.to_payload() for shard in self.shards],
-            "lane_width": self.lane_width,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "CampaignPlan":
-        return cls(
-            structure=str(payload["structure"]),
-            benchmark=str(payload["benchmark"]),
-            wire_count=int(payload["wire_count"]),
-            wire_indices=tuple(int(i) for i in payload["wire_indices"]),
-            delay_fractions=tuple(
-                float(d) for d in payload["delay_fractions"]
-            ),
-            sampled_cycles=tuple(int(c) for c in payload["sampled_cycles"]),
-            shards=tuple(
-                WorkShard.from_payload(shard) for shard in payload["shards"]
-            ),
-            lane_width=int(payload["lane_width"]),
-        )
 
 
 def build_plan(
@@ -172,6 +139,7 @@ def build_plan(
         wire_indices = tuple(index_of[wire] for wire in chosen)
         shards = tuple(
             WorkShard(
+                structure=structure,
                 index=position,
                 cycle=cycle,
                 wire_indices=wire_indices,
@@ -187,7 +155,6 @@ def build_plan(
             delay_fractions=delays,
             sampled_cycles=tuple(sampled_cycles),
             shards=shards,
-            lane_width=config.lanes,
         )
 
 
@@ -229,6 +196,7 @@ def _build_refinement_plan(
         for cycle in base.sampled_cycles:
             shards.append(
                 WorkShard(
+                    structure=base.structure,
                     index=len(shards),
                     cycle=cycle,
                     wire_indices=new_wires,
@@ -238,6 +206,7 @@ def _build_refinement_plan(
     for cycle in new_cycles:
         shards.append(
             WorkShard(
+                structure=base.structure,
                 index=len(shards),
                 cycle=cycle,
                 wire_indices=all_wires,
@@ -252,5 +221,4 @@ def _build_refinement_plan(
         delay_fractions=base.delay_fractions,
         sampled_cycles=base.sampled_cycles + tuple(new_cycles),
         shards=tuple(shards),
-        lane_width=base.lane_width,
     )

@@ -157,24 +157,6 @@ class DelayAVFResult:
             lambda r: bool(r.or_ace), confidence, method, seed=2
         )
 
-    def static_reach_rate_ci(
-        self,
-        confidence: float = DEFAULT_CONFIDENCE,
-        method: str = "wilson",
-    ) -> ConfidenceInterval:
-        return self._interval(
-            lambda r: r.statically_reachable, confidence, method, seed=3
-        )
-
-    def dynamic_reach_rate_ci(
-        self,
-        confidence: float = DEFAULT_CONFIDENCE,
-        method: str = "wilson",
-    ) -> ConfidenceInterval:
-        return self._interval(
-            lambda r: r.dynamically_reachable, confidence, method, seed=4
-        )
-
     @property
     def static_reach_rate(self) -> float:
         """Fraction of injections with >=1 statically reachable element (Fig. 8)."""
@@ -243,16 +225,6 @@ class DelayAVFResult:
         if self.delay_avf == 0.0:
             return 0.0 if self.or_delay_avf == 0.0 else math.inf
         return abs(self.delay_avf - self.or_delay_avf) / self.delay_avf
-
-    def restricted_to_cycles(self, cycles: Iterable[int]) -> "DelayAVFResult":
-        """A new result holding only the records of *cycles* (self intact)."""
-        kept = set(cycles)
-        return DelayAVFResult(
-            structure=self.structure,
-            benchmark=self.benchmark,
-            delay_fraction=self.delay_fraction,
-            records=[r for r in self.records if r.cycle in kept],
-        )
 
 
 @dataclass

@@ -62,22 +62,19 @@ class SAVFEngine:
             )
         chosen = sample_wires(dffs, max_bits, seed)
         ace = sdc = due = samples = 0
-        lanes = self.session.config.lanes
         self.session.verify_length()
         if progress is not None:
             progress.start(len(self.session.sampled_cycles))
         for cycle in self.session.sampled_cycles:
             checkpoint = self.session.checkpoint(cycle)
-            if lanes > 1:
-                self.session.group_ace.prefetch(
-                    checkpoint,
-                    [
-                        {d.index: int(checkpoint.dff_values[d.index]) ^ 1}
-                        for d in chosen
-                    ],
-                    at_next_boundary=False,
-                    lanes=lanes,
-                )
+            self.session.group_ace.prefetch(
+                checkpoint,
+                [
+                    {d.index: int(checkpoint.dff_values[d.index]) ^ 1}
+                    for d in chosen
+                ],
+                at_next_boundary=False,
+            )
             for dff in chosen:
                 flipped = int(checkpoint.dff_values[dff.index]) ^ 1
                 outcome = self.session.group_ace.outcome_of_state_errors(

@@ -18,9 +18,9 @@ requeue the in-flight shard uncharged, never crash on a JSON decode error.
 Every peer frames its messages; an unframed line is corrupt.
 
 The transport does not authenticate: the socket listener should bind
-loopback or a trusted network — the worker protocol rebuilds sessions by
-importing a factory the coordinator names, so a fleet trusts its
-coordinator exactly as much as a forked worker trusts its parent.
+loopback or a trusted network — workers run the program images and shards
+the coordinator sends, so a fleet trusts its coordinator exactly as much
+as a forked worker trusts its parent.
 """
 
 from __future__ import annotations

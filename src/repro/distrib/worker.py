@@ -20,8 +20,9 @@ direction   type        payload
 worker →    ``hello``   ``pid`` — announce
 coord →     ``session`` ``digest``, ``spec`` (``program``, ``config``,
                         ``ecc``) — build/cache a session
-coord →     ``plan``    ``plan_id``, ``digest``, ``plan`` — register a plan
-coord →     ``shard``   ``plan_id`` + the shard payload — execute one shard
+coord →     ``shard``   ``plan_id``, ``digest``, ``shard`` (its structure,
+                        index, cycle, wire indices and delays) — execute
+                        one shard against the digest's session
 coord →     ``shutdown`` flush caches and exit the loop
 worker →    ``result``  ``plan_id``, ``shard_index``, ``result`` payload
 worker →    ``error``   ``plan_id``, ``shard_index``, ``message`` — raised
@@ -29,10 +30,12 @@ worker →    ``error``   ``plan_id``, ``shard_index``, ``message`` — raised
 
 Sessions are cached per spec *digest*, so a coordinator serving several
 engines (the campaign service) can interleave their shards and every engine
-still hits a warm session.  The worker never interprets shard contents — it
-runs each shard through :func:`repro.core.executor.execute_shard`, the same
-in-process driver the serial path runs, which is what keeps worker records
-byte-identical.
+still hits a warm session.  A shard names everything it needs beyond its
+session, so a worker keeps no per-campaign state; ``plan_id`` only rides
+back on the answer, so the coordinator can drop answers to an old plan.
+The worker never interprets shard contents — it runs each shard through
+:func:`repro.core.executor.execute_shard`, the same in-process path the
+serial executor takes, which is what keeps worker records byte-identical.
 
 Before each shard the loop fires the ``worker.shard`` hook point of
 :mod:`repro.testing.chaos` — the fault seam for worker crashes (``kill``),
@@ -45,7 +48,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import signal
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.core import tracing
 from repro.core.executor import (
@@ -53,7 +56,7 @@ from repro.core.executor import (
     execute_shard,
     shard_result_to_payload,
 )
-from repro.core.plan import CampaignPlan, WorkShard
+from repro.core.plan import WorkShard
 from repro.distrib.transport import SocketChannel, TransportError
 from repro.testing import chaos
 
@@ -90,7 +93,6 @@ def serve(
     state from the first session spec it receives.
     """
     sessions: Dict[str, Any] = {}
-    plans: Dict[str, Tuple[CampaignPlan, str]] = {}
     served = 0
 
     def flush_caches() -> None:
@@ -114,13 +116,8 @@ def serve(
                     if configure_tracing:
                         tracing.configure(spec.config.trace, reset=True)
                     sessions[digest] = _build_session(spec, cache_dir)
-            elif kind == "plan":
-                plans[str(message["plan_id"])] = (
-                    CampaignPlan.from_payload(message["plan"]),
-                    str(message["digest"]),
-                )
             elif kind == "shard":
-                served += _serve_shard(channel, sessions, plans, message)
+                served += _serve_shard(channel, sessions, message)
     finally:
         flush_caches()
     return served
@@ -151,17 +148,15 @@ def serve_forked(channel: SocketChannel, inherited) -> None:
 def _serve_shard(
     channel: SocketChannel,
     sessions: Dict[str, Any],
-    plans: Dict[str, Tuple[CampaignPlan, str]],
     message: Dict[str, Any],
 ) -> int:
     """Execute one shard message; returns 1 on a result reply, 0 on error."""
     shard = WorkShard.from_payload(message["shard"])
     try:
-        plan, digest = plans[str(message["plan_id"])]
-        session = sessions[digest]
+        session = sessions[str(message["digest"])]
         chaos.fire("worker.shard")
         before = session.telemetry.snapshot()
-        result = execute_shard(session, plan, shard)
+        result = execute_shard(session, shard)
         result.telemetry = session.telemetry.diff(before)
         if tracing.enabled():
             result.spans = tracing.drain()

@@ -100,7 +100,6 @@ class Netlist:
         self._driver_index: List[int] = []
         self._fanout: Optional[List[List[SinkPin]]] = None
         self._outport_slots: List[Tuple[str, int]] = []
-        self._dff_by_q: Dict[int, int] = {}
         self.add_net("const0")
         self.add_net("const1")
         self._driver_kind[CONST0] = DriverKind.CONST
@@ -191,7 +190,6 @@ class Netlist:
         self.dffs.append(dff)
         self._driver_kind[q] = DriverKind.DFF
         self._driver_index[q] = index
-        self._dff_by_q[q] = index
         return dff
 
     def connect_d(self, dff: Dff, net: int) -> None:
@@ -285,11 +283,6 @@ class Netlist:
     def outport_slot(self, slot: int) -> Tuple[str, int]:
         """Map an output-port slot index back to ``(port_name, bit)``."""
         return self._outport_slots[slot]
-
-    def dff_of_q(self, net: int) -> Optional[Dff]:
-        """Return the DFF whose Q output drives *net*, if any."""
-        index = self._dff_by_q.get(net)
-        return self.dffs[index] if index is not None else None
 
     def sink_owner_name(self, sink: SinkPin) -> str:
         """Hierarchical name of the element owning *sink*."""

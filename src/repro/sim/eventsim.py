@@ -64,6 +64,7 @@ from typing import TYPE_CHECKING
 
 from repro.netlist.cells import CellKind, eval_cell
 from repro.netlist.netlist import Netlist, PinType, Wire
+from repro.sim.packed import MAX_LANES
 
 # Memoized lazy import: a top-level ``from repro.core import tracing`` here
 # would re-enter repro.core's eager package init while *this* module is still
@@ -99,11 +100,6 @@ SETTLE_MARGIN = 1e-6
 
 #: Shared read-only empty waveform (avoids allocating one per untouched pin).
 _NO_CHANGES: Waveform = []
-
-#: Bit-planes a packed cone-pass word can carry (Python ints are unbounded,
-#: but lane masks interoperate with the uint64 packed cycle simulator and
-#: word width beyond 64 stops paying for itself).
-MAX_LANES = 64
 
 # Plain-int cell kinds for the packed kernel's dispatch chain.
 _BUF = int(CellKind.BUF)
@@ -453,7 +449,7 @@ class EventSimulator:
         self,
         waves: CycleWaveforms,
         injections: Sequence[Tuple[Wire, float]],
-        lane_width: int,
+        lanes: int,
     ) -> List[Dict[int, int]]:
         results: List[Optional[Dict[int, int]]] = [None] * len(injections)
         groups: Dict[int, List[int]] = {}
@@ -474,8 +470,8 @@ class EventSimulator:
         for root, idxs in groups.items():
             cone = self.cone_index.cone((root,))
             # Chunk the group to the lane width so every pass fits one word.
-            for start in range(0, len(idxs), lane_width):
-                chunk = idxs[start : start + lane_width]
+            for start in range(0, len(idxs), lanes):
+                chunk = idxs[start : start + lanes]
                 lane_objs = []
                 for i in chunk:
                     wire, extra = injections[i]

@@ -268,3 +268,72 @@ def frontier_walk_errors(ev, waves, wire, extra_delay: float) -> Dict[int, int]:
                 queued.add(nxt.owner)
                 heapq.heappush(frontier, (sta.cell_levels[nxt.owner], nxt.owner))
     return errors
+
+
+def scalar_campaign_records(system, program, config, structure):
+    """Per-record scalar reference of one structure campaign.
+
+    Expands the plan the engine would (a fresh session's verified sampled
+    cycles, the config's wire sample and delays) and evaluates every
+    (cycle, wire, d) through :meth:`DelayAceEvaluator.evaluate` on that
+    fresh session: no batch reach and no prefetch, so every dynamically
+    reachable set comes from a one-lane cone pass and every GroupACE/ORACE
+    verdict from the scalar ``GroupAceAnalyzer._run_injected``.  Returns
+    ``({delay: records}, telemetry)``, the records in merge order.
+    """
+    from repro.core.campaign import CampaignSession
+    from repro.core.plan import build_plan
+
+    session = CampaignSession(system, program, config)
+    session.verify_length()
+    wires = system.structure_wires(structure)
+    plan = build_plan(
+        structure, program.name, wires, session.sampled_cycles, config
+    )
+    by_delay = {delay: [] for delay in plan.delay_fractions}
+    for shard in plan.shards:
+        waves = session.waveforms(shard.cycle)
+        checkpoint = session.checkpoint(shard.cycle)
+        for index in shard.wire_indices:
+            for delay in shard.delay_fractions:
+                by_delay[delay].append(session.evaluator.evaluate(
+                    waves, checkpoint, wires[index], index, delay,
+                    with_orace=config.compute_orace,
+                ))
+    return by_delay, session.telemetry
+
+
+def scalar_savf(system, program, config, structure, max_bits, seed):
+    """Per-bit scalar reference of one sAVF campaign.
+
+    Flips every sampled state bit at every sampled cycle of a fresh session
+    and asks :meth:`GroupAceAnalyzer.outcome_of_state_errors` one bit at a
+    time, with no prefetch, so each verdict comes from the scalar
+    ``_run_injected``.  Returns ``(SAVFResult, telemetry)``.
+    """
+    from repro.core.campaign import CampaignSession
+    from repro.core.group_ace import Outcome
+    from repro.core.results import SAVFResult
+    from repro.core.sampling import sample_wires
+
+    session = CampaignSession(system, program, config)
+    session.verify_length()
+    scope = system.structures.get(structure, structure)
+    chosen = sample_wires(system.netlist.dffs_of_structure(scope), max_bits, seed)
+    outcomes = []
+    for cycle in session.sampled_cycles:
+        checkpoint = session.checkpoint(cycle)
+        for dff in chosen:
+            flipped = int(checkpoint.dff_values[dff.index]) ^ 1
+            outcomes.append(session.group_ace.outcome_of_state_errors(
+                checkpoint, {dff.index: flipped}, at_next_boundary=False
+            ))
+    result = SAVFResult(
+        structure=structure,
+        benchmark=program.name,
+        samples=len(outcomes),
+        ace_count=sum(outcome.is_failure for outcome in outcomes),
+        sdc_count=outcomes.count(Outcome.SDC),
+        due_count=outcomes.count(Outcome.DUE),
+    )
+    return result, session.telemetry

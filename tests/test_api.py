@@ -384,12 +384,16 @@ def test_config_validation_rejects_bad_knobs():
         CampaignConfig(cycle_count=None, cycle_fraction=1.5)
     with pytest.raises(ValueError, match="cycle_count / cycle_fraction"):
         CampaignConfig(cycle_count=None, cycle_fraction=None)
+    # The paper's 4 % of cycles names the fraction alone: with the count's
+    # default still set, the config would validate and every campaign fail.
+    with pytest.raises(ValueError, match="cycle_count / cycle_fraction"):
+        CampaignConfig(cycle_fraction=0.04)
+    assert CampaignConfig(cycle_count=None, cycle_fraction=0.04).cycle_count is None
     with pytest.raises(ValueError, match="max_wires"):
         CampaignConfig(max_wires=0)
-    with pytest.raises(ValueError, match="lanes"):
-        CampaignConfig(lanes=0)
-    with pytest.raises(ValueError, match="lanes"):
-        CampaignConfig(lanes=65)
+    # The lane width is the constant MAX_LANES, not a knob.
+    with pytest.raises(TypeError, match="lanes"):
+        CampaignConfig(lanes=64)
     with pytest.raises(ValueError, match="jobs"):
         CampaignConfig(jobs=0)
 

@@ -90,12 +90,6 @@ def test_different_wire_seed_changes_sample(strstr_engine):
     assert wires_a != wires_b
 
 
-def test_estimate_convenience(strstr_engine):
-    result = strstr_engine.estimate("alu", delay_fraction=0.9, max_wires=8)
-    assert result.delay_fraction == 0.9
-    assert result.samples == 8 * len(strstr_engine.session.sampled_cycles)
-
-
 def test_nonhalting_workload_rejected(monkeypatch, system):
     from repro.isa.assembler import assemble
 

@@ -10,6 +10,19 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["delayavf", "libstrstr", "alu", "--lanes", "8"],
+     ["doctor", "--lanes", "8"]],
+)
+def test_lanes_flag_is_a_usage_error(argv, capsys):
+    """Every campaign packs 64 lanes to a word: there is no width flag."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "--lanes" in capsys.readouterr().err
+
+
 def test_structures_command(capsys):
     assert main(["structures"]) == 0
     out = capsys.readouterr().out

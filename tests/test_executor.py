@@ -46,6 +46,7 @@ def test_build_plan_one_shard_per_cycle(strstr_engine):
     assert [shard.cycle for shard in plan.shards] == list(session.sampled_cycles)
     assert [shard.index for shard in plan.shards] == list(range(len(plan.shards)))
     for shard in plan.shards:
+        assert shard.structure == "alu"
         assert shard.wire_indices == plan.wire_indices
         assert shard.delay_fractions == plan.delay_fractions
     assert plan.total_injections == (
@@ -67,7 +68,10 @@ def test_build_plan_wire_indices_match_sample(strstr_engine):
 
 
 def test_plan_and_spec_pickle_roundtrip():
-    shard = WorkShard(index=1, cycle=42, wire_indices=(3, 1, 2), delay_fractions=(0.5,))
+    shard = WorkShard(
+        structure="alu", index=1, cycle=42, wire_indices=(3, 1, 2),
+        delay_fractions=(0.5,),
+    )
     assert pickle.loads(pickle.dumps(shard)) == shard
     plan = CampaignPlan(
         structure="alu", benchmark="libfibcall", wire_count=100,
@@ -104,7 +108,7 @@ def test_merge_is_order_independent(strstr_engine):
     plan = build_plan(
         "alu", "libstrstr", wires, session.sampled_cycles, strstr_engine.config
     )
-    shard_results = [execute_shard(session, plan, shard) for shard in plan.shards]
+    shard_results = [execute_shard(session, shard) for shard in plan.shards]
     forward = merge_shard_results(plan, shard_results)
     backward = merge_shard_results(plan, list(reversed(shard_results)))
     assert forward == backward
@@ -229,31 +233,6 @@ def test_session_probe_skipped_on_repeat(system):
     assert second.sampled_cycles == first.sampled_cycles
     assert second.golden.observables == first.golden.observables
     assert second.telemetry.count("golden_runs") == 1
-
-
-# ----------------------------------------------------------------------
-# estimate() no longer mutates the campaign result
-# ----------------------------------------------------------------------
-def test_estimate_restricts_cycles_via_copy(strstr_engine):
-    cycles = strstr_engine.session.sampled_cycles
-    limited = strstr_engine.estimate(
-        "alu", delay_fraction=0.9, max_wires=4, max_cycles=1
-    )
-    assert limited.samples == 4
-    assert {r.cycle for r in limited.records} == {cycles[0]}
-    full = strstr_engine.estimate("alu", delay_fraction=0.9, max_wires=4)
-    assert full.samples == 4 * len(cycles)
-
-
-def test_restricted_to_cycles_leaves_source_intact(strstr_engine):
-    campaign = strstr_engine.run_structure("alu", max_wires=4)
-    source = campaign.by_delay[0.9]
-    before = list(source.records)
-    restricted = source.restricted_to_cycles(campaign.sampled_cycles[:1])
-    assert restricted is not source
-    assert restricted.records is not source.records
-    assert source.records == before
-    assert all(r.cycle == campaign.sampled_cycles[0] for r in restricted.records)
 
 
 # ----------------------------------------------------------------------

@@ -293,7 +293,7 @@ def test_resume_skips_completed_shards(tmp_path, system, strstr_program):
     # Simulate an interrupt after two shards: execute them (which puts their
     # records), flush, and abandon the engine.
     for shard in plan.shards[:2]:
-        execute_shard(interrupted.session, plan, shard)
+        execute_shard(interrupted.session, shard)
     interrupted.verdict_cache.flush()
 
     rerun = DelayAVFEngine(system, strstr_program, config)

@@ -19,8 +19,13 @@ from helpers import (
     evaluate_reference,
     frontier_walk_errors,
     random_circuit,
+    scalar_campaign_records,
 )
-from repro.core.campaign import CampaignConfig, DelayAVFEngine
+from repro.core.campaign import (
+    CampaignConfig,
+    DelayAVFEngine,
+    run_structures_spanning,
+)
 from repro.netlist.netlist import PinType
 from repro.sim.cyclesim import CycleSimulator
 from repro.sim.eventsim import MAX_LANES, EventSimulator
@@ -179,66 +184,64 @@ def test_packed_uint64_settle_matches_reference():
 
 
 def test_campaign_records_identical_across_lane_widths(system, strstr_program):
-    """End-to-end acceptance: verdicts bit-identical at widths 1 / 8 / 64."""
-    base = dict(
-        cycle_count=3, max_wires=10, delay_fractions=(0.7, 0.9),
+    """End-to-end acceptance: a 64-lane campaign's verdicts equal the
+    per-record scalar reference (one-lane cone passes, scalar GroupACE)."""
+    config = CampaignConfig(
+        # At 10 wires x 3 cycles no injection latched an error and neither
+        # side ran GroupACE; at 48 x 6 alu injections do.
+        cycle_count=6, max_wires=48, delay_fractions=(0.7, 0.9),
         margin_cycles=400, seed=5,
     )
-    results = {}
-    for lanes in (1, 8, 64):
-        engine = DelayAVFEngine(
-            system, strstr_program, CampaignConfig(lanes=lanes, **base)
-        )
-        results[lanes] = engine.run_structure("alu")
+    result = DelayAVFEngine(system, strstr_program, config).run_structure("alu")
+    reference, ref_telemetry = scalar_campaign_records(
+        system, strstr_program, config, "alu"
+    )
     for delay in (0.7, 0.9):
-        assert (
-            results[1].by_delay[delay].records
-            == results[8].by_delay[delay].records
-            == results[64].by_delay[delay].records
-        ), delay
+        assert result.by_delay[delay].records == reference[delay], delay
     # The packed width actually engaged and its occupancy is observable.
-    telemetry = results[64].telemetry
+    telemetry = result.telemetry
     assert telemetry.count("packed_cone_lanes") > 0
+    assert telemetry.count("lane_batches") > 0
     occupancy = telemetry.gauge("packed_lane_occupancy")
     assert occupancy is not None and 0.0 < occupancy <= 1.0
-    assert results[1].telemetry.count("packed_cone_words") == 0
-    assert results[1].telemetry.count("lane_batches") == 0
+    # ...and the reference packed nothing: every verdict ran scalar.
+    assert ref_telemetry.count("lane_batches") == 0
+    assert ref_telemetry.count("group_ace_runs") > 0
 
 
 def test_run_structures_matches_sequential_campaigns(system, strstr_program):
     """Cross-structure spanning produces byte-identical per-campaign records.
 
-    ``run_structures`` shares one packed prefetch across every structure of
-    the benchmark; the records must match sequential ``run_structure`` calls
-    exactly, and with packing disabled the group call must transparently
-    fall back to the sequential path.
+    A one-engine ``run_structures_spanning`` shares one packed prefetch
+    across every structure of the benchmark; the records must match
+    sequential ``run_structure`` calls and the per-record scalar reference
+    exactly.
     """
-    base = dict(
-        cycle_count=3, max_wires=8, delay_fractions=(0.7, 0.9),
+    config = CampaignConfig(
+        # At 8 wires x 3 cycles no injection latched an error and neither
+        # side ran GroupACE; at 48 x 6 alu injections do.
+        cycle_count=6, max_wires=48, delay_fractions=(0.7, 0.9),
         margin_cycles=400, seed=5,
     )
     structures = ("alu", "decoder", "regfile")
     sequential = {}
-    engine_seq = DelayAVFEngine(
-        system, strstr_program, CampaignConfig(lanes=64, **base)
-    )
+    engine_seq = DelayAVFEngine(system, strstr_program, config)
     for structure in structures:
         sequential[structure] = engine_seq.run_structure(structure)
-    engine_grp = DelayAVFEngine(
-        system, strstr_program, CampaignConfig(lanes=64, **base)
-    )
-    grouped = engine_grp.run_structures(structures)
-    engine_scalar = DelayAVFEngine(
-        system, strstr_program, CampaignConfig(lanes=1, **base)
-    )
-    scalar = engine_scalar.run_structures(structures)
-    assert set(grouped) == set(structures) == set(scalar)
+    engine_grp = DelayAVFEngine(system, strstr_program, config)
+    [grouped] = run_structures_spanning([(engine_grp, structures)])
+    assert set(grouped) == set(structures)
+    assert engine_grp.telemetry.count("lane_batches") > 0
     for structure in structures:
+        scalar, ref_telemetry = scalar_campaign_records(
+            system, strstr_program, config, structure
+        )
+        assert ref_telemetry.count("lane_batches") == 0
         for delay in (0.7, 0.9):
             assert (
                 grouped[structure].by_delay[delay].records
                 == sequential[structure].by_delay[delay].records
-                == scalar[structure].by_delay[delay].records
+                == scalar[delay]
             ), (structure, delay)
 
 
@@ -288,7 +291,6 @@ def test_run_structures_spanning_across_workloads(system, strstr_program):
     runner resolves both engines' campaigns through shared packed words.
     Every record must match the engines' own sequential campaigns.
     """
-    from repro.core.campaign import run_structures_spanning
     from repro.workloads.beebs import load_benchmark
 
     fib_program = load_benchmark("libfibcall")
@@ -300,15 +302,15 @@ def test_run_structures_spanning_across_workloads(system, strstr_program):
     expected = {}
     for name, program in (("strstr", strstr_program), ("fib", fib_program)):
         eng = DelayAVFEngine(
-            system, program, CampaignConfig(lanes=64, **base)
+            system, program, CampaignConfig(**base)
         )
         expected[name] = {s: eng.run_structure(s) for s in structures}
     engines = {
         "strstr": DelayAVFEngine(
-            system, strstr_program, CampaignConfig(lanes=64, **base)
+            system, strstr_program, CampaignConfig(**base)
         ),
         "fib": DelayAVFEngine(
-            system, fib_program, CampaignConfig(lanes=64, **base)
+            system, fib_program, CampaignConfig(**base)
         ),
     }
     spanned = run_structures_spanning(
@@ -345,7 +347,7 @@ def test_run_structures_spanning_packs_once(system, strstr_program, monkeypatch)
     )
     base = dict(
         cycle_count=3, max_wires=16, delay_fractions=(0.7, 0.9),
-        margin_cycles=400, seed=3, lanes=64,
+        margin_cycles=400, seed=3,
     )
     engines = [
         DelayAVFEngine(system, program, CampaignConfig(**base))

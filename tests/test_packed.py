@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from helpers import ScriptedEnv, random_circuit
+from helpers import (
+    ScriptedEnv,
+    random_circuit,
+    scalar_campaign_records,
+    scalar_savf,
+)
 from repro.core.campaign import CampaignConfig, DelayAVFEngine
 from repro.core.group_ace import GroupAceAnalyzer
 from repro.netlist.cells import CellKind, cell_input_count, eval_cell, eval_cell_array
@@ -131,39 +136,45 @@ def test_batched_group_ace_matches_scalar(system, strstr_program):
 
 
 def test_savf_batched_equals_scalar(system, strstr_program):
-    """sAVF with lane-parallel prefetching equals the scalar estimate."""
+    """sAVF with lane-parallel prefetching equals the per-bit scalar
+    reference."""
     from repro.core.savf import SAVFEngine
 
-    base = dict(cycle_count=3, margin_cycles=400, seed=2)
-    results = []
-    for lanes in (1, 8):
-        engine = DelayAVFEngine(
-            system, strstr_program, CampaignConfig(lanes=lanes, **base)
-        )
-        results.append(
-            SAVFEngine(engine.session).run_structure("lsu", max_bits=20, seed=2)
-        )
-    scalar, batched = results
-    assert scalar == batched
+    config = CampaignConfig(cycle_count=3, margin_cycles=400, seed=2)
+    engine = DelayAVFEngine(system, strstr_program, config)
+    batched = SAVFEngine(engine.session).run_structure(
+        "lsu", max_bits=20, seed=2
+    )
+    scalar, ref_telemetry = scalar_savf(
+        system, strstr_program, config, "lsu", max_bits=20, seed=2
+    )
+    assert batched == scalar
+    assert engine.telemetry.count("lane_batches") > 0
+    assert ref_telemetry.count("lane_batches") == 0
+    assert ref_telemetry.count("group_ace_runs") > 0
 
 
 def test_campaign_batched_equals_scalar(system, strstr_program):
-    """End-to-end: batched and scalar campaigns produce identical records."""
-    base = dict(
-        cycle_count=3, max_wires=10, delay_fractions=(0.7, 0.9),
+    """End-to-end: batched campaigns equal the per-record scalar reference."""
+    config = CampaignConfig(
+        # At 10 wires x 3 cycles no injection latched an error and neither
+        # side ran GroupACE; at 48 x 6 alu and lsu injections do.
+        cycle_count=6, max_wires=48, delay_fractions=(0.7, 0.9),
         margin_cycles=400, seed=5,
     )
-    scalar_engine = DelayAVFEngine(
-        system, strstr_program, CampaignConfig(lanes=1, **base)
-    )
-    batched_engine = DelayAVFEngine(
-        system, strstr_program, CampaignConfig(lanes=8, **base)
-    )
+    batched_engine = DelayAVFEngine(system, strstr_program, config)
+    ref_runs = 0
     for structure in ("alu", "lsu"):
-        scalar_result = scalar_engine.run_structure(structure)
         batched_result = batched_engine.run_structure(structure)
+        scalar, ref_telemetry = scalar_campaign_records(
+            system, strstr_program, config, structure
+        )
         for delay in (0.7, 0.9):
             assert (
-                scalar_result.by_delay[delay].records
-                == batched_result.by_delay[delay].records
+                batched_result.by_delay[delay].records == scalar[delay]
             ), (structure, delay)
+        assert ref_telemetry.count("lane_batches") == 0
+        ref_runs += ref_telemetry.count("group_ace_runs")
+    assert batched_engine.telemetry.count("packed_cone_lanes") > 0
+    assert batched_engine.telemetry.count("lane_batches") > 0
+    assert ref_runs > 0

@@ -162,6 +162,17 @@ def test_job_spec_validation():
         JobSpec.from_payload(
             {**ANALYZE_SPEC, "config": {**SMALL_CONFIG, "resume": True}}
         )
+    # Nor is the lane width: every campaign packs 64 lanes to a word.
+    with pytest.raises(InputError, match="lanes"):
+        JobSpec.from_payload(
+            {**ANALYZE_SPEC, "config": {**SMALL_CONFIG, "lanes": 64}}
+        )
+    # A config naming only the cycle fraction keeps the count's default: it
+    # is rejected at submission, not when the job runs.
+    with pytest.raises(InputError, match="cycle_count / cycle_fraction"):
+        JobSpec.from_payload(
+            {**ANALYZE_SPEC, "config": {"cycle_fraction": 0.04}}
+        )
     with pytest.raises(InputError, match="structures"):
         JobSpec.from_payload({"kind": "sweep", "benchmarks": ["libstrstr"]})
 
@@ -177,9 +188,10 @@ def test_journal_replay_skips_a_config_field_this_build_removed(
 
     canonical = JobSpec.from_payload(ANALYZE_SPEC).canonical()
     journal = JobJournal(tmp_path / "journal")
-    for removed in ("stats", "resume"):
+    # Each with a value the build that journaled it accepted.
+    for removed, value in (("stats", False), ("resume", False), ("lanes", 64)):
         stale = {
-            **canonical, "config": {**canonical["config"], removed: False}
+            **canonical, "config": {**canonical["config"], removed: value}
         }
         digest = hashlib.sha256(
             json.dumps(stale, sort_keys=True).encode("utf-8")
@@ -189,12 +201,12 @@ def test_journal_replay_skips_a_config_field_this_build_removed(
     manager = JobManager(journal=JobJournal(tmp_path / "journal"))
     counts = manager.recover()
     manager.journal.close()
-    assert counts["skipped"] == 2
+    assert counts["skipped"] == 3
     assert counts["requeued"] == counts["recovered"] == 0
     assert manager.jobs() == []
     err = capsys.readouterr().err
     assert "no longer validates" in err
-    assert "stats" in err and "resume" in err
+    assert "stats" in err and "resume" in err and "lanes" in err
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,11 @@ from dataclasses import replace
 import pytest
 
 from repro.core import tracing
-from repro.core.campaign import CampaignConfig, DelayAVFEngine
+from repro.core.campaign import (
+    CampaignConfig,
+    DelayAVFEngine,
+    run_structures_spanning,
+)
 from repro.core.executor import SessionSpec
 from repro.core.progress import ProgressReporter
 from repro.workloads.beebs import load_benchmark
@@ -272,7 +276,7 @@ def test_sweep_execute_ledger_is_its_spans(system, strstr_program):
             margin_cycles=400, trace=True,
         ),
     )
-    engine.run_structures(["alu", "decoder"])
+    run_structures_spanning([(engine, ["alu", "decoder"])])
     spans = tracing.drain()
     phases = engine.telemetry.phase_seconds
     spanned = sum(
