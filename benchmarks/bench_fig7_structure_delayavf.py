@@ -19,7 +19,7 @@ import os
 import _shared
 from repro.analysis.figures import render_grouped_bars
 from repro.analysis.report import render_telemetry
-from repro.core.results import geometric_mean, normalize
+from repro.core.results import geometric_mean
 from repro.core.telemetry import CampaignTelemetry
 from repro.workloads.beebs import BENCHMARK_NAMES
 

@@ -21,7 +21,7 @@ from repro.core.delayavf import DelayAceEvaluator
 from repro.core.dynamic_reach import DynamicReachability
 from repro.core.group_ace import GroupAceAnalyzer
 from repro.core.static_reach import StaticReachability
-from repro.hdl.ops import Reg, adder, band, bxor, const_bus, mux
+from repro.hdl.ops import Reg, adder, band, bxor, mux
 from repro.netlist.netlist import Netlist
 from repro.netlist.validate import validate
 from repro.sim.cyclesim import CycleSimulator, Environment

@@ -8,7 +8,7 @@ contains:
 - ``repro.hdl`` — a word-level hardware construction API,
 - ``repro.timing`` — a mini timing library and static timing analysis,
 - ``repro.sim`` — timing-agnostic (cycle) and timing-aware (event) simulators,
-- ``repro.isa`` — an RV32I/RV32E assembler and reference ISS,
+- ``repro.isa`` — an RV32I/RV32E assembler and disassembler,
 - ``repro.soc`` — the "IbexMini" 2-stage in-order RISC-V core under study,
 - ``repro.workloads`` — Beebs-like benchmark programs,
 - ``repro.core`` — the paper's contribution: DelayACE / DelayAVF, sAVF,
@@ -30,7 +30,6 @@ _EXPORTS = {
     "shutdown": ("repro.api", "shutdown"),
     "CampaignConfig": ("repro.core.campaign", "CampaignConfig"),
     "DelayAVFEngine": ("repro.core.campaign", "DelayAVFEngine"),
-    "DelayFault": ("repro.core.delay_model", "DelayFault"),
     "DelayAVFResult": ("repro.core.results", "DelayAVFResult"),
     "Outcome": ("repro.core.group_ace", "Outcome"),
     "SAVFEngine": ("repro.core.savf", "SAVFEngine"),
@@ -51,7 +50,6 @@ _EXPORTS = {
     "WorkloadError": ("repro.errors", "WorkloadError"),
     "CacheError": ("repro.errors", "CacheError"),
     "UnknownJobError": ("repro.errors", "UnknownJobError"),
-    "DuplicateJobError": ("repro.errors", "DuplicateJobError"),
     "ServiceDrainingError": ("repro.errors", "ServiceDrainingError"),
     "ERROR_TAXONOMY": ("repro.errors", "ERROR_TAXONOMY"),
     "CampaignService": ("repro.service", "CampaignService"),
@@ -83,8 +81,6 @@ __all__ = [
     "ConfidenceInterval",
     "DelayAVFEngine",
     "DelayAVFResult",
-    "DelayFault",
-    "DuplicateJobError",
     "ERROR_TAXONOMY",
     "GuardViolation",
     "IbexMiniSystem",

@@ -23,7 +23,6 @@ Implements Section V's two-step methodology (Eq. 4):
 from repro.core.attribution import InstructionAttributor
 from repro.core.cache import VerdictCache
 from repro.core.campaign import CampaignConfig, CampaignSession, DelayAVFEngine
-from repro.core.delay_model import DelayFault
 from repro.core.executor import (
     Executor,
     ParallelExecutor,
@@ -51,7 +50,6 @@ __all__ = [
     "CampaignTelemetry",
     "DelayAVFEngine",
     "DelayAVFResult",
-    "DelayFault",
     "Executor",
     "GroupAceAnalyzer",
     "InjectionRecord",

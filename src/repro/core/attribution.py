@@ -14,9 +14,8 @@ re-settling the checkpointed state — no extra hardware, no re-simulation.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Tuple
 
 from repro.core.results import InjectionRecord
 from repro.isa.disasm import disassemble

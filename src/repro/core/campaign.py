@@ -263,9 +263,6 @@ class CampaignSession:
 
         self._memo = vars(system).setdefault("_workload_memo", {})
         self._psig = program_signature(program)
-        self._lengths = (
-            lengths.LengthStore(config.cache_dir) if config.cache_dir else None
-        )
         self._total_cycles: Optional[int] = None
         self._sampled_cycles: Optional[List[int]] = None
         self._golden: Optional[RunResult] = None
@@ -281,13 +278,10 @@ class CampaignSession:
 
         Sources, most to least authoritative: the in-process memo
         (``"memo"``), a persistent verdict cache's workload metadata
-        (``"cache"``), the cache directory's cross-scope length store
-        (``"store"``, :class:`repro.workloads.lengths.LengthStore`), and
-        the bundled measured-length table (``"hint"``,
+        (``"cache"``), and the bundled measured-length table (``"hint"``,
         :mod:`repro.workloads.lengths`).  The first two are measured on
-        this exact setup and treated as invariants; a store entry or hint
-        is advisory and verified (with graceful fallback) by
-        :attr:`golden`.
+        this exact setup and treated as invariants; a hint is advisory and
+        verified (with graceful fallback) by :attr:`golden`.
         """
         if self._psig in self._memo:
             cycles, observables = self._memo[self._psig]
@@ -297,10 +291,6 @@ class CampaignSession:
             meta = self.verdict_cache.workload_meta()
             if meta is not None and meta[0] <= cap:
                 return meta[0], None, meta[1], "cache"
-        if self._lengths is not None:
-            stored = self._lengths.get(self._psig)
-            if stored is not None and stored[0] <= cap:
-                return stored[0], None, stored[1], "store"
         hint = lengths.known_length(self._psig)
         if hint is not None and hint <= cap:
             return hint, None, None, "hint"
@@ -310,10 +300,6 @@ class CampaignSession:
         self._memo[self._psig] = (run.cycles, run.observables)
         if self.verdict_cache is not None:
             self.verdict_cache.record_workload(run.cycles, run.observables)
-        if self._lengths is not None:
-            self._lengths.put(
-                self._psig, run.cycles, observables_digest(run.observables)
-            )
 
     def _halt_error(self) -> RuntimeError:
         return RuntimeError(
@@ -343,8 +329,6 @@ class CampaignSession:
                 self.telemetry.incr("probe_skips")
                 if source == "hint":
                     self.telemetry.incr("length_hint_hits")
-                elif source == "store":
-                    self.telemetry.incr("length_store_hits")
             self._total_cycles = known
         return self._total_cycles
 
@@ -367,18 +351,17 @@ class CampaignSession:
     @property
     def length_verified(self) -> bool:
         """Whether :attr:`total_cycles` was measured here (golden run, memo,
-        cache metadata), not just advised by a length-store entry or hint."""
+        cache metadata), not just advised by a bundled hint."""
         known, _, _, source = self._known_length()
         return source in ("memo", "cache") and known == self.total_cycles
 
     def verify_length(self) -> None:
         """Make :attr:`sampled_cycles` trustworthy before anyone reads it.
 
-        An advisory length (bundled hint or length-store entry) is verified
-        with the golden run the caller needs anyway, which re-samples from
-        the measured length when the advice was stale.  Every in-process
-        caller that plans from the sample (a local campaign, an sAVF run)
-        calls this first.
+        An advisory length (a bundled hint) is verified with the golden run
+        the caller needs anyway, which re-samples from the measured length
+        when the hint was stale.  Every in-process caller that plans from
+        the sample (a local campaign, an sAVF run) calls this first.
         """
         if not self.length_verified:
             self.golden
@@ -391,11 +374,10 @@ class CampaignSession:
             # Record fingerprints + checkpoints at the sampled cycles.
             run = self._instrumented_run_at(self.sampled_cycles)
             if not self.adopt_golden(run) and advisory:
-                # Stale advisory length (bundled hint or cross-scope store
-                # entry): the instrumented run itself measured the true
-                # length, but its checkpoints sit at positions sampled from
-                # the wrong length.  Re-sample and re-run — a stale entry
-                # costs exactly what the probe used to.
+                # Stale bundled hint: the instrumented run itself measured
+                # the true length, but its checkpoints sit at positions
+                # sampled from the wrong length.  Re-sample and re-run — a
+                # stale hint costs exactly what the probe used to.
                 self.telemetry.incr("stale_length_hints")
                 self._total_cycles = run.cycles
                 self._sampled_cycles = None
@@ -816,13 +798,12 @@ class DelayAVFEngine:
         """Open a campaign: plan it and start the caller's progress
         *reporter*, if any.  A *local* campaign (shards run here) first
         verifies an advisory length (:meth:`CampaignSession.verify_length`),
-        so a stale one samples no plan; a worker-fleet coordinator verifies
-        a length-store entry the same way, and trusts a bundled hint (the
-        tests pin the hints to the build).
+        so a stale one samples no plan; a worker-fleet coordinator trusts a
+        bundled hint (the tests pin the hints to the build).
         """
         before = self.telemetry.snapshot()
         started = time.perf_counter()
-        if local or self.session._known_length()[3] == "store":
+        if local:
             self.session.verify_length()
         with self.telemetry.phase("plan"):
             plan = build_plan(

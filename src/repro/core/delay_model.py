@@ -5,32 +5,5 @@ Delays are specified as fractions of the clock period (the paper sweeps 10 %
 to 90 %), since a designer without silicon data examines the whole range.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-from repro.netlist.netlist import Wire
-
-
-@dataclass(frozen=True)
-class DelayFault:
-    """One small delay fault: +``delay_fraction``·T on ``wire`` in ``cycle``."""
-
-    wire: Wire
-    cycle: int
-    delay_fraction: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.delay_fraction < 1.0:
-            raise ValueError(
-                "an SDF adds less than one clock period of delay; got "
-                f"{self.delay_fraction!r}"
-            )
-
-    def extra_delay_ps(self, clock_period: float) -> float:
-        """Absolute extra delay in picoseconds for a given clock period."""
-        return self.delay_fraction * clock_period
-
-
 #: The delay sweep the paper's figures use (10 % .. 90 % of the period).
 DEFAULT_DELAY_FRACTIONS = (0.1, 0.3, 0.5, 0.7, 0.9)

@@ -28,14 +28,9 @@ from __future__ import annotations
 import os
 import uuid
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.core.results import (
-    DelayAVFResult,
-    SAVFResult,
-    StructureCampaignResult,
-)
-from repro.core.stats import DEFAULT_CONFIDENCE
+from repro.core.results import DelayAVFResult, StructureCampaignResult
 from repro.errors import CacheError, InputError, ReproError, TimingError, WorkloadError
 
 #: Slack for floating-point comparisons between derived rates.
@@ -235,27 +230,6 @@ def check_campaign_result(
         violations.extend(_aggregate_violations(delay_result))
     violations.extend(_cross_delay_violations(result))
     return violations
-
-
-def check_ecc_savf(
-    baseline: SAVFResult,
-    ecc: SAVFResult,
-    confidence: float = DEFAULT_CONFIDENCE,
-) -> Optional[GuardViolation]:
-    """SEC ECC cannot *raise* a structure's sAVF.
-
-    Compared at the interval level (ECC's lower bound above the baseline's
-    upper bound) so ordinary sampling noise between two finite campaigns
-    does not trip the guard.
-    """
-    if ecc.savf_ci(confidence).lo > baseline.savf_ci(confidence).hi + _EPS:
-        return GuardViolation(
-            "ecc-raises-savf",
-            f"{ecc.structure}: ECC sAVF {ecc.savf:.6f} is significantly "
-            f"above the unprotected {baseline.savf:.6f} "
-            f"at {confidence:.0%} confidence",
-        )
-    return None
 
 
 def apply_guards(

@@ -100,10 +100,6 @@ class CampaignPlan:
     sampled_cycles: Tuple[int, ...]
     shards: Tuple[WorkShard, ...]
 
-    @property
-    def total_injections(self) -> int:
-        return sum(shard.injections for shard in self.shards)
-
 
 def build_plan(
     structure: str,

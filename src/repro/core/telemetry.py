@@ -59,7 +59,6 @@ COUNTER_ORDER = (
     "probe_runs",
     "probe_skips",
     "length_hint_hits",
-    "length_store_hits",
     "stale_length_hints",
     "golden_runs",
     "waveforms_built",

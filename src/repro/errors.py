@@ -37,7 +37,6 @@ __all__ = [
     "WorkloadError",
     "CacheError",
     "UnknownJobError",
-    "DuplicateJobError",
     "ServiceDrainingError",
     "ServiceUnavailableError",
     "ServiceOverloadedError",
@@ -111,13 +110,6 @@ class UnknownJobError(ReproError):
     code = "unknown-job"
 
 
-class DuplicateJobError(ReproError):
-    """An identical job is already in flight and deduplication was refused
-    (``dedupe: false`` submissions)."""
-
-    code = "duplicate-job"
-
-
 class ServiceDrainingError(ReproError):
     """The campaign service is draining (SIGTERM received) and no longer
     accepts new jobs; in-flight jobs finish and results stay readable."""
@@ -164,8 +156,8 @@ class JobTimeoutError(ReproError):
 
 #: ``code -> (CLI exit code, HTTP status)``: the one table both surfaces
 #: report from.  Validation failures are client errors (400); a job id the
-#: service does not know is 404; refusing to double-run in-flight work is a
-#: conflict (409); a draining service is temporarily unavailable (503).
+#: service does not know is 404; a draining service is temporarily
+#: unavailable (503).
 ERROR_TAXONOMY: Dict[str, Tuple[int, int]] = {
     "repro": (EXIT_FATAL, 400),
     "input": (EXIT_FATAL, 400),
@@ -173,7 +165,6 @@ ERROR_TAXONOMY: Dict[str, Tuple[int, int]] = {
     "workload": (EXIT_FATAL, 400),
     "cache": (EXIT_FATAL, 400),
     "unknown-job": (EXIT_FATAL, 404),
-    "duplicate-job": (EXIT_FATAL, 409),
     "draining": (EXIT_FATAL, 503),
     "unavailable": (EXIT_FATAL, 503),
     "overloaded": (EXIT_FATAL, 429),
@@ -190,7 +181,6 @@ _ERROR_CLASSES: Dict[str, Type[ReproError]] = {
         WorkloadError,
         CacheError,
         UnknownJobError,
-        DuplicateJobError,
         ServiceDrainingError,
         ServiceUnavailableError,
         ServiceOverloadedError,

@@ -1,8 +1,8 @@
 """Atomic file publication: the one way this package replaces a file.
 
 Every writer whose readers must never observe a torn file — verdict-cache
-scopes, the job journal's result store, the length store, metrics and
-heartbeat snapshots, trace exports — goes through :func:`atomic_write`:
+scopes, the job journal's result store, metrics and heartbeat
+snapshots, trace exports — goes through :func:`atomic_write`:
 write a temporary sibling, then ``os.replace`` it over the target (atomic
 on POSIX), unlinking the temporary on any failure.
 """

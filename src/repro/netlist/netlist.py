@@ -123,11 +123,6 @@ class Netlist:
             return ".".join(self._scope_stack) + "." + name
         return name
 
-    @property
-    def scope_path(self) -> str:
-        """The current scope path (empty string at top level)."""
-        return ".".join(self._scope_stack)
-
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
@@ -279,10 +274,6 @@ class Netlist:
         if self._fanout is None:
             raise RuntimeError("freeze() the netlist before querying fan-out")
         return self._fanout[net]
-
-    def outport_slot(self, slot: int) -> Tuple[str, int]:
-        """Map an output-port slot index back to ``(port_name, bit)``."""
-        return self._outport_slots[slot]
 
     def sink_owner_name(self, sink: SinkPin) -> str:
         """Hierarchical name of the element owning *sink*."""

@@ -61,7 +61,6 @@ class ServiceConfig:
     port: int = 0  #: 0 binds an ephemeral port (reported once bound)
     workers: int = 2  #: concurrent job-executing threads
     cache_dir: Optional[str] = None  #: default verdict-cache dir for jobs
-    drain_timeout: Optional[float] = None  #: max seconds drain may take
     #: default remote-worker fleet applied to jobs that do not set one
     #: (a ``HOST:PORT`` listen address; see ``repro worker``)
     workers_from: Optional[str] = None
@@ -189,7 +188,7 @@ class CampaignService:
         if self._drained.is_set():
             return
         self._drained.set()
-        self.manager.drain(timeout=self.config.drain_timeout)
+        self.manager.drain()
         self.server.server_close()
 
 

@@ -34,7 +34,7 @@ import queue
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import api
@@ -115,7 +115,8 @@ class JobSpec:
     def from_payload(cls, payload: Any) -> "JobSpec":
         """Validate a wire-format job submission into a spec.
 
-        Every failure raises :class:`repro.errors.InputError` (HTTP 400 via
+        Journal replay validates a journaled :meth:`canonical` form here
+        too, with its priority added.  Every failure raises :class:`repro.errors.InputError` (HTTP 400 via
         the taxonomy) with a hint naming the acceptable values.
         """
         _require(isinstance(payload, dict), "job spec must be a JSON object")
@@ -243,62 +244,30 @@ class JobSpec:
             knobs=knobs,
         )
 
-    @classmethod
-    def from_canonical(
-        cls, payload: Dict[str, Any], priority: int = 0
-    ) -> "JobSpec":
-        """Rebuild a spec from its own :meth:`canonical` form (journal replay).
-
-        The canonical form always uses the plural ``structures`` /
-        ``benchmarks`` keys (:meth:`from_payload` only accepts those for
-        sweeps), so replay needs this direct constructor.  Validation still
-        runs — a journal written against a different structure/benchmark
-        registry fails here, and recovery skips the job instead of crashing.
-        """
-        target = payload.get("target_half_width")
-        return cls(
-            kind=payload["kind"],
-            structures=tuple(
-                _valid_structure(s) for s in payload["structures"]
-            ),
-            benchmarks=tuple(
-                _valid_benchmark(b) for b in payload["benchmarks"]
-            ),
-            config=CampaignConfig.from_payload(payload.get("config") or {}),
-            ecc=bool(payload.get("ecc", False)),
-            bits=int(payload.get("bits", 24)),
-            seed=int(payload.get("seed", 0)),
-            target_half_width=None if target is None else float(target),
-            confidence=float(payload.get("confidence", 0.95)),
-            priority=int(priority),
-            count=int(payload.get("count", 10)),
-            pool=(
-                None if payload.get("pool") is None
-                else int(payload["pool"])
-            ),
-            knobs=(
-                None if payload.get("knobs") is None
-                else str(payload["knobs"])
-            ),
-        )
-
     def canonical(self) -> Dict[str, Any]:
-        """The identity-bearing wire form (priority excluded by design)."""
-        payload = {
-            "kind": self.kind,
-            "structures": list(self.structures),
-            "benchmarks": list(self.benchmarks),
+        """The identity-bearing wire form (priority excluded by design).
+
+        It is a submission :meth:`from_payload` accepts: lists for a sweep,
+        one ``structure`` (and ``benchmark``, except for genwork) otherwise.
+        """
+        payload: Dict[str, Any] = {"kind": self.kind}
+        if self.kind == "sweep":
+            payload["structures"] = list(self.structures)
+            payload["benchmarks"] = list(self.benchmarks)
+        else:
+            payload["structure"] = self.structures[0]
+            if self.kind != "genwork":
+                payload["benchmark"] = self.benchmarks[0]
+        payload.update({
             "config": self.config.to_payload(),
             "ecc": self.ecc,
             "bits": self.bits,
             "seed": self.seed,
             "target_half_width": self.target_half_width,
             "confidence": self.confidence,
-        }
+        })
         if self.kind == "genwork":
-            # Generation-only fields enter the identity only for genwork
-            # jobs, so pre-existing analyze/sweep/savf job ids (and any
-            # journals recording them) are unchanged by the new kind.
+            # Generation-only fields apply to genwork jobs alone.
             payload["count"] = self.count
             payload["pool"] = self.pool
             payload["knobs"] = self.knobs
@@ -536,10 +505,9 @@ class JobManager:
                     continue  # live submission already owns this identity
                 event = submitted[job_id]
                 try:
-                    spec = JobSpec.from_canonical(
-                        event.get("spec") or {},
-                        priority=int(event.get("priority", 0)),
-                    )
+                    spec = JobSpec.from_payload(dict(
+                        event.get("spec"), priority=event.get("priority", 0)
+                    ))
                 except Exception as exc:  # noqa: BLE001 - skip, never crash
                     counts["skipped"] += 1
                     print(

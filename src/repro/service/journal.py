@@ -17,9 +17,9 @@ The campaign service keeps every accepted job's lifecycle in one JSONL file
 
 Durability knob (``repro serve --journal-fsync``): ``always`` fsyncs after
 every append (lose nothing the client was told about), ``interval`` fsyncs
-at most every few seconds (bounded loss window, cheaper), ``never`` leaves
-flushing to the OS (the write() still happens eagerly, so only an OS crash
-— not a process crash — can lose events).
+at most every :data:`FSYNC_INTERVAL_S` seconds (bounded loss window,
+cheaper), ``never`` leaves flushing to the OS (the write() still happens
+eagerly, so only an OS crash — not a process crash — can lose events).
 
 Replay (:meth:`JobJournal.replay`) tolerates exactly the damage a crash can
 inflict: a torn final line (the daemon died mid-append) is truncated away —
@@ -42,13 +42,15 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.fileio import atomic_write
 
 __all__ = ["JobJournal", "FSYNC_POLICIES"]
 
 FSYNC_POLICIES = ("always", "interval", "never")
+#: seconds between fsyncs under the ``interval`` policy
+FSYNC_INTERVAL_S = 5.0
 
 JOURNAL_NAME = "journal.jsonl"
 RESULTS_DIR = "results"
@@ -57,12 +59,7 @@ RESULTS_DIR = "results"
 class JobJournal:
     """One directory holding the event log and the result store."""
 
-    def __init__(
-        self,
-        directory,
-        fsync_policy: str = "always",
-        fsync_interval: float = 5.0,
-    ):
+    def __init__(self, directory, fsync_policy: str = "always"):
         if fsync_policy not in FSYNC_POLICIES:
             raise ValueError(
                 f"fsync_policy must be one of {FSYNC_POLICIES}, "
@@ -72,7 +69,6 @@ class JobJournal:
         self.path = self.directory / JOURNAL_NAME
         self.results_dir = self.directory / RESULTS_DIR
         self.fsync_policy = fsync_policy
-        self.fsync_interval = max(0.0, float(fsync_interval))
         self.directory.mkdir(parents=True, exist_ok=True)
         self.results_dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
@@ -109,7 +105,7 @@ class JobJournal:
             return True
         if self.fsync_policy == "never":
             return False
-        return time.monotonic() - self._last_fsync >= self.fsync_interval
+        return time.monotonic() - self._last_fsync >= FSYNC_INTERVAL_S
 
     def record_submitted(
         self, job_id: str, spec_canonical: Dict[str, Any], priority: int

@@ -2,8 +2,8 @@
 
 The paper's register-file case study adds "optional single-error correction
 ECC (without any double-error detection capabilities)".  This module provides
-both the gate-level encoder/corrector used by the ECC register file and a
-pure-Python reference implementation used by the tests.
+the gate-level encoder/corrector used by the ECC register file; the tests
+check it against a pure-Python model (``tests/helpers.py``).
 
 Layout: classic Hamming positions 1..38; parity bits sit at power-of-two
 positions (1, 2, 4, 8, 16, 32), data bits fill the remaining positions in
@@ -31,39 +31,6 @@ DATA_POSITIONS: Tuple[int, ...] = tuple(
 PARITY_POSITIONS: Tuple[int, ...] = tuple(1 << j for j in range(PARITY_BITS))
 
 
-# ----------------------------------------------------------------------
-# Reference (software) implementation
-# ----------------------------------------------------------------------
-def encode_word(data: int) -> int:
-    """Encode 32-bit *data* into a 38-bit codeword (data low, parity high)."""
-    parity = 0
-    for j in range(PARITY_BITS):
-        p = 0
-        for i, pos in enumerate(DATA_POSITIONS):
-            if pos & (1 << j):
-                p ^= (data >> i) & 1
-        parity |= p << j
-    return (data & 0xFFFFFFFF) | (parity << DATA_BITS)
-
-
-def decode_word(code: int) -> Tuple[int, int]:
-    """Decode a 38-bit codeword; returns ``(corrected_data, syndrome)``."""
-    syndrome = 0
-    for j in range(PARITY_BITS):
-        s = (code >> (DATA_BITS + j)) & 1
-        for i, pos in enumerate(DATA_POSITIONS):
-            if pos & (1 << j):
-                s ^= (code >> i) & 1
-        syndrome |= s << j
-    data = code & 0xFFFFFFFF
-    if syndrome in DATA_POSITIONS:
-        data ^= 1 << DATA_POSITIONS.index(syndrome)
-    return data, syndrome
-
-
-# ----------------------------------------------------------------------
-# Gate-level implementation
-# ----------------------------------------------------------------------
 def build_encoder(nl: Netlist, data: Bus) -> Bus:
     """Parity-bit XOR trees; returns the 6-bit parity bus."""
     assert len(data) == DATA_BITS

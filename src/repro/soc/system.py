@@ -3,9 +3,9 @@
 :class:`MemoryEnvironment` implements the behavioural side of the registered
 memory interfaces (single-cycle instruction and data memory, the output MMIO
 region, the halt protocol and trap capture).  Its observables use the same
-event format as :class:`repro.isa.reference.ReferenceCPU`'s ``output_log``,
-so the gate-level core can be co-verified against the ISS by comparing the
-two logs directly.
+event format as the reference ISS's ``output_log`` (a test oracle, in
+``tests/reference_iss.py``), so the gate-level core can be co-verified
+against the ISS by comparing the two logs directly.
 
 :class:`IbexMiniSystem` bundles the frozen netlist with lazily constructed
 analysis artefacts (evaluation plan, static timing, event simulator) so the

@@ -4,15 +4,14 @@ Assembly re-implementations of the five Beebs benchmarks the paper studies:
 ``md5``, ``bubblesort``, ``libstrstr``, ``libfibcall``, and ``matmult`` —
 preserving each kernel's computational character (and hence its toggle-rate
 profile, which drives the paper's Observation 3) — plus a seeded
-constrained-random program generator (:func:`make_random`,
-:class:`RandomWorkload`) for unbounded campaign traffic diversity, resolved
-by ``gen:<seed>[:knob=value,...]`` specs through :func:`resolve_workload`.
+constrained-random program generator (:func:`make_random`) for unbounded
+campaign traffic diversity, resolved by ``gen:<seed>[:knob=value,...]`` specs
+through :func:`resolve_workload`.
 """
 
-from repro.workloads.beebs import BENCHMARK_NAMES, benchmark_source, load_benchmark
+from repro.workloads.beebs import BENCHMARK_NAMES, load_benchmark
 from repro.workloads.generator import (
     GeneratorKnobs,
-    RandomWorkload,
     format_gen_spec,
     make_bubblesort,
     make_fibcall,
@@ -33,8 +32,6 @@ from repro.workloads.registry import (
 __all__ = [
     "BENCHMARK_NAMES",
     "GeneratorKnobs",
-    "RandomWorkload",
-    "benchmark_source",
     "canonical_workload_name",
     "format_gen_spec",
     "is_generated",

@@ -50,11 +50,6 @@ def load_workload(name: str) -> Workload:
     return factory()
 
 
-def benchmark_source(name: str) -> str:
-    """Assembly source text of the named benchmark."""
-    return load_workload(name).source
-
-
 @lru_cache(maxsize=None)
 def load_benchmark(name: str) -> Program:
     """Assemble and return the named benchmark program."""

@@ -432,13 +432,13 @@ def _md5_g_index(i: int) -> int:
     return (7 * i) % 16
 
 
-def _md5_single_block(message: bytes) -> Tuple[int, int, int, int]:
-    """MD5 compression of exactly one pre-padded 64-byte block."""
-    assert len(message) == 64
-    m = [int.from_bytes(message[4 * i : 4 * i + 4], "little") for i in range(16)]
+def _md5_partial(block: bytes, rounds: int) -> Tuple[int, int, int, int]:
+    """MD5 compression of one pre-padded 64-byte *block*, run for *rounds*
+    of its 64 rounds (fewer for scaled-down campaign runs)."""
+    m = [int.from_bytes(block[4 * i : 4 * i + 4], "little") for i in range(16)]
     a0, b0, c0, d0 = 0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476
     a, b, c, d = a0, b0, c0, d0
-    for i in range(64):
+    for i in range(rounds):
         if i < 16:
             f = (b & c) | (~b & d)
         elif i < 32:
@@ -448,8 +448,7 @@ def _md5_single_block(message: bytes) -> Tuple[int, int, int, int]:
         else:
             f = c ^ (b | ~d)
         f &= 0xFFFFFFFF
-        g = _md5_g_index(i)
-        total = (a + f + _MD5_K[i] + m[g]) & 0xFFFFFFFF
+        total = (a + f + _MD5_K[i] + m[_md5_g_index(i)]) & 0xFFFFFFFF
         s = _MD5_S[i]
         rotated = ((total << s) | (total >> (32 - s))) & 0xFFFFFFFF
         a, b, c, d = d, (b + rotated) & 0xFFFFFFFF, b, c
@@ -464,9 +463,8 @@ def _md5_single_block(message: bytes) -> Tuple[int, int, int, int]:
 def make_md5(message: bytes = b"delay faults considered harmful", rounds: int = 64) -> Workload:
     """MD5 compression (single padded block, *rounds* of the 64 executed).
 
-    ``rounds=64`` is the genuine MD5 transform.  The reference digest is
-    cross-checked against :mod:`hashlib` in the test suite for full-round,
-    single-block messages.
+    ``rounds=64`` is the genuine MD5 transform, and its reference digest is
+    cross-checked against :mod:`hashlib` here.
     """
     assert len(message) <= 55, "single-block MD5 only"
     block = bytearray(message)
@@ -474,12 +472,10 @@ def make_md5(message: bytes = b"delay faults considered harmful", rounds: int = 
     block.extend(b"\0" * (56 - len(block)))
     block.extend((len(message) * 8).to_bytes(8, "little"))
     block = bytes(block)
+    digest = _md5_partial(block, rounds)
     if rounds == 64:
-        digest = _md5_single_block(block)
         reference = hashlib.md5(message).digest()
         assert b"".join(w.to_bytes(4, "little") for w in digest) == reference
-    else:
-        digest = _md5_partial(block, rounds)
     m_words = [int.from_bytes(block[4 * i : 4 * i + 4], "little") for i in range(16)]
     g_table = [_md5_g_index(i) for i in range(64)]
 
@@ -995,66 +991,9 @@ def _build_random(seed: int, knobs: GeneratorKnobs) -> Workload:
     )
 
 
-@dataclass(frozen=True)
-class RandomWorkload:
-    """A seeded, content-hash-reproducible constrained-random program.
-
-    The pair ``(seed, knobs)`` fully determines the program: generation
-    uses a self-contained splitmix64 stream (never :mod:`random`), so the
-    assembly text — and hence the assembled image and its
-    ``program_signature`` — is byte-identical across processes and
-    platforms.  :attr:`spec` is the canonical ``gen:<seed>[:knob=...]``
-    name the CLI, API, and service resolve back to this builder.
-    """
-
-    seed: int
-    knobs: GeneratorKnobs = GeneratorKnobs()
-
-    @property
-    def spec(self) -> str:
-        return format_gen_spec(self.seed, self.knobs)
-
-    @property
-    def digest(self) -> str:
-        """Content hash of the generation inputs (stable short id)."""
-        body = f"{self.seed}|" + ",".join(
-            f"{name}={getattr(self.knobs, name)}" for name in _KNOB_FIELDS
-        )
-        return hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
-
-    def build(self) -> Workload:
-        return make_random(self.seed, self.knobs)
-
-
 def make_random(
     seed: int = 0, knobs: Optional[GeneratorKnobs] = None
 ) -> Workload:
     """Generate the constrained-random workload for ``(seed, knobs)``."""
     return _build_random(seed, knobs or GeneratorKnobs())
 
-
-def _md5_partial(block: bytes, rounds: int) -> Tuple[int, int, int, int]:
-    """MD5 with a reduced round count (for scaled-down campaign runs)."""
-    m = [int.from_bytes(block[4 * i : 4 * i + 4], "little") for i in range(16)]
-    a0, b0, c0, d0 = 0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476
-    a, b, c, d = a0, b0, c0, d0
-    for i in range(rounds):
-        if i < 16:
-            f = (b & c) | (~b & d)
-        elif i < 32:
-            f = (d & b) | (~d & c)
-        elif i < 48:
-            f = b ^ c ^ d
-        else:
-            f = c ^ (b | ~d)
-        f &= 0xFFFFFFFF
-        total = (a + f + _MD5_K[i] + m[_md5_g_index(i)]) & 0xFFFFFFFF
-        s = _MD5_S[i]
-        rotated = ((total << s) | (total >> (32 - s))) & 0xFFFFFFFF
-        a, b, c, d = d, (b + rotated) & 0xFFFFFFFF, b, c
-    return (
-        (a0 + a) & 0xFFFFFFFF,
-        (b0 + b) & 0xFFFFFFFF,
-        (c0 + c) & 0xFFFFFFFF,
-        (d0 + d) & 0xFFFFFFFF,
-    )

@@ -2,42 +2,32 @@
 
 The campaign session needs a workload's fault-free cycle count *before* its
 instrumented golden run (the equally spaced injection cycles — and therefore
-the checkpoint positions — depend on it).  On a fully cold start that used to
-cost a dedicated probe run: a complete extra simulation of the workload.
+the checkpoint positions — depend on it).  On a fully cold start that costs
+a dedicated probe run: a complete extra simulation of the workload.
 
-Two complementary stores short-circuit the probe:
+:data:`KNOWN_LENGTHS` ships measured lengths for the five bundled BEEBS
+workloads, which short-circuits the probe for them.  Keys are content hashes
+(:func:`repro.core.cache.program_signature`), so a hint can never be applied
+to a workload whose binary image changed — editing a benchmark changes its
+signature and simply misses the table.
 
-- :data:`KNOWN_LENGTHS` ships measured lengths for the five bundled BEEBS
-  workloads.  Keys are content hashes
-  (:func:`repro.core.cache.program_signature`), so a hint can never be
-  applied to a workload whose binary image changed — editing a benchmark
-  changes its signature and simply misses the table.
-- :class:`LengthStore` persists measured lengths for *every* workload into
-  the campaign cache directory (``lengths.json``), keyed the same way.  The
-  first campaign over a constrained-random generated workload measures its
-  length during the golden run and records it; every later campaign in that
-  cache directory — any scope, any sampling — skips the cold probe run.
-
-Both are *soft*: the instrumented golden run measures the true length
-anyway, and if an entry turns out stale (e.g. a simulator behaviour change
+A hint is *soft*: the instrumented golden run measures the true length
+anyway, and if a hint turns out stale (e.g. a simulator behaviour change
 under the same image), :class:`repro.core.campaign.CampaignSession` falls
 back gracefully — it re-samples the injection cycles from the measured
-length and re-runs the instrumented pass, i.e. a stale entry costs exactly
-what the probe used to.
+length and re-runs the instrumented pass, i.e. a stale hint costs exactly
+what the probe would have.  Any other workload is probed once per cache
+scope; the scope's metadata remembers the measured length.
 
 Regenerate the bundled table with ``python -m repro.workloads.lengths``.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Dict, Optional, Tuple
-
-from repro.fileio import atomic_write
+from typing import Optional
 
 #: Cycles a fault-free run may take before it counts as a hang: the cap of
-#: every golden run, and the longest length a hint or store entry may claim.
+#: every golden run, and the longest length a hint may claim.
 MAX_RUN_CYCLES = 200_000
 
 #: program signature -> fault-free cycles to halt (default SoC build)
@@ -53,85 +43,6 @@ KNOWN_LENGTHS = {
 def known_length(signature: str) -> Optional[int]:
     """The measured fault-free cycle count for *signature*, if bundled."""
     return KNOWN_LENGTHS.get(signature)
-
-
-class LengthStore:
-    """Per-cache-dir measured workload lengths: ``lengths.json``.
-
-    One JSON file per verdict-cache directory mapping program signatures to
-    ``[cycles, observables_digest]``.  Unlike the per-scope verdict files,
-    entries here are shared across campaign scopes (different margins,
-    sampling, or netlists): they are advisory, exactly like the bundled
-    :data:`KNOWN_LENGTHS` hints, and the session verifies them against the
-    instrumented golden run with graceful re-sampling on mismatch.
-
-    Writes are read-merge-write with an atomic replace, the same pattern
-    the verdict cache uses; concurrent writers can race, but entries are
-    deterministic measurements, so last-writer-wins loses nothing for
-    agreeing writers and a dropped entry merely costs one future probe.
-    """
-
-    FILENAME = "lengths.json"
-    SCHEMA_VERSION = 1
-
-    def __init__(self, directory):
-        self.directory = Path(directory)
-        self.path = self.directory / self.FILENAME
-        self._entries: Optional[Dict[str, Tuple[int, str]]] = None
-
-    def _read(self) -> Dict[str, Tuple[int, str]]:
-        try:
-            with open(self.path, "r") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return {}
-        if (
-            not isinstance(payload, dict)
-            or payload.get("schema_version") != self.SCHEMA_VERSION
-            or not isinstance(payload.get("lengths"), dict)
-        ):
-            return {}
-        entries: Dict[str, Tuple[int, str]] = {}
-        for signature, value in payload["lengths"].items():
-            if (
-                isinstance(signature, str)
-                and isinstance(value, list)
-                and len(value) == 2
-                and isinstance(value[0], int)
-                and value[0] > 0
-                and isinstance(value[1], str)
-            ):
-                entries[signature] = (value[0], value[1])
-        return entries
-
-    def _load(self) -> Dict[str, Tuple[int, str]]:
-        if self._entries is None:
-            self._entries = self._read()
-        return self._entries
-
-    def get(self, signature: str) -> Optional[Tuple[int, str]]:
-        """``(cycles, observables_digest)`` for *signature*, if recorded."""
-        return self._load().get(signature)
-
-    def put(self, signature: str, cycles: int, digest: str) -> None:
-        """Record a measured length; no-op when already recorded."""
-        entry = (int(cycles), str(digest))
-        if self._load().get(signature) == entry:
-            return
-        # Merge with whatever is on disk so concurrent campaigns over
-        # different workloads never clobber each other's entries.
-        merged = self._read()
-        merged.update(self._load())
-        merged[signature] = entry
-        self._entries = merged
-        payload = {
-            "schema_version": self.SCHEMA_VERSION,
-            "lengths": {
-                sig: [cycles_, digest_]
-                for sig, (cycles_, digest_) in sorted(merged.items())
-            },
-        }
-        atomic_write(self.path, json.dumps(payload))
 
 
 def _measure() -> None:  # pragma: no cover - regeneration utility

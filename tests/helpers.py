@@ -1,4 +1,5 @@
-"""Shared test utilities: tiny environments, harness builders, RNG circuits."""
+"""Shared test utilities: tiny environments, harness builders, RNG circuits,
+and the brute-force reference models the fast paths are checked against."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from repro.netlist.netlist import CONST0, CONST1, Netlist
 from repro.netlist.validate import validate
 from repro.sim.cyclesim import CycleSimulator, Environment
 from repro.sim.levelize import compute_cell_levels
+from repro.soc.ecc import DATA_BITS, DATA_POSITIONS, PARITY_BITS
 
 
 class ScriptedEnv(Environment):
@@ -337,3 +339,31 @@ def scalar_savf(system, program, config, structure, max_bits, seed):
         due_count=outcomes.count(Outcome.DUE),
     )
     return result, session.telemetry
+
+
+def encode_word(data: int) -> int:
+    """Software Hamming(38,32) model: encode 32-bit *data* into a 38-bit
+    codeword (data low, parity high), for checking :mod:`repro.soc.ecc`."""
+    parity = 0
+    for j in range(PARITY_BITS):
+        p = 0
+        for i, pos in enumerate(DATA_POSITIONS):
+            if pos & (1 << j):
+                p ^= (data >> i) & 1
+        parity |= p << j
+    return (data & 0xFFFFFFFF) | (parity << DATA_BITS)
+
+
+def decode_word(code: int) -> Tuple[int, int]:
+    """Decode a 38-bit codeword; returns ``(corrected_data, syndrome)``."""
+    syndrome = 0
+    for j in range(PARITY_BITS):
+        s = (code >> (DATA_BITS + j)) & 1
+        for i, pos in enumerate(DATA_POSITIONS):
+            if pos & (1 << j):
+                s ^= (code >> i) & 1
+        syndrome |= s << j
+    data = code & 0xFFFFFFFF
+    if syndrome in DATA_POSITIONS:
+        data ^= 1 << DATA_POSITIONS.index(syndrome)
+    return data, syndrome

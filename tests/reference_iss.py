@@ -1,10 +1,11 @@
-"""Architectural reference ISS (instruction-set simulator).
+"""Architectural reference ISS (instruction-set simulator): a test oracle.
 
 Executes RV32I semantics directly, serving as the golden model:
 
 - the gate-level IbexMini core is co-verified against it instruction by
-  instruction in the test suite;
-- workload tests use it to compute expected program output quickly.
+  instruction;
+- workload and generator tests use it to compute expected program output
+  quickly.
 
 The ISS shares the platform's MMIO conventions (an *output region* whose
 stores constitute the program-visible output, and a *halt address* whose

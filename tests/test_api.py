@@ -168,29 +168,21 @@ def test_partly_warm_sweep_simulates_only_the_cold_workload(tmp_path):
 
 @pytest.mark.parametrize("stale_cycles", [700, 900])
 def test_stale_length_store_entry_resamples_before_planning(
-    tmp_path, stale_cycles
+    tmp_path, monkeypatch, stale_cycles
 ):
-    """A wrong cross-scope length re-samples before it samples a plan.
+    """A stale bundled length hint re-samples before it samples a plan.
 
     libstrstr halts after 746 cycles.  Through one engine the scalar
-    golden run detects the stale entry; in a two-workload sweep the packed
+    golden run detects the stale hint; in a two-workload sweep the packed
     word's lane fails adoption first and the session falls back to it; an
-    sAVF run verifies the length before it samples its cycles too, and so
-    does the coordinator of a ``jobs=2`` worker fleet.  Either way the
-    results are those of a run without the entry.
+    sAVF run verifies the length before it samples its cycles too.  Either
+    way the results are those of a run with the true hint.
     """
     from repro.core.cache import program_signature
-    from repro.workloads.lengths import LengthStore
+    from repro.workloads import lengths
 
-    def run(cache_dir, stale, mode):
-        if stale:
-            LengthStore(cache_dir).put(
-                program_signature(load_benchmark("libstrstr")),
-                stale_cycles, "0" * 64,
-            )
-        config = dataclasses.replace(
-            SMALL, cache_dir=str(cache_dir), jobs=2 if mode == "jobs" else 1
-        )
+    def run(cache_dir, mode):
+        config = dataclasses.replace(SMALL, cache_dir=str(cache_dir))
         if mode == "sweep":
             result = api.sweep(
                 ("alu",), ("libstrstr", "libfibcall"), config=config
@@ -205,19 +197,21 @@ def test_stale_length_store_entry_resamples_before_planning(
         return result, counters, session.total_cycles
 
     references = {
-        mode: run(tmp_path / f"reference-{mode}", False, mode)
+        mode: run(tmp_path / f"reference-{mode}", mode)
         for mode in ("analyze", "savf")
     }
-    for mode, golden_runs in (
-        ("analyze", 2), ("sweep", 3), ("savf", 2), ("jobs", None),
-    ):
+    monkeypatch.setitem(
+        lengths.KNOWN_LENGTHS,
+        program_signature(load_benchmark("libstrstr")),
+        stale_cycles,
+    )
+    for mode, golden_runs in (("analyze", 2), ("sweep", 3), ("savf", 2)):
         reference, _, true_length = references[
             "savf" if mode == "savf" else "analyze"
         ]
-        result, counters, length = run(tmp_path / mode, True, mode)
+        result, counters, length = run(tmp_path / mode, mode)
         assert counters.get("stale_length_hints") == 1, mode
-        if golden_runs is not None:  # fleet workers run their own too
-            assert counters.get("golden_runs") == golden_runs, mode
+        assert counters.get("golden_runs") == golden_runs, mode
         assert length == true_length == 746
         assert result == reference, mode
         if mode != "savf":

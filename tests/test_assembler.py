@@ -2,10 +2,10 @@
 
 import pytest
 
+from reference_iss import run_program
 from repro.isa.assembler import AssemblerError, assemble
 from repro.isa.disasm import disassemble
 from repro.isa.encoding import encode
-from repro.isa.reference import run_program
 
 
 def words(program):

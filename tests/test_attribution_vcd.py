@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.core.attribution import InstructionAttributor, InstructionContext
+from repro.core.attribution import InstructionAttributor
 from repro.isa.disasm import disassemble
 from repro.sim.vcd import VcdWriter, dump_cycle_trace, dump_cycle_waveforms
 

@@ -3,18 +3,7 @@
 import pytest
 
 from repro.core.campaign import CampaignConfig, DelayAVFEngine
-from repro.core.delay_model import DEFAULT_DELAY_FRACTIONS, DelayFault
-from repro.netlist.netlist import Wire
-
-
-def test_delay_fault_validation():
-    wire = Wire(0, None)
-    with pytest.raises(ValueError):
-        DelayFault(wire, 0, 0.0)
-    with pytest.raises(ValueError):
-        DelayFault(wire, 0, 1.0)
-    fault = DelayFault(wire, 3, 0.5)
-    assert fault.extra_delay_ps(1000.0) == 500.0
+from repro.core.delay_model import DEFAULT_DELAY_FRACTIONS
 
 
 def test_default_delay_sweep():

@@ -22,7 +22,6 @@ from repro import api
 from repro.cli import main
 from repro.core.cache import (
     VerdictCache,
-    compute_payload_sha256,
     verify_cache_dir,
     verify_scope_file,
 )

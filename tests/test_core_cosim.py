@@ -7,8 +7,8 @@ fetch, decode, execute, memory, and writeback.
 
 import pytest
 
+from reference_iss import run_program
 from repro.isa.assembler import assemble
-from repro.isa.reference import run_program
 
 EPILOGUE = """
     li t0, 0x10001000

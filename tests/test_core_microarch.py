@@ -1,7 +1,5 @@
 """Microarchitectural timing/behaviour of the execute stage and LSU flow."""
 
-import pytest
-
 from repro.isa.assembler import assemble
 
 HALT = "\nli t0, 0x10001000\nsw x0, 0(t0)\n"

@@ -1,11 +1,9 @@
 """Zero-delay cycle simulator: stepping, checkpoints, injection, fingerprints."""
 
 import numpy as np
-import pytest
 
 from helpers import ScriptedEnv, random_circuit
 from repro.hdl.ops import Reg, adder, const_bus
-from repro.netlist.cells import CellKind
 from repro.netlist.netlist import Netlist
 from repro.netlist.validate import validate
 from repro.sim.cyclesim import CycleSimulator

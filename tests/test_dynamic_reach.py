@@ -1,10 +1,5 @@
 """Dynamic reachability wrapper: shortcuts and invariants on the real core."""
 
-import pytest
-
-from repro.core.group_ace import Outcome
-from repro.netlist.netlist import PinType
-
 
 def test_dynamic_subset_of_static_on_core(strstr_engine):
     session = strstr_engine.session

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import comb_harness
+from helpers import comb_harness, decode_word, encode_word
 from repro.soc import ecc
 
 u32 = st.integers(0, 0xFFFFFFFF)
@@ -20,8 +20,8 @@ def test_layout_constants():
 @settings(max_examples=80)
 @given(data=u32)
 def test_clean_codeword_decodes_identically(data):
-    code = ecc.encode_word(data)
-    decoded, syndrome = ecc.decode_word(code)
+    code = encode_word(data)
+    decoded, syndrome = decode_word(code)
     assert syndrome == 0
     assert decoded == data
 
@@ -30,8 +30,8 @@ def test_clean_codeword_decodes_identically(data):
 @given(data=u32, bit=st.integers(0, ecc.CODE_BITS - 1))
 def test_single_error_corrected(data, bit):
     """The paper's SEC property: any single stored-bit flip is corrected."""
-    code = ecc.encode_word(data) ^ (1 << bit)
-    decoded, syndrome = ecc.decode_word(code)
+    code = encode_word(data) ^ (1 << bit)
+    decoded, syndrome = decode_word(code)
     assert syndrome != 0
     assert decoded == data
 
@@ -48,10 +48,10 @@ def test_double_error_not_corrected(data, bits):
     recover the word (the syndrome points elsewhere).  Two parity-bit flips
     leave the data intact, which is also not a correction failure.
     """
-    code = ecc.encode_word(data)
+    code = encode_word(data)
     for bit in bits:
         code ^= 1 << bit
-    decoded, syndrome = ecc.decode_word(code)
+    decoded, syndrome = decode_word(code)
     assert syndrome != 0  # SEC always sees *something*...
     if any(bit < ecc.DATA_BITS for bit in bits):
         assert decoded != data  # ...but the decode is wrong
@@ -79,17 +79,17 @@ def corrector_sim():
 @given(data=u32)
 def test_gate_encoder_matches_software(encoder_sim, data):
     parity = encoder_sim.evaluate_combinational({"d": data})["p"]
-    assert parity == ecc.encode_word(data) >> 32
+    assert parity == encode_word(data) >> 32
 
 
 @settings(max_examples=40)
 @given(data=u32, flip=st.integers(-1, ecc.CODE_BITS - 1))
 def test_gate_corrector_matches_software(corrector_sim, data, flip):
-    code = ecc.encode_word(data)
+    code = encode_word(data)
     if flip >= 0:
         code ^= 1 << flip
     hw = corrector_sim.evaluate_combinational({"c": code})["d"]
-    sw, _ = ecc.decode_word(code)
+    sw, _ = decode_word(code)
     assert hw == sw
     # A single error (or none) is always corrected back to the original data.
     assert hw == data

@@ -4,8 +4,6 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from helpers import ScriptedEnv, frontier_walk_errors, random_circuit
 from repro.netlist.cells import CellKind

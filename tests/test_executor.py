@@ -49,7 +49,7 @@ def test_build_plan_one_shard_per_cycle(strstr_engine):
         assert shard.structure == "alu"
         assert shard.wire_indices == plan.wire_indices
         assert shard.delay_fractions == plan.delay_fractions
-    assert plan.total_injections == (
+    assert sum(shard.injections for shard in plan.shards) == (
         len(plan.sampled_cycles) * len(plan.wire_indices) * len(plan.delay_fractions)
     )
 

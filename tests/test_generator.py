@@ -6,12 +6,11 @@ import sys
 
 import pytest
 
+from reference_iss import run_program
 from repro.core.cache import program_signature
 from repro.isa.assembler import assemble
-from repro.isa.reference import run_program
 from repro.workloads.generator import (
     GeneratorKnobs,
-    RandomWorkload,
     _rng_words,
     _splitmix64,
     format_gen_spec,
@@ -190,11 +189,3 @@ def test_generated_program_runs_on_gate_level_core(system, spec):
     result = system.run_program(program, max_cycles=60_000)
     assert result.halted
     assert result.observables == workload.expected_output
-
-
-def test_random_workload_digest_distinguishes_knobs():
-    base = RandomWorkload(3)
-    assert base.spec == "gen:3"
-    other = RandomWorkload(3, GeneratorKnobs(pattern="chase"))
-    assert base.digest != other.digest
-    assert base.build().source == make_random(3).source

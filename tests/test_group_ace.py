@@ -1,10 +1,7 @@
 """GroupACE: outcome classification, convergence, caching."""
 
-import pytest
-
 from repro.core.group_ace import GroupAceAnalyzer, Outcome
 from repro.isa.assembler import assemble
-from repro.workloads.beebs import expected_output
 
 
 def _dff_index(system, name):

@@ -11,7 +11,6 @@ from repro.core.guards import (
     GuardViolation,
     apply_guards,
     check_campaign_result,
-    check_ecc_savf,
     ensure_preflight,
     preflight_cache_dir,
     preflight_campaign,
@@ -22,7 +21,6 @@ from repro.core.guards import (
 from repro.core.results import (
     DelayAVFResult,
     InjectionRecord,
-    SAVFResult,
     StructureCampaignResult,
 )
 from repro.core.telemetry import CampaignTelemetry
@@ -204,19 +202,6 @@ def test_apply_guards_annotates_and_counts():
 def test_guard_violation_render():
     v = GuardViolation("some-code", "detail")
     assert v.render() == "some-code: detail"
-
-
-def test_check_ecc_savf():
-    baseline = SAVFResult("alu", "bench", samples=400, ace_count=40,
-                          sdc_count=30, due_count=10)
-    similar = SAVFResult("alu", "bench", samples=400, ace_count=48,
-                         sdc_count=38, due_count=10)
-    assert check_ecc_savf(baseline, similar) is None
-    worse = SAVFResult("alu", "bench", samples=400, ace_count=120,
-                       sdc_count=100, due_count=20)
-    violation = check_ecc_savf(baseline, worse)
-    assert violation is not None
-    assert violation.code == "ecc-raises-savf"
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,6 @@ from repro.hdl.ops import (
     gate_bus,
     lt_signed,
     lt_unsigned,
-    mux,
     muxn,
     onehot_mux,
     reduce_and,

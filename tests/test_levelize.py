@@ -5,7 +5,7 @@ import pytest
 
 from helpers import eval_batches, naive_settle, random_circuit
 from repro.netlist.cells import CellKind
-from repro.netlist.netlist import CONST0, CONST1, Netlist
+from repro.netlist.netlist import CONST1, Netlist
 from repro.sim.levelize import compute_cell_levels, levelize
 
 

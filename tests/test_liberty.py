@@ -6,7 +6,6 @@ from repro.netlist.cells import CellKind
 from repro.timing.liberty import (
     NANGATE45ISH,
     CellTiming,
-    TimingLibrary,
     dump_library,
     parse_library,
 )

@@ -9,7 +9,6 @@ from repro.netlist.netlist import (
     DriverKind,
     Netlist,
     PinType,
-    SinkPin,
     Wire,
 )
 from repro.netlist.stats import structure_stats
@@ -69,7 +68,8 @@ def test_scoped_names():
             dff = nl.add_dff("r")
     assert nl.net_names[net] == "core.alu.x"
     assert dff.name == "core.alu.r"
-    assert nl.scope_path == ""
+    # Leaving the scopes pops them: later names are top-level again.
+    assert nl.net_names[nl.add_net("y")] == "y"
 
 
 def test_input_port_duplicate_rejected():
@@ -192,4 +192,4 @@ def test_outport_slot_roundtrip():
     nl.freeze()
     sinks = nl.fanout_of(a[1])
     (slot,) = [s for s in sinks if s.pin_type == PinType.OUTPORT]
-    assert nl.outport_slot(slot.owner) == ("o", 1)
+    assert nl.sink_owner_name(slot) == "o[1]"

@@ -87,7 +87,6 @@ def test_wordline_output_fault_latches_stale_word(ecc_strstr_engine, ecc_system)
     correctable by SEC."""
     from repro.netlist.cells import CellKind
     from repro.netlist.netlist import DriverKind
-    from repro.soc import ecc as ecc_mod
 
     nl = ecc_system.netlist
     enable_counts = {}

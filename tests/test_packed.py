@@ -11,7 +11,7 @@ from helpers import (
 )
 from repro.core.campaign import CampaignConfig, DelayAVFEngine
 from repro.core.group_ace import GroupAceAnalyzer
-from repro.netlist.cells import CellKind, cell_input_count, eval_cell, eval_cell_array
+from repro.netlist.cells import CellKind, cell_input_count, eval_cell_array
 from repro.sim.cyclesim import CycleSimulator
 from repro.sim.packed import MAX_LANES, PackedCycleSimulator
 

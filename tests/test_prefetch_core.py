@@ -5,9 +5,6 @@ these tests check the *microarchitectural* properties: fetch throughput,
 buffer occupancy bounds, and wrong-path discarding.
 """
 
-import numpy as np
-import pytest
-
 from repro.isa.assembler import assemble
 
 

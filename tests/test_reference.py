@@ -2,8 +2,8 @@
 
 import pytest
 
+from reference_iss import ReferenceCPU, TrapError, run_program
 from repro.isa.assembler import assemble
-from repro.isa.reference import ReferenceCPU, TrapError, run_program
 
 
 def exec_snippet(body: str, max_instructions: int = 10000):

@@ -18,7 +18,6 @@ from repro.core.results import (
 )
 from repro.errors import (
     CacheError,
-    DuplicateJobError,
     ERROR_TAXONOMY,
     InputError,
     JobTimeoutError,
@@ -99,11 +98,10 @@ def test_result_from_payload_dispatches_on_kind():
 def test_taxonomy_maps_every_code():
     assert ERROR_TAXONOMY["input"] == (1, 400)
     assert ERROR_TAXONOMY["unknown-job"] == (1, 404)
-    assert ERROR_TAXONOMY["duplicate-job"] == (1, 409)
     assert ERROR_TAXONOMY["draining"] == (1, 503)
     for exc in (
         InputError("x"), CacheError("x"), UnknownJobError("x"),
-        DuplicateJobError("x"), ServiceDrainingError("x"),
+        ServiceDrainingError("x"),
     ):
         assert exit_code_for(exc) == ERROR_TAXONOMY[exc.code][0]
         assert http_status_for(exc) == ERROR_TAXONOMY[exc.code][1]
@@ -536,14 +534,30 @@ def test_genwork_spec_validation():
     spec = JobSpec.from_payload(GENWORK_SPEC)
     assert spec.benchmarks == ()
     assert spec.label == "gen[2]/alu:genwork"
-    # Canonical form round-trips through journal replay.
-    assert JobSpec.from_canonical(spec.canonical()).job_id == spec.job_id
 
 
 def test_genwork_fields_do_not_perturb_existing_job_ids():
-    # Adding the genwork kind must not change analyze/sweep/savf content
-    # addresses, or every persisted journal would orphan its jobs.
+    # from_payload rejects genwork-only fields on other kinds, so their
+    # canonical form (which replay validates) must not carry them.
     assert "count" not in JobSpec.from_payload(ANALYZE_SPEC).canonical()
+
+
+@pytest.mark.parametrize("payload", [
+    ANALYZE_SPEC,
+    {**ANALYZE_SPEC, "target_half_width": 0.05, "confidence": 0.9},
+    {"kind": "sweep", "structures": ["alu", "lsu"],
+     "benchmarks": ["libstrstr", "md5"], "config": SMALL_CONFIG, "ecc": True},
+    {"kind": "savf", "structure": "regfile", "benchmark": "libstrstr",
+     "bits": 3, "seed": 5, "config": SMALL_CONFIG},
+    GENWORK_SPEC,
+], ids=["analyze", "analyze-adaptive", "sweep", "savf", "genwork"])
+def test_canonical_form_is_a_submission_that_round_trips(payload):
+    """Journal replay validates a spec's canonical form exactly like a
+    submission, so that form must parse back to the same spec and id."""
+    spec = JobSpec.from_payload(payload)
+    again = JobSpec.from_payload(spec.canonical())
+    assert again == spec
+    assert again.job_id == spec.job_id
 
 
 def test_generated_spec_canonicalizes_in_job_identity():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import ScriptedEnv, comb_harness
+from helpers import ScriptedEnv
 from repro.netlist.netlist import Netlist
 from repro.netlist.validate import validate
 from repro.sim.cyclesim import CycleSimulator

@@ -9,7 +9,6 @@ from helpers import heap_walk_reachable, random_circuit
 from repro.netlist.cells import CellKind
 from repro.netlist.netlist import Netlist, PinType, SinkPin, Wire
 from repro.netlist.validate import validate
-from repro.sim.eventsim import EventSimulator
 from repro.timing.liberty import NANGATE45ISH, CellTiming, TimingLibrary
 from repro.timing.sta import StaticTiming
 

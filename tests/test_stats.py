@@ -1,6 +1,5 @@
 """Unit tests for the uncertainty-quantification helpers (core/stats.py)."""
 
-import math
 import pickle
 
 import pytest

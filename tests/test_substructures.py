@@ -1,7 +1,5 @@
 """Macro-level (sub-structure) analysis support (§V-C)."""
 
-import pytest
-
 MACRO_SCOPES = [
     "core.alu.adder",
     "core.alu.cmp",

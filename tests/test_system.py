@@ -5,7 +5,7 @@ import pytest
 from repro.isa.assembler import assemble
 from repro.netlist.stats import structure_stats
 from repro.soc import memmap
-from repro.soc.system import MemoryEnvironment, build_system
+from repro.soc.system import MemoryEnvironment
 from repro.workloads.beebs import load_benchmark
 
 

@@ -2,11 +2,10 @@
 
 import pytest
 
+from reference_iss import run_program
 from repro.core.cache import program_signature
-from repro.isa.reference import run_program
 from repro.workloads.beebs import (
     BENCHMARK_NAMES,
-    benchmark_source,
     expected_output,
     load_benchmark,
     load_workload,
@@ -111,4 +110,3 @@ def test_fibcall_parameterized():
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
 def test_sources_are_cached(name):
     assert load_benchmark(name) is load_benchmark(name)
-    assert benchmark_source(name) == benchmark_source(name)
