@@ -9,7 +9,8 @@ optional `REPRO_BENCH_CACHE` verdict cache); the accumulated campaign
 telemetry is printed after the figure so speedups are attributable.  With
 `REPRO_BENCH_REQUIRE_BATCH=1` the bench additionally fails unless the batched
 timing-aware engine actually ran — guarding against a silent fallback to
-per-injection scalar resimulation — and with
+per-injection scalar resimulation — and unless a packed GroupACE word
+refilled a retired lane from its queue; with
 `REPRO_BENCH_REQUIRE_PACKED_CONES=1` unless the word-packed cone pass ran at
 >= 50% mean word occupancy (the CI fig7 smoke sets both).
 """
@@ -68,6 +69,10 @@ def test_fig7_structure_delayavf(benchmark):
         assert combined.count("batch_resims") > 0, (
             "cold fig7 run reported zero batch_resims — the batched "
             "timing-aware engine never ran"
+        )
+        assert combined.count("lane_refills") > 0, (
+            "cold fig7 run reported zero lane_refills — GroupACE ran one "
+            "word per chunk instead of refilling retired lanes"
         )
     if os.environ.get("REPRO_BENCH_REQUIRE_PACKED_CONES"):
         # Packed-cone gate: the word-packed cone pass must actually engage

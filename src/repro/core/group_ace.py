@@ -25,6 +25,8 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.telemetry import CampaignTelemetry
 from repro.isa.assembler import Program
 from repro.sim.cyclesim import Checkpoint, CycleSimulator, RunResult
@@ -67,7 +69,7 @@ class GroupAceAnalyzer:
         verdict_cache=None,
         telemetry: Optional[CampaignTelemetry] = None,
     ):
-        if not golden.fingerprints:
+        if not golden.fingerprints or golden.dff_rows is None:
             raise ValueError("golden run must be recorded with fingerprints")
         self.system = system
         self.program = program
@@ -144,13 +146,14 @@ class GroupAceAnalyzer:
         """Batch-resolve many error sets into the cache (lane-parallel).
 
         Deduplicates against the cache and within *sets*, then runs the
-        remaining unique injections in groups of up to *lanes* on the packed
-        bit-plane simulator.  Subsequent :meth:`outcome_of_state_errors`
-        calls for these sets are cache hits, so callers can keep using the
-        scalar API unchanged.
+        remaining unique injections through one packed word of up to
+        *lanes* lanes, each lane taking the next injection once its run
+        resolves (:func:`prefetch_spanning_multi`).  Subsequent
+        :meth:`outcome_of_state_errors` calls for these sets are cache hits,
+        so callers can keep using the scalar API unchanged.
 
         Campaigns always pack :data:`MAX_LANES` wide; narrower *lanes* serve
-        the width ablation and the chunk-boundary tests.  Raises
+        the width ablation and the refill tests.  Raises
         ``ValueError`` for a width outside ``1..MAX_LANES`` (a programming
         error, not something to silently clamp).
         """
@@ -286,16 +289,22 @@ def prefetch_spanning_multi(
 
     The widest packing: analyzers for different workloads (programs) share
     one netlist — everything program-specific lives in the per-lane
-    environment — so their injected runs pack into the same 64-lane words.
+    environment — so their injected runs pack into the same 64-lane word.
     Each lane converges against the golden fingerprints, budget, and
     observables of *its own* workload; deduplication, verdict-cache flow,
     and outcomes per analyzer are identical to :meth:`prefetch_spanning`.
 
-    Analyzers whose netlist differs from the first group's (e.g. an ECC
-    variant among plain ones) are resolved in their own batches rather than
-    rejected.  Batch-level telemetry (``lane_batches``/``lane_slots``) is
-    attributed to the first analyzer of each batch; per-lane counters go to
-    each lane's own analyzer.
+    Each netlist's unresolved injections form one queue, longest first, run
+    by one word of ``min(lanes, len(queue))`` lanes (:class:`_LaneQueue`):
+    a lane whose run resolves takes the next queued injection.  Analyzers
+    whose netlist differs from the first group's (e.g. an ECC variant among
+    plain ones) get their own queue rather than being rejected.
+
+    Telemetry: per queue, ``lane_batches`` (words), ``lanes_filled``
+    (active lane-steps), ``lane_slots`` (width × word-steps) and
+    ``lane_refills`` go to the queue's first analyzer, so its
+    ``lanes_filled / lane_slots`` is the word's time-integrated occupancy;
+    ``group_ace_runs`` goes to each run's own analyzer.
     """
     lanes = int(lanes)
     if not 1 <= lanes <= MAX_LANES:
@@ -308,116 +317,271 @@ def prefetch_spanning_multi(
     by_netlist: Dict[int, List[_LaneTask]] = {}
     for task in tasks:
         by_netlist.setdefault(id(task.analyzer.sim.netlist), []).append(task)
-    for netlist_tasks in by_netlist.values():
-        # A word steps until its slowest lane resolves: longest lanes first.
-        netlist_tasks.sort(key=lambda t: t.checkpoint.cycle - t.analyzer.golden.cycles)
-        for start in range(0, len(netlist_tasks), lanes):
-            chunk = netlist_tasks[start : start + lanes]
-            outcomes = _run_lane_tasks(chunk, at_next_boundary)
-            owner = chunk[0].analyzer.telemetry
-            owner.incr("lane_batches")
-            owner.incr("lane_slots", lanes)
-            for task, outcome in zip(chunk, outcomes):
-                task.analyzer.telemetry.incr("lanes_filled")
-                task.analyzer.telemetry.incr("group_ace_runs")
-                task.analyzer._store_outcome(task, outcome, at_next_boundary)
+    for queue in by_netlist.values():
+        # Longest lanes first, so the word's last steps are not spent on
+        # one long run after the queue has drained.
+        queue.sort(key=lambda t: t.checkpoint.cycle - t.analyzer.golden.cycles)
+        outcomes = _LaneQueue(queue, at_next_boundary, lanes).run()
+        for task, outcome in zip(queue, outcomes):
+            task.analyzer.telemetry.incr("group_ace_runs")
+            task.analyzer._store_outcome(task, outcome, at_next_boundary)
 
 
-def _run_lane_tasks(
-    tasks: Sequence[_LaneTask], at_next_boundary: bool
-) -> List[Outcome]:
-    """Run up to :data:`MAX_LANES` injections simultaneously.
+class _LaneQueue:
+    """One packed word running a queue of injections, refilling retired lanes.
 
-    Bit-exact with :meth:`GroupAceAnalyzer._run_injected` per lane: the same
-    fingerprint convergence checks, halt handling, and DUE budget are
-    applied at the same (per-lane absolute) cycle boundaries — each lane
-    compares against the golden fingerprints and observables of its own
-    analyzer's workload and burns that analyzer's DUE budget from its own
-    start cycle.
+    Bit-exact with :meth:`GroupAceAnalyzer._run_injected` per injection: the
+    same checks, halt handling and DUE budget at the same (per-lane
+    absolute) cycle boundaries, against the golden run of the injection's
+    own analyzer.  With ``at_next_boundary`` a freshly loaded lane makes its
+    fault-free pre-step on the next word-step, takes its overrides after
+    it, and is not checked before then.
+
+    Each check starts with one bit-sliced pass over the whole word:
+
+    - *Convergence.*  Lanes loaded from one checkpoint stay in lockstep, so
+      one golden DFF row per (golden run, cycle) group, times the group's
+      lane mask, builds the expected DFF word; one XOR with the word and one
+      OR-reduce flag every lane whose DFFs differ from its golden state.
+      Only the others pay the full state fingerprint.
+    - *Loops.*  Past the golden run's end a lane can only halt or burn its
+      budget, and the system (DFFs, inputs, environment) is closed and
+      deterministic: a lane that revisits a state never halts, so it is DUE
+      at once.  Each tail lane keeps one saved state (Brent's cycle
+      detection): its DFF plane in one bit-sliced word, replaced at
+      power-of-two intervals, plus its inputs and environment fingerprint.
+      One XOR and OR-reduce finds the lanes whose DFFs equal their saved
+      plane; only those compare the rest.  A loop may be found later than
+      by keeping every state, but the budget still ends it as DUE.
     """
-    count = len(tasks)
-    psim = tasks[0].analyzer._packed
-    envs = [
-        task.analyzer.system.make_env(task.analyzer.program) for task in tasks
-    ]
-    psim.load_lanes(
-        [(task.checkpoint, env) for task, env in zip(tasks, envs)]
-    )
-    if at_next_boundary:
-        psim.step()
-    for lane, task in enumerate(tasks):
-        psim.override_lane_dffs(lane, task.overrides)
-    # Per-lane convergence context: each lane resolves against its own
-    # workload's golden run.
-    golden_fps = [task.analyzer.golden.fingerprints for task in tasks]
-    golden_obs = [task.analyzer.golden.observables for task in tasks]
-    budgets = [
-        task.analyzer.golden.cycles + task.analyzer.margin_cycles
-        for task in tasks
-    ]
-    stats = [task.analyzer.stats for task in tasks]
-    for s in stats:
-        s.runs += 1
-    steps_taken = 0
-    outcomes: List[Outcome] = [Outcome.MASKED] * count
-    unresolved = set(range(count))
-    # Loop detection for the post-golden margin tail: past the golden
-    # run's end a lane can only halt or burn the DUE budget.  The system
-    # (DFFs + inputs + environment) is deterministic and closed, so a
-    # lane that revisits a full state it has already been in can never
-    # halt — it is provably DUE right now, no need to simulate the rest
-    # of the margin.  Hashes gate an exact full-state comparison, so a
-    # hash collision can never misclassify a lane.
-    seen_states: Dict[int, Dict[int, Tuple]] = {}
 
-    def resolve(lane: int, outcome: Outcome) -> None:
-        outcomes[lane] = outcome
-        unresolved.discard(lane)
-        psim.retire_lane(lane)
-        seen_states.pop(lane, None)
+    def __init__(
+        self, tasks: Sequence[_LaneTask], at_next_boundary: bool, lanes: int
+    ):
+        self.tasks = tasks
+        self.at_next_boundary = at_next_boundary
+        self.width = width = min(lanes, len(tasks))
+        self.psim: PackedCycleSimulator = tasks[0].analyzer._packed
+        self.outcomes: List[Optional[Outcome]] = [None] * len(tasks)
+        self._queued = iter(range(len(tasks)))
+        #: per lane: the index of the task it runs (-1 once retired), that
+        #: task's analyzer, golden length and DUE budget, the lane's
+        #: environment, and the word-step count when it was loaded
+        self.lane_task = [-1] * width
+        self.analyzers: List[Optional[GroupAceAnalyzer]] = [None] * width
+        self.golden_ends = [0] * width
+        self.budgets = [0] * width
+        self.envs: List = [None] * width
+        self.started = [0] * width
+        #: lanes whose fault-free pre-step is still to come (bitmask)
+        self.pending = 0
+        self.steps = 0
+        self.lane_steps = 0
+        self.refills = 0
+        # Loop check: lanes holding a saved state (bitmask), their DFF
+        # planes, their inputs and environment fingerprints, and Brent's
+        # interval and count per lane.
+        self.saved = 0
+        self.saved_dffs: Optional[np.ndarray] = None
+        self.saved_rest: List[Optional[Tuple]] = [None] * width
+        self.power = [0] * width
+        self.since_save = [0] * width
 
-    while unresolved:
-        for lane in sorted(unresolved):
-            cycle = psim.lane_cycles[lane]
-            fps = golden_fps[lane]
-            if cycle < len(fps):
-                if psim.lane_fingerprint(lane) == fps[cycle]:
-                    produced = envs[lane].observables()
-                    stats[lane].converged += 1
-                    resolve(
-                        lane,
-                        Outcome.MASKED
-                        if produced == golden_obs[lane][: len(produced)]
-                        else Outcome.SDC,
-                    )
-            elif cycle >= budgets[lane]:
-                stats[lane].timed_out += 1
-                resolve(lane, Outcome.DUE)
-            else:
-                state = (
-                    psim.lane_dff_values(lane).tobytes(),
-                    tuple(sorted(psim.lane_inputs[lane].items())),
-                    envs[lane].fingerprint(),
+    def run(self) -> List[Outcome]:
+        psim = self.psim
+        first = [next(self._queued) for _ in range(self.width)]
+        envs = [self._make_env(index) for index in first]
+        psim.load_lanes(
+            [(self.tasks[i].checkpoint, env) for i, env in zip(first, envs)]
+        )
+        self.saved_dffs = np.zeros_like(psim.dff_values)
+        for lane, (index, env) in enumerate(zip(first, envs)):
+            self._start(lane, index, env)
+        check = list(range(self.width))
+        while True:
+            # Check every lane at its boundary, then the lanes that took a
+            # new injection meanwhile (they start at this boundary too).
+            while check:
+                check = self._check(
+                    [lane for lane in check if not self.pending >> lane & 1]
                 )
-                lane_seen = seen_states.setdefault(lane, {})
-                previous = lane_seen.setdefault(hash(state), state)
-                if previous is not state and previous == state:
-                    stats[lane].timed_out += 1
-                    resolve(lane, Outcome.DUE)
-        if not unresolved:
-            break
-        psim.step()
-        steps_taken += 1
-        for lane in sorted(unresolved):
-            if envs[lane].halted():
-                produced = envs[lane].observables()
-                if produced == golden_obs[lane]:
-                    outcome = Outcome.MASKED
-                elif any(e and e[0] == "trap" for e in produced):
-                    outcome = Outcome.DUE
+            running = [
+                lane for lane, index in enumerate(self.lane_task) if index >= 0
+            ]
+            if not running:
+                break
+            psim.step()
+            self.steps += 1
+            self.lane_steps += len(running)
+            for lane in running:
+                bit = 1 << lane
+                if self.pending & bit:
+                    self.pending ^= bit
+                    overrides = self.tasks[self.lane_task[lane]].overrides
+                    psim.override_lane_dffs(lane, overrides)
+                    check.append(lane)
+                elif self.envs[lane].halted():
+                    if self._resolve(lane, self._halt_outcome(lane)):
+                        check.append(lane)
                 else:
-                    outcome = Outcome.SDC
-                stats[lane].ran_to_halt += 1
-                resolve(lane, outcome)
-    tasks[0].analyzer.stats.cycles_simulated += steps_taken
-    return outcomes
+                    check.append(lane)
+        owner = self.tasks[0].analyzer.telemetry
+        owner.incr("lane_batches")
+        owner.incr("lanes_filled", self.lane_steps)
+        owner.incr("lane_slots", self.width * self.steps)
+        owner.incr("lane_refills", self.refills)
+        return self.outcomes
+
+    # ------------------------------------------------------------------
+    def _make_env(self, index: int):
+        analyzer = self.tasks[index].analyzer
+        return analyzer.system.make_env(analyzer.program)
+
+    def _start(self, lane: int, index: int, env) -> None:
+        """Bookkeeping for a lane just loaded with task *index*."""
+        task = self.tasks[index]
+        analyzer = task.analyzer
+        analyzer.stats.runs += 1
+        self.lane_task[lane] = index
+        self.analyzers[lane] = analyzer
+        self.golden_ends[lane] = len(analyzer.golden.fingerprints)
+        self.budgets[lane] = analyzer.golden.cycles + analyzer.margin_cycles
+        self.envs[lane] = env
+        self.started[lane] = self.steps
+        if self.at_next_boundary:
+            self.pending |= 1 << lane
+        else:
+            self.psim.override_lane_dffs(lane, task.overrides)
+
+    def _resolve(self, lane: int, outcome: Outcome) -> bool:
+        """Record a lane's outcome and refill the lane from the queue.
+
+        Returns whether the lane took an injection that is checked at this
+        boundary (one without a pre-step to come).
+        """
+        self.outcomes[self.lane_task[lane]] = outcome
+        self.analyzers[lane].stats.cycles_simulated += (
+            self.steps - self.started[lane]
+        )
+        self.saved &= ~(1 << lane)
+        index = next(self._queued, None)
+        if index is None:
+            self.lane_task[lane] = -1
+            self.psim.retire_lane(lane)
+            return False
+        env = self._make_env(index)
+        self.psim.refill_lane(lane, self.tasks[index].checkpoint, env)
+        self.refills += 1
+        self._start(lane, index, env)
+        return not self.at_next_boundary
+
+    def _halt_outcome(self, lane: int) -> Outcome:
+        self.analyzers[lane].stats.ran_to_halt += 1
+        produced = self.envs[lane].observables()
+        if produced == self.analyzers[lane].golden.observables:
+            return Outcome.MASKED
+        if any(e and e[0] == "trap" for e in produced):
+            return Outcome.DUE
+        return Outcome.SDC
+
+    def _check(self, lanes: Sequence[int]) -> List[int]:
+        """Boundary checks of *lanes*; returns the lanes refilled to check."""
+        cycles = self.psim.lane_cycles
+        resolved: List[Tuple[int, Outcome]] = []
+        converging: List[int] = []
+        tail: List[int] = []
+        for lane in lanes:
+            cycle = cycles[lane]
+            if cycle < self.golden_ends[lane]:
+                converging.append(lane)
+            elif cycle < self.budgets[lane]:
+                tail.append(lane)
+            else:
+                self.analyzers[lane].stats.timed_out += 1
+                resolved.append((lane, Outcome.DUE))
+        if converging:
+            resolved.extend(self._converged(converging))
+        if tail:
+            resolved.extend(self._looped(tail))
+        return [
+            lane for lane, outcome in resolved if self._resolve(lane, outcome)
+        ]
+
+    def _converged(self, lanes: Sequence[int]) -> List[Tuple[int, Outcome]]:
+        psim = self.psim
+        cycles = psim.lane_cycles
+        groups: Dict[Tuple[int, int], List] = {}
+        for lane in lanes:
+            golden = self.analyzers[lane].golden
+            key = (id(golden), cycles[lane])
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [golden.dff_rows[key[1]], 1 << lane]
+            else:
+                group[1] |= 1 << lane
+        rows = np.unpackbits(
+            np.stack([row for row, _ in groups.values()]),
+            axis=1, count=psim.netlist.num_dffs,
+        )
+        masks = np.array(
+            [mask for _, mask in groups.values()], dtype=psim.dtype
+        )
+        expected = np.bitwise_or.reduce(rows * masks[:, None], axis=0)
+        differ = int(np.bitwise_or.reduce(expected ^ psim.dff_values))
+        resolved = []
+        for lane in lanes:
+            if differ >> lane & 1:
+                continue
+            golden = self.analyzers[lane].golden
+            fingerprint = golden.fingerprints[cycles[lane]]
+            if psim.lane_fingerprint(lane) != fingerprint:
+                continue
+            self.analyzers[lane].stats.converged += 1
+            produced = self.envs[lane].observables()
+            resolved.append((
+                lane,
+                Outcome.MASKED
+                if produced == golden.observables[: len(produced)]
+                else Outcome.SDC,
+            ))
+        return resolved
+
+    def _looped(self, lanes: Sequence[int]) -> List[Tuple[int, Outcome]]:
+        psim = self.psim
+        differ = (
+            int(np.bitwise_or.reduce(self.saved_dffs ^ psim.dff_values))
+            if self.saved else 0
+        )
+        resolved = []
+        save = 0
+        for lane in lanes:
+            bit = 1 << lane
+            if not self.saved & bit:
+                save |= bit
+                self.power[lane] = 1
+                self.since_save[lane] = 0
+                continue
+            self.since_save[lane] += 1
+            if not differ & bit and self.saved_rest[lane] == self._rest(lane):
+                self.analyzers[lane].stats.timed_out += 1
+                resolved.append((lane, Outcome.DUE))
+            elif self.since_save[lane] == self.power[lane]:
+                save |= bit
+                self.power[lane] *= 2
+                self.since_save[lane] = 0
+        if save:
+            self.saved_dffs ^= (
+                (self.saved_dffs ^ psim.dff_values) & psim.dtype.type(save)
+            )
+            for lane in lanes:
+                if save >> lane & 1:
+                    self.saved_rest[lane] = self._rest(lane)
+            self.saved |= save
+        return resolved
+
+    def _rest(self, lane: int) -> Tuple:
+        """The lane's state beyond its DFFs: inputs and environment."""
+        return (
+            tuple(sorted(self.psim.lane_inputs[lane].items())),
+            self.envs[lane].fingerprint(),
+        )

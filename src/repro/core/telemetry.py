@@ -82,9 +82,13 @@ COUNTER_ORDER = (
     "group_ace_cache_hits",
     "verdict_cache_hits",
     "record_cache_hits",
+    # Packed GroupACE words: words, active lane-steps, width x word-steps
+    # (their ratio is the group_ace_lane_occupancy gauge), and lanes that
+    # took a queued injection after resolving one.
     "lane_batches",
     "lanes_filled",
     "lane_slots",
+    "lane_refills",
     "shard_retries",
     "shard_timeouts",
     "serial_fallbacks",

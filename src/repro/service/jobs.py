@@ -142,6 +142,19 @@ class JobSpec:
                 kind == "genwork" or name not in payload,
                 f"{name!r} only applies to genwork jobs",
             )
+        # A sweep takes lists, every other kind one name: the other form's
+        # keys would be ignored, so a submission naming them is refused.
+        foreign = (
+            ("structure", "benchmark") if kind == "sweep"
+            else ("structures", "benchmarks")
+        )
+        for name in foreign:
+            _require(
+                name not in payload,
+                f"{name!r} does not apply to {kind} jobs",
+                hint="sweep jobs take 'structures'/'benchmarks' lists; "
+                "other kinds one 'structure' (and 'benchmark')",
+            )
         if kind == "genwork":
             # Generation jobs name a target structure and *produce*
             # workloads, so they carry no benchmarks of their own.
@@ -150,7 +163,7 @@ class JobSpec:
                 "genwork jobs need a 'structure' (the coverage target)",
             )
             _require(
-                "benchmark" not in payload and "benchmarks" not in payload,
+                "benchmark" not in payload,
                 "genwork jobs take no benchmarks (they generate them)",
             )
             structures = [payload["structure"]]

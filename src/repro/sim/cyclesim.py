@@ -91,6 +91,32 @@ class RunResult:
     observables: Tuple[Any, ...]
     fingerprints: List[int] = field(default_factory=list)
     checkpoints: Dict[int, Checkpoint] = field(default_factory=dict)
+    #: recorded with the fingerprints: row ``i`` is the DFF state at the
+    #: start of cycle ``i`` as one :func:`np.packbits` row (see
+    #: :func:`pack_dff_rows`), so a word of injected lanes can be compared
+    #: against it bit-sliced
+    dff_rows: Optional[np.ndarray] = None
+
+
+#: states packed per ``np.packbits`` call, bounding the temporary copy
+_PACK_BLOCK = 1024
+
+
+def pack_dff_rows(
+    states: Sequence[np.ndarray], num_dffs: int, lane: int = 0
+) -> np.ndarray:
+    """Bit-plane *lane* of each DFF-state word in *states*, one row each.
+
+    *states* are whole-word DFF arrays, one per cycle (scalar 0/1 states
+    are lane 0).  Row ``i`` of the ``(len(states), ceil(num_dffs / 8))``
+    result holds ``np.packbits`` of state ``i``'s bits in that lane.
+    """
+    rows = np.zeros((len(states), (num_dffs + 7) // 8), dtype=np.uint8)
+    for start in range(0, len(states), _PACK_BLOCK):
+        block = np.stack(states[start : start + _PACK_BLOCK])
+        bits = (block >> block.dtype.type(lane)) & 1
+        rows[start : start + len(block)] = np.packbits(bits, axis=1)
+    return rows
 
 
 class CycleSimulator:
@@ -249,14 +275,19 @@ class CycleSimulator:
         *checkpoint_cycles* selects boundaries at which full checkpoints are
         captured (used by the campaign engine for its sampled injection
         cycles).  Fingerprints, when recorded, are indexed so that
-        ``fingerprints[i]`` is the system state at the start of cycle ``i``.
+        ``fingerprints[i]`` is the system state at the start of cycle ``i``,
+        and so are the packed DFF rows recorded with them.
         """
         self.reset(env)
         wanted = set(int(c) for c in checkpoint_cycles)
         result = RunResult(cycles=0, halted=False, observables=())
+        # Each step() latches into a fresh array, so keeping a reference
+        # keeps that cycle's state; the states are packed after the run.
+        states: List[np.ndarray] = []
         for _ in range(max_cycles):
             if record_fingerprints:
                 result.fingerprints.append(self.fingerprint())
+                states.append(self.dff_values)
             if self.cycle in wanted:
                 result.checkpoints[self.cycle] = self.checkpoint()
             self.step()
@@ -265,4 +296,6 @@ class CycleSimulator:
         result.cycles = self.cycle
         result.halted = env.halted()
         result.observables = env.observables()
+        if record_fingerprints:
+            result.dff_rows = pack_dff_rows(states, self.netlist.num_dffs)
         return result

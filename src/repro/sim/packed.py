@@ -17,6 +17,7 @@ produce — the equivalence the test suite asserts.
 
 from __future__ import annotations
 
+import bisect
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,13 +55,16 @@ class PackedCycleSimulator:
             )
             for name, nets in netlist.input_ports.items()
         }
-        self._out_ports = {
-            name: (
-                np.array(nets, dtype=np.int64),
-                np.arange(len(nets), dtype=np.uint64),
-            )
-            for name, nets in netlist.output_ports.items()
-        }
+        # Output ports gather as one (ports, 64) index array, each port
+        # padded with net 0 (constant 0), so every port reads as one word.
+        self._out_names = tuple(netlist.output_ports)
+        self._out_index = np.zeros((len(self._out_names), 64), dtype=np.int64)
+        for row, nets in enumerate(netlist.output_ports.values()):
+            if len(nets) > 64:
+                raise ValueError(
+                    f"output port wider than 64 bits: {len(nets)}"
+                )
+            self._out_index[row, : len(nets)] = nets
         self.dtype = np.dtype(np.uint8)
         self.values = np.zeros(netlist.num_nets, dtype=self.dtype)
         self.dff_values = np.zeros(netlist.num_dffs, dtype=self.dtype)
@@ -161,6 +165,30 @@ class PackedCycleSimulator:
         if lane in self._active:
             self._active.remove(lane)
 
+    def refill_lane(
+        self, lane: int, checkpoint: Checkpoint, env: Environment
+    ) -> None:
+        """Start a new run from *checkpoint* in one lane of the loaded word.
+
+        Writes the checkpoint's DFF bits into this lane's bit-plane only,
+        restores *env* to the checkpoint's snapshot as the lane's
+        environment, sets the lane's inputs and cycle, and makes the lane
+        active again.  Width, dtype and mask stay as loaded, so the word
+        keeps its compiled step program; the other lanes are untouched.
+        """
+        if not 0 <= lane < self.lanes:
+            raise ValueError(f"lane {lane} outside the loaded {self.lanes}")
+        word = self.dtype.type
+        self.dff_values &= ~word(1 << lane)
+        plane = checkpoint.dff_values.astype(self.dtype) << word(lane)
+        self.dff_values |= plane
+        env.restore(checkpoint.env_snapshot)
+        self.envs[lane] = env
+        self.lane_inputs[lane] = dict(checkpoint.input_values)
+        self.lane_cycles[lane] = checkpoint.cycle
+        if lane not in self._active:
+            bisect.insort(self._active, lane)
+
     def override_lane_dffs(self, lane: int, overrides: Dict[int, int]) -> None:
         """Force DFF bits in one lane only (the per-lane injected errors)."""
         bit = 1 << lane
@@ -199,18 +227,28 @@ class PackedCycleSimulator:
             values[nets] = packed
         self.plan.evaluate(values, mask=self.mask)
 
-    def _active_lane_outputs(self) -> List[Dict[str, int]]:
-        """Output-port words for every *active* lane, one vector pass per port."""
-        outputs: Dict[int, Dict[str, int]] = {
-            lane: {} for lane in self._active
+    def _active_lane_outputs(self) -> Dict[int, Dict[str, int]]:
+        """Output-port words for every *active* lane, from one gather.
+
+        The gathered ``(ports, 64)`` word array is transposed exactly into
+        ``(lanes, ports)`` integers: its bytes unpack into bits with the
+        lane last, and the bits of each (lane, port) pack back into one
+        little-endian 64-bit word.
+        """
+        gathered = self.values[self._out_index].astype(
+            self.dtype.newbyteorder("<"), copy=False
+        )
+        bits = np.unpackbits(
+            gathered.view(np.uint8).reshape(*gathered.shape, -1),
+            axis=-1, bitorder="little",
+        )[..., self._active]
+        words = np.packbits(
+            bits.transpose(2, 0, 1), axis=-1, bitorder="little"
+        ).view("<u8")[..., 0]
+        return {
+            lane: dict(zip(self._out_names, row))
+            for lane, row in zip(self._active, words.tolist())
         }
-        shifts_col = self._lane_shifts[self._active, None]
-        for name, (nets, shifts) in self._out_ports.items():
-            packed = self.values[nets].astype(np.uint64)
-            words = ((packed[None, :] >> shifts_col) & 1) << shifts[None, :]
-            for lane, word in zip(self._active, words.sum(axis=1).tolist()):
-                outputs[lane][name] = word
-        return outputs
 
     def step(self) -> None:
         """Advance all active lanes by one cycle (each lane steps its own env)."""

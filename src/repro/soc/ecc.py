@@ -27,8 +27,6 @@ CODE_BITS = DATA_BITS + PARITY_BITS  # 38
 DATA_POSITIONS: Tuple[int, ...] = tuple(
     pos for pos in range(1, 64) if pos & (pos - 1)
 )[:DATA_BITS]
-#: Hamming position of each parity bit.
-PARITY_POSITIONS: Tuple[int, ...] = tuple(1 << j for j in range(PARITY_BITS))
 
 
 def build_encoder(nl: Netlist, data: Bus) -> Bus:

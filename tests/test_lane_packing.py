@@ -249,8 +249,8 @@ def test_packed_golden_runs_match_scalar(system, strstr_program):
     """Packed golden runs are bit-identical to scalar instrumented runs.
 
     Two workloads' golden runs ride one packed word; each lane's RunResult
-    (fingerprints every cycle, checkpoints including ``prev_settled``,
-    observables) must equal the scalar ``session.golden``.
+    (fingerprints and packed DFF rows every cycle, checkpoints including
+    ``prev_settled``, observables) must equal the scalar ``session.golden``.
     """
     from repro.core.campaign import packed_golden_runs
     from repro.workloads.beebs import load_benchmark
@@ -275,6 +275,8 @@ def test_packed_golden_runs_match_scalar(system, strstr_program):
         assert packed.halted and ref.halted
         assert packed.observables == ref.observables
         assert packed.fingerprints == ref.fingerprints
+        assert np.array_equal(packed.dff_rows, ref.dff_rows)
+        assert len(ref.dff_rows) == len(ref.fingerprints)
         assert set(packed.checkpoints) == set(ref.checkpoints)
         for cycle, want in ref.checkpoints.items():
             got = packed.checkpoints[cycle]
@@ -282,6 +284,11 @@ def test_packed_golden_runs_match_scalar(system, strstr_program):
             assert np.array_equal(got.dff_values, want.dff_values)
             assert got.input_values == want.input_values
             assert np.array_equal(got.prev_settled, want.prev_settled)
+            # Row i of the DFF rows is the state at the start of cycle i.
+            assert np.array_equal(
+                np.unpackbits(ref.dff_rows[cycle], count=len(want.dff_values)),
+                want.dff_values,
+            )
 
 
 def test_run_structures_spanning_across_workloads(system, strstr_program):

@@ -90,6 +90,41 @@ def test_lane_fingerprint_matches_scalar(system, strstr_program):
         psim.step()
 
 
+def _per_port_outputs(psim, netlist):
+    """The per-port reference: each active lane's bits of each port."""
+    return {
+        lane: {
+            name: sum(
+                ((int(psim.values[net]) >> lane) & 1) << bit
+                for bit, net in enumerate(nets)
+            )
+            for name, nets in netlist.output_ports.items()
+        }
+        for lane in psim._active
+    }
+
+
+@pytest.mark.parametrize("width", (1, 3, 8, 64))
+def test_one_gather_outputs_match_per_port_read(system, strstr_program, width):
+    """All output ports read with one gather and one bit transpose equal
+    the per-port read, over random lane states and active subsets."""
+    rng = np.random.default_rng(width)
+    psim = PackedCycleSimulator(system.netlist, system.plan)
+    psim.load_reset([system.make_env(strstr_program) for _ in range(width)])
+    top = np.iinfo(psim.dtype).max
+    for _ in range(5):
+        psim.values = rng.integers(
+            0, top, size=system.netlist.num_nets, dtype=psim.dtype,
+            endpoint=True,
+        )
+        psim.values[0] = 0
+        assert psim._active_lane_outputs() == _per_port_outputs(
+            psim, system.netlist
+        )
+        if len(psim._active) > 1:
+            psim.retire_lane(int(rng.choice(psim._active)))
+
+
 def test_lane_count_validation(system, strstr_program):
     golden = system.run_program(
         strstr_program, max_cycles=500, checkpoint_cycles=[10],

@@ -175,6 +175,25 @@ def test_job_spec_validation():
         JobSpec.from_payload({"kind": "sweep", "benchmarks": ["libstrstr"]})
 
 
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({**ANALYZE_SPEC, "benchmarks": ["libfibcall"]}, "'benchmarks'"),
+        ({**ANALYZE_SPEC, "kind": "savf", "structures": ["alu"]},
+         "'structures'"),
+        ({"kind": "sweep", "structures": ["alu"], "benchmarks": ["libstrstr"],
+          "structure": "decoder"}, "'structure'"),
+        ({"kind": "genwork", "structure": "alu", "structures": ["decoder"]},
+         "'structures'"),
+    ],
+    ids=["analyze", "savf", "sweep", "genwork"],
+)
+def test_job_spec_rejects_the_other_forms_fields(payload, field):
+    """A key of the other spec form is refused by name, not ignored."""
+    with pytest.raises(InputError, match=field):
+        JobSpec.from_payload(payload)
+
+
 def test_journal_replay_skips_a_config_field_this_build_removed(
     tmp_path, capsys
 ):
