@@ -66,7 +66,7 @@ from repro.core.stats import (
 )
 from repro.core.telemetry import CampaignTelemetry
 from repro.isa.assembler import Program
-from repro.sim.cyclesim import Checkpoint, RunResult, pack_dff_rows
+from repro.sim.cyclesim import Checkpoint, DffRows, RunResult
 from repro.sim.eventsim import CycleWaveforms
 from repro.sim.packed import MAX_LANES, PackedCycleSimulator
 from repro.workloads import lengths
@@ -1074,11 +1074,10 @@ def _run_packed_golden_chunk(chunk: Sequence[CampaignSession]) -> None:
         psim.settle()  # boundary-0 settled values (scalar reset() semantics)
         active = set(range(len(chunk)))
         # Every lane starts at cycle 0, so word-step i holds each lane's
-        # cycle-i state; each step latches into a fresh word, packed per
-        # lane once the word is done.
-        states = []
+        # cycle-i state; each step latches into a fresh word.
+        rows = DffRows(len(chunk))
         while active:
-            states.append(psim.dff_values)
+            rows.append(psim.dff_values)
             for lane in sorted(active):
                 run = results[lane]
                 cycle = psim.lane_cycles[lane]
@@ -1102,9 +1101,7 @@ def _run_packed_golden_chunk(chunk: Sequence[CampaignSession]) -> None:
                     active.discard(lane)
                     psim.retire_lane(lane)
         for lane, run in enumerate(results):
-            run.dff_rows = pack_dff_rows(
-                states[: run.cycles], psim.netlist.num_dffs, lane
-            )
+            run.dff_rows = rows.lane(lane)[: run.cycles]
     for session, run in zip(chunk, results):
         session.telemetry.incr("golden_runs")
         session.adopt_golden(run)

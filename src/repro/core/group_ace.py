@@ -54,7 +54,6 @@ class InjectionStats:
     converged: int = 0
     ran_to_halt: int = 0
     timed_out: int = 0
-    cycles_simulated: int = 0
 
 
 class GroupAceAnalyzer:
@@ -241,25 +240,21 @@ class GroupAceAnalyzer:
         golden_fps = self.golden.fingerprints
         golden_obs = self.golden.observables
         self.stats.runs += 1
-        start_cycle = sim.cycle
         while True:
             cycle = sim.cycle
             if cycle < len(golden_fps) and sim.fingerprint() == golden_fps[cycle]:
                 self.stats.converged += 1
-                self.stats.cycles_simulated += sim.cycle - start_cycle
                 produced = env.observables()
                 if produced == golden_obs[: len(produced)]:
                     return Outcome.MASKED
                 return Outcome.SDC
             if cycle >= budget:
                 self.stats.timed_out += 1
-                self.stats.cycles_simulated += sim.cycle - start_cycle
                 return Outcome.DUE
             sim.step()
             if env.halted():
                 break
         self.stats.ran_to_halt += 1
-        self.stats.cycles_simulated += sim.cycle - start_cycle
         produced = env.observables()
         if produced == golden_obs:
             return Outcome.MASKED
@@ -335,24 +330,15 @@ class _LaneQueue:
     absolute) cycle boundaries, against the golden run of the injection's
     own analyzer.  With ``at_next_boundary`` a freshly loaded lane makes its
     fault-free pre-step on the next word-step, takes its overrides after
-    it, and is not checked before then.
+    it, and is not checked before then.  Past its golden run's end a lane
+    can only halt or reach its budget, so it is not checked there.
 
-    Each check starts with one bit-sliced pass over the whole word:
-
-    - *Convergence.*  Lanes loaded from one checkpoint stay in lockstep, so
-      one golden DFF row per (golden run, cycle) group, times the group's
-      lane mask, builds the expected DFF word; one XOR with the word and one
-      OR-reduce flag every lane whose DFFs differ from its golden state.
-      Only the others pay the full state fingerprint.
-    - *Loops.*  Past the golden run's end a lane can only halt or burn its
-      budget, and the system (DFFs, inputs, environment) is closed and
-      deterministic: a lane that revisits a state never halts, so it is DUE
-      at once.  Each tail lane keeps one saved state (Brent's cycle
-      detection): its DFF plane in one bit-sliced word, replaced at
-      power-of-two intervals, plus its inputs and environment fingerprint.
-      One XOR and OR-reduce finds the lanes whose DFFs equal their saved
-      plane; only those compare the rest.  A loop may be found later than
-      by keeping every state, but the budget still ends it as DUE.
+    The convergence check starts with one bit-sliced pass over the whole
+    word.  Lanes loaded from one checkpoint stay in lockstep, so one golden
+    DFF row per (golden run, cycle) group, times the group's lane mask,
+    builds the expected DFF word; one XOR with the word and one OR-reduce
+    flag every lane whose DFFs differ from its golden state.  Only the
+    others pay the full state fingerprint.
     """
 
     def __init__(
@@ -365,27 +351,18 @@ class _LaneQueue:
         self.outcomes: List[Optional[Outcome]] = [None] * len(tasks)
         self._queued = iter(range(len(tasks)))
         #: per lane: the index of the task it runs (-1 once retired), that
-        #: task's analyzer, golden length and DUE budget, the lane's
-        #: environment, and the word-step count when it was loaded
+        #: task's analyzer, golden length and DUE budget, and the lane's
+        #: environment
         self.lane_task = [-1] * width
         self.analyzers: List[Optional[GroupAceAnalyzer]] = [None] * width
         self.golden_ends = [0] * width
         self.budgets = [0] * width
         self.envs: List = [None] * width
-        self.started = [0] * width
         #: lanes whose fault-free pre-step is still to come (bitmask)
         self.pending = 0
         self.steps = 0
         self.lane_steps = 0
         self.refills = 0
-        # Loop check: lanes holding a saved state (bitmask), their DFF
-        # planes, their inputs and environment fingerprints, and Brent's
-        # interval and count per lane.
-        self.saved = 0
-        self.saved_dffs: Optional[np.ndarray] = None
-        self.saved_rest: List[Optional[Tuple]] = [None] * width
-        self.power = [0] * width
-        self.since_save = [0] * width
 
     def run(self) -> List[Outcome]:
         psim = self.psim
@@ -394,7 +371,6 @@ class _LaneQueue:
         psim.load_lanes(
             [(self.tasks[i].checkpoint, env) for i, env in zip(first, envs)]
         )
-        self.saved_dffs = np.zeros_like(psim.dff_values)
         for lane, (index, env) in enumerate(zip(first, envs)):
             self._start(lane, index, env)
         check = list(range(self.width))
@@ -447,7 +423,6 @@ class _LaneQueue:
         self.golden_ends[lane] = len(analyzer.golden.fingerprints)
         self.budgets[lane] = analyzer.golden.cycles + analyzer.margin_cycles
         self.envs[lane] = env
-        self.started[lane] = self.steps
         if self.at_next_boundary:
             self.pending |= 1 << lane
         else:
@@ -460,10 +435,6 @@ class _LaneQueue:
         boundary (one without a pre-step to come).
         """
         self.outcomes[self.lane_task[lane]] = outcome
-        self.analyzers[lane].stats.cycles_simulated += (
-            self.steps - self.started[lane]
-        )
-        self.saved &= ~(1 << lane)
         index = next(self._queued, None)
         if index is None:
             self.lane_task[lane] = -1
@@ -489,20 +460,15 @@ class _LaneQueue:
         cycles = self.psim.lane_cycles
         resolved: List[Tuple[int, Outcome]] = []
         converging: List[int] = []
-        tail: List[int] = []
         for lane in lanes:
             cycle = cycles[lane]
             if cycle < self.golden_ends[lane]:
                 converging.append(lane)
-            elif cycle < self.budgets[lane]:
-                tail.append(lane)
-            else:
+            elif cycle >= self.budgets[lane]:
                 self.analyzers[lane].stats.timed_out += 1
                 resolved.append((lane, Outcome.DUE))
         if converging:
             resolved.extend(self._converged(converging))
-        if tail:
-            resolved.extend(self._looped(tail))
         return [
             lane for lane, outcome in resolved if self._resolve(lane, outcome)
         ]
@@ -545,43 +511,3 @@ class _LaneQueue:
                 else Outcome.SDC,
             ))
         return resolved
-
-    def _looped(self, lanes: Sequence[int]) -> List[Tuple[int, Outcome]]:
-        psim = self.psim
-        differ = (
-            int(np.bitwise_or.reduce(self.saved_dffs ^ psim.dff_values))
-            if self.saved else 0
-        )
-        resolved = []
-        save = 0
-        for lane in lanes:
-            bit = 1 << lane
-            if not self.saved & bit:
-                save |= bit
-                self.power[lane] = 1
-                self.since_save[lane] = 0
-                continue
-            self.since_save[lane] += 1
-            if not differ & bit and self.saved_rest[lane] == self._rest(lane):
-                self.analyzers[lane].stats.timed_out += 1
-                resolved.append((lane, Outcome.DUE))
-            elif self.since_save[lane] == self.power[lane]:
-                save |= bit
-                self.power[lane] *= 2
-                self.since_save[lane] = 0
-        if save:
-            self.saved_dffs ^= (
-                (self.saved_dffs ^ psim.dff_values) & psim.dtype.type(save)
-            )
-            for lane in lanes:
-                if save >> lane & 1:
-                    self.saved_rest[lane] = self._rest(lane)
-            self.saved |= save
-        return resolved
-
-    def _rest(self, lane: int) -> Tuple:
-        """The lane's state beyond its DFFs: inputs and environment."""
-        return (
-            tuple(sorted(self.psim.lane_inputs[lane].items())),
-            self.envs[lane].fingerprint(),
-        )

@@ -93,30 +93,44 @@ class RunResult:
     checkpoints: Dict[int, Checkpoint] = field(default_factory=dict)
     #: recorded with the fingerprints: row ``i`` is the DFF state at the
     #: start of cycle ``i`` as one :func:`np.packbits` row (see
-    #: :func:`pack_dff_rows`), so a word of injected lanes can be compared
+    #: :class:`DffRows`), so a word of injected lanes can be compared
     #: against it bit-sliced
     dff_rows: Optional[np.ndarray] = None
 
 
-#: states packed per ``np.packbits`` call, bounding the temporary copy
-_PACK_BLOCK = 1024
+class DffRows:
+    """A run's per-cycle DFF states as packed rows, one row list per lane.
 
-
-def pack_dff_rows(
-    states: Sequence[np.ndarray], num_dffs: int, lane: int = 0
-) -> np.ndarray:
-    """Bit-plane *lane* of each DFF-state word in *states*, one row each.
-
-    *states* are whole-word DFF arrays, one per cycle (scalar 0/1 states
-    are lane 0).  Row ``i`` of the ``(len(states), ceil(num_dffs / 8))``
-    result holds ``np.packbits`` of state ``i``'s bits in that lane.
+    :meth:`append` takes each cycle's whole DFF word (a scalar 0/1 state
+    is lane 0).  Every :attr:`BLOCK` words are packed, each lane's
+    bit-plane into ``np.packbits`` rows, and dropped, so a run keeps at
+    most that many words besides its rows.
     """
-    rows = np.zeros((len(states), (num_dffs + 7) // 8), dtype=np.uint8)
-    for start in range(0, len(states), _PACK_BLOCK):
-        block = np.stack(states[start : start + _PACK_BLOCK])
-        bits = (block >> block.dtype.type(lane)) & 1
-        rows[start : start + len(block)] = np.packbits(bits, axis=1)
-    return rows
+
+    BLOCK = 1024
+
+    def __init__(self, lanes: int = 1):
+        self._words: List[np.ndarray] = []
+        self._rows: List[List[np.ndarray]] = [[] for _ in range(lanes)]
+
+    def append(self, dff_values: np.ndarray) -> None:
+        self._words.append(dff_values)
+        if len(self._words) == self.BLOCK:
+            self._pack()
+
+    def lane(self, lane: int = 0) -> np.ndarray:
+        """Lane *lane*'s rows, one per appended word."""
+        self._pack()
+        return np.concatenate(self._rows[lane])
+
+    def _pack(self) -> None:
+        if not self._words:
+            return
+        block = np.stack(self._words)
+        self._words.clear()
+        for lane, rows in enumerate(self._rows):
+            bits = (block >> block.dtype.type(lane)) & 1
+            rows.append(np.packbits(bits, axis=1))
 
 
 class CycleSimulator:
@@ -282,12 +296,12 @@ class CycleSimulator:
         wanted = set(int(c) for c in checkpoint_cycles)
         result = RunResult(cycles=0, halted=False, observables=())
         # Each step() latches into a fresh array, so keeping a reference
-        # keeps that cycle's state; the states are packed after the run.
-        states: List[np.ndarray] = []
+        # keeps that cycle's state until its block is packed.
+        rows = DffRows()
         for _ in range(max_cycles):
             if record_fingerprints:
                 result.fingerprints.append(self.fingerprint())
-                states.append(self.dff_values)
+                rows.append(self.dff_values)
             if self.cycle in wanted:
                 result.checkpoints[self.cycle] = self.checkpoint()
             self.step()
@@ -297,5 +311,5 @@ class CycleSimulator:
         result.halted = env.halted()
         result.observables = env.observables()
         if record_fingerprints:
-            result.dff_rows = pack_dff_rows(states, self.netlist.num_dffs)
+            result.dff_rows = rows.lane()
         return result

@@ -4,8 +4,8 @@
 through one packed word whose retired lanes take the next queued injection.
 Every verdict must equal the scalar reference
 (``GroupAceAnalyzer._run_injected``), at any width and with either
-injection boundary, and the loop check must end a hung lane early without
-changing its verdict.
+injection boundary; a hung lane runs to the same DUE budget as the scalar
+run.
 """
 
 import numpy as np
@@ -87,9 +87,6 @@ def test_refilled_prefetch_equals_scalar_at_every_width(
         assert owner.count("lane_batches") == 1, lanes
         assert owner.count("lane_refills") == len(expected) - lanes, lanes
         assert 0 < owner.count("lanes_filled") <= owner.count("lane_slots")
-        assert sum(a.stats.cycles_simulated for a in analyzers) == (
-            owner.count("lanes_filled")
-        ), lanes
         for analyzer in analyzers:
             stats = analyzer.stats
             assert stats.runs == len(two_workloads[0][2])
@@ -98,10 +95,10 @@ def test_refilled_prefetch_equals_scalar_at_every_width(
             ), lanes
 
 
-def test_tight_loop_past_the_golden_end_is_due_before_the_budget(system):
+def test_tight_loop_past_the_golden_end_is_due_at_the_budget(system):
     """A flag forced on sends the program into ``j spin`` instead of its
-    halting store.  Past the golden end the lane revisits a state, so the
-    loop check calls it DUE long before the budget the scalar run burns."""
+    halting store.  The packed lane spins to the DUE budget, as the scalar
+    run does, and the word stops with it."""
     program = assemble(
         """
         li a2, 0
@@ -136,12 +133,10 @@ def test_tight_loop_past_the_golden_end_is_due_before_the_budget(system):
         checkpoint, overrides, at_next_boundary=False
     ) is Outcome.DUE
     assert scalar.stats.timed_out == 1
-    assert scalar.stats.cycles_simulated == budget_cycles
 
     packed = GroupAceAnalyzer(system, program, golden, margin)
     packed.prefetch(checkpoint, [overrides], at_next_boundary=False)
     assert packed._cache[_key(checkpoint, overrides, False)] is Outcome.DUE
     assert packed.stats.timed_out == 1
-    lane_steps = packed.telemetry.count("lanes_filled")
-    assert lane_steps == packed.stats.cycles_simulated
-    assert golden.cycles - checkpoint.cycle < lane_steps < budget_cycles // 2
+    assert packed.telemetry.count("lanes_filled") == budget_cycles
+    assert packed.telemetry.count("lane_slots") == budget_cycles
