@@ -902,17 +902,6 @@ class DelayAVFEngine:
                 "group_ace_lane_occupancy",
                 campaign_count("lanes_filled") / ace_slots,
             )
-        # The coordinator session's shared EvalPlan program cache, if built
-        # (a campaign the cache served never levelizes): size + evictions.
-        plan_obj = vars(self.session.system).get("plan")
-        if plan_obj is not None and hasattr(plan_obj, "program_cache_size"):
-            self.telemetry.set_gauge(
-                "eval_programs_cached", float(plan_obj.program_cache_size)
-            )
-            self.telemetry.set_gauge(
-                "eval_program_evictions",
-                float(plan_obj.program_cache_evictions),
-            )
         result.telemetry = CampaignTelemetry.from_snapshot(
             self.telemetry.diff(campaign.before)
         )

@@ -139,8 +139,6 @@ GAUGE_ORDER = (
     "ci_half_width",
     "packed_lane_occupancy",
     "group_ace_lane_occupancy",
-    "eval_programs_cached",
-    "eval_program_evictions",
 )
 
 #: Gauges an incoming (per-worker) value overwrites when snapshots merge:

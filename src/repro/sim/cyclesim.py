@@ -224,10 +224,7 @@ class CycleSimulator:
     # ------------------------------------------------------------------
     def _settle(self) -> None:
         values = self.values
-        values[0] = 0
-        values[1] = 1
-        if len(self._q_nets):
-            values[self._q_nets] = self.dff_values
+        values[self._q_nets] = self.dff_values
         for name, (nets, shifts) in self._in_ports.items():
             word = self.input_values.get(name, 0)
             values[nets] = (word >> shifts) & 1
@@ -263,9 +260,7 @@ class CycleSimulator:
         """Simulate one cycle; returns the sampled output-port values."""
         assert self.env is not None, "reset() the simulator first"
         self._settle()
-        next_dff = self.values[self._d_nets].copy() if len(self._d_nets) else (
-            np.zeros(0, dtype=np.uint8)
-        )
+        next_dff = self.values[self._d_nets]
         outputs = self.sample_outputs()
         next_inputs = self.env.step(outputs, self.cycle)
         self.prev_settled = self.values.copy()

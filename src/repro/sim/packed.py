@@ -173,8 +173,8 @@ class PackedCycleSimulator:
         Writes the checkpoint's DFF bits into this lane's bit-plane only,
         restores *env* to the checkpoint's snapshot as the lane's
         environment, sets the lane's inputs and cycle, and makes the lane
-        active again.  Width, dtype and mask stay as loaded, so the word
-        keeps its compiled step program; the other lanes are untouched.
+        active again.  Width, dtype and mask stay as loaded; the other lanes
+        are untouched.
         """
         if not 0 <= lane < self.lanes:
             raise ValueError(f"lane {lane} outside the loaded {self.lanes}")
@@ -202,10 +202,7 @@ class PackedCycleSimulator:
     # ------------------------------------------------------------------
     def _settle(self) -> None:
         values = self.values
-        values[0] = 0
-        values[1] = self.mask
-        if len(self._q_nets):
-            values[self._q_nets] = self.dff_values
+        values[self._q_nets] = self.dff_values
         for name, (nets, shifts) in self._in_ports.items():
             active = self._active
             first = self.lane_inputs[active[0]].get(name, 0)
@@ -253,9 +250,7 @@ class PackedCycleSimulator:
     def step(self) -> None:
         """Advance all active lanes by one cycle (each lane steps its own env)."""
         self._settle()
-        next_dff = self.values[self._d_nets].copy() if len(self._d_nets) else (
-            np.zeros(0, dtype=self.dtype)
-        )
+        next_dff = self.values[self._d_nets]
         for lane, outputs in self._active_lane_outputs().items():
             self.lane_inputs[lane] = dict(
                 self.envs[lane].step(outputs, self.lane_cycles[lane])

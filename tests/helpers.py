@@ -132,7 +132,8 @@ class EvalBatch:
 
 def eval_batches(netlist: Netlist) -> List[EvalBatch]:
     """The per-(level, kind) cell batches of *netlist*, in topological order:
-    the per-kind view of the plan :func:`repro.sim.levelize.levelize` fuses."""
+    the per-kind view of the levels :func:`repro.sim.levelize.levelize`
+    builds."""
     levels = compute_cell_levels(netlist)
     grouped: Dict[Tuple[int, int], List[int]] = {}
     for cell, level in enumerate(levels):
@@ -157,7 +158,7 @@ def eval_batches(netlist: Netlist) -> List[EvalBatch]:
 
 
 def evaluate_reference(netlist: Netlist, values: np.ndarray, mask: int = 1) -> None:
-    """Per-kind batch evaluation: the bit-exact oracle of the fused
+    """Per-kind batch evaluation: the bit-exact oracle of the one-formula
     :meth:`repro.sim.levelize.EvalPlan.evaluate`."""
     for batch in eval_batches(netlist):
         ins = [values[idx] for idx in batch.input_nets]

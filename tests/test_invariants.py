@@ -1,5 +1,6 @@
 """Cross-module structural invariants (property tests on random circuits)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,8 +98,10 @@ def test_levelize_deterministic(seed):
     b = levelize(nl)
     assert a.num_levels == b.num_levels
     assert a.cell_levels == b.cell_levels
-    assert len(a.fused_levels) == len(b.fused_levels)
-    for x, y in zip(a.fused_levels, b.fused_levels):
-        assert (x.gate_out == y.gate_out).all()
-        assert (x.inv_sel == y.inv_sel).all()
-        assert (x.mux_out == y.mux_out).all()
+    assert len(a.levels) == len(b.levels) == a.num_levels
+    for (sources_a, out_a, nor_a), (sources_b, out_b, nor_b) in zip(
+        a.levels, b.levels
+    ):
+        assert np.array_equal(sources_a, sources_b)
+        assert np.array_equal(out_a, out_b)
+        assert nor_a == nor_b

@@ -26,10 +26,11 @@ from repro.core.campaign import (
     DelayAVFEngine,
     run_structures_spanning,
 )
-from repro.netlist.netlist import PinType
+from repro.netlist.cells import CellKind
+from repro.netlist.netlist import CONST0, CONST1, PinType
 from repro.sim.cyclesim import CycleSimulator
 from repro.sim.eventsim import MAX_LANES, EventSimulator
-from repro.sim.levelize import PROGRAM_CACHE_CAP, levelize
+from repro.sim.levelize import levelize
 from repro.timing.liberty import NANGATE45ISH
 from repro.timing.sta import StaticTiming
 
@@ -145,26 +146,46 @@ def test_group_ace_prefetch_rejects_bad_widths(system, strstr_program):
             analyzer.prefetch(checkpoint, [{0: 1}], lanes=bad)
 
 
-def test_program_cache_is_bounded_and_dtype_keyed():
-    """(dtype, mask) keying + LRU bound on the fused step program cache."""
-    nl = random_circuit(3)
+@pytest.mark.parametrize("seed", range(4))
+def test_one_plan_is_exact_at_every_word_width(seed):
+    """One plan settles uint8 words of 1, 3 and 8 lanes and uint64 words of
+    9, 42 and 64, each equal to the per-kind oracle on every plane; a
+    1-lane state settles the same in uint8 and uint64."""
+    nl = random_circuit(seed, num_gates=120)
+    assert set(nl.cell_kinds) == set(CellKind)
     plan = levelize(nl)
-    values8 = np.zeros(nl.num_nets, dtype=np.uint8)
-    values64 = np.zeros(nl.num_nets, dtype=np.uint64)
-    plan.evaluate(values8, mask=1)
-    plan.evaluate(values64, mask=1)
-    # Same mask, different dtype: two distinct compiled programs.
-    assert plan.program_cache_size == 2
-    # Evaluation through a widened program stays bit-exact per plane.
-    ref8 = np.zeros(nl.num_nets, dtype=np.uint8)
-    evaluate_reference(nl, ref8, mask=1)
-    assert np.array_equal(values8, ref8)
-    assert np.array_equal(values64.astype(np.uint8), ref8)
-    # Mask diversity beyond the cap evicts LRU entries instead of leaking.
-    for lanes in range(1, PROGRAM_CACHE_CAP + 10):
-        plan.evaluate(values64, mask=(1 << lanes) - 1)
-    assert plan.program_cache_size <= PROGRAM_CACHE_CAP
-    assert plan.program_cache_evictions > 0
+    rng = np.random.default_rng(seed)
+    widths = [(np.uint8, 1), (np.uint8, 3), (np.uint8, 8),
+              (np.uint64, 9), (np.uint64, 42), (np.uint64, 64)]
+    for dtype, lanes in widths:
+        mask = (1 << lanes) - 1
+        values = rng.integers(0, 1 << 64, nl.num_nets, dtype=np.uint64)
+        values = (values & np.uint64(mask)).astype(dtype)
+        ref = values.copy()
+        ref[CONST0], ref[CONST1] = 0, mask
+        plan.evaluate(values, mask=mask)
+        evaluate_reference(nl, ref, mask=mask)
+        assert np.array_equal(values, ref), (dtype, lanes)
+        if lanes == 1:
+            wide = ref.astype(np.uint64)
+            plan.evaluate(wide, mask=1)
+            assert np.array_equal(wide.astype(np.uint8), ref)
+
+
+@pytest.mark.parametrize("ecc", [False, True])
+def test_ibexmini_settle_matches_reference(ecc, system, ecc_system):
+    """64-lane evaluation of the real netlists equals the per-kind oracle."""
+    nl = (ecc_system if ecc else system).netlist
+    plan = levelize(nl)
+    rng = np.random.default_rng(int(ecc))
+    mask = (1 << 64) - 1
+    for _ in range(3):
+        values = rng.integers(0, 1 << 64, nl.num_nets, dtype=np.uint64)
+        ref = values.copy()
+        ref[CONST0], ref[CONST1] = 0, mask
+        plan.evaluate(values, mask=mask)
+        evaluate_reference(nl, ref, mask=mask)
+        assert np.array_equal(values, ref)
 
 
 def test_packed_uint64_settle_matches_reference():
