@@ -75,12 +75,19 @@ def test_fig7_structure_delayavf(benchmark):
             "word per chunk instead of refilling retired lanes"
         )
     if os.environ.get("REPRO_BENCH_REQUIRE_PACKED_CONES"):
-        # Packed-cone gate: the word-packed cone pass must actually engage
-        # (not silently fall back to per-lane scalar kernels), and the
-        # packed words must be reasonably occupied.
+        # Packed-cone gate: the word-packed cone pass must actually pack
+        # lanes, and the packed words must be reasonably occupied.  One
+        # query at a time, every word is a one-lane word at full occupancy,
+        # so the lanes must also outnumber the words.
         assert combined.count("packed_cone_lanes") > 0, (
             "cold fig7 run packed zero cone lanes — the word-packed "
             "event-sim path never engaged"
+        )
+        assert combined.count("packed_cone_lanes") > combined.count(
+            "packed_cone_words"
+        ), (
+            "cold fig7 run packed one lane per cone word — injections "
+            "were re-simulated one query at a time"
         )
         slots = combined.count("packed_cone_lane_slots")
         occupancy = combined.count("packed_cone_lanes") / max(1, slots)

@@ -51,7 +51,12 @@ from repro.core.group_ace import GroupAceAnalyzer
 from repro.core.guards import apply_guards, ensure_preflight, preflight_campaign
 from repro.core.orace import OraceAnalyzer
 from repro.core.progress import ProgressReporter
-from repro.core.plan import CampaignPlan, build_plan, build_refinement_plan
+from repro.core.plan import (
+    CampaignPlan,
+    build_plan,
+    build_refinement_plan,
+    check_delay_fractions,
+)
 from repro.core.results import StructureCampaignResult
 from repro.core.sampling import (
     extend_cycle_sample,
@@ -129,13 +134,7 @@ class CampaignConfig:
     workers_from: Optional[str] = None
 
     def __post_init__(self):
-        if not self.delay_fractions:
-            raise ValueError("delay_fractions must not be empty")
-        bad = [d for d in self.delay_fractions if not 0.0 < d <= 1.0]
-        if bad:
-            raise ValueError(
-                f"delay fractions must be in (0, 1]: {sorted(bad)}"
-            )
+        check_delay_fractions(self.delay_fractions)
         if (self.cycle_count is None) == (self.cycle_fraction is None):
             raise ValueError(
                 "specify exactly one of cycle_count / cycle_fraction (got "

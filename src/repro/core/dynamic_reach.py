@@ -13,17 +13,19 @@ short-circuits, in Eq. 4 order:
 - otherwise only the fan-out cone of the faulted wire is re-simulated against
   the shared fault-free waveforms of that cycle.
 
-:meth:`DynamicReachability.reachable_set_batch` fills the static-reach cache
-for a whole cycle's worth of (wire, delay) queries in one levelized sweep
-(the ``static_reach`` phase), applies the same short-circuits and feeds the
-survivors to :meth:`repro.sim.eventsim.EventSimulator.resimulate_batch`,
-which amortizes cone construction and fault-free waveform gathering across
-the batch (the ``batch_resims`` / ``cone_index_hits`` telemetry and the
-``batch_resim`` phase report how much of the campaign ran batched).  The
-funnel counters count each record once, on the per-record path
-(:meth:`DynamicReachability.reachable_set`, which
+:meth:`DynamicReachability.reachable_set_batch` fills the static-reach
+cache for one cycle's (wire, delay) queries in one levelized sweep (the
+``static_reach`` phase), applies the same short-circuits and re-simulates
+the survivors in one ``EventSimulator.resimulate_batch`` call, which shares
+cone construction and fault-free waveforms across the batch; it memoizes
+every answer on the cycle's waveforms.  ``batch_resims`` counts the
+queries it re-simulates (``cone_index_hits`` and the ``batch_resim`` phase
+report the cone work).  The funnel counters count each record once, on
+the per-record path (:meth:`DynamicReachability.reachable_set`, which
 :class:`repro.core.delayavf.DelayAceEvaluator` asks only about statically
-reachable injections).
+reachable injections).  A memo miss there is a one-query batch that
+``batch_resims`` does not count, so it reads zero for a campaign whose
+batched pass never ran.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from repro.sim.eventsim import CycleWaveforms, EventSimulator
 
 #: Event-simulator counters a batch copies into telemetry as deltas.
 _SIM_COUNTERS = (
-    "batch_scalar_fallbacks", "slack_skips", "packed_cone_words",
-    "packed_cone_lanes", "packed_cone_lane_slots", "packed_scalar_lanes",
+    "slack_skips", "packed_cone_words", "packed_cone_lanes",
+    "packed_cone_lane_slots",
 )
 
 
@@ -61,9 +63,10 @@ class DynamicReachability:
         """``{dff_index: erroneous latched value}`` for this SDF.
 
         *waves* are the fault-free waveforms of the injection cycle (shared
-        across every wire and delay examined at that cycle).  Results are
-        memoized on the waveforms object so the batched campaign's prefetch
-        pass and the per-record evaluation share one computation.
+        across every wire and delay examined at that cycle).  Answers are
+        memoized on the waveforms object, so the campaign's batched pass
+        and the per-record evaluation share one computation; a miss is
+        re-simulated as a one-query batch.
         """
         if not waves.toggles(wire.net):
             self.telemetry.incr("toggle_skips")
@@ -75,36 +78,25 @@ class DynamicReachability:
         if cached is not None:
             self.telemetry.incr("resim_cache_hits")
             return dict(cached)
-        self.telemetry.incr("cone_resims")
-        extra = delay_fraction * self.static.sta.clock_period
-        skips = self.event_sim.slack_skips
-        errors = self.event_sim.resimulate(waves, wire, extra)
-        self.telemetry.incr("slack_skips", self.event_sim.slack_skips - skips)
-        # Exactness check (Definition 3): every erroneous latch must be
-        # statically reachable; anything else indicates a timing-model bug.
-        static_set = self.static.reachable_set(wire, delay_fraction)
-        assert set(errors) <= static_set, (
-            "dynamically reachable set escaped the statically reachable set"
-        )
-        waves.resim_cache[key] = dict(errors)
-        return errors
+        return self._resimulate(waves, [key])[0]
 
     def reachable_set_batch(
         self,
         waves: CycleWaveforms,
         queries: Sequence[Tuple[Wire, float]],
     ) -> List[Dict[int, int]]:
-        """Batched :meth:`reachable_set` over one cycle's injections.
+        """:meth:`reachable_set` over one cycle's injections.
 
         Fills the static-reach cache for every query (non-toggling ones
         too: every record needs ``num_statically_reachable``), applies the
         §V-C short-circuits and the per-cycle memo, then re-simulates the
         remaining misses in one :meth:`EventSimulator.resimulate_batch` call
         so that injections sharing a fan-out cone share its construction and
-        fault-free slices, word-packed up to 64 bit-planes wide.
-        Results are memoized like the scalar path, so a later
-        :meth:`reachable_set` for the same query is a cache hit.  Returns
-        one reachable-set dict per query, in input order.
+        fault-free slices, word-packed up to 64 bit-planes wide.  Checks
+        each answer against its statically reachable set (Definition 3)
+        and memoizes it, so a later :meth:`reachable_set` for the same
+        query is a cache hit.  Returns one reachable-set dict per query, in
+        input order.
         """
         telemetry = self.telemetry
         with telemetry.phase(
@@ -126,37 +118,43 @@ class DynamicReachability:
             else:
                 pending.setdefault(key, []).append(pos)
         if pending:
-            sim = self.event_sim
-            period = self.static.sta.clock_period
             keys = list(pending)
-            hits_before = sim.cone_index.hits
-            builds_before = sim.cone_index.builds
-            before = [getattr(sim, name) for name in _SIM_COUNTERS]
-            with telemetry.phase(
-                "batch_resim", "dynamic.batch_reach", cat="sim",
-                cycle=waves.cycle, queries=len(keys),
-            ):
-                batch = sim.resimulate_batch(
-                    waves,
-                    [(wire, fraction * period) for wire, fraction in keys],
-                )
             telemetry.incr("batch_resims", len(keys))
-            telemetry.incr(
-                "cone_index_hits", sim.cone_index.hits - hits_before
-            )
-            telemetry.incr(
-                "cone_index_builds", sim.cone_index.builds - builds_before
-            )
-            for name, count in zip(_SIM_COUNTERS, before):
-                telemetry.incr(name, getattr(sim, name) - count)
-            for key, errors in zip(keys, batch):
-                wire, fraction = key
-                static_set = self.static.reachable_set(wire, fraction)
-                assert set(errors) <= static_set, (
-                    "dynamically reachable set escaped the statically "
-                    "reachable set"
-                )
-                waves.resim_cache[key] = dict(errors)
+            for key, errors in zip(keys, self._resimulate(waves, keys)):
                 for pos in pending[key]:
                     results[pos] = dict(errors)
         return results  # type: ignore[return-value]
+
+    def _resimulate(
+        self, waves: CycleWaveforms, keys: List[Tuple[Wire, float]]
+    ) -> List[Dict[int, int]]:
+        """Re-simulate memo misses in one ``resimulate_batch`` call; check
+        each set against Definition 3, memoize it and return it, in order."""
+        telemetry = self.telemetry
+        sim = self.event_sim
+        period = self.static.sta.clock_period
+        hits_before = sim.cone_index.hits
+        builds_before = sim.cone_index.builds
+        before = [getattr(sim, name) for name in _SIM_COUNTERS]
+        with telemetry.phase(
+            "batch_resim", "dynamic.batch_reach", cat="sim",
+            cycle=waves.cycle, queries=len(keys),
+        ):
+            batch = sim.resimulate_batch(
+                waves, [(wire, fraction * period) for wire, fraction in keys]
+            )
+        telemetry.incr("cone_index_hits", sim.cone_index.hits - hits_before)
+        telemetry.incr(
+            "cone_index_builds", sim.cone_index.builds - builds_before
+        )
+        for name, count in zip(_SIM_COUNTERS, before):
+            telemetry.incr(name, getattr(sim, name) - count)
+        for key, errors in zip(keys, batch):
+            # Every erroneous latch must be statically reachable; anything
+            # else indicates a timing-model bug.
+            assert set(errors) <= self.static.reachable_set(*key), (
+                "dynamically reachable set escaped the statically "
+                "reachable set"
+            )
+            waves.resim_cache[key] = dict(errors)
+        return batch

@@ -88,6 +88,22 @@ class WorkShard:
         )
 
 
+def check_delay_fractions(delays: Sequence[float]) -> None:
+    """Reject an empty delay sweep, a fraction outside (0, 1] and a
+    fraction listed twice (each listing would evaluate, merge and count the
+    same records again)."""
+    if not delays:
+        raise ValueError("delay_fractions must not be empty")
+    bad = [d for d in delays if not 0.0 < d <= 1.0]
+    if bad:
+        raise ValueError(f"delay fractions must be in (0, 1]: {sorted(bad)}")
+    repeated = sorted({d for d in delays if delays.count(d) > 1})
+    if repeated:
+        raise ValueError(
+            f"delay fractions must be distinct, repeated: {repeated}"
+        )
+
+
 @dataclass(frozen=True)
 class CampaignPlan:
     """The deterministic expansion of one structure campaign."""
@@ -125,6 +141,7 @@ def build_plan(
         delays = tuple(
             delay_fractions if delay_fractions is not None else config.delay_fractions
         )
+        check_delay_fractions(delays)
         chosen = sample_wires(
             wires,
             max_wires if max_wires is not None else config.max_wires,

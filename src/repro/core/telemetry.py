@@ -69,13 +69,10 @@ COUNTER_ORDER = (
     "dynamic_empty",
     "multi_bit_sets",
     "resim_cache_hits",
-    "cone_resims",
     "batch_resims",
-    "batch_scalar_fallbacks",
     "packed_cone_words",
     "packed_cone_lanes",
     "packed_cone_lane_slots",
-    "packed_scalar_lanes",
     "cone_index_hits",
     "cone_index_builds",
     "group_ace_runs",

@@ -11,7 +11,7 @@ from repro.netlist.cells import (
     CellKind,
     cell_input_count,
     eval_cell,
-    eval_cell_array,
+    eval_cell_word,
 )
 from repro.netlist.netlist import (
     CONST0,
@@ -38,7 +38,7 @@ __all__ = [
     "Wire",
     "cell_input_count",
     "eval_cell",
-    "eval_cell_array",
+    "eval_cell_word",
     "structure_stats",
     "validate",
 ]

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from enum import IntEnum
 
-import numpy as np
-
 
 class CellKind(IntEnum):
     """Identifier of a combinational cell's logic function.
@@ -55,9 +53,9 @@ def cell_input_count(kind: CellKind) -> int:
 def eval_cell(kind: CellKind, inputs) -> int:
     """Evaluate a single cell on scalar 0/1 *inputs* and return 0 or 1.
 
-    This is the readable reference semantics; the vectorized simulators use
-    :func:`eval_cell_array` which must agree with it bit-for-bit (a property
-    checked by the test suite).
+    This is the readable reference semantics; the simulators use
+    :func:`eval_cell_word`, which must agree with it on every bit-plane (a
+    property checked by the test suite).
     """
     kind = CellKind(kind)
     if kind is CellKind.BUF:
@@ -82,34 +80,42 @@ def eval_cell(kind: CellKind, inputs) -> int:
     raise ValueError(f"unknown cell kind: {kind!r}")
 
 
-def eval_cell_array(kind: CellKind, *inputs: np.ndarray, mask: int = 1) -> np.ndarray:
-    """Vectorized evaluation of many same-kind cells at once.
+# Plain-int kinds: the word evaluator's dispatch compares ints, so callers
+# pass a netlist's cell kind as stored, with no ``CellKind`` call per event.
+(_BUF, _NOT, _AND2, _OR2, _NAND2, _NOR2, _XOR2, _XNOR2, _MUX2) = map(
+    int, CellKind
+)
 
-    Each element of the input arrays holds the value on the corresponding
-    pin of one cell instance.  With the default ``mask=1`` values are plain
-    0/1 bits.  A wider *mask* enables **bit-plane parallelism**: bit *k* of
-    every value carries an independent simulation lane (classic parallel
-    fault simulation), and all lanes are evaluated in one pass — inversion
-    becomes XOR with the mask, everything else is already bitwise.
+
+def eval_cell_word(kind: int, inputs, mask: int = 1):
+    """Evaluate one cell of *kind* on bit-plane words.
+
+    Bit *k* of every input word carries an independent simulation lane
+    (classic parallel fault simulation) and *mask* sets the active lanes:
+    inversion is XOR with the mask, everything else is already bitwise.  On
+    inputs with no bit outside *mask*, every plane of the result equals
+    :func:`eval_cell` on that plane's bits and no bit outside *mask* is set.
+    With the default ``mask=1`` the words are plain 0/1 values.  Words may
+    be Python ints (the event simulator) or numpy arrays, one element per
+    same-kind cell.
     """
-    kind = CellKind(kind)
-    if kind is CellKind.BUF:
+    if kind == _BUF:
         return inputs[0]
-    if kind is CellKind.NOT:
+    if kind == _NOT:
         return inputs[0] ^ mask
-    if kind is CellKind.AND2:
+    if kind == _AND2:
         return inputs[0] & inputs[1]
-    if kind is CellKind.OR2:
+    if kind == _OR2:
         return inputs[0] | inputs[1]
-    if kind is CellKind.NAND2:
+    if kind == _NAND2:
         return (inputs[0] & inputs[1]) ^ mask
-    if kind is CellKind.NOR2:
+    if kind == _NOR2:
         return (inputs[0] | inputs[1]) ^ mask
-    if kind is CellKind.XOR2:
+    if kind == _XOR2:
         return inputs[0] ^ inputs[1]
-    if kind is CellKind.XNOR2:
-        return (inputs[0] ^ inputs[1]) ^ mask
-    if kind is CellKind.MUX2:
+    if kind == _XNOR2:
+        return inputs[0] ^ inputs[1] ^ mask
+    if kind == _MUX2:
         a, b, s = inputs
         return (a & (s ^ mask)) | (b & s)
     raise ValueError(f"unknown cell kind: {kind!r}")

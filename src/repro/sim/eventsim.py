@@ -10,39 +10,39 @@ Key structure (mirroring the paper's §V-C optimizations):
 - :meth:`EventSimulator.simulate_cycle` runs a *fault-free* event-driven
   simulation of a single cycle once, recording per-net waveforms.  This is
   shared by every injection performed at that cycle.
-- :meth:`EventSimulator.resimulate` then replays only the fan-out cone of the
-  faulted wire with its source waveform shifted by the extra delay ``d``,
-  stopping wherever the recomputed waveform matches the fault-free one, and
-  reports the state elements whose latched value differs from the fault-free
-  next state.  Before any cone work it applies the *settled-source skip*
-  (:meth:`EventSimulator.source_settles`): an injection whose shifted source
-  settles, through its sink cell's worst downstream path, before the capture
-  edge latches nothing (counted in ``slack_skips``).
-- :meth:`EventSimulator.resimulate_batch` amortizes that replay across all
-  injections of one cycle: a :class:`ConeIndex` owned by the simulator
-  precomputes each faulted sink's transitive fan-out cone in levelized
-  evaluation order once per netlist, and one *cone pass* walks the shared
-  cone once, gathering each cell's fault-free input slices a single time
-  while evaluating every independent injection (different delay fractions
-  of the same wire, or different wires into the same sink cell) as its own
-  *lane*.  Lanes never share recomputed values — transport-delay glitch
-  semantics mean a larger delay may legally *shrink* the reachable set, so
-  no monotonicity shortcut is sound — only the structure walk and the
-  fault-free waveform slices are shared.  Injections whose semantics do not
-  fit the cone pass (output ports, direct DFF.D sinks, non-toggling
-  sources) fall back to the scalar path; settled sources take no lane.
+- :meth:`EventSimulator.resimulate_batch` answers any number of same-cycle
+  injections, one as well as many.  Each injection replays only the fan-out
+  cone of its faulted wire with the source waveform shifted by the extra
+  delay ``d``, stopping wherever the recomputed waveform matches the
+  fault-free one, and reports the state elements whose latched value
+  differs from the fault-free next state.  A non-toggling source or an
+  output-port sink latches nothing, and a direct DFF.D sink latches the
+  shifted waveform itself; neither needs a cone.  Before any cone work the
+  *settled-source skip* (:meth:`EventSimulator.source_settles`) answers an
+  injection whose shifted source settles, through its sink cell's worst
+  downstream path, before the capture edge: it latches nothing (counted in
+  ``slack_skips``).
+- The rest are grouped by faulted sink cell.  A :class:`ConeIndex` owned by
+  the simulator precomputes each sink's transitive fan-out cone in
+  levelized evaluation order once per netlist, and one *cone pass* walks
+  the shared cone once, gathering each cell's fault-free input slices a
+  single time while evaluating every independent injection (different
+  delay fractions of the same wire, or different wires into the same sink
+  cell) as its own *lane*.  Lanes never share recomputed values —
+  transport-delay glitch semantics mean a larger delay may legally
+  *shrink* the reachable set, so no monotonicity shortcut is sound — only
+  the structure walk and the fault-free waveform slices are shared.
 - Inside a cone pass, the lanes dirty at one cell are *word-packed*
   (classic parallel fault simulation, up to :data:`MAX_LANES` bit-planes
   of a Python int): the merged event stream over the union of the lanes'
   input-event times is applied to packed pin words — shared fault-free pin
   events once with a multi-lane mask, per-lane private waveforms on their
-  own plane — and :func:`_eval_cell_packed` evaluates the cell once per
-  distinct event time instead of once per lane.  A lane's output bit can
-  only change at that lane's own input-event times (planes are disjoint),
-  so extracting each lane's change-subsequence reproduces the scalar
-  per-lane waveform bit-exactly, transport-delay glitches included.  A
-  cell where only one lane is dirty has nothing to share and takes the
-  scalar kernel — counted in ``packed_scalar_lanes``.
+  own plane — and :func:`repro.netlist.cells.eval_cell_word` evaluates the
+  cell once per distinct event time instead of once per lane.  A lane's
+  output bit can only change at that lane's own input-event times (planes
+  are disjoint), so extracting each lane's change-subsequence reproduces
+  the per-lane waveform bit-exactly, transport-delay glitches included.  A
+  lone dirty lane is a one-plane word of the same kernel.
 
 Transport-delay semantics are used: a cell's output waveform is its logic
 function applied to the input waveforms, shifted by the cell's propagation
@@ -62,7 +62,7 @@ import numpy as np
 
 from typing import TYPE_CHECKING
 
-from repro.netlist.cells import CellKind, eval_cell
+from repro.netlist.cells import eval_cell, eval_cell_word
 from repro.netlist.netlist import Netlist, PinType, Wire
 from repro.sim.packed import MAX_LANES
 
@@ -100,47 +100,6 @@ SETTLE_MARGIN = 1e-6
 
 #: Shared read-only empty waveform (avoids allocating one per untouched pin).
 _NO_CHANGES: Waveform = []
-
-# Plain-int cell kinds for the packed kernel's dispatch chain.
-_BUF = int(CellKind.BUF)
-_NOT = int(CellKind.NOT)
-_AND2 = int(CellKind.AND2)
-_OR2 = int(CellKind.OR2)
-_NAND2 = int(CellKind.NAND2)
-_NOR2 = int(CellKind.NOR2)
-_XOR2 = int(CellKind.XOR2)
-_XNOR2 = int(CellKind.XNOR2)
-_MUX2 = int(CellKind.MUX2)
-
-
-def _eval_cell_packed(kind: int, current: List[int], full: int) -> int:
-    """Word-parallel twin of :func:`eval_cell` on Python-int bit-planes.
-
-    Bit *k* of every input word carries lane *k*; inversion is XOR with the
-    ``full`` active-lane mask, everything else is already bitwise — the same
-    per-plane semantics as :func:`repro.netlist.cells.eval_cell_array`.
-    """
-    if kind == _BUF:
-        return current[0]
-    if kind == _NOT:
-        return current[0] ^ full
-    if kind == _AND2:
-        return current[0] & current[1]
-    if kind == _OR2:
-        return current[0] | current[1]
-    if kind == _NAND2:
-        return (current[0] & current[1]) ^ full
-    if kind == _NOR2:
-        return (current[0] | current[1]) ^ full
-    if kind == _XOR2:
-        return current[0] ^ current[1]
-    if kind == _XNOR2:
-        return (current[0] ^ current[1]) ^ full
-    if kind == _MUX2:
-        a, b, s = current
-        return (a & (s ^ full)) | (b & s)
-    raise ValueError(f"unknown cell kind: {kind!r}")
-
 
 @dataclass
 class CycleWaveforms:
@@ -263,10 +222,8 @@ class EventSimulator:
             self._fanout_cells.append(cells)
             self._fanout_dffs.append(dffs)
         self.cone_index = ConeIndex(netlist, sta, self._fanout_cells)
-        #: injections served through the batched cone-pass path
+        #: injections evaluated as cone-pass lanes
         self.batch_resims = 0
-        #: injections that fell back to the scalar path inside a batch
-        self.batch_scalar_fallbacks = 0
         #: word-packed cell evaluations inside cone passes
         self.packed_cone_words = 0
         #: dirty lanes evaluated through those packed words
@@ -274,8 +231,6 @@ class EventSimulator:
         #: pack capacity of those words (sum of pack sizes; the occupancy
         #: gauge is ``packed_cone_lanes / packed_cone_lane_slots``)
         self.packed_cone_lane_slots = 0
-        #: lone-dirty-lane cell evaluations that took the scalar kernel
-        self.packed_scalar_lanes = 0
         #: injections the settled-source skip answered without a cone lane
         self.slack_skips = 0
 
@@ -296,7 +251,7 @@ class EventSimulator:
         edge of this cycle.
         """
         netlist = self.netlist
-        values = prev_settled.astype(np.uint8).copy()
+        values: List[int] = prev_settled.astype(np.uint8).tolist()
         changes: Dict[int, Waveform] = {}
         clk_to_q = self.sta.library.dff_clk_to_q_ps
         heap: List[Tuple[float, int, int, int]] = []
@@ -333,9 +288,8 @@ class EventSimulator:
                 for cell, _pin in self._fanout_cells[net]:
                     affected[cell] = None
             for cell in affected:
-                out_value = eval_cell(
-                    cell_kinds[cell],
-                    [values[n] for n in cell_inputs[cell]],
+                out_value = eval_cell_word(
+                    cell_kinds[cell], [values[n] for n in cell_inputs[cell]]
                 )
                 heapq.heappush(
                     heap,
@@ -343,44 +297,15 @@ class EventSimulator:
                 )
                 seq += 1
         return CycleWaveforms(
-            cycle=cycle, initial=prev_settled.copy(), final=values, changes=changes
+            cycle=cycle,
+            initial=prev_settled.copy(),
+            final=np.array(values, dtype=np.uint8),
+            changes=changes,
         )
 
     # ------------------------------------------------------------------
     # Incremental faulty re-simulation
     # ------------------------------------------------------------------
-    def resimulate(
-        self, waves: CycleWaveforms, wire: Wire, extra_delay: float
-    ) -> Dict[int, int]:
-        """Dynamically reachable set of an SDF of *extra_delay* on *wire*.
-
-        Returns ``{dff_index: erroneous latched value}`` for every state
-        element that latches an incorrect value — the paper's
-        ``DynamicReachable_d(e, i)``, including the wrong values needed by
-        the GroupACE step.  Empty when the fault is masked (or the source
-        never toggles).
-        """
-        base = waves.changes.get(wire.net)
-        if not base:
-            # §V-C: a non-toggling source trivially yields an empty set.
-            return {}
-        sink = wire.sink
-        if sink.pin_type is PinType.OUTPORT:
-            return {}
-        if self.source_settles(waves, wire, extra_delay):
-            self.slack_skips += 1
-            return {}
-        shifted: Waveform = [(t + extra_delay, v) for t, v in base]
-        if sink.pin_type is PinType.DFF_D:
-            latched = value_at(
-                int(waves.initial[wire.net]), shifted, self.sta.clock_period
-            )
-            golden = int(waves.final[wire.net])
-            return {sink.owner: latched} if latched != golden else {}
-        lane = _Lane({(sink.owner, sink.pin): shifted})
-        self._cone_pass(waves, self.cone_index.cone((sink.owner,)), [lane])
-        return lane.errors
-
     def source_settles(
         self, waves: CycleWaveforms, wire: Wire, extra_delay: float
     ) -> bool:
@@ -405,23 +330,25 @@ class EventSimulator:
         injections: Sequence[Tuple[Wire, float]],
         lanes: int = MAX_LANES,
     ) -> List[Dict[int, int]]:
-        """Batched :meth:`resimulate` over same-cycle injections.
-
-        Groups the injections by their faulted sink cell, fetches that
-        sink's precomputed fan-out cone from the :class:`ConeIndex`, and
-        walks each shared cone once: every cell's fault-free input slices
-        are gathered a single time while all the group's injections —
-        independent delay fractions of one wire, or different wires into the
-        same cell — evaluate as separate lanes, word-packed up to *lanes*
-        bit-planes wide wherever two or more lanes are dirty at the same
-        cell.  Lane results are exactly what the scalar path would produce
-        (no cross-lane value reuse, no monotonicity shortcuts); injections
-        the cone pass cannot express (output-port sinks, direct DFF.D
-        sinks, non-toggling sources) take the scalar path instead, and
-        settled sources (:meth:`source_settles`) answer ``{}`` with no lane.
+        """Dynamically reachable sets of same-cycle SDFs of *extra* on *wire*.
 
         Returns one ``{dff_index: erroneous latched value}`` dict per
-        injection, in input order.
+        ``(wire, extra)`` injection, in input order: every state element
+        that latches an incorrect value — the paper's
+        ``DynamicReachable_d(e, i)``, including the wrong values needed by
+        the GroupACE step.  A dict is empty when the fault is masked.
+
+        A non-toggling source or an output-port sink answers ``{}`` and a
+        direct DFF.D sink latches its shifted source; settled sources
+        (:meth:`source_settles`) answer ``{}`` with no lane.  The rest are
+        grouped by faulted sink cell, and each group walks its sink's
+        precomputed fan-out cone (from the :class:`ConeIndex`) once: every
+        cell's fault-free input slices are gathered a single time while all
+        the group's injections — independent delay fractions of one wire,
+        or different wires into the same cell — evaluate as separate lanes,
+        word-packed up to *lanes* bit-planes wide.  No value is reused
+        across lanes and no monotonicity shortcut is taken, so a lane's
+        result does not depend on what shares its word.
         """
         if not 1 <= lanes <= MAX_LANES:
             raise ValueError(
@@ -451,17 +378,23 @@ class EventSimulator:
         injections: Sequence[Tuple[Wire, float]],
         lanes: int,
     ) -> List[Dict[int, int]]:
+        period = self.sta.clock_period
         results: List[Optional[Dict[int, int]]] = [None] * len(injections)
         groups: Dict[int, List[int]] = {}
         for i, (wire, extra) in enumerate(injections):
+            base = waves.changes.get(wire.net)
             sink = wire.sink
-            if (
-                not waves.changes.get(wire.net)
-                or sink.pin_type is not PinType.CELL_IN
-            ):
-                # Trivial or special-sink semantics: scalar path.
-                self.batch_scalar_fallbacks += 1
-                results[i] = self.resimulate(waves, wire, extra)
+            if not base or sink.pin_type is PinType.OUTPORT:
+                # §V-C: a non-toggling source latches nothing; neither does
+                # a wire into an output port.
+                results[i] = {}
+            elif sink.pin_type is PinType.DFF_D:
+                # The DFF latches the shifted source itself.
+                shifted = [(t + extra, v) for t, v in base]
+                net = wire.net
+                latched = value_at(int(waves.initial[net]), shifted, period)
+                golden = int(waves.final[net])
+                results[i] = {sink.owner: latched} if latched != golden else {}
             elif self.source_settles(waves, wire, extra):
                 self.slack_skips += 1
                 results[i] = {}
@@ -490,26 +423,22 @@ class EventSimulator:
     ) -> None:
         """Walk *cone* in levelized order, evaluating every lane's injection.
 
-        Equivalent to an event-driven frontier walk run once per lane (one
-        lane is how :meth:`resimulate` runs it): a cell's fan-out is always
-        at a strictly greater level, so walking the precomputed cone order
-        and skipping cells no lane has marked dirty evaluates each dirty
-        cell once, after every cell that feeds it.  Per-cell fault-free data
-        (input slices, baseline output waveform, delay) is gathered once and
-        shared by all lanes.
+        Equivalent to an event-driven frontier walk run once per lane: a
+        cell's fan-out is always at a strictly greater level, so walking the
+        precomputed cone order and skipping cells no lane has marked dirty
+        evaluates each dirty cell once, after every cell that feeds it.
+        Per-cell fault-free data (input slices, baseline output waveform,
+        delay) is gathered once and shared by all lanes.
 
-        When two or more lanes are dirty at a cell, their waveform
-        recomputation is *word-packed*: lane *k* of the dirty set rides bit
-        plane *k*, shared fault-free pin events are applied once under a
-        multi-lane mask, private (override / previously modified) waveforms
-        land on their own plane, and the cell is evaluated once per distinct
-        event time of the merged stream.  Plane disjointness means a lane's
-        output bit only moves at that lane's own input-event times, so each
-        extracted change-subsequence equals the scalar
-        :func:`_recompute_output` result exactly — same times, same values,
-        glitches included.  A cell with a single dirty lane has nothing to
-        pack and takes the scalar kernel (counted in
-        ``packed_scalar_lanes``).
+        The lanes dirty at a cell are recomputed as one *word*: lane *k* of
+        the dirty set rides bit plane *k*, shared fault-free pin events are
+        applied once under a multi-lane mask, private (override / previously
+        modified) waveforms land on their own plane, and the cell is
+        evaluated once per distinct event time of the merged stream.  Plane
+        disjointness means a lane's output bit only moves at that lane's own
+        input-event times, so each extracted change-subsequence is that
+        lane's transport-delay output waveform exactly — same times, same
+        values, glitches included.  A lone dirty lane is a one-plane word.
         """
         netlist = self.netlist
         period = self.sta.clock_period
@@ -547,83 +476,59 @@ class EventSimulator:
                 continue
             outstanding -= 1
             cell = cells[p]
-            inputs = cell_inputs[cell]
-            base_pin_waves = [
-                (int(initial[n]), changes.get(n, _NO_CHANGES)) for n in inputs
-            ]
             out_net = cell_outputs[cell]
-            base_out = changes.get(out_net, _NO_CHANGES)
             kind = cell_kinds[cell]
             delay = float(cell_delay[cell])
+            # Lane k of the entry rides bit plane k of every word.
             n_dirty = len(entry)
-            if n_dirty > 1:
-                # Word-packed evaluation: one merged event walk for all
-                # dirty lanes, lane k of the entry on bit plane k.
-                full = (1 << n_dirty) - 1
-                current: List[int] = []
-                events: List[Tuple[float, int, int, int]] = []
-                for pin, in_net in enumerate(inputs):
-                    base_initial, base_wf = base_pin_waves[pin]
-                    base_mask = 0
-                    for li, lane in enumerate(entry):
-                        wf = lane.overrides.get((cell, pin))
-                        if wf is None:
-                            wf = lane.modified.get(in_net)
-                        if wf is None:
-                            base_mask |= 1 << li
-                        else:
-                            bit = 1 << li
-                            for t, v in wf:
-                                events.append((t, pin, v, bit))
-                    if base_mask and base_wf:
-                        for t, v in base_wf:
-                            events.append((t, pin, v, base_mask))
-                    current.append(full if base_initial else 0)
-                events.sort()
-                last_word = _eval_cell_packed(kind, current, full)
-                out_wfs: List[Waveform] = [[] for _ in range(n_dirty)]
-                i = 0
-                count = len(events)
-                while i < count:
-                    t = events[i][0]
-                    while i < count and events[i][0] == t:
-                        _, pin, v, m = events[i]
-                        if v:
-                            current[pin] |= m
-                        else:
-                            current[pin] &= full ^ m
-                        i += 1
-                    word = _eval_cell_packed(kind, current, full)
-                    diff = word ^ last_word
-                    if diff:
-                        tt = t + delay
-                        li = 0
-                        while diff:
-                            if diff & 1:
-                                out_wfs[li].append((tt, (word >> li) & 1))
-                            diff >>= 1
-                            li += 1
-                        last_word = word
-                self.packed_cone_words += 1
-                self.packed_cone_lanes += n_dirty
-                self.packed_cone_lane_slots += pack_size
-            else:
-                # A lone dirty lane has nothing to share: scalar kernel.
-                lane = entry[0]
-                pin_waves = base_pin_waves
-                patched = False
-                for pin, in_net in enumerate(inputs):
+            full = (1 << n_dirty) - 1
+            current: List[int] = []
+            events: List[Tuple[float, int, int, int]] = []
+            for pin, in_net in enumerate(cell_inputs[cell]):
+                base_mask = 0
+                for li, lane in enumerate(entry):
                     wf = lane.overrides.get((cell, pin))
                     if wf is None:
                         wf = lane.modified.get(in_net)
                     if wf is None:
-                        continue
-                    if not patched:
-                        pin_waves = list(base_pin_waves)
-                        patched = True
-                    pin_waves[pin] = (pin_waves[pin][0], wf)
-                out_wfs = [_recompute_output(kind, pin_waves, delay)]
-                self.packed_scalar_lanes += 1
+                        base_mask |= 1 << li
+                    else:
+                        bit = 1 << li
+                        for t, v in wf:
+                            events.append((t, pin, v, bit))
+                if base_mask:
+                    for t, v in changes.get(in_net, _NO_CHANGES):
+                        events.append((t, pin, v, base_mask))
+                current.append(full if initial[in_net] else 0)
+            events.sort()
+            last_word = eval_cell_word(kind, current, full)
+            out_wfs: List[Waveform] = [[] for _ in range(n_dirty)]
+            i = 0
+            count = len(events)
+            while i < count:
+                t = events[i][0]
+                while i < count and events[i][0] == t:
+                    _, pin, v, m = events[i]
+                    if v:
+                        current[pin] |= m
+                    else:
+                        current[pin] &= full ^ m
+                    i += 1
+                word = eval_cell_word(kind, current, full)
+                diff = word ^ last_word
+                if diff:
+                    tt = t + delay
+                    li = 0
+                    while diff:
+                        if diff & 1:
+                            out_wfs[li].append((tt, (word >> li) & 1))
+                        diff >>= 1
+                        li += 1
+                    last_word = word
+            self.packed_cone_words += 1
+            self.packed_cone_lanes += n_dirty
+            self.packed_cone_lane_slots += pack_size
+            base_out = changes.get(out_net, _NO_CHANGES)
             for lane, out_wf in zip(entry, out_wfs):
                 if out_wf == base_out:
                     continue  # converged with the fault-free waveform
@@ -689,12 +594,12 @@ class EventSimulator:
     ) -> Dict[int, int]:
         """Full (non-incremental) faulty-cycle simulation.
 
-        An independent oracle for :meth:`resimulate`: re-runs the entire
-        event-driven simulation with the per-edge delay injected directly
-        (via a shadow value on the faulted sink pin) and reports every DFF
-        whose latched value differs from the fault-free next state.  Used by
-        the test suite to validate the incremental algorithm; far slower, as
-        it never shares work across injections.
+        An independent oracle for :meth:`resimulate_batch`: re-runs the
+        entire event-driven simulation with the per-edge delay injected
+        directly (via a shadow value on the faulted sink pin) and reports
+        every DFF whose latched value differs from the fault-free next state.
+        Used by the test suite to validate the incremental algorithm; far
+        slower, as it never shares work across injections.
         """
         netlist = self.netlist
         golden = self.simulate_cycle(prev_settled, dff_values, input_values)
@@ -795,31 +700,3 @@ class EventSimulator:
                 errors[dff.index] = latched
         return errors
 
-
-def _recompute_output(
-    kind: CellKind,
-    pin_waves: List[Tuple[int, Waveform]],
-    delay: float,
-) -> Waveform:
-    """Output waveform of one cell under transport-delay semantics."""
-    current = [initial for initial, _ in pin_waves]
-    last = eval_cell(kind, current)
-    events: List[Tuple[float, int, int]] = []
-    for pin, (_, wf) in enumerate(pin_waves):
-        for t, v in wf:
-            events.append((t, pin, v))
-    events.sort()
-    out: Waveform = []
-    i = 0
-    count = len(events)
-    while i < count:
-        t = events[i][0]
-        while i < count and events[i][0] == t:
-            _, pin, v = events[i]
-            current[pin] = v
-            i += 1
-        value = eval_cell(kind, current)
-        if value != last:
-            out.append((t + delay, value))
-            last = value
-    return out

@@ -74,7 +74,7 @@ class EvalPlan:
         """Settle combinational logic in-place on the net-*values* array.
 
         ``mask`` selects the active bit-planes (see
-        :func:`repro.netlist.cells.eval_cell_array`): 1 for a plain scalar
+        :func:`repro.netlist.cells.eval_cell_word`): 1 for a plain scalar
         simulation, ``(1 << lanes) - 1`` for lane-parallel simulation.  The
         dtype of *values* picks the word width (uint8 for up to 8 lanes,
         uint64 for up to 64).  Writes the constant nets itself; every other

@@ -9,7 +9,12 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.netlist.cells import CellKind, cell_input_count, eval_cell_array
+from repro.netlist.cells import (
+    CellKind,
+    cell_input_count,
+    eval_cell,
+    eval_cell_word,
+)
 from repro.netlist.netlist import CONST0, CONST1, Netlist
 from repro.netlist.validate import validate
 from repro.sim.cyclesim import CycleSimulator, Environment
@@ -100,8 +105,6 @@ def naive_settle(nl: Netlist, state: Dict[int, int]) -> Dict[int, int]:
     settled value of every net.  Quadratic and tiny — the oracle for the
     levelized evaluator.
     """
-    from repro.netlist.cells import eval_cell
-
     values = dict(state)
     values[CONST0] = 0
     values[CONST1] = 1
@@ -162,7 +165,7 @@ def evaluate_reference(netlist: Netlist, values: np.ndarray, mask: int = 1) -> N
     :meth:`repro.sim.levelize.EvalPlan.evaluate`."""
     for batch in eval_batches(netlist):
         ins = [values[idx] for idx in batch.input_nets]
-        values[batch.output_nets] = eval_cell_array(batch.kind, *ins, mask=mask)
+        values[batch.output_nets] = eval_cell_word(batch.kind, ins, mask=mask)
 
 
 def heap_walk_reachable(sta, wire, extra_delay: float) -> Set[int]:
@@ -214,20 +217,50 @@ def heap_walk_reachable(sta, wire, extra_delay: float) -> Set[int]:
     return reachable
 
 
+def _recompute_output(kind, pin_waves, delay: float) -> list:
+    """Output waveform of one cell under transport-delay semantics: the
+    scalar kernel of :func:`frontier_walk_errors`, on :func:`eval_cell`.
+
+    *pin_waves* holds each input pin's ``(initial value, changes)``.
+    """
+    current = [initial for initial, _ in pin_waves]
+    last = eval_cell(kind, current)
+    events = []
+    for pin, (_, wf) in enumerate(pin_waves):
+        for t, v in wf:
+            events.append((t, pin, v))
+    events.sort()
+    out = []
+    i = 0
+    count = len(events)
+    while i < count:
+        t = events[i][0]
+        while i < count and events[i][0] == t:
+            _, pin, v = events[i]
+            current[pin] = v
+            i += 1
+        value = eval_cell(kind, current)
+        if value != last:
+            out.append((t + delay, value))
+            last = value
+    return out
+
+
 def frontier_walk_errors(ev, waves, wire, extra_delay: float) -> Dict[int, int]:
     """Reference dynamically reachable set: one heap-frontier cone walk.
 
     Replays *wire*'s fan-out cone cell by cell in (level, cell) order with
     the source waveform shifted by *extra_delay*, stopping where a
     recomputed waveform converges with the fault-free one — no lanes, no
-    word packing and no settled-source skip.  The oracle the event
-    simulator's cone pass (``EventSimulator.resimulate`` /
-    ``resimulate_batch``) must match exactly.
+    word packing and no settled-source skip, and every cell evaluated by
+    :func:`_recompute_output` on :func:`eval_cell`.  The oracle the event
+    simulator's cone pass (``EventSimulator.resimulate_batch``) must match
+    exactly.
     """
     import heapq
 
     from repro.netlist.netlist import PinType
-    from repro.sim.eventsim import _recompute_output, value_at
+    from repro.sim.eventsim import value_at
 
     netlist, sta = ev.netlist, ev.sta
     base = waves.changes.get(wire.net)
@@ -279,10 +312,11 @@ def scalar_campaign_records(system, program, config, structure):
     Expands the plan the engine would (a fresh session's verified sampled
     cycles, the config's wire sample and delays) and evaluates every
     (cycle, wire, d) through :meth:`DelayAceEvaluator.evaluate` on that
-    fresh session: no batch reach and no prefetch, so every dynamically
-    reachable set comes from a one-lane cone pass and every GroupACE/ORACE
-    verdict from the scalar ``GroupAceAnalyzer._run_injected``.  Returns
-    ``({delay: records}, telemetry)``, the records in merge order.
+    fresh session, with no prefetch.  Each injection's memo entry is seeded
+    from :func:`frontier_walk_errors` first, so every dynamically reachable
+    set comes from that reference walk rather than the cone pass, and every
+    GroupACE/ORACE verdict from the scalar ``GroupAceAnalyzer._run_injected``.
+    Returns ``({delay: records}, telemetry)``, the records in merge order.
     """
     from repro.core.campaign import CampaignSession
     from repro.core.plan import build_plan
@@ -294,16 +328,45 @@ def scalar_campaign_records(system, program, config, structure):
         structure, program.name, wires, session.sampled_cycles, config
     )
     by_delay = {delay: [] for delay in plan.delay_fractions}
+    period = system.clock_period
     for shard in plan.shards:
         waves = session.waveforms(shard.cycle)
         checkpoint = session.checkpoint(shard.cycle)
         for index in shard.wire_indices:
+            wire = wires[index]
             for delay in shard.delay_fractions:
+                waves.resim_cache[(wire, delay)] = frontier_walk_errors(
+                    system.event_sim, waves, wire, delay * period
+                )
                 by_delay[delay].append(session.evaluator.evaluate(
-                    waves, checkpoint, wires[index], index, delay,
+                    waves, checkpoint, wire, index, delay,
                     with_orace=config.compute_orace,
                 ))
     return by_delay, session.telemetry
+
+
+def assert_resolved_in_batches(telemetry) -> None:
+    """A cold campaign's sets came from its batched pass, not record by record.
+
+    Every toggling, statically reachable record must find its set in the
+    memo the batched pass filled: a per-record memo miss is re-simulated
+    as a one-query batch through the same kernel and would give the same
+    records, so only the counters tell the two apart.  Some cone word must
+    also have carried two or more lanes (one query at a time, every word is
+    a one-lane word at full occupancy).  Valid for a campaign whose records
+    came from no record cache and shared no memo with an earlier run.
+    """
+    lookups = (
+        telemetry.count("injections")
+        - telemetry.count("static_unreachable")
+        - telemetry.count("toggle_skips")
+    )
+    assert lookups > 0
+    assert telemetry.count("resim_cache_hits") == lookups
+    assert telemetry.count("batch_resims") == lookups
+    assert telemetry.count("packed_cone_lanes") > telemetry.count(
+        "packed_cone_words"
+    )
 
 
 def scalar_savf(system, program, config, structure, max_bits, seed):

@@ -392,6 +392,20 @@ def test_config_validation_rejects_bad_knobs():
         CampaignConfig(jobs=0)
 
 
+def test_config_rejects_repeated_delay_fractions():
+    """A repeated delay would count every record once per listing: with
+    (0.5, 0.5) at 2 cycles x 4 wires, 32 samples at d = 0.5 instead of 8."""
+    with pytest.raises(ValueError, match="distinct, repeated: \\[0.5\\]"):
+        CampaignConfig(delay_fractions=(0.5, 0.5), cycle_count=2, max_wires=4)
+    with pytest.raises(ValueError, match="distinct"):
+        CampaignConfig(delay_fractions=(0.9, 0.5, 0.9))
+    with pytest.raises(ValueError, match="distinct"):
+        dataclasses.replace(CampaignConfig(), delay_fractions=(0.7, 0.7))
+    assert CampaignConfig(delay_fractions=(0.9, 0.5)).delay_fractions == (
+        0.9, 0.5,
+    )
+
+
 def test_config_from_cli_args():
     import argparse
 

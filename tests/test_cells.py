@@ -1,4 +1,4 @@
-"""Cell-kind semantics: scalar and vectorized evaluation must agree."""
+"""Cell-kind semantics: the reference and the word evaluator must agree."""
 
 import itertools
 
@@ -11,7 +11,7 @@ from repro.netlist.cells import (
     CellKind,
     cell_input_count,
     eval_cell,
-    eval_cell_array,
+    eval_cell_word,
 )
 
 
@@ -21,9 +21,32 @@ def test_scalar_matches_vectorized_exhaustively(kind):
     for bits in itertools.product((0, 1), repeat=arity):
         scalar = eval_cell(kind, list(bits))
         arrays = [np.array([b], dtype=np.uint8) for b in bits]
-        vector = eval_cell_array(kind, *arrays)
+        vector = eval_cell_word(kind, arrays)
         assert scalar in (0, 1)
         assert int(vector[0]) == scalar, f"{kind.name}{bits}"
+
+
+@pytest.mark.parametrize("kind", list(CellKind))
+@pytest.mark.parametrize("planes", (1, 3, 64))
+def test_int_words_match_reference_on_every_plane(kind, planes):
+    """Python-int words of 1, 3 and 64 planes, filled cyclically with every
+    input combination: each plane equals :func:`eval_cell` on its bits, and
+    no bit outside the mask is set."""
+    combos = list(itertools.product((0, 1), repeat=cell_input_count(kind)))
+    mask = (1 << planes) - 1
+    for start in range(0, len(combos), planes):
+        lanes = [combos[(start + k) % len(combos)] for k in range(planes)]
+        words = [
+            sum(bits[pin] << k for k, bits in enumerate(lanes))
+            for pin in range(len(combos[0]))
+        ]
+        out = eval_cell_word(int(kind), words, mask)
+        assert isinstance(out, int)
+        assert out & ~mask == 0, (kind.name, planes)
+        for k, bits in enumerate(lanes):
+            assert (out >> k) & 1 == eval_cell(kind, list(bits)), (
+                kind.name, planes, bits,
+            )
 
 
 @pytest.mark.parametrize(
@@ -66,7 +89,7 @@ def test_vectorized_batches_match_scalar(kind, data, size):
         )
         for _ in range(arity)
     ]
-    out = eval_cell_array(kind, *columns)
+    out = eval_cell_word(kind, columns)
     for row in range(size):
         expected = eval_cell(kind, [int(col[row]) for col in columns])
         assert int(out[row]) == expected
@@ -84,3 +107,5 @@ def test_input_counts():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         eval_cell(99, [0])
+    with pytest.raises(ValueError):
+        eval_cell_word(99, [0])

@@ -107,6 +107,20 @@ def test_invalid_campaign_config_is_reported_not_raised(capsys, command):
     assert "cycle_count must be >= 1" in err
 
 
+def test_repeated_delay_is_an_invalid_configuration(capsys):
+    """``--delays 0.5 0.5`` is refused before any simulation, not reported
+    as a 50 % row printed twice over 32 samples per delay."""
+    code = main([
+        "delayavf", "libfibcall", "alu", "--wires", "4", "--cycles", "2",
+        "--delays", "0.5", "0.5",
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: invalid campaign configuration: ")
+    assert "distinct" in captured.err
+    assert "samples" not in captured.out
+
+
 def test_bad_benchmark_rejected(capsys):
     code = main(["run", "quicksort"])
     assert code == 1

@@ -66,6 +66,40 @@ def test_static_cache_reused(strstr_engine):
     assert first is second  # cached object identity
 
 
+def test_memo_miss_is_not_counted_as_batched(strstr_engine):
+    """A per-record memo miss re-simulates its one query in one-lane words
+    and memoizes it, but leaves ``batch_resims`` alone: that counter is
+    what tells a campaign's batched pass from record-by-record resolution,
+    whose sets are the same."""
+    session = strstr_engine.session
+    dynamic, telemetry = session.dynamic, session.dynamic.telemetry
+    waves = session.waveforms(session.sampled_cycles[0])
+    queries = [
+        (wire, frac)
+        for wire in session.system.structure_wires("alu")[::7]
+        for frac in (0.7, 0.9)
+        if waves.toggles(wire.net) and session.static.is_reachable(wire, frac)
+    ]
+    assert len(queries) > 1
+
+    def counts():
+        return [
+            telemetry.count(name)
+            for name in ("batch_resims", "packed_cone_words", "packed_cone_lanes")
+        ]
+
+    waves.resim_cache.clear()
+    batched, words, lanes = counts()
+    one_by_one = [dynamic.reachable_set(waves, *query) for query in queries]
+    assert set(waves.resim_cache) == set(queries)
+    after = counts()
+    assert after[0] == batched
+    assert after[1] - words == after[2] - lanes > 0
+    waves.resim_cache.clear()
+    assert dynamic.reachable_set_batch(waves, queries) == one_by_one
+    assert counts()[0] == batched + len(queries)
+
+
 def test_funnel_counters_partition_the_sample(system, strstr_program):
     """Each record is counted once, in Eq. 4 order: static, toggle, slack.
 

@@ -58,7 +58,7 @@ def test_resimulate_matches_bruteforce(seed):
         for wire in wires[:: max(1, len(wires) // 25)]:
             for frac in (0.3, 0.8):
                 extra = frac * sta.clock_period
-                incremental = ev.resimulate(waves, wire, extra)
+                incremental = ev.resimulate_batch(waves, [(wire, extra)])[0]
                 brute = ev.simulate_cycle_with_fault(
                     ckpt.prev_settled, ckpt.dff_values, ckpt.input_values,
                     wire, extra,
@@ -135,9 +135,10 @@ def test_non_toggling_source_yields_empty_set():
     ckpt = sim.checkpoint()
     sim.step()
     waves = ev.simulate_cycle(ckpt.prev_settled, ckpt.dff_values, ckpt.input_values)
+    extra = 0.9 * sta.clock_period
     for wire in nl.all_wires():
         if not waves.toggles(wire.net):
-            assert ev.resimulate(waves, wire, 0.9 * sta.clock_period) == {}
+            assert ev.resimulate_batch(waves, [(wire, extra)])[0] == {}
 
 
 def test_outport_wire_never_errors():
@@ -151,8 +152,9 @@ def test_outport_wire_never_errors():
         w for w in nl.all_wires() if w.sink.pin_type is PinType.OUTPORT
     ]
     assert outport_wires
+    extra = 0.95 * sta.clock_period
     for wire in outport_wires:
-        assert ev.resimulate(waves, wire, 0.95 * sta.clock_period) == {}
+        assert ev.resimulate_batch(waves, [(wire, extra)])[0] == {}
 
 
 def test_huge_delay_on_toggling_direct_dff_wire_errors():
@@ -176,7 +178,7 @@ def test_huge_delay_on_toggling_direct_dff_wire_errors():
     waves = ev.simulate_cycle(ckpt.prev_settled, ckpt.dff_values, ckpt.input_values)
     assert waves.toggles(inv)
     wire = Wire(inv, SinkPin(PinType.DFF_D, dff.index, 0))
-    errors = ev.resimulate(waves, wire, 0.99 * sta.clock_period)
+    errors = ev.resimulate_batch(waves, [(wire, 0.99 * sta.clock_period)])[0]
     assert errors == {dff.index: int(waves.initial[inv])}
 
 
@@ -194,7 +196,7 @@ def test_small_delay_produces_no_error():
             slack = sta.clock_period - sta.max_path_through(wire)
             if slack == float("inf") or slack <= 0:
                 continue
-            errors = ev.resimulate(waves, wire, slack * 0.5)
+            errors = ev.resimulate_batch(waves, [(wire, slack * 0.5)])[0]
             assert errors == {}, (wire, slack)
 
 
@@ -210,7 +212,7 @@ def test_dynamic_subset_of_static():
         for wire in nl.all_wires()[::5]:
             for frac in (0.5, 0.9):
                 extra = frac * sta.clock_period
-                dyn = ev.resimulate(waves, wire, extra)
+                dyn = ev.resimulate_batch(waves, [(wire, extra)])[0]
                 static = sta.statically_reachable(wire, extra)
                 assert set(dyn) <= static
 

@@ -67,6 +67,26 @@ def test_build_plan_wire_indices_match_sample(strstr_engine):
     assert [wires[index] for index in plan.wire_indices] == chosen
 
 
+def test_build_plan_validates_the_delay_override(strstr_engine):
+    """A ``run_structure(delay_fractions=...)`` override is held to the
+    config's rules: a delay listed twice would evaluate and count its
+    records once per listing, and an empty or out-of-range sweep planned
+    a campaign the config refuses."""
+    session = strstr_engine.session
+    wires = session.system.structure_wires("alu")
+    for delays, message in (
+        ((0.5, 0.9, 0.5), "distinct"), ((), "must not be empty"),
+        ((1.5,), r"in \(0, 1\]"), ((0.0, 0.9), r"in \(0, 1\]"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build_plan(
+                "alu", "libstrstr", wires, session.sampled_cycles,
+                strstr_engine.config, delay_fractions=delays,
+            )
+    with pytest.raises(ValueError, match="distinct"):
+        strstr_engine.run_structure("alu", delay_fractions=(0.9, 0.9))
+
+
 def test_plan_and_spec_pickle_roundtrip():
     shard = WorkShard(
         structure="alu", index=1, cycle=42, wire_indices=(3, 1, 2),
@@ -143,7 +163,7 @@ def test_cold_vs_warm_verdict_cache(tmp_path, system, strstr_program):
     )
     assert warm.telemetry.count("group_ace_runs") == 0
     assert warm.telemetry.count("waveforms_built") == 0
-    assert warm.telemetry.count("cone_resims") == 0
+    assert warm.telemetry.count("batch_resims") == 0
 
 
 def test_verdict_cache_scope_isolated(tmp_path, system, strstr_program, md5_program):

@@ -1,12 +1,11 @@
-"""Word-packed cone passes: bit-exact with the scalar event simulator.
+"""Word-packed cone passes: bit-exact with the scalar reference walk.
 
-The packed cone pass (``EventSimulator._cone_pass``) evaluates every cell
-where two or more lanes are dirty once per merged event word instead of once
-per lane.  These tests pin the exactness contract: at every lane width the
-batched path must reproduce the errors dicts of the reference frontier walk
-(``helpers.frontier_walk_errors``) — including transport-delay glitch cases
-— and lone-lane scalar fallbacks must be counted in telemetry without
-changing any verdict.
+The cone pass (``EventSimulator._cone_pass``) evaluates every dirty cell
+once per merged event word of its dirty lanes instead of once per lane; a
+lone dirty lane is a one-plane word.  These tests pin the exactness
+contract: at every lane width the batched path must reproduce the errors
+dicts of the reference frontier walk (``helpers.frontier_walk_errors``,
+built on ``eval_cell``) — including transport-delay glitch cases.
 """
 
 import random
@@ -16,6 +15,7 @@ import pytest
 
 from helpers import (
     ScriptedEnv,
+    assert_resolved_in_batches,
     evaluate_reference,
     frontier_walk_errors,
     random_circuit,
@@ -75,9 +75,10 @@ def test_packed_batch_matches_scalar_at_every_width(seed, lanes):
             seed, lanes, wire, extra,
         )
     if lanes == 1:
-        # Width 1 never packs: every cone-pass lane takes the scalar kernel.
-        assert ev.packed_cone_words == 0
-        assert ev.packed_scalar_lanes > 0
+        # Width 1: every dirty cell is a one-lane word of the same kernel.
+        assert ev.packed_cone_words > 0
+        assert ev.packed_cone_words == ev.packed_cone_lanes
+        assert ev.packed_cone_lanes == ev.packed_cone_lane_slots
     else:
         assert ev.packed_cone_words > 0
         assert ev.packed_cone_lanes >= 2 * ev.packed_cone_words
@@ -103,8 +104,8 @@ def test_random_lane_subsets_match_scalar(seed):
 
 
 @pytest.mark.parametrize("seed", range(2))
-def test_scalar_fallback_lanes_are_counted_and_exact(seed):
-    """A lone injection packs nothing, is counted, and is still bit-exact."""
+def test_lone_injection_is_exact(seed):
+    """A lone injection rides one-plane words and is still bit-exact."""
     nl, sta, ev, sim = _setup(seed + 20)
     waves = _cycle_waves(nl, ev, sim, seed + 20)
     # A cell-pin injection the settled-source skip leaves to the cone pass.
@@ -115,12 +116,9 @@ def test_scalar_fallback_lanes_are_counted_and_exact(seed):
         and not ev.source_settles(waves, wire, extra)
     ]
     wire, extra = injections[len(injections) // 2]
-    before = ev.packed_scalar_lanes
+    words, lanes = ev.packed_cone_words, ev.packed_cone_lanes
     [errors] = ev.resimulate_batch(waves, [(wire, extra)])
-    # A single-lane group can never pack a word; every dirty cell goes
-    # through the (counted) scalar kernel.
-    assert ev.packed_cone_words == 0
-    assert ev.packed_scalar_lanes > before
+    assert ev.packed_cone_words - words == ev.packed_cone_lanes - lanes > 0
     assert errors == frontier_walk_errors(ev, waves, wire, extra)
 
 
@@ -206,7 +204,9 @@ def test_packed_uint64_settle_matches_reference():
 
 def test_campaign_records_identical_across_lane_widths(system, strstr_program):
     """End-to-end acceptance: a 64-lane campaign's verdicts equal the
-    per-record scalar reference (one-lane cone passes, scalar GroupACE)."""
+    per-record scalar reference, whose reach sets come from the reference
+    cone walk ``frontier_walk_errors`` on ``eval_cell``, with one scalar
+    GroupACE run per error set."""
     config = CampaignConfig(
         # At 10 wires x 3 cycles no injection latched an error and neither
         # side ran GroupACE; at 48 x 6 alu injections do.
@@ -219,9 +219,10 @@ def test_campaign_records_identical_across_lane_widths(system, strstr_program):
     )
     for delay in (0.7, 0.9):
         assert result.by_delay[delay].records == reference[delay], delay
-    # The packed width actually engaged and its occupancy is observable.
+    # The batched pass resolved every set, in words of two or more lanes,
+    # and the occupancy is observable.
     telemetry = result.telemetry
-    assert telemetry.count("packed_cone_lanes") > 0
+    assert_resolved_in_batches(telemetry)
     assert telemetry.count("lane_batches") > 0
     occupancy = telemetry.gauge("packed_lane_occupancy")
     assert occupancy is not None and 0.0 < occupancy <= 1.0

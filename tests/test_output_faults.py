@@ -66,7 +66,7 @@ def test_output_fault_equals_edge_fault_for_single_sink(seed=1):
             (sink,) = nl.fanout_of(net)
             for frac in (0.5, 0.9):
                 extra = frac * sta.clock_period
-                edge = ev.resimulate(waves, Wire(net, sink), extra)
+                edge = ev.resimulate_batch(waves, [(Wire(net, sink), extra)])[0]
                 whole = ev.resimulate_output_fault(waves, net, extra)
                 assert edge == whole, (net, frac)
                 checked += 1

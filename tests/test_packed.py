@@ -5,13 +5,14 @@ import pytest
 
 from helpers import (
     ScriptedEnv,
+    assert_resolved_in_batches,
     random_circuit,
     scalar_campaign_records,
     scalar_savf,
 )
 from repro.core.campaign import CampaignConfig, DelayAVFEngine
 from repro.core.group_ace import GroupAceAnalyzer
-from repro.netlist.cells import CellKind, cell_input_count, eval_cell_array
+from repro.netlist.cells import CellKind, cell_input_count, eval_cell_word
 from repro.sim.cyclesim import CycleSimulator
 from repro.sim.packed import MAX_LANES, PackedCycleSimulator
 
@@ -22,10 +23,10 @@ def test_masked_eval_is_per_plane(kind):
     rng = np.random.default_rng(42)
     arity = cell_input_count(kind)
     inputs = [rng.integers(0, 256, size=32, dtype=np.uint8) for _ in range(arity)]
-    packed = eval_cell_array(kind, *inputs, mask=0xFF)
+    packed = eval_cell_word(kind, inputs, mask=0xFF)
     for lane in range(8):
         lane_inputs = [(arr >> lane) & 1 for arr in inputs]
-        scalar = eval_cell_array(kind, *lane_inputs)
+        scalar = eval_cell_word(kind, lane_inputs)
         assert np.array_equal((packed >> lane) & 1, scalar), (kind, lane)
 
 
@@ -210,6 +211,6 @@ def test_campaign_batched_equals_scalar(system, strstr_program):
             ), (structure, delay)
         assert ref_telemetry.count("lane_batches") == 0
         ref_runs += ref_telemetry.count("group_ace_runs")
-    assert batched_engine.telemetry.count("packed_cone_lanes") > 0
+        assert_resolved_in_batches(batched_result.telemetry)
     assert batched_engine.telemetry.count("lane_batches") > 0
     assert ref_runs > 0

@@ -397,6 +397,29 @@ def test_service_error_statuses(service):
         pytest.fail("expected HTTP 404")
 
 
+def test_service_rejects_repeated_delay_fractions(service):
+    """A job whose config lists a delay twice is a 400 input error at
+    submission, not a campaign that counts every record twice."""
+    import urllib.error
+    import urllib.request
+
+    spec = {
+        **ANALYZE_SPEC,
+        "config": {**SMALL_CONFIG, "delay_fractions": [0.5, 0.5]},
+    }
+    with pytest.raises(InputError, match="distinct"):
+        JobSpec.from_payload(spec)
+    request = urllib.request.Request(
+        service.url + "/v1/jobs", data=json.dumps(spec).encode("utf-8"),
+        headers={"Content-Type": "application/json"}, method="POST",
+    )
+    with pytest.raises(urllib.error.HTTPError) as caught:
+        urllib.request.urlopen(request, timeout=30)
+    assert caught.value.code == 400
+    assert "distinct" in caught.value.read().decode("utf-8")
+    assert ServiceClient(service.url).healthz()["status"] == "ok"
+
+
 def test_service_failed_job_raises_typed_error(service):
     # savf over a logic-only structure fails at run time, not at submit.
     client = ServiceClient(service.url)
