@@ -71,7 +71,7 @@ from repro.core.stats import (
 )
 from repro.core.telemetry import CampaignTelemetry
 from repro.isa.assembler import Program
-from repro.sim.cyclesim import Checkpoint, DffRows, RunResult
+from repro.sim.cyclesim import Checkpoint, RunResult
 from repro.sim.eventsim import CycleWaveforms
 from repro.sim.packed import MAX_LANES, PackedCycleSimulator
 from repro.workloads import lengths
@@ -367,7 +367,8 @@ class CampaignSession:
 
     @property
     def golden(self) -> RunResult:
-        """The scalar golden run, installed by :meth:`adopt_golden`."""
+        """The golden run, installed by :meth:`adopt_golden`: a lane of a
+        :func:`packed_golden_runs` word, or else its own one-lane run."""
         if self._golden is None:
             advisory = not self.length_verified  # may probe (cold start)
             # Record fingerprints + checkpoints at the sampled cycles.
@@ -388,7 +389,7 @@ class CampaignSession:
         return self._golden
 
     def adopt_golden(self, golden: RunResult) -> bool:
-        """Verify and install a golden run, scalar or packed.
+        """Verify and install a golden run, from either source.
 
         The one verification rule: the run halted, is as long as the length
         the injection cycles were sampled from, and matches the known
@@ -481,7 +482,7 @@ class CampaignSession:
     def _instrumented_run_at(self, checkpoint_cycles: Sequence[int]) -> RunResult:
         with self.telemetry.phase(
             "golden", "session.golden_run", cat="session",
-            benchmark=self.program.name, checkpoints=len(checkpoint_cycles),
+            benchmarks=self.program.name,
         ):
             self.telemetry.incr("golden_runs")
             golden = self.system.run_program(
@@ -961,7 +962,7 @@ def run_structures_spanning(
         for (engine, _), local in zip(runs, in_process)
         if local and not engine.session.length_verified
     ]
-    if len(advisory) > 1:
+    if advisory:
         packed_golden_runs(advisory)
     results: List[Dict[str, StructureCampaignResult]] = []
     opened: List[Tuple[DelayAVFEngine, Dict, _Campaign]] = []
@@ -1003,22 +1004,20 @@ def run_structures_spanning(
 
 
 def packed_golden_runs(sessions: Sequence[CampaignSession]) -> None:
-    """Run several sessions' golden runs through shared packed words.
+    """Run sessions' golden runs through shared packed words.
 
-    Each eligible session's instrumented golden run — fingerprint every
-    cycle, checkpoint at its sampled cycles — is one scalar simulation of
-    the shared netlist from reset, so up to :data:`MAX_LANES` of them pack
-    into the bit-planes of one word, exactly like injected re-simulations
-    do.  Produces per-lane :class:`RunResult`\\ s bit-identical to scalar
-    :meth:`CycleSimulator.run` (same fingerprints, same checkpoints
-    including ``prev_settled``, same observables) and installs them via
+    Each session's instrumented golden run — fingerprint every cycle,
+    checkpoint at its sampled cycles — is one run of the shared netlist
+    from reset, so up to :data:`MAX_LANES` of them pack into the bit-planes
+    of one word of :meth:`PackedCycleSimulator.run`, the loop that makes
+    every golden run, at any lane count (a lone session is a one-lane
+    word).  Each lane's :class:`RunResult` is installed through
     :meth:`CampaignSession.adopt_golden`.
 
     Callers hand it sessions about to need a golden run.  Only sessions of
-    known length pack (checkpoint positions are sampled from it), and only
-    on a netlist two or more share: a one-lane word is slower than the
-    scalar run.  The rest, and a packed run that fails adoption (stale
-    hint), keep the scalar path.
+    known length pack (checkpoint positions are sampled from it); the
+    rest, and a lane that fails adoption (a stale hint), get their run
+    from :attr:`CampaignSession.golden`.
     """
     by_netlist: Dict[int, Dict[int, CampaignSession]] = {}
     for session in sessions:
@@ -1026,70 +1025,24 @@ def packed_golden_runs(sessions: Sequence[CampaignSession]) -> None:
             group = by_netlist.setdefault(id(session.system.netlist), {})
             group[id(session)] = session
     for group in by_netlist.values():
-        if len(group) < 2:
-            continue
         members = list(group.values())
         for start in range(0, len(members), MAX_LANES):
-            _run_packed_golden_chunk(members[start : start + MAX_LANES])
-
-
-def _run_packed_golden_chunk(chunk: Sequence[CampaignSession]) -> None:
-    """One packed word's worth of golden runs, scalar-run-exact per lane.
-
-    Mirrors the scalar :meth:`CycleSimulator.run` loop per lane: at each
-    cycle boundary append the state fingerprint, capture a checkpoint if
-    the cycle is sampled (``prev_settled`` is the lane's just-settled net
-    values — available because :meth:`PackedCycleSimulator.step` leaves the
-    settled values of the cycle it latched), then step.  A lane whose
-    environment halts (or that hits the
-    :data:`~repro.workloads.lengths.MAX_RUN_CYCLES` cap) finalizes
-    its result and retires; the word keeps stepping for the rest.
-    """
-    first = chunk[0]
-    with first.telemetry.phase(
-        "golden", "session.golden_run_packed", cat="session",
-        workloads=len(chunk),
-    ):
-        scalar = first.system.simulator()
-        psim = PackedCycleSimulator(scalar.netlist, scalar.plan)
-        envs = [s.system.make_env(s.program) for s in chunk]
-        wanted = [set(s.sampled_cycles) for s in chunk]
-        cap = lengths.MAX_RUN_CYCLES
-        results = [
-            RunResult(cycles=0, halted=False, observables=()) for _ in chunk
-        ]
-        psim.load_reset(envs)
-        psim.settle()  # boundary-0 settled values (scalar reset() semantics)
-        active = set(range(len(chunk)))
-        # Every lane starts at cycle 0, so word-step i holds each lane's
-        # cycle-i state; each step latches into a fresh word.
-        rows = DffRows(len(chunk))
-        while active:
-            rows.append(psim.dff_values)
-            for lane in sorted(active):
-                run = results[lane]
-                cycle = psim.lane_cycles[lane]
-                run.fingerprints.append(psim.lane_fingerprint(lane))
-                if cycle in wanted[lane]:
-                    run.checkpoints[cycle] = Checkpoint(
-                        cycle=cycle,
-                        dff_values=psim.lane_dff_values(lane),
-                        input_values=dict(psim.lane_inputs[lane]),
-                        env_snapshot=envs[lane].snapshot(),
-                        prev_settled=psim.lane_settled_values(lane),
-                    )
-            psim.step()
-            for lane in sorted(active):
-                halted = envs[lane].halted()
-                if halted or psim.lane_cycles[lane] >= cap:
-                    run = results[lane]
-                    run.cycles = psim.lane_cycles[lane]
-                    run.halted = halted
-                    run.observables = envs[lane].observables()
-                    active.discard(lane)
-                    psim.retire_lane(lane)
-        for lane, run in enumerate(results):
-            run.dff_rows = rows.lane(lane)[: run.cycles]
-    for session, run in zip(chunk, results):
-        session.telemetry.incr("golden_runs")
-        session.adopt_golden(run)
+            chunk = members[start : start + MAX_LANES]
+            first = chunk[0]
+            # The span a session's own one-lane run opens, so a lone
+            # session traces the same work either way.
+            with first.telemetry.phase(
+                "golden", "session.golden_run", cat="session",
+                benchmarks=",".join(s.program.name for s in chunk),
+            ):
+                word = PackedCycleSimulator(
+                    first.system.netlist, first.system.plan
+                )
+                runs = word.run(
+                    [s.system.make_env(s.program) for s in chunk],
+                    lengths.MAX_RUN_CYCLES,
+                    [s.sampled_cycles for s in chunk],
+                )
+            for session, run in zip(chunk, runs):
+                session.telemetry.incr("golden_runs")
+                session.adopt_golden(run)

@@ -113,8 +113,7 @@ class DynamicReachability:
                 continue
             cached = waves.resim_cache.get(key)
             if cached is not None:
-                telemetry.incr("resim_cache_hits")
-                results[pos] = dict(cached)
+                results[pos] = dict(cached)  # counted per record too
             else:
                 pending.setdefault(key, []).append(pos)
         if pending:

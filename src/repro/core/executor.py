@@ -230,9 +230,8 @@ def execute_shards(
 
     1. *look up* every shard's records in the verdict cache;
     2. *golden*: one :func:`~repro.core.campaign.packed_golden_runs` word
-       for the sessions with injections left and no golden run, if two or
-       more (a lone one keeps its lazy scalar run): a warm sweep simulates
-       nothing;
+       for the sessions with injections left and no golden run, however
+       many: a warm sweep simulates nothing;
     3. *prepare* the shards with injections left: waveforms, checkpoint
        and :meth:`DynamicReachability.reachable_set_batch`;
     4. *prefetch*: one :func:`~repro.core.group_ace.prefetch_spanning_multi`
@@ -264,7 +263,7 @@ def execute_shards(
             if not session.has_golden
             and any(shard.pending for shard in shard_list)
         }
-        if len(waiting) > 1:
+        if waiting:
             from repro.core.campaign import packed_golden_runs
 
             packed_golden_runs(list(waiting.values()))

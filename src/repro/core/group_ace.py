@@ -17,6 +17,11 @@ Runs exit early when the full system state (DFFs, in-flight interface
 values, memory) reconverges with the golden run's per-cycle fingerprints —
 the future is then provably identical, so only the output produced *so far*
 needs comparing.
+
+Every injected run rides a packed word (:class:`_LaneQueue`): a batch of
+queries packs up to 64 lanes, and a lone memo miss is a one-task queue, a
+one-lane word.  The tests' scalar reference (``tests/helpers.run_injected``)
+decides each injection with one readable run of its own simulator.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 
 from repro.core.telemetry import CampaignTelemetry
 from repro.isa.assembler import Program
-from repro.sim.cyclesim import Checkpoint, CycleSimulator, RunResult
+from repro.sim.cyclesim import Checkpoint, RunResult
 from repro.sim.packed import MAX_LANES, PackedCycleSimulator
 
 
@@ -44,16 +49,6 @@ class Outcome(enum.Enum):
     def is_failure(self) -> bool:
         """Whether this outcome is a program-visible failure."""
         return self is not Outcome.MASKED
-
-
-@dataclass
-class InjectionStats:
-    """Bookkeeping for how injected runs terminate (performance insight)."""
-
-    runs: int = 0
-    converged: int = 0
-    ran_to_halt: int = 0
-    timed_out: int = 0
 
 
 class GroupAceAnalyzer:
@@ -74,15 +69,11 @@ class GroupAceAnalyzer:
         self.program = program
         self.golden = golden
         self.margin_cycles = margin_cycles
-        self.sim: CycleSimulator = system.simulator()
-        self.stats = InjectionStats()
         #: optional persistent store (:class:`repro.core.cache.VerdictCache`)
         self.verdict_cache = verdict_cache
         self.telemetry = telemetry if telemetry is not None else CampaignTelemetry()
         self._cache: Dict[Tuple, Outcome] = {}
-        self._packed: PackedCycleSimulator = PackedCycleSimulator(
-            self.sim.netlist, self.sim.plan
-        )
+        self._packed: PackedCycleSimulator = system.simulator().word
 
     # ------------------------------------------------------------------
     def outcome_of_state_errors(
@@ -99,34 +90,21 @@ class GroupAceAnalyzer:
         would deposit them.  With ``False`` (the particle-strike case) the
         overrides are applied directly at the checkpoint boundary.
 
-        Resolution order: in-memory cache, then the persistent verdict cache
-        (if configured), then an actual injected run — whose verdict is
-        written back to both.
+        Resolution order: the in-memory cache, then a one-task
+        :meth:`prefetch`: the persistent verdict cache (if configured), then
+        an injected run in a one-lane word, whose verdict is written back to
+        both.
         """
         if not overrides:
             return Outcome.MASKED
         items = tuple(sorted(overrides.items()))
         key = (checkpoint.cycle, at_next_boundary, items)
         cached = self._cache.get(key)
-        if cached is not None:
-            self.telemetry.incr("group_ace_cache_hits")
-            return cached
-        if self.verdict_cache is not None:
-            persisted = self.verdict_cache.lookup(
-                checkpoint.cycle, at_next_boundary, items
-            )
-            if persisted is not None:
-                self.telemetry.incr("verdict_cache_hits")
-                self._cache[key] = persisted
-                return persisted
-        outcome = self._run_injected(checkpoint, overrides, at_next_boundary)
-        self.telemetry.incr("group_ace_runs")
-        self._cache[key] = outcome
-        if self.verdict_cache is not None:
-            self.verdict_cache.store(
-                checkpoint.cycle, at_next_boundary, items, outcome
-            )
-        return outcome
+        if cached is None:
+            self.prefetch(checkpoint, [overrides], at_next_boundary)
+            return self._cache[key]
+        self.telemetry.incr("group_ace_cache_hits")
+        return cached
 
     def is_group_ace(
         self, checkpoint: Checkpoint, overrides: Dict[int, int]
@@ -148,8 +126,7 @@ class GroupAceAnalyzer:
         remaining unique injections through one packed word of up to
         *lanes* lanes, each lane taking the next injection once its run
         resolves (:func:`prefetch_spanning_multi`).  Subsequent
-        :meth:`outcome_of_state_errors` calls for these sets are cache hits,
-        so callers can keep using the scalar API unchanged.
+        :meth:`outcome_of_state_errors` calls for these sets are memo hits.
 
         Campaigns always pack :data:`MAX_LANES` wide; narrower *lanes* serve
         the width ablation and the refill tests.  Raises
@@ -220,48 +197,6 @@ class GroupAceAnalyzer:
                 task.key[0], at_next_boundary, task.key[2], outcome
             )
 
-    # ------------------------------------------------------------------
-    def _run_injected(
-        self,
-        checkpoint: Checkpoint,
-        overrides: Dict[int, int],
-        at_next_boundary: bool,
-    ) -> Outcome:
-        sim = self.sim
-        env = self.system.make_env(self.program)
-        sim.restore(checkpoint, env)
-        if at_next_boundary:
-            sim.step()
-        sim.override_dffs(overrides)
-        # If the forced values all equal the current latched state, the
-        # "error" is not an error at all (can happen for particle-strike
-        # style injections given as absolute values).
-        budget = self.golden.cycles + self.margin_cycles
-        golden_fps = self.golden.fingerprints
-        golden_obs = self.golden.observables
-        self.stats.runs += 1
-        while True:
-            cycle = sim.cycle
-            if cycle < len(golden_fps) and sim.fingerprint() == golden_fps[cycle]:
-                self.stats.converged += 1
-                produced = env.observables()
-                if produced == golden_obs[: len(produced)]:
-                    return Outcome.MASKED
-                return Outcome.SDC
-            if cycle >= budget:
-                self.stats.timed_out += 1
-                return Outcome.DUE
-            sim.step()
-            if env.halted():
-                break
-        self.stats.ran_to_halt += 1
-        produced = env.observables()
-        if produced == golden_obs:
-            return Outcome.MASKED
-        if any(event and event[0] == "trap" for event in produced):
-            return Outcome.DUE
-        return Outcome.SDC
-
 
 @dataclass
 class _LaneTask:
@@ -311,7 +246,8 @@ def prefetch_spanning_multi(
     # they share the value-array geometry.
     by_netlist: Dict[int, List[_LaneTask]] = {}
     for task in tasks:
-        by_netlist.setdefault(id(task.analyzer.sim.netlist), []).append(task)
+        netlist = task.analyzer._packed.netlist
+        by_netlist.setdefault(id(netlist), []).append(task)
     for queue in by_netlist.values():
         # Longest lanes first, so the word's last steps are not spent on
         # one long run after the queue has drained.
@@ -325,13 +261,15 @@ def prefetch_spanning_multi(
 class _LaneQueue:
     """One packed word running a queue of injections, refilling retired lanes.
 
-    Bit-exact with :meth:`GroupAceAnalyzer._run_injected` per injection: the
-    same checks, halt handling and DUE budget at the same (per-lane
-    absolute) cycle boundaries, against the golden run of the injection's
-    own analyzer.  With ``at_next_boundary`` a freshly loaded lane makes its
-    fault-free pre-step on the next word-step, takes its overrides after
-    it, and is not checked before then.  Past its golden run's end a lane
-    can only halt or reach its budget, so it is not checked there.
+    Each lane decides its injection as one scalar run would (the tests'
+    ``helpers.run_injected``): the same checks, halt handling and DUE
+    budget at the same (per-lane absolute) cycle boundaries, against the
+    golden run of the injection's own analyzer.  With ``at_next_boundary``
+    a freshly loaded lane makes its fault-free pre-step on the next
+    word-step, takes its overrides after it, and is not checked before
+    then.  Past its golden run's end a lane can only halt or reach its
+    budget, so it is not checked there.  A one-task queue is a one-lane
+    word.
 
     The convergence check starts with one bit-sliced pass over the whole
     word.  Lanes loaded from one checkpoint stay in lockstep, so one golden
@@ -350,14 +288,12 @@ class _LaneQueue:
         self.psim: PackedCycleSimulator = tasks[0].analyzer._packed
         self.outcomes: List[Optional[Outcome]] = [None] * len(tasks)
         self._queued = iter(range(len(tasks)))
-        #: per lane: the index of the task it runs (-1 once retired), that
-        #: task's analyzer, golden length and DUE budget, and the lane's
-        #: environment
+        #: per lane: the index of the task it runs (-1 once retired), and
+        #: that task's analyzer, golden length and DUE budget
         self.lane_task = [-1] * width
         self.analyzers: List[Optional[GroupAceAnalyzer]] = [None] * width
         self.golden_ends = [0] * width
         self.budgets = [0] * width
-        self.envs: List = [None] * width
         #: lanes whose fault-free pre-step is still to come (bitmask)
         self.pending = 0
         self.steps = 0
@@ -367,12 +303,11 @@ class _LaneQueue:
     def run(self) -> List[Outcome]:
         psim = self.psim
         first = [next(self._queued) for _ in range(self.width)]
-        envs = [self._make_env(index) for index in first]
         psim.load_lanes(
-            [(self.tasks[i].checkpoint, env) for i, env in zip(first, envs)]
+            [(self.tasks[i].checkpoint, self._make_env(i)) for i in first]
         )
-        for lane, (index, env) in enumerate(zip(first, envs)):
-            self._start(lane, index, env)
+        for lane, index in enumerate(first):
+            self._start(lane, index)
         check = list(range(self.width))
         while True:
             # Check every lane at its boundary, then the lanes that took a
@@ -396,7 +331,7 @@ class _LaneQueue:
                     overrides = self.tasks[self.lane_task[lane]].overrides
                     psim.override_lane_dffs(lane, overrides)
                     check.append(lane)
-                elif self.envs[lane].halted():
+                elif psim.envs[lane].halted():
                     if self._resolve(lane, self._halt_outcome(lane)):
                         check.append(lane)
                 else:
@@ -413,16 +348,14 @@ class _LaneQueue:
         analyzer = self.tasks[index].analyzer
         return analyzer.system.make_env(analyzer.program)
 
-    def _start(self, lane: int, index: int, env) -> None:
+    def _start(self, lane: int, index: int) -> None:
         """Bookkeeping for a lane just loaded with task *index*."""
         task = self.tasks[index]
         analyzer = task.analyzer
-        analyzer.stats.runs += 1
         self.lane_task[lane] = index
         self.analyzers[lane] = analyzer
         self.golden_ends[lane] = len(analyzer.golden.fingerprints)
         self.budgets[lane] = analyzer.golden.cycles + analyzer.margin_cycles
-        self.envs[lane] = env
         if self.at_next_boundary:
             self.pending |= 1 << lane
         else:
@@ -440,15 +373,15 @@ class _LaneQueue:
             self.lane_task[lane] = -1
             self.psim.retire_lane(lane)
             return False
-        env = self._make_env(index)
-        self.psim.refill_lane(lane, self.tasks[index].checkpoint, env)
+        self.psim.refill_lane(
+            lane, self.tasks[index].checkpoint, self._make_env(index)
+        )
         self.refills += 1
-        self._start(lane, index, env)
+        self._start(lane, index)
         return not self.at_next_boundary
 
     def _halt_outcome(self, lane: int) -> Outcome:
-        self.analyzers[lane].stats.ran_to_halt += 1
-        produced = self.envs[lane].observables()
+        produced = self.psim.envs[lane].observables()
         if produced == self.analyzers[lane].golden.observables:
             return Outcome.MASKED
         if any(e and e[0] == "trap" for e in produced):
@@ -465,7 +398,6 @@ class _LaneQueue:
             if cycle < self.golden_ends[lane]:
                 converging.append(lane)
             elif cycle >= self.budgets[lane]:
-                self.analyzers[lane].stats.timed_out += 1
                 resolved.append((lane, Outcome.DUE))
         if converging:
             resolved.extend(self._converged(converging))
@@ -502,8 +434,7 @@ class _LaneQueue:
             fingerprint = golden.fingerprints[cycles[lane]]
             if psim.lane_fingerprint(lane) != fingerprint:
                 continue
-            self.analyzers[lane].stats.converged += 1
-            produced = self.envs[lane].observables()
+            produced = psim.envs[lane].observables()
             resolved.append((
                 lane,
                 Outcome.MASKED

@@ -2,9 +2,10 @@
 
 Two complementary engines implement the paper's two-step methodology:
 
-- :mod:`repro.sim.cyclesim` — the *timing-agnostic* zero-delay cycle
+- :mod:`repro.sim.packed` — the *timing-agnostic* zero-delay cycle
   simulator (the Verilator stand-in) used for golden runs and GroupACE
-  fault-injection runs;
+  fault-injection runs, up to 64 runs per word; :mod:`repro.sim.cyclesim`
+  is its one-run interface;
 - :mod:`repro.sim.eventsim` — the *timing-aware* transport-delay event-driven
   simulator used to find the state elements that latch incorrect values
   during the single faulty cycle.

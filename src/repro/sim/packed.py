@@ -1,38 +1,149 @@
-"""Lane-parallel ("packed") cycle simulation — classic parallel fault sim.
+"""The zero-delay cycle simulator: up to 64 runs of one netlist per word.
 
-GroupACE dominates a campaign's runtime: every non-masked injection needs a
-timing-agnostic re-simulation to the end of the program.  Those runs share
-the same netlist and differ only in a handful of flipped state bits, so up
-to 64 of them are packed into the bit-planes of the value arrays and
-evaluated simultaneously — one `EvalPlan.evaluate` pass settles all lanes
-(inversions become XOR-with-mask, everything else is already bitwise).  The
-word width follows the lane count: up to 8 lanes ride in uint8 arrays
-(cheapest per-cycle footprint), anything wider in uint64.
+This is the repo's stand-in for the Verilator stage of the paper's flow: a
+2-state, cycle-accurate simulator used for
 
-Each lane keeps its own behavioural environment, input-port values, and
-per-lane state fingerprint, bit-exact with what a scalar
-:class:`repro.sim.cyclesim.CycleSimulator` run of the same injection would
-produce — the equivalence the test suite asserts.
+- the fault-free *golden* run of a workload (recording per-cycle state
+  fingerprints, checkpoints at sampled cycles, and the program-visible
+  output), and
+- *GroupACE* runs, which restart from a checkpoint, overwrite the state
+  elements in a dynamically reachable set with their erroneous latched
+  values, and compare the resulting program-visible behaviour against the
+  golden run.
+
+The circuit interacts with behavioural components (memories, the halt/output
+protocol) through an :class:`Environment`: output ports are sampled after the
+combinational logic settles and the environment produces the values driven
+into the input ports for the *next* cycle — i.e. every external interface is
+register-latched, so a delay fault can only ever corrupt DFFs (the paper's
+state-element error model).
+
+Runs of one netlist differ only in their state bits and environments, so up
+to :data:`MAX_LANES` of them ride in the bit-planes of the value arrays
+(classic parallel fault simulation) and one ``EvalPlan.evaluate`` pass
+settles them all (inversions become XOR-with-mask, everything else is
+already bitwise).  The word width follows the lane count: up to 8 lanes ride
+in uint8 arrays, anything wider in uint64.  A single run is a one-lane word,
+uint8 with mask 1, whose arrays hold plain 0/1 values; that is what
+:class:`repro.sim.cyclesim.CycleSimulator` wraps.  Every golden run, at any
+lane count, comes from :meth:`PackedCycleSimulator.run`.
 """
 
 from __future__ import annotations
 
+import abc
 import bisect
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.netlist.netlist import Netlist
-from repro.sim.cyclesim import Checkpoint, Environment
 from repro.sim.levelize import EvalPlan, levelize
 
 #: Bit-planes available in a uint64 value array.
 MAX_LANES = 64
 
 
-def lane_dtype(lanes: int) -> np.dtype:
-    """Narrowest supported word dtype that holds *lanes* bit-planes."""
-    return np.dtype(np.uint8 if lanes <= 8 else np.uint64)
+class Environment(abc.ABC):
+    """Behavioural components surrounding the netlist (memories, MMIO).
+
+    The simulator calls :meth:`step` once per cycle with the sampled output
+    port values; the returned dict provides the input-port values for the
+    next cycle.  Implementations must support snapshot/restore (for
+    checkpointing) and expose an incremental *fingerprint* so that state
+    convergence between an injected run and the golden run can be detected
+    cheaply.
+    """
+
+    @abc.abstractmethod
+    def reset(self) -> Dict[str, int]:
+        """Reset internal state; return initial input-port values."""
+
+    @abc.abstractmethod
+    def step(self, outputs: Dict[str, int], cycle: int) -> Dict[str, int]:
+        """React to this cycle's sampled outputs; return next inputs."""
+
+    @abc.abstractmethod
+    def snapshot(self) -> Any:
+        """Return an opaque deep snapshot of the environment state."""
+
+    @abc.abstractmethod
+    def restore(self, snap: Any) -> None:
+        """Restore a snapshot previously produced by :meth:`snapshot`."""
+
+    @abc.abstractmethod
+    def fingerprint(self) -> int:
+        """A value that is equal iff the environment state is equal (w.h.p.)."""
+
+    @abc.abstractmethod
+    def observables(self) -> Tuple[Any, ...]:
+        """The program-visible output produced so far (stores, halt, traps)."""
+
+    @abc.abstractmethod
+    def halted(self) -> bool:
+        """Whether the program has signalled completion (or a trap)."""
+
+
+@dataclass
+class Checkpoint:
+    """Everything needed to restart at — and event-simulate — cycle ``cycle``."""
+
+    cycle: int
+    dff_values: np.ndarray  #: Q values at the start of the cycle
+    input_values: Dict[str, int]  #: input-port values during the cycle
+    env_snapshot: Any
+    prev_settled: np.ndarray  #: settled net values of the previous cycle
+
+
+@dataclass
+class RunResult:
+    """Outcome of a (golden or injected) simulation run."""
+
+    cycles: int
+    halted: bool
+    observables: Tuple[Any, ...]
+    fingerprints: List[int] = field(default_factory=list)
+    checkpoints: Dict[int, Checkpoint] = field(default_factory=dict)
+    #: recorded with the fingerprints: row ``i`` is the DFF state at the
+    #: start of cycle ``i`` as one :func:`np.packbits` row (see
+    #: :class:`DffRows`), so a word of injected lanes can be compared
+    #: against it bit-sliced
+    dff_rows: Optional[np.ndarray] = None
+
+
+class DffRows:
+    """A run's per-cycle DFF states as packed rows, one row list per lane.
+
+    :meth:`append` takes each cycle's whole DFF word.  Every :attr:`BLOCK`
+    words are packed, each lane's bit-plane into ``np.packbits`` rows, and
+    dropped, so a run keeps at most that many words besides its rows.
+    """
+
+    BLOCK = 1024
+
+    def __init__(self, lanes: int = 1):
+        self._words: List[np.ndarray] = []
+        self._rows: List[List[np.ndarray]] = [[] for _ in range(lanes)]
+
+    def append(self, dff_values: np.ndarray) -> None:
+        self._words.append(dff_values)
+        if len(self._words) == self.BLOCK:
+            self._pack()
+
+    def lane(self, lane: int = 0) -> np.ndarray:
+        """Lane *lane*'s rows, one per appended word."""
+        self._pack()
+        return np.concatenate(self._rows[lane])
+
+    def _pack(self) -> None:
+        if not self._words:
+            return
+        block = np.stack(self._words)
+        self._words.clear()
+        for lane, rows in enumerate(self._rows):
+            bits = (block >> block.dtype.type(lane)) & 1
+            rows.append(np.packbits(bits, axis=1))
 
 
 class PackedCycleSimulator:
@@ -45,7 +156,8 @@ class PackedCycleSimulator:
         self.plan = plan if plan is not None else levelize(netlist)
         self._q_nets = np.array([d.q for d in netlist.dffs], dtype=np.int64)
         self._d_nets = np.array([d.d for d in netlist.dffs], dtype=np.int64)
-        self._init_values = np.array(
+        #: the DFFs' reset values, 0/1
+        self.init_values = np.array(
             [d.init for d in netlist.dffs], dtype=np.uint8
         )
         self._in_ports = {
@@ -65,29 +177,28 @@ class PackedCycleSimulator:
                     f"output port wider than 64 bits: {len(nets)}"
                 )
             self._out_index[row, : len(nets)] = nets
-        self.dtype = np.dtype(np.uint8)
-        self.values = np.zeros(netlist.num_nets, dtype=self.dtype)
-        self.dff_values = np.zeros(netlist.num_dffs, dtype=self.dtype)
-        self.lanes = 0
-        self.mask = 0
-        self._lane_shifts = np.zeros(0, dtype=np.uint64)
-        self.envs: List[Environment] = []
-        self.lane_inputs: List[Dict[str, int]] = []
+        self._begin(1)
+
+    # ------------------------------------------------------------------
+    def _begin(self, lanes: int) -> None:
+        """Start an empty word of *lanes* active lanes: all-zero state, no
+        environments, every lane at cycle 0."""
+        if not 1 <= lanes <= MAX_LANES:
+            raise ValueError(f"1..{MAX_LANES} lanes supported, got {lanes}")
+        self.lanes = lanes
+        self.mask = (1 << lanes) - 1
+        # The narrowest word that holds the lanes: uint8 up to 8, else uint64.
+        self.dtype = np.dtype(np.uint8 if lanes <= 8 else np.uint64)
+        self._lane_shifts = np.arange(lanes, dtype=np.uint64)
+        self.values = np.zeros(self.netlist.num_nets, dtype=self.dtype)
+        self.dff_values = np.zeros(self.netlist.num_dffs, dtype=self.dtype)
+        self.envs: List[Optional[Environment]] = [None] * lanes
+        self.lane_inputs: List[Dict[str, int]] = [{} for _ in range(lanes)]
         #: per-lane cycle counters — lanes loaded from different checkpoints
         #: (see :meth:`load_lanes`) advance in lock-step but live at
         #: different absolute cycles
-        self.lane_cycles: List[int] = []
-        self._active: List[int] = []
-
-    # ------------------------------------------------------------------
-    @property
-    def cycle(self) -> int:
-        """Absolute cycle of lane 0 (every lane, for a single-checkpoint load)."""
-        return self.lane_cycles[0] if self.lane_cycles else 0
-
-    def load(self, checkpoint: Checkpoint, envs: Sequence[Environment]) -> None:
-        """Replicate a scalar *checkpoint* across one lane per environment."""
-        self.load_lanes([(checkpoint, env) for env in envs])
+        self.lane_cycles = [0] * lanes
+        self._active = list(range(lanes))
 
     def load_lanes(
         self, lanes: Sequence[Tuple[Checkpoint, Environment]]
@@ -102,56 +213,31 @@ class PackedCycleSimulator:
         values, and cycle counter; :meth:`step` advances them all by one
         cycle of *their own* timeline.
         """
-        if not 1 <= len(lanes) <= MAX_LANES:
-            raise ValueError(f"1..{MAX_LANES} lanes supported, got {len(lanes)}")
-        self.lanes = len(lanes)
-        self.mask = (1 << self.lanes) - 1
-        self.dtype = lane_dtype(self.lanes)
-        self._lane_shifts = np.arange(self.lanes, dtype=np.uint64)
-        self.values = np.zeros(self.netlist.num_nets, dtype=self.dtype)
-        self.envs = [env for _, env in lanes]
-        for (checkpoint, _), env in zip(lanes, self.envs):
-            env.restore(checkpoint.env_snapshot)
-        # Pack each lane's 0/1 scalar state into its own bit-plane.  The
-        # all-lanes-share-one-checkpoint case (the common one) broadcasts.
-        first = lanes[0][0]
-        if all(ckpt is first for ckpt, _ in lanes):
-            self.dff_values = first.dff_values.astype(self.dtype) * self.mask
-        else:
-            packed = np.zeros(self.netlist.num_dffs, dtype=np.uint64)
-            for lane, (ckpt, _) in enumerate(lanes):
-                packed |= ckpt.dff_values.astype(np.uint64) << np.uint64(lane)
-            self.dff_values = packed.astype(self.dtype)
-        self.lane_inputs = [dict(ckpt.input_values) for ckpt, _ in lanes]
-        self.lane_cycles = [ckpt.cycle for ckpt, _ in lanes]
-        self._active = list(range(self.lanes))
+        self._begin(len(lanes))
+        for lane, (checkpoint, env) in enumerate(lanes):
+            self.refill_lane(lane, checkpoint, env)
 
     def load_reset(self, envs: Sequence[Environment]) -> None:
         """Start one lane per environment from the circuit's reset state.
 
-        The packed twin of :meth:`CycleSimulator.reset`: every lane begins
-        at cycle 0 with the netlist's DFF init values and the input-port
-        values its own environment's ``reset()`` returns.  Used to run many
-        workloads' golden runs through one packed word; after loading,
-        :meth:`settle` makes the boundary-0 settled values observable (the
-        scalar simulator's ``prev_settled`` for a cycle-0 checkpoint).
+        Every lane begins at cycle 0 with the netlist's DFF init values and
+        the input-port values its own environment's ``reset()`` returns.
+        After loading, :meth:`settle` makes the boundary-0 settled values
+        observable (a cycle-0 checkpoint's ``prev_settled``).
         """
-        if not 1 <= len(envs) <= MAX_LANES:
-            raise ValueError(f"1..{MAX_LANES} lanes supported, got {len(envs)}")
-        self.lanes = len(envs)
-        self.mask = (1 << self.lanes) - 1
-        self.dtype = lane_dtype(self.lanes)
-        self._lane_shifts = np.arange(self.lanes, dtype=np.uint64)
-        self.values = np.zeros(self.netlist.num_nets, dtype=self.dtype)
+        self._begin(len(envs))
+        self.dff_values = self.init_values.astype(self.dtype) * self.mask
         self.envs = list(envs)
-        self.dff_values = self._init_values.astype(self.dtype) * self.mask
         self.lane_inputs = [dict(env.reset()) for env in self.envs]
-        self.lane_cycles = [0] * self.lanes
-        self._active = list(range(self.lanes))
 
-    def settle(self) -> None:
-        """Settle combinational logic for the current state of every lane."""
-        self._settle()
+    def load_state(
+        self, dff_values: np.ndarray, input_values: Dict[str, int]
+    ) -> None:
+        """One lane at the 0/1 *dff_values* and *input_values*, with no
+        environment: enough to :meth:`settle`, not to :meth:`step`."""
+        self._begin(1)
+        self.dff_values = np.asarray(dff_values, dtype=np.uint8).copy()
+        self.lane_inputs = [dict(input_values)]
 
     def retire_lane(self, lane: int) -> None:
         """Stop stepping one lane's environment (its outcome is decided).
@@ -200,7 +286,8 @@ class PackedCycleSimulator:
                 self.dff_values[index] &= keep
 
     # ------------------------------------------------------------------
-    def _settle(self) -> None:
+    def settle(self) -> None:
+        """Settle combinational logic for the current state of every lane."""
         values = self.values
         values[self._q_nets] = self.dff_values
         for name, (nets, shifts) in self._in_ports.items():
@@ -224,7 +311,7 @@ class PackedCycleSimulator:
             values[nets] = packed
         self.plan.evaluate(values, mask=self.mask)
 
-    def _active_lane_outputs(self) -> Dict[int, Dict[str, int]]:
+    def lane_outputs(self) -> Dict[int, Dict[str, int]]:
         """Output-port words for every *active* lane, from one gather.
 
         The gathered ``(ports, 64)`` word array is transposed exactly into
@@ -247,16 +334,19 @@ class PackedCycleSimulator:
             for lane, row in zip(self._active, words.tolist())
         }
 
-    def step(self) -> None:
-        """Advance all active lanes by one cycle (each lane steps its own env)."""
-        self._settle()
+    def step(self) -> Dict[int, Dict[str, int]]:
+        """Advance all active lanes by one cycle (each lane steps its own
+        env); returns each active lane's sampled output-port values."""
+        self.settle()
         next_dff = self.values[self._d_nets]
-        for lane, outputs in self._active_lane_outputs().items():
+        outputs = self.lane_outputs()
+        for lane, sampled in outputs.items():
             self.lane_inputs[lane] = dict(
-                self.envs[lane].step(outputs, self.lane_cycles[lane])
+                self.envs[lane].step(sampled, self.lane_cycles[lane])
             )
             self.lane_cycles[lane] += 1
         self.dff_values = next_dff
+        return outputs
 
     # ------------------------------------------------------------------
     def lane_dff_values(self, lane: int) -> np.ndarray:
@@ -267,7 +357,8 @@ class PackedCycleSimulator:
         return ((self.values >> lane) & 1).astype(np.uint8)
 
     def lane_fingerprint(self, lane: int) -> int:
-        """Bit-exact twin of :meth:`CycleSimulator.fingerprint` for one lane."""
+        """Fingerprint of one lane's whole system state at its boundary:
+        its DFF bits, its input-port values and its environment."""
         inputs_key = tuple(sorted(self.lane_inputs[lane].items()))
         return hash(
             (
@@ -276,3 +367,62 @@ class PackedCycleSimulator:
                 self.envs[lane].fingerprint(),
             )
         )
+
+    def lane_checkpoint(self, lane: int) -> Checkpoint:
+        """One lane's state at its current boundary; its ``prev_settled``
+        is the word's last settled values (the cycle the lane just left)."""
+        return Checkpoint(
+            cycle=self.lane_cycles[lane],
+            dff_values=self.lane_dff_values(lane),
+            input_values=dict(self.lane_inputs[lane]),
+            env_snapshot=self.envs[lane].snapshot(),
+            prev_settled=self.lane_settled_values(lane),
+        )
+
+    # ------------------------------------------------------------------
+    def run(
+        self,
+        envs: Sequence[Environment],
+        max_cycles: int,
+        checkpoint_cycles: Sequence[Sequence[int]],
+        record_fingerprints: bool = True,
+    ) -> List[RunResult]:
+        """Run one lane per environment from reset: the golden-run loop.
+
+        Each lane runs until its environment halts or *max_cycles* pass,
+        then retires while the word steps the rest; the last stay active,
+        so a one-lane run can step on.  At each boundary a lane records its
+        fingerprint and packed DFF row (with *record_fingerprints*), so
+        ``fingerprints[i]`` is its state at the start of cycle ``i``, and a
+        checkpoint if the cycle is one of its *checkpoint_cycles*.  Every
+        lane starts at cycle 0, so word-step ``i`` holds each lane's
+        cycle-``i`` state; each step latches into a fresh word.
+        """
+        self.load_reset(envs)
+        self.settle()  # the boundary-0 values, cycle 0's prev_settled
+        wanted = [set(int(c) for c in cycles) for cycles in checkpoint_cycles]
+        runs = [RunResult(cycles=0, halted=False, observables=())
+                for _ in envs]
+        rows = DffRows(len(envs))
+        for _ in range(max_cycles):
+            if record_fingerprints:
+                rows.append(self.dff_values)
+            for lane in self._active:
+                if record_fingerprints:
+                    runs[lane].fingerprints.append(self.lane_fingerprint(lane))
+                if self.lane_cycles[lane] in wanted[lane]:
+                    checkpoint = self.lane_checkpoint(lane)
+                    runs[lane].checkpoints[checkpoint.cycle] = checkpoint
+            self.step()
+            running = [i for i in self._active if not envs[i].halted()]
+            if not running:
+                break  # the last lanes stay active: their state is exact
+            self._active = running
+        # A retired lane's cycle counter and environment stay as it left them.
+        for lane, run in enumerate(runs):
+            run.cycles = self.lane_cycles[lane]
+            run.halted = envs[lane].halted()
+            run.observables = envs[lane].observables()
+            if record_fingerprints:
+                run.dff_rows = rows.lane(lane)[: run.cycles]
+        return runs

@@ -13,7 +13,7 @@ It reproduces the five analyzed microarchitectural structures:
   registered memory interface.
 
 Every external interface is register-latched, so all delay-fault errors are
-DFF errors (see :mod:`repro.sim.cyclesim`).
+DFF errors (see :mod:`repro.sim.packed`).
 """
 
 from repro.soc.system import IbexMiniSystem, MemoryEnvironment, build_system

@@ -1,5 +1,13 @@
 """Shared test utilities: tiny environments, harness builders, RNG circuits,
-and the brute-force reference models the fast paths are checked against."""
+and the brute-force reference models the fast paths are checked against.
+
+The references share no kernel with the production simulators they check:
+:class:`ReferenceCycleSim` (golden runs, :func:`reference_run`, and GroupACE
+verdicts, :func:`run_injected`) settles through per-kind ``eval_cell_word``
+batches rather than ``EvalPlan``, and :func:`frontier_walk_errors` walks a
+fan-out cone cell by cell on ``eval_cell``.  Every golden and GroupACE
+parity test takes its expected values from them.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +17,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.core.group_ace import Outcome
 from repro.netlist.cells import (
     CellKind,
     cell_input_count,
@@ -17,8 +26,9 @@ from repro.netlist.cells import (
 )
 from repro.netlist.netlist import CONST0, CONST1, Netlist
 from repro.netlist.validate import validate
-from repro.sim.cyclesim import CycleSimulator, Environment
+from repro.sim.cyclesim import CycleSimulator
 from repro.sim.levelize import compute_cell_levels
+from repro.sim.packed import Checkpoint, Environment, RunResult
 from repro.soc.ecc import DATA_BITS, DATA_POSITIONS, PARITY_BITS
 
 
@@ -133,10 +143,22 @@ class EvalBatch:
     output_nets: np.ndarray
 
 
+#: id(netlist) -> (netlist, its batches); holding the netlist keeps its id
+#: from being reused while the entry lives
+_BATCHES: Dict[int, Tuple[Netlist, List[EvalBatch]]] = {}
+
+
 def eval_batches(netlist: Netlist) -> List[EvalBatch]:
     """The per-(level, kind) cell batches of *netlist*, in topological order:
     the per-kind view of the levels :func:`repro.sim.levelize.levelize`
-    builds."""
+    builds.  Built once per netlist."""
+    cached = _BATCHES.get(id(netlist))
+    if cached is None:
+        cached = _BATCHES[id(netlist)] = (netlist, _build_batches(netlist))
+    return cached[1]
+
+
+def _build_batches(netlist: Netlist) -> List[EvalBatch]:
     levels = compute_cell_levels(netlist)
     grouped: Dict[Tuple[int, int], List[int]] = {}
     for cell, level in enumerate(levels):
@@ -166,6 +188,181 @@ def evaluate_reference(netlist: Netlist, values: np.ndarray, mask: int = 1) -> N
     for batch in eval_batches(netlist):
         ins = [values[idx] for idx in batch.input_nets]
         values[batch.output_nets] = eval_cell_word(batch.kind, ins, mask=mask)
+
+
+class ReferenceCycleSim:
+    """The tests' zero-delay cycle simulator: one run, no lanes, no plan.
+
+    A cycle settles the DFF and input-port bits through
+    :func:`evaluate_reference`, samples every output port bit by bit, lets
+    the environment react, and latches the D pins.  The state fingerprint
+    is the DFF bytes, the sorted input-port values and the environment's
+    fingerprint: the definition ``PackedCycleSimulator.lane_fingerprint``
+    must meet for a golden run to be comparable.
+    """
+
+    def __init__(self, netlist: Netlist):
+        self.netlist = netlist
+        self.q_nets = np.array([d.q for d in netlist.dffs], dtype=np.int64)
+        self.d_nets = np.array([d.d for d in netlist.dffs], dtype=np.int64)
+        self.values = np.zeros(netlist.num_nets, dtype=np.uint8)
+        self.values[CONST1] = 1
+        self.dff_values = self.values[self.q_nets]
+        self.prev_settled = self.values.copy()
+        self.inputs: Dict[str, int] = {}
+        self.env: Optional[Environment] = None
+        self.cycle = 0
+
+    def reset(self, env: Environment) -> None:
+        self.env = env
+        self.dff_values = np.array(
+            [d.init for d in self.netlist.dffs], dtype=np.uint8
+        )
+        self.inputs = dict(env.reset())
+        self.cycle = 0
+        self.settle()
+        self.prev_settled = self.values.copy()
+
+    def restore(self, checkpoint: Checkpoint, env: Environment) -> None:
+        self.env = env
+        env.restore(checkpoint.env_snapshot)
+        self.dff_values = checkpoint.dff_values.copy()
+        self.inputs = dict(checkpoint.input_values)
+        self.prev_settled = checkpoint.prev_settled.copy()
+        self.cycle = checkpoint.cycle
+
+    def settle(self) -> None:
+        self.values[self.q_nets] = self.dff_values
+        for name, nets in self.netlist.input_ports.items():
+            word = self.inputs.get(name, 0)
+            for bit, net in enumerate(nets):
+                self.values[net] = (word >> bit) & 1
+        evaluate_reference(self.netlist, self.values)
+
+    def outputs(self) -> Dict[str, int]:
+        values = self.values
+        return {
+            name: sum(int(values[net]) << bit for bit, net in enumerate(nets))
+            for name, nets in self.netlist.output_ports.items()
+        }
+
+    def step(self) -> Dict[str, int]:
+        self.settle()
+        outputs = self.outputs()
+        self.inputs = dict(self.env.step(outputs, self.cycle))
+        self.prev_settled = self.values.copy()
+        self.dff_values = self.values[self.d_nets]
+        self.cycle += 1
+        return outputs
+
+    def override(self, overrides: Dict[int, int]) -> None:
+        for index, value in overrides.items():
+            self.dff_values[index] = value & 1
+
+    def fingerprint(self) -> int:
+        inputs_key = tuple(sorted(self.inputs.items()))
+        return hash(
+            (self.dff_values.tobytes(), inputs_key, self.env.fingerprint())
+        )
+
+    def checkpoint(self) -> Checkpoint:
+        return Checkpoint(
+            cycle=self.cycle,
+            dff_values=self.dff_values.copy(),
+            input_values=dict(self.inputs),
+            env_snapshot=self.env.snapshot(),
+            prev_settled=self.prev_settled.copy(),
+        )
+
+
+def reference_run(
+    netlist: Netlist, env: Environment, max_cycles: int, checkpoint_cycles=()
+) -> RunResult:
+    """The reference golden run, recorded as the production golden loop
+    records one: a fingerprint and a packed DFF row at the start of every
+    cycle, a checkpoint at each of *checkpoint_cycles*, until the
+    environment halts or *max_cycles* pass."""
+    sim = ReferenceCycleSim(netlist)
+    sim.reset(env)
+    wanted = set(checkpoint_cycles)
+    run = RunResult(cycles=0, halted=False, observables=())
+    states = []
+    for _ in range(max_cycles):
+        run.fingerprints.append(sim.fingerprint())
+        states.append(sim.dff_values)
+        if sim.cycle in wanted:
+            run.checkpoints[sim.cycle] = sim.checkpoint()
+        sim.step()
+        if env.halted():
+            break
+    run.cycles = sim.cycle
+    run.halted = env.halted()
+    run.observables = env.observables()
+    run.dff_rows = np.packbits(np.stack(states), axis=1)
+    return run
+
+
+def run_injected(
+    analyzer, checkpoint: Checkpoint, overrides: Dict[int, int],
+    at_next_boundary: bool = True,
+) -> Outcome:
+    """The reference GroupACE verdict of one injection: one scalar run.
+
+    Restores *checkpoint* on a :class:`ReferenceCycleSim` (after one
+    fault-free step with *at_next_boundary*), forces *overrides*, and runs
+    against *analyzer*'s golden run: masked, or SDC if the output so far
+    differs, once the state's fingerprint meets the golden one of the same
+    cycle; DUE at the budget (golden length + margin); after a halt,
+    masked, DUE on a trap, or SDC.
+    """
+    golden = analyzer.golden
+    env = analyzer.system.make_env(analyzer.program)
+    sim = ReferenceCycleSim(analyzer.system.netlist)
+    sim.restore(checkpoint, env)
+    if at_next_boundary:
+        sim.step()
+    sim.override(overrides)
+    budget = golden.cycles + analyzer.margin_cycles
+    while True:
+        cycle = sim.cycle
+        if (
+            cycle < len(golden.fingerprints)
+            and sim.fingerprint() == golden.fingerprints[cycle]
+        ):
+            produced = env.observables()
+            if produced == golden.observables[: len(produced)]:
+                return Outcome.MASKED
+            return Outcome.SDC
+        if cycle >= budget:
+            return Outcome.DUE
+        sim.step()
+        if env.halted():
+            break
+    produced = env.observables()
+    if produced == golden.observables:
+        return Outcome.MASKED
+    if any(event and event[0] == "trap" for event in produced):
+        return Outcome.DUE
+    return Outcome.SDC
+
+
+def seed_verdict(
+    analyzer, checkpoint: Checkpoint, overrides: Dict[int, int],
+    at_next_boundary: bool = True,
+) -> Outcome:
+    """Put the reference verdict of one query into *analyzer*'s memo (one
+    :func:`run_injected`, counted as ``reference_runs``), so the analyzer
+    answers it without an injected run of its own."""
+    items = tuple(sorted(overrides.items()))
+    key = (checkpoint.cycle, at_next_boundary, items)
+    outcome = analyzer._cache.get(key)
+    if outcome is None:
+        outcome = run_injected(
+            analyzer, checkpoint, overrides, at_next_boundary
+        )
+        analyzer._cache[key] = outcome
+        analyzer.telemetry.incr("reference_runs")
+    return outcome
 
 
 def heap_walk_reachable(sta, wire, extra_delay: float) -> Set[int]:
@@ -312,10 +509,12 @@ def scalar_campaign_records(system, program, config, structure):
     Expands the plan the engine would (a fresh session's verified sampled
     cycles, the config's wire sample and delays) and evaluates every
     (cycle, wire, d) through :meth:`DelayAceEvaluator.evaluate` on that
-    fresh session, with no prefetch.  Each injection's memo entry is seeded
-    from :func:`frontier_walk_errors` first, so every dynamically reachable
-    set comes from that reference walk rather than the cone pass, and every
-    GroupACE/ORACE verdict from the scalar ``GroupAceAnalyzer._run_injected``.
+    fresh session, with no prefetch.  Each injection's memo entries are
+    seeded first: its dynamically reachable set from
+    :func:`frontier_walk_errors` rather than the cone pass, and the verdict
+    of every GroupACE query the evaluator then asks (the set, and for ORACE
+    its single-bit members up to the first failing one) from
+    :func:`run_injected`, so the session runs no injected run of its own.
     Returns ``({delay: records}, telemetry)``, the records in merge order.
     """
     from repro.core.campaign import CampaignSession
@@ -329,19 +528,30 @@ def scalar_campaign_records(system, program, config, structure):
     )
     by_delay = {delay: [] for delay in plan.delay_fractions}
     period = system.clock_period
+    analyzer = session.group_ace
     for shard in plan.shards:
         waves = session.waveforms(shard.cycle)
         checkpoint = session.checkpoint(shard.cycle)
         for index in shard.wire_indices:
             wire = wires[index]
             for delay in shard.delay_fractions:
-                waves.resim_cache[(wire, delay)] = frontier_walk_errors(
+                errors = frontier_walk_errors(
                     system.event_sim, waves, wire, delay * period
                 )
+                waves.resim_cache[(wire, delay)] = errors
+                if errors:
+                    seed_verdict(analyzer, checkpoint, errors)
+                if config.compute_orace and len(errors) > 1:
+                    for dff, value in errors.items():
+                        if seed_verdict(
+                            analyzer, checkpoint, {dff: value}
+                        ).is_failure:
+                            break
                 by_delay[delay].append(session.evaluator.evaluate(
                     waves, checkpoint, wire, index, delay,
                     with_orace=config.compute_orace,
                 ))
+    assert session.telemetry.count("group_ace_runs") == 0
     return by_delay, session.telemetry
 
 
@@ -353,8 +563,11 @@ def assert_resolved_in_batches(telemetry) -> None:
     as a one-query batch through the same kernel and would give the same
     records, so only the counters tell the two apart.  Some cone word must
     also have carried two or more lanes (one query at a time, every word is
-    a one-lane word at full occupancy).  Valid for a campaign whose records
-    came from no record cache and shared no memo with an earlier run.
+    a one-lane word at full occupancy).  ``resim_cache_hits`` counts each
+    record once, on the per-record path, whatever batch found the memo
+    first; ``batch_resims`` counts only this campaign's re-simulations, so
+    this holds for a campaign whose records came from no record cache and
+    whose queries no earlier run resolved.
     """
     lookups = (
         telemetry.count("injections")
@@ -374,11 +587,10 @@ def scalar_savf(system, program, config, structure, max_bits, seed):
 
     Flips every sampled state bit at every sampled cycle of a fresh session
     and asks :meth:`GroupAceAnalyzer.outcome_of_state_errors` one bit at a
-    time, with no prefetch, so each verdict comes from the scalar
-    ``_run_injected``.  Returns ``(SAVFResult, telemetry)``.
+    time, with no prefetch, each verdict seeded from :func:`run_injected`.
+    Returns ``(SAVFResult, telemetry)``.
     """
     from repro.core.campaign import CampaignSession
-    from repro.core.group_ace import Outcome
     from repro.core.results import SAVFResult
     from repro.core.sampling import sample_wires
 
@@ -390,9 +602,10 @@ def scalar_savf(system, program, config, structure, max_bits, seed):
     for cycle in session.sampled_cycles:
         checkpoint = session.checkpoint(cycle)
         for dff in chosen:
-            flipped = int(checkpoint.dff_values[dff.index]) ^ 1
+            overrides = {dff.index: int(checkpoint.dff_values[dff.index]) ^ 1}
+            seed_verdict(session.group_ace, checkpoint, overrides, False)
             outcomes.append(session.group_ace.outcome_of_state_errors(
-                checkpoint, {dff.index: flipped}, at_next_boundary=False
+                checkpoint, overrides, at_next_boundary=False
             ))
     result = SAVFResult(
         structure=structure,
@@ -402,6 +615,7 @@ def scalar_savf(system, program, config, structure, max_bits, seed):
         sdc_count=outcomes.count(Outcome.SDC),
         due_count=outcomes.count(Outcome.DUE),
     )
+    assert session.telemetry.count("group_ace_runs") == 0
     return result, session.telemetry
 
 

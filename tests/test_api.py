@@ -172,11 +172,12 @@ def test_stale_length_store_entry_resamples_before_planning(
 ):
     """A stale bundled length hint re-samples before it samples a plan.
 
-    libstrstr halts after 746 cycles.  Through one engine the scalar
-    golden run detects the stale hint; in a two-workload sweep the packed
-    word's lane fails adoption first and the session falls back to it; an
-    sAVF run verifies the length before it samples its cycles too.  Either
-    way the results are those of a run with the true hint.
+    libstrstr halts after 746 cycles.  Through one engine the session's
+    own one-lane golden run detects the stale hint; in a two-workload sweep
+    the packed word's lane fails adoption first and the session falls back
+    to its own run; an sAVF run verifies the length before it samples its
+    cycles too.  Either way the results are those of a run with the true
+    hint.
     """
     from repro.core.cache import program_signature
     from repro.workloads import lengths

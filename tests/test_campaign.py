@@ -91,11 +91,11 @@ def test_nonhalting_workload_rejected(monkeypatch, system):
 
 def test_group_ace_cache_shared_across_structures(strstr_engine):
     """The (cycle, error-set) cache must dedup across wires/structures."""
-    stats = strstr_engine.session.group_ace.stats
-    runs_before = stats.runs
+    telemetry = strstr_engine.telemetry
+    runs_before = telemetry.count("group_ace_runs")
     strstr_engine.run_structure("decoder", max_wires=10, seed=4)
-    runs_mid = stats.runs
+    runs_mid = telemetry.count("group_ace_runs")
     # Re-running the same structure hits the caches entirely.
     strstr_engine.run_structure("decoder", max_wires=10, seed=4)
-    assert stats.runs == runs_mid
+    assert telemetry.count("group_ace_runs") == runs_mid
     assert runs_mid >= runs_before

@@ -37,6 +37,17 @@ def test_run_respects_halt():
     assert result.halted
 
 
+def test_run_leaves_the_simulator_steppable():
+    """After a run that halts, the one run steps and samples on, as from
+    any other boundary."""
+    sim = CycleSimulator(_counter_netlist())
+    sim.run(ScriptedEnv([{}], halt_at=7), max_cycles=100)
+    assert sim.cycle == 7
+    assert sim.step()["count"] == 7
+    assert sim.sample_outputs()["count"] == 7
+    assert sim.step()["count"] == 8
+
+
 def test_run_respects_max_cycles():
     sim = CycleSimulator(_counter_netlist())
     env = ScriptedEnv([{}])

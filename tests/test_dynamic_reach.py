@@ -100,6 +100,28 @@ def test_memo_miss_is_not_counted_as_batched(strstr_engine):
     assert counts()[0] == batched + len(queries)
 
 
+def test_memo_hit_is_counted_once_per_record(strstr_engine):
+    """Batches that find their answers memoized count no hit of their own:
+    ``resim_cache_hits`` counts each record once, on the per-record path."""
+    session = strstr_engine.session
+    dynamic, telemetry = session.dynamic, session.dynamic.telemetry
+    waves = session.waveforms(session.sampled_cycles[0])
+    queries = [
+        (wire, frac)
+        for wire in session.system.structure_wires("alu")[::7]
+        for frac in (0.7, 0.9)
+        if waves.toggles(wire.net) and session.static.is_reachable(wire, frac)
+    ]
+    assert queries
+    waves.resim_cache.clear()
+    before = telemetry.count("resim_cache_hits")
+    dynamic.reachable_set_batch(waves, queries)
+    dynamic.reachable_set_batch(waves, queries)
+    for query in queries:
+        dynamic.reachable_set(waves, *query)
+    assert telemetry.count("resim_cache_hits") - before == len(queries)
+
+
 def test_funnel_counters_partition_the_sample(system, strstr_program):
     """Each record is counted once, in Eq. 4 order: static, toggle, slack.
 

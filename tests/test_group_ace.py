@@ -58,11 +58,12 @@ def test_outcomes_cached(strstr_engine):
     session = strstr_engine.session
     cycle = session.sampled_cycles[0]
     checkpoint = session.checkpoint(cycle)
-    before = session.group_ace.stats.runs
+    telemetry = session.group_ace.telemetry
+    before = telemetry.count("group_ace_runs")
     session.group_ace.outcome_of_state_errors(checkpoint, {7: 1})
-    mid = session.group_ace.stats.runs
+    mid = telemetry.count("group_ace_runs")
     session.group_ace.outcome_of_state_errors(checkpoint, {7: 1})
-    assert session.group_ace.stats.runs == mid
+    assert telemetry.count("group_ace_runs") == mid
     assert mid == before + 1
 
 
@@ -151,8 +152,3 @@ def test_sdc_detected_on_output_corruption(system, strstr_program):
         checkpoint, overrides, at_next_boundary=False
     )
     assert outcome is Outcome.SDC
-
-
-def test_stats_track_convergence(strstr_engine):
-    stats = strstr_engine.session.group_ace.stats
-    assert stats.runs == stats.converged + stats.ran_to_halt + stats.timed_out

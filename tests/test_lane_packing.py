@@ -19,6 +19,7 @@ from helpers import (
     evaluate_reference,
     frontier_walk_errors,
     random_circuit,
+    reference_run,
     scalar_campaign_records,
 )
 from repro.core.campaign import (
@@ -205,8 +206,8 @@ def test_packed_uint64_settle_matches_reference():
 def test_campaign_records_identical_across_lane_widths(system, strstr_program):
     """End-to-end acceptance: a 64-lane campaign's verdicts equal the
     per-record scalar reference, whose reach sets come from the reference
-    cone walk ``frontier_walk_errors`` on ``eval_cell``, with one scalar
-    GroupACE run per error set."""
+    cone walk ``frontier_walk_errors`` on ``eval_cell``, with one reference
+    GroupACE run (``helpers.run_injected``) per error set."""
     config = CampaignConfig(
         # At 10 wires x 3 cycles no injection latched an error and neither
         # side ran GroupACE; at 48 x 6 alu injections do.
@@ -219,16 +220,18 @@ def test_campaign_records_identical_across_lane_widths(system, strstr_program):
     )
     for delay in (0.7, 0.9):
         assert result.by_delay[delay].records == reference[delay], delay
-    # The batched pass resolved every set, in words of two or more lanes,
-    # and the occupancy is observable.
+    # The batched pass resolved every set, in cone words of two or more
+    # lanes; some GroupACE word carried two or more runs (a per-record miss
+    # is a one-run word); and the occupancy is observable.
     telemetry = result.telemetry
     assert_resolved_in_batches(telemetry)
-    assert telemetry.count("lane_batches") > 0
+    assert telemetry.count("group_ace_runs") > telemetry.count("lane_batches")
     occupancy = telemetry.gauge("packed_lane_occupancy")
     assert occupancy is not None and 0.0 < occupancy <= 1.0
-    # ...and the reference packed nothing: every verdict ran scalar.
+    # ...and the reference packed nothing: every verdict came from a
+    # reference run.
     assert ref_telemetry.count("lane_batches") == 0
-    assert ref_telemetry.count("group_ace_runs") > 0
+    assert ref_telemetry.count("reference_runs") > 0
 
 
 def test_run_structures_matches_sequential_campaigns(system, strstr_program):
@@ -253,7 +256,10 @@ def test_run_structures_matches_sequential_campaigns(system, strstr_program):
     engine_grp = DelayAVFEngine(system, strstr_program, config)
     [grouped] = run_structures_spanning([(engine_grp, structures)])
     assert set(grouped) == set(structures)
-    assert engine_grp.telemetry.count("lane_batches") > 0
+    # Some word carried two or more runs (a per-record miss is a one-run
+    # word).
+    telemetry = engine_grp.telemetry
+    assert telemetry.count("group_ace_runs") > telemetry.count("lane_batches")
     for structure in structures:
         scalar, ref_telemetry = scalar_campaign_records(
             system, strstr_program, config, structure
@@ -268,31 +274,38 @@ def test_run_structures_matches_sequential_campaigns(system, strstr_program):
 
 
 def test_packed_golden_runs_match_scalar(system, strstr_program):
-    """Packed golden runs are bit-identical to scalar instrumented runs.
+    """Golden runs are bit-identical to the reference scalar run.
 
-    Two workloads' golden runs ride one packed word; each lane's RunResult
+    Two workloads' golden runs ride one packed word, and each also runs
+    alone through ``session.golden``, a one-lane word; every RunResult
     (fingerprints and packed DFF rows every cycle, checkpoints including
-    ``prev_settled``, observables) must equal the scalar ``session.golden``.
+    ``prev_settled``, observables) must equal ``helpers.reference_run``.
     """
     from repro.core.campaign import packed_golden_runs
+    from repro.workloads import lengths
     from repro.workloads.beebs import load_benchmark
 
     fib_program = load_benchmark("libfibcall")
     programs = (("strstr", strstr_program), ("fib", fib_program))
     base = dict(cycle_count=3, margin_cycles=400, seed=1)
-    scalar_runs = {}
+    lone_runs, reference_runs = {}, {}
     for name, program in programs:
         engine = DelayAVFEngine(system, program, CampaignConfig(**base))
-        scalar_runs[name] = engine.session.golden  # memoizes the length
+        lone_runs[name] = engine.session.golden  # memoizes the length
+        reference_runs[name] = reference_run(
+            system.netlist, system.make_env(program),
+            lengths.MAX_RUN_CYCLES, engine.session.sampled_cycles,
+        )
     packed_engines = {
         name: DelayAVFEngine(system, program, CampaignConfig(**base))
         for name, program in programs
     }
     packed_golden_runs([e.session for e in packed_engines.values()])
-    for name, engine in packed_engines.items():
-        packed = engine.session._golden
+    runs = [(name, engine.session._golden, reference_runs[name])
+            for name, engine in packed_engines.items()]
+    runs += [(name, run, reference_runs[name]) for name, run in lone_runs.items()]
+    for name, packed, ref in runs:
         assert packed is not None, name  # adopted, not lazily recomputed
-        ref = scalar_runs[name]
         assert packed.cycles == ref.cycles
         assert packed.halted and ref.halted
         assert packed.observables == ref.observables
@@ -386,4 +399,8 @@ def test_run_structures_spanning_packs_once(system, strstr_program, monkeypatch)
         [(engine, ("alu", "decoder")) for engine in engines]
     )
     assert calls == {"prefetch_spanning_multi": 1, "packed_golden_runs": 1}
-    assert sum(e.telemetry.count("lane_batches") for e in engines) > 0
+    runs, words = (
+        sum(e.telemetry.count(name) for e in engines)
+        for name in ("group_ace_runs", "lane_batches")
+    )
+    assert runs > words > 0

@@ -2,15 +2,16 @@
 
 ``prefetch_spanning_multi`` runs each netlist's unresolved injections
 through one packed word whose retired lanes take the next queued injection.
-Every verdict must equal the scalar reference
-(``GroupAceAnalyzer._run_injected``), at any width and with either
-injection boundary; a hung lane runs to the same DUE budget as the scalar
-run.
+Every verdict must equal the tests' scalar reference
+(``helpers.run_injected``, against a ``helpers.reference_run`` golden run),
+at any width and with either injection boundary; a hung lane runs to the
+same DUE budget as the reference run.
 """
 
 import numpy as np
 import pytest
 
+from helpers import reference_run, run_injected
 from repro.core.group_ace import (
     GroupAceAnalyzer,
     Outcome,
@@ -35,9 +36,8 @@ def two_workloads(system, strstr_program):
         (strstr_program, (700, 725)),
         (load_benchmark("libfibcall"), (1975, 2000)),
     ):
-        golden = system.run_program(
-            program, max_cycles=5000, checkpoint_cycles=cycles,
-            record_fingerprints=True,
+        golden = reference_run(
+            system.netlist, system.make_env(program), 5000, cycles
         )
         items = []
         for cycle in cycles:
@@ -64,8 +64,7 @@ def test_refilled_prefetch_equals_scalar_at_every_width(
     for program, golden, items in two_workloads:
         scalar = GroupAceAnalyzer(system, program, golden, MARGIN)
         expected += [
-            scalar.outcome_of_state_errors(c, o, at_next_boundary)
-            for c, o in items
+            run_injected(scalar, c, o, at_next_boundary) for c, o in items
         ]
     assert {Outcome.MASKED, Outcome.SDC, Outcome.DUE} <= set(expected)
     for lanes in (1, 8, 63, 64):
@@ -88,17 +87,16 @@ def test_refilled_prefetch_equals_scalar_at_every_width(
         assert owner.count("lane_refills") == len(expected) - lanes, lanes
         assert 0 < owner.count("lanes_filled") <= owner.count("lane_slots")
         for analyzer in analyzers:
-            stats = analyzer.stats
-            assert stats.runs == len(two_workloads[0][2])
-            assert stats.runs == (
-                stats.converged + stats.ran_to_halt + stats.timed_out
+            assert analyzer.telemetry.count("group_ace_runs") == len(
+                two_workloads[0][2]
             ), lanes
 
 
 def test_tight_loop_past_the_golden_end_is_due_at_the_budget(system):
     """A flag forced on sends the program into ``j spin`` instead of its
-    halting store.  The packed lane spins to the DUE budget, as the scalar
-    run does, and the word stops with it."""
+    halting store.  The packed lane spins to the DUE budget, as the
+    reference run does, and the word stops with it; so does a per-record
+    miss, a one-task word."""
     program = assemble(
         """
         li a2, 0
@@ -115,9 +113,8 @@ def test_tight_loop_past_the_golden_end_is_due_at_the_budget(system):
         """,
         "spin",
     )
-    golden = system.run_program(
-        program, max_cycles=2000, checkpoint_cycles=[10],
-        record_fingerprints=True,
+    golden = reference_run(
+        system.netlist, system.make_env(program), 2000, [10]
     )
     assert golden.halted
     checkpoint = golden.checkpoints[10]
@@ -129,14 +126,17 @@ def test_tight_loop_past_the_golden_end_is_due_at_the_budget(system):
     budget_cycles = golden.cycles + margin - checkpoint.cycle
 
     scalar = GroupAceAnalyzer(system, program, golden, margin)
-    assert scalar.outcome_of_state_errors(
-        checkpoint, overrides, at_next_boundary=False
-    ) is Outcome.DUE
-    assert scalar.stats.timed_out == 1
+    assert run_injected(scalar, checkpoint, overrides, False) is Outcome.DUE
 
     packed = GroupAceAnalyzer(system, program, golden, margin)
     packed.prefetch(checkpoint, [overrides], at_next_boundary=False)
     assert packed._cache[_key(checkpoint, overrides, False)] is Outcome.DUE
-    assert packed.stats.timed_out == 1
     assert packed.telemetry.count("lanes_filled") == budget_cycles
     assert packed.telemetry.count("lane_slots") == budget_cycles
+
+    missed = GroupAceAnalyzer(system, program, golden, margin)
+    assert missed.outcome_of_state_errors(
+        checkpoint, overrides, at_next_boundary=False
+    ) is Outcome.DUE
+    assert missed.telemetry.count("group_ace_runs") == 1
+    assert missed.telemetry.count("lane_slots") == budget_cycles

@@ -29,9 +29,9 @@ def test_single_ace_cached(strstr_engine):
     cycle = session.sampled_cycles[0]
     checkpoint = session.checkpoint(cycle)
     session.orace.single_ace(checkpoint, 9, 1)
-    runs = session.group_ace.stats.runs
+    runs = session.telemetry.count("group_ace_runs")
     session.orace.single_ace(checkpoint, 9, 1)
-    assert session.group_ace.stats.runs == runs
+    assert session.telemetry.count("group_ace_runs") == runs
 
 
 def _reg_bits(system, reg, count):

@@ -1,19 +1,23 @@
-"""Lane-parallel (packed) simulation: bit-exact with scalar simulation."""
+"""Lane-parallel (packed) simulation: bit-exact with the tests' scalar
+reference simulator (``helpers.ReferenceCycleSim``)."""
 
 import numpy as np
 import pytest
 
 from helpers import (
+    ReferenceCycleSim,
     ScriptedEnv,
     assert_resolved_in_batches,
     random_circuit,
+    reference_run,
+    run_injected,
     scalar_campaign_records,
     scalar_savf,
 )
 from repro.core.campaign import CampaignConfig, DelayAVFEngine
-from repro.core.group_ace import GroupAceAnalyzer
+from repro.core.group_ace import GroupAceAnalyzer, _LaneQueue
 from repro.netlist.cells import CellKind, cell_input_count, eval_cell_word
-from repro.sim.cyclesim import CycleSimulator
+from repro.sim.levelize import EvalPlan
 from repro.sim.packed import MAX_LANES, PackedCycleSimulator
 
 
@@ -31,13 +35,13 @@ def test_masked_eval_is_per_plane(kind):
 
 
 def _run_scalar(nl, script, cycles, overrides=None, override_at=None):
-    sim = CycleSimulator(nl)
+    sim = ReferenceCycleSim(nl)
     env = ScriptedEnv(script)
     sim.reset(env)
     states = []
     for cycle in range(cycles):
         if override_at is not None and cycle == override_at:
-            sim.override_dffs(overrides)
+            sim.override(overrides)
         states.append(sim.dff_values.copy())
         sim.step()
     return states
@@ -58,13 +62,13 @@ def test_packed_lanes_match_scalar_runs(seed):
         for overrides in lane_overrides
     ]
     # Packed run with all lanes at once.
-    sim = CycleSimulator(nl)
-    env = ScriptedEnv(script)
-    sim.reset(env)
+    sim = ReferenceCycleSim(nl)
+    sim.reset(ScriptedEnv(script))
     checkpoint = sim.checkpoint()
     psim = PackedCycleSimulator(nl)
-    envs = [ScriptedEnv(script) for _ in range(MAX_LANES)]
-    psim.load(checkpoint, envs)
+    psim.load_lanes(
+        [(checkpoint, ScriptedEnv(script)) for _ in range(MAX_LANES)]
+    )
     for lane, overrides in enumerate(lane_overrides):
         psim.override_lane_dffs(lane, overrides)
     for cycle in range(12):
@@ -76,15 +80,15 @@ def test_packed_lanes_match_scalar_runs(seed):
 
 
 def test_lane_fingerprint_matches_scalar(system, strstr_program):
-    golden = system.run_program(
-        strstr_program, max_cycles=2000, checkpoint_cycles=[40],
-        record_fingerprints=True,
+    golden = reference_run(
+        system.netlist, system.make_env(strstr_program), 2000, [40]
     )
     checkpoint = golden.checkpoints[40]
     # A clean (no-override) lane must reproduce the golden fingerprints.
     psim = PackedCycleSimulator(system.netlist, system.plan)
-    envs = [system.make_env(strstr_program) for _ in range(3)]
-    psim.load(checkpoint, envs)
+    psim.load_lanes(
+        [(checkpoint, system.make_env(strstr_program)) for _ in range(3)]
+    )
     for cycle in range(40, 60):
         for lane in range(3):
             assert psim.lane_fingerprint(lane) == golden.fingerprints[cycle]
@@ -119,7 +123,7 @@ def test_one_gather_outputs_match_per_port_read(system, strstr_program, width):
             endpoint=True,
         )
         psim.values[0] = 0
-        assert psim._active_lane_outputs() == _per_port_outputs(
+        assert psim.lane_outputs() == _per_port_outputs(
             psim, system.netlist
         )
         if len(psim._active) > 1:
@@ -132,19 +136,19 @@ def test_lane_count_validation(system, strstr_program):
     )
     psim = PackedCycleSimulator(system.netlist, system.plan)
     with pytest.raises(ValueError, match="lanes"):
-        psim.load(golden.checkpoints[10], [])
+        psim.load_lanes([])
     with pytest.raises(ValueError, match="lanes"):
-        psim.load(
-            golden.checkpoints[10],
-            [system.make_env(strstr_program) for _ in range(MAX_LANES + 1)],
+        psim.load_lanes(
+            [(golden.checkpoints[10], system.make_env(strstr_program))]
+            * (MAX_LANES + 1)
         )
 
 
 def test_batched_group_ace_matches_scalar(system, strstr_program):
-    """prefetch() must fill the cache with exactly the scalar outcomes."""
-    golden = system.run_program(
-        strstr_program, max_cycles=2000, checkpoint_cycles=[60, 200],
-        record_fingerprints=True,
+    """prefetch() must fill the cache with exactly the reference outcomes
+    (``helpers.run_injected``)."""
+    golden = reference_run(
+        system.netlist, system.make_env(strstr_program), 2000, [60, 200]
     )
     live = [
         d.index for d in system.netlist.dffs
@@ -162,18 +166,20 @@ def test_batched_group_ace_matches_scalar(system, strstr_program):
         scalar = GroupAceAnalyzer(system, strstr_program, golden, 500)
         batched = GroupAceAnalyzer(system, strstr_program, golden, 500)
         batched.prefetch(checkpoint, sets, at_next_boundary=True, lanes=8)
+        runs = batched.telemetry.count("group_ace_runs")
         for overrides in sets:
-            expected = scalar.outcome_of_state_errors(checkpoint, overrides)
+            expected = run_injected(scalar, checkpoint, overrides)
             # The batched analyzer must answer from cache with the same value.
-            runs_before = batched.stats.runs
             actual = batched.outcome_of_state_errors(checkpoint, overrides)
-            assert batched.stats.runs == runs_before, "cache miss after prefetch"
             assert actual is expected, overrides
+        assert batched.telemetry.count("group_ace_runs") == runs, (
+            "cache miss after prefetch"
+        )
 
 
 def test_savf_batched_equals_scalar(system, strstr_program):
-    """sAVF with lane-parallel prefetching equals the per-bit scalar
-    reference."""
+    """sAVF with lane-parallel prefetching equals the per-bit reference,
+    whose every verdict is a ``helpers.run_injected`` run."""
     from repro.core.savf import SAVFEngine
 
     config = CampaignConfig(cycle_count=3, margin_cycles=400, seed=2)
@@ -185,9 +191,12 @@ def test_savf_batched_equals_scalar(system, strstr_program):
         system, strstr_program, config, "lsu", max_bits=20, seed=2
     )
     assert batched == scalar
-    assert engine.telemetry.count("lane_batches") > 0
+    # Some word carried two or more runs: a per-record miss is a one-run
+    # word, so the runs outnumber the words only if the prefetch packed.
+    telemetry = engine.telemetry
+    assert telemetry.count("group_ace_runs") > telemetry.count("lane_batches")
     assert ref_telemetry.count("lane_batches") == 0
-    assert ref_telemetry.count("group_ace_runs") > 0
+    assert ref_telemetry.count("reference_runs") > 0
 
 
 def test_campaign_batched_equals_scalar(system, strstr_program):
@@ -210,7 +219,35 @@ def test_campaign_batched_equals_scalar(system, strstr_program):
                 batched_result.by_delay[delay].records == scalar[delay]
             ), (structure, delay)
         assert ref_telemetry.count("lane_batches") == 0
-        ref_runs += ref_telemetry.count("group_ace_runs")
+        ref_runs += ref_telemetry.count("reference_runs")
         assert_resolved_in_batches(batched_result.telemetry)
-    assert batched_engine.telemetry.count("lane_batches") > 0
+    # Some word carried two or more runs (a per-record miss is a one-run
+    # word).
+    telemetry = batched_engine.telemetry
+    assert telemetry.count("group_ace_runs") > telemetry.count("lane_batches")
     assert ref_runs > 0
+
+
+def test_reference_shares_no_kernel_with_production(
+    system, strstr_program, monkeypatch
+):
+    """The reference golden run and a reference injected run complete with
+    the production plan, word step and lane queue all made to raise."""
+
+    def production(*args, **kwargs):
+        raise AssertionError("the reference reached a production kernel")
+
+    for owner, name in (
+        (EvalPlan, "evaluate"),
+        (PackedCycleSimulator, "step"),
+        (_LaneQueue, "run"),
+    ):
+        monkeypatch.setattr(owner, name, production)
+    golden = reference_run(
+        system.netlist, system.make_env(strstr_program), 2000, [200]
+    )
+    assert golden.halted and len(golden.fingerprints) == golden.cycles
+    analyzer = GroupAceAnalyzer(system, strstr_program, golden, 100)
+    checkpoint = golden.checkpoints[200]
+    flipped = {b: int(checkpoint.dff_values[b]) ^ 1 for b in range(8)}
+    run_injected(analyzer, checkpoint, flipped)

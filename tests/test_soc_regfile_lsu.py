@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from helpers import ScriptedEnv
 from repro.netlist.netlist import Netlist
 from repro.netlist.validate import validate
 from repro.sim.cyclesim import CycleSimulator
@@ -34,50 +33,57 @@ def rf(request):
     return request.param, nl, CycleSimulator(nl)
 
 
-def _write(sim, script_env, addr, value):
-    sim.input_values = {"wa": addr, "wd": value, "we": 1, "ra1": 0, "ra2": 0}
-    sim._settle()
-    sim.dff_values = sim.values[sim._d_nets].copy()
+def _reset_state(sim):
+    return np.array([d.init for d in sim.netlist.dffs], dtype=np.uint8)
+
+
+def _clock(sim, state, inputs):
+    """One clock edge outside any environment: settle *inputs* on *state*
+    and return the state the DFFs latch."""
+    sim.evaluate_combinational(inputs, state)
+    return sim.values[[d.d for d in sim.netlist.dffs]].copy()
+
+
+def _write(sim, state, addr, value):
+    inputs = {"wa": addr, "wd": value, "we": 1, "ra1": 0, "ra2": 0}
+    return _clock(sim, state, inputs)
 
 
 def test_write_read_all_registers(rf):
     use_ecc, nl, sim = rf
-    sim.reset(ScriptedEnv([{}]))
+    state = _reset_state(sim)
     values = {r: (0xA5A50000 + r * 0x1111) & 0xFFFFFFFF for r in range(1, 16)}
     for reg, value in values.items():
-        _write(sim, None, reg, value)
+        state = _write(sim, state, reg, value)
     for reg, value in values.items():
         out = sim.evaluate_combinational(
-            {"ra1": reg, "ra2": (reg + 1) % 16, "we": 0}, sim.dff_values
+            {"ra1": reg, "ra2": (reg + 1) % 16, "we": 0}, state
         )
         assert out["rd1"] == value, (use_ecc, reg)
 
 
 def test_x0_reads_zero_and_ignores_writes(rf):
     use_ecc, nl, sim = rf
-    sim.reset(ScriptedEnv([{}]))
-    _write(sim, None, 0, 0xFFFFFFFF)
-    out = sim.evaluate_combinational({"ra1": 0, "ra2": 0, "we": 0}, sim.dff_values)
+    state = _write(sim, _reset_state(sim), 0, 0xFFFFFFFF)
+    out = sim.evaluate_combinational({"ra1": 0, "ra2": 0, "we": 0}, state)
     assert out["rd1"] == 0 and out["rd2"] == 0
 
 
 def test_write_enable_gates_writes(rf):
     use_ecc, nl, sim = rf
-    sim.reset(ScriptedEnv([{}]))
-    _write(sim, None, 5, 123)
+    state = _write(sim, _reset_state(sim), 5, 123)
     # we=0: no state change even with write data applied
-    sim.input_values = {"wa": 5, "wd": 999, "we": 0, "ra1": 5, "ra2": 0}
-    sim._settle()
-    next_state = sim.values[sim._d_nets].copy()
-    assert np.array_equal(next_state, sim.dff_values)
+    next_state = _clock(
+        sim, state, {"wa": 5, "wd": 999, "we": 0, "ra1": 5, "ra2": 0}
+    )
+    assert np.array_equal(next_state, state)
 
 
 def test_both_read_ports_independent(rf):
     use_ecc, nl, sim = rf
-    sim.reset(ScriptedEnv([{}]))
-    _write(sim, None, 3, 333)
-    _write(sim, None, 7, 777)
-    out = sim.evaluate_combinational({"ra1": 3, "ra2": 7, "we": 0}, sim.dff_values)
+    state = _write(sim, _reset_state(sim), 3, 333)
+    state = _write(sim, state, 7, 777)
+    out = sim.evaluate_combinational({"ra1": 3, "ra2": 7, "we": 0}, state)
     assert (out["rd1"], out["rd2"]) == (333, 777)
 
 
@@ -85,9 +91,7 @@ def test_ecc_regfile_corrects_any_single_storage_flip():
     """Flip each stored bit of a register: reads must still be correct."""
     nl = _regfile_netlist(True)
     sim = CycleSimulator(nl)
-    sim.reset(ScriptedEnv([{}]))
-    _write(sim, None, 4, 0xDEADBEEF)
-    base = sim.dff_values.copy()
+    base = _write(sim, _reset_state(sim), 4, 0xDEADBEEF)
     reg4 = [d for d in nl.dffs if d.name.startswith("core.regfile.x4[")]
     assert len(reg4) == ecc.CODE_BITS
     for dff in reg4:
@@ -101,9 +105,7 @@ def test_ecc_regfile_corrects_any_single_storage_flip():
 def test_plain_regfile_exposes_single_storage_flip():
     nl = _regfile_netlist(False)
     sim = CycleSimulator(nl)
-    sim.reset(ScriptedEnv([{}]))
-    _write(sim, None, 4, 0xDEADBEEF)
-    base = sim.dff_values.copy()
+    base = _write(sim, _reset_state(sim), 4, 0xDEADBEEF)
     reg4 = [d for d in nl.dffs if d.name.startswith("core.regfile.x4[")]
     assert len(reg4) == 32
     state = base.copy()
@@ -116,9 +118,7 @@ def test_ecc_regfile_double_flip_escapes():
     """Two stored-bit flips defeat SEC — the ACE-compounding mechanism."""
     nl = _regfile_netlist(True)
     sim = CycleSimulator(nl)
-    sim.reset(ScriptedEnv([{}]))
-    _write(sim, None, 4, 0xDEADBEEF)
-    base = sim.dff_values.copy()
+    base = _write(sim, _reset_state(sim), 4, 0xDEADBEEF)
     reg4 = [d for d in nl.dffs if d.name.startswith("core.regfile.x4[")]
     state = base.copy()
     state[reg4[0].index] ^= 1
@@ -155,13 +155,10 @@ def lsu_sim():
 
 
 def _issue(lsu_sim, is_store, addr, wdata, funct3):
-    lsu_sim.reset(ScriptedEnv([{}]))
-    lsu_sim.input_values = {
+    return _clock(lsu_sim, _reset_state(lsu_sim), {
         "issue": 1, "is_store": is_store, "addr": addr,
         "wdata": wdata, "funct3": funct3, "dmem_rdata": 0,
-    }
-    lsu_sim._settle()
-    lsu_sim.dff_values = lsu_sim.values[lsu_sim._d_nets].copy()
+    })
 
 
 @pytest.mark.parametrize(
@@ -175,10 +172,8 @@ def _issue(lsu_sim, is_store, addr, wdata, funct3):
     ],
 )
 def test_store_alignment_and_byte_enables(lsu_sim, funct3, addr, wdata, be, stored):
-    _issue(lsu_sim, 1, addr, wdata, funct3)
-    out = lsu_sim.evaluate_combinational(
-        {"issue": 0, "dmem_rdata": 0}, lsu_sim.dff_values
-    )
+    state = _issue(lsu_sim, 1, addr, wdata, funct3)
+    out = lsu_sim.evaluate_combinational({"issue": 0, "dmem_rdata": 0}, state)
     assert out["req"] == 1 and out["we"] == 1
     assert out["addr_q"] == addr & ~3
     assert out["be_q"] == be
@@ -197,19 +192,17 @@ def test_store_alignment_and_byte_enables(lsu_sim, funct3, addr, wdata, be, stor
     ],
 )
 def test_load_extraction(lsu_sim, funct3, addr, bus_word, expected):
-    _issue(lsu_sim, 0, addr, 0, funct3)
+    state = _issue(lsu_sim, 0, addr, 0, funct3)
     out = lsu_sim.evaluate_combinational(
-        {"issue": 0, "dmem_rdata": bus_word}, lsu_sim.dff_values
+        {"issue": 0, "dmem_rdata": bus_word}, state
     )
     assert out["req"] == 1 and out["we"] == 0
     assert out["rdata"] == expected
 
 
 def test_req_clears_after_response_cycle(lsu_sim):
-    _issue(lsu_sim, 0, 0x100, 0, 0b010)
+    state = _issue(lsu_sim, 0, 0x100, 0, 0b010)
     # One more cycle with issue=0: req_q must drop.
-    lsu_sim.input_values = {"issue": 0, "dmem_rdata": 0}
-    lsu_sim._settle()
-    lsu_sim.dff_values = lsu_sim.values[lsu_sim._d_nets].copy()
-    out = lsu_sim.evaluate_combinational({"issue": 0}, lsu_sim.dff_values)
+    state = _clock(lsu_sim, state, {"issue": 0, "dmem_rdata": 0})
+    out = lsu_sim.evaluate_combinational({"issue": 0}, state)
     assert out["req"] == 0
